@@ -2,18 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-full verify verify-full verify-race race bench bench-smoke bench-scale bench-json obs-smoke store-smoke clean
+.PHONY: all build test vet lint lint-full verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
 # store shared across workers.
 RACE_PKGS = ./internal/runner ./internal/harness ./internal/workload \
 	./internal/mem ./internal/ckpt ./internal/store
-
-# BSP core-parallel stepping under the race detector: worker counts > 1 on a
-# multi-core mix, plus the bound-error path. The full sim suite is too slow
-# under -race; these tests are the ones that actually run the worker pool.
-RACE_SIM = -run 'TestParallelWorkerCount|TestParallelEquivalenceOnError' ./internal/sim
 
 all: build
 
@@ -49,11 +44,9 @@ verify-full: build vet
 	$(GO) run ./cmd/bfetch-lint -compiler
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race $(RACE_SIM)
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race $(RACE_SIM)
 
 verify-race: race
 
@@ -84,17 +77,6 @@ bench-smoke:
 bench-scale:
 	$(GO) run ./cmd/bfetch-bench -exp scale -scalecores 8,16 \
 		-ff 20000 -warmup 5000 -measure 20000 -q
-
-# Refresh the machine-readable simulation-throughput record. Four workers is
-# the recorded-baseline setting: parallel enough to exercise the caches,
-# small enough that per-experiment wall times stay comparable across hosts.
-# The store directory is wiped first so the recorded rows are always a cold
-# run (store_state "cold") — a warm store would turn the throughput numbers
-# into disk-read numbers. The populated store is left behind for reuse.
-bench-json:
-	rm -rf results/store
-	$(GO) run ./cmd/bfetch-bench -exp all -q -benchjson BENCH_sim.json -j 4 \
-		-store results/store
 
 # Observability smoke test: tiny batch with the live -http endpoint up,
 # scrape it, and validate every obs JSON document against its schema.

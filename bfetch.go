@@ -49,17 +49,6 @@ type (
 	System = sim.System
 	// PrefetcherKind selects one of the built-in prefetchers.
 	PrefetcherKind = sim.PrefetcherKind
-	// LoopMode selects the simulation clock strategy (see RunOpts.Loop):
-	// the event-driven skipping loop (default) or the naive per-cycle
-	// reference loop. Both produce bit-identical results.
-	LoopMode = sim.LoopMode
-)
-
-// Simulation clock strategies.
-const (
-	LoopAuto  = sim.LoopAuto
-	LoopEvent = sim.LoopEvent
-	LoopNaive = sim.LoopNaive
 )
 
 // Built-in prefetcher kinds.

@@ -7,7 +7,6 @@
 //	bfetch-bench -exp all -out results/
 //	bfetch-bench -exp fig9 -warmup 100000 -measure 300000 -mixes 29
 //	bfetch-bench -exp all -j 8            # 8 simulations in flight
-//	bfetch-bench -exp fig8 -seq           # sequential escape hatch
 //	bfetch-bench -exp all -store results/store   # durable artifact cache
 //	bfetch-bench -exp all -cpuprofile cpu.pprof
 //
@@ -26,11 +25,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/emu"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -57,13 +56,8 @@ func run() error {
 		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: all 18)")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
 		jobs       = flag.Int("j", 0, "simulations in flight (0 = GOMAXPROCS)")
-		seq        = flag.Bool("seq", false, "run simulations sequentially on one goroutine (escape hatch)")
-		simloop    = flag.String("simloop", "auto", "clock strategy: auto, event, or naive (escape hatch)")
-		emuloop    = flag.String("emuloop", "auto", "functional-emulation engine: auto, compiled, or interp (escape hatch)")
-		simpar     = flag.Int("simpar", 0, "core workers per simulation (bulk-synchronous parallel stepping; 0/1 = serial, results byte-identical)")
 		scaleCores = flag.String("scalecores", "", "comma-separated core counts for the scale experiment (default 2,4,8,16,64)")
 		storeDir   = flag.String("store", "", "durable artifact store directory: results and checkpoints are read from disk before computing, and written back after (shared across invocations and -j settings)")
-		benchJSON  = flag.String("benchjson", "", "write per-experiment simulation throughput to this JSON file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		httpAddr   = flag.String("http", "", "serve live introspection on this address (/obs status, /obs/runs, /debug/vars, /debug/pprof)")
@@ -93,25 +87,13 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	loop, err := sim.ParseLoopMode(*simloop)
-	if err != nil {
-		return err
-	}
-	exec, err := emu.ParseExecMode(*emuloop)
-	if err != nil {
-		return err
-	}
-	emu.DefaultExec = exec
-
 	eng := runner.New(*jobs)
-	if *seq {
-		eng = runner.NewSequential()
-	}
 	if *obsJSON != "" || *httpAddr != "" {
 		eng.SetRunReports(true)
 	}
 	var dstore *store.Store
 	if *storeDir != "" {
+		var err error
 		dstore, err = store.Open(*storeDir)
 		if err != nil {
 			return err
@@ -152,7 +134,7 @@ func run() error {
 				return s
 			},
 			func() obs.RunsFile {
-				return obs.RunsFile{Schema: obs.SchemaRuns, Loop: loop.String(), Runs: eng.RunReports()}
+				return obs.RunsFile{Schema: obs.SchemaRuns, Runs: eng.RunReports()}
 			},
 			hub)
 		if err != nil {
@@ -163,20 +145,18 @@ func run() error {
 	}
 
 	params := harness.DefaultParams()
-	params.Opts = sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure, Loop: loop, CoreWorkers: *simpar}
+	params.Opts = sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure}
 	params.Mixes = *mixes
 	params.Runner = eng
 	if *workloads != "" {
 		params.Workloads = strings.Split(*workloads, ",")
 	}
 	if *scaleCores != "" {
-		for _, s := range strings.Split(*scaleCores, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
-				return fmt.Errorf("bad -scalecores entry %q", s)
-			}
-			params.ScaleCores = append(params.ScaleCores, n)
+		cores, err := parseCores(*scaleCores)
+		if err != nil {
+			return err
 		}
+		params.ScaleCores = cores
 	}
 	if !*quiet {
 		params.Log = os.Stderr
@@ -196,12 +176,6 @@ func run() error {
 	}
 
 	var prev runner.Stats
-	var bench benchReport
-	bench.Loop = loop.String()
-	bench.EmuLoop = exec.String()
-	bench.CoreWorkers = *simpar
-	bench.Workers = eng.Workers()
-	bench.Store = *storeDir
 	for _, e := range todo {
 		start := time.Now()
 		curExp.Store(e.ID)
@@ -222,7 +196,6 @@ func run() error {
 				(st.StoreMisses+st.StoreCkptMisses)-(prev.StoreMisses+prev.StoreCkptMisses))
 		}
 		fmt.Fprintln(os.Stderr, line)
-		bench.add(e.ID, wall, prev, st)
 		prev = st
 		for i, t := range tables {
 			fmt.Println(t)
@@ -253,21 +226,10 @@ func run() error {
 		fmt.Fprintln(os.Stderr, line)
 	}
 	curExp.Store("")
-	if *benchJSON != "" {
-		if dstore != nil {
-			m := dstore.Metrics()
-			bench.storeMetrics = &m
-		}
-		if err := bench.write(*benchJSON, eng.Stats()); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *benchJSON)
-	}
 	if *obsJSON != "" {
 		f := obs.RunsFile{
 			Schema:    obs.SchemaRuns,
 			Generated: time.Now().UTC().Format(time.RFC3339),
-			Loop:      loop.String(),
 			Runs:      eng.RunReports(),
 		}
 		data, err := json.MarshalIndent(f, "", "  ")
@@ -298,188 +260,16 @@ func run() error {
 	return nil
 }
 
-// benchReport is the machine-readable throughput record written by
-// -benchjson, tracking the simulator's performance trajectory across PRs.
-type benchReport struct {
-	Generated string `json:"generated"`
-	Loop      string `json:"loop"`
-	// EmuLoop and CoreWorkers record which functional-emulation engine and
-	// parallel-stepping setting produced the run: instrumented paths differ
-	// in throughput (fig3 drives the interpreter-observed path, fig7 the
-	// compiled one), so without this provenance a settings change reads as
-	// a performance regression.
-	EmuLoop     string `json:"emu_loop"`
-	CoreWorkers int    `json:"core_workers"`
-	Workers     int    `json:"workers"`
-	// Store records the durable artifact store directory, empty when the run
-	// computed everything in-process. wall_seconds under a warm store measure
-	// disk reads, not simulation — the per-row store_state says which regime
-	// each row's numbers come from, so regenerations are comparable.
-	Store       string      `json:"store,omitempty"`
-	Experiments []benchExp  `json:"experiments"`
-	Total       *benchTotal `json:"total,omitempty"`
-
-	storeMetrics *store.Metrics // final store counters, nil when -store unset
-}
-
-// benchExp reports one experiment's simulation throughput: cycles and
-// instructions are summed over the measured window of every simulated core,
-// and rates divide by the experiment's wall-clock time (so cache hits, which
-// simulate nothing, depress the rate of repeated runs — by design).
-// Emulator-driven experiments (fig3/fig7) report emu_insts instead of sim
-// counters; experiments that compute without executing anything (tab1/tab2)
-// are marked analytic, so no row is silently degenerate.
-type benchExp struct {
-	ID string `json:"id"`
-	// Per-row provenance (duplicated from the report header so rows stay
-	// self-describing when files are merged or rows are compared across
-	// regenerations).
-	SimLoop        string  `json:"sim_loop"`
-	EmuLoop        string  `json:"emu_loop"`
-	CoreWorkers    int     `json:"core_workers"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	Sims           uint64  `json:"sims"`
-	CacheHits      uint64  `json:"cache_hits"`
-	CkptHits       uint64  `json:"ckpt_hits,omitempty"`
-	CkptMisses     uint64  `json:"ckpt_misses,omitempty"`
-	SimCycles      uint64  `json:"sim_cycles"`
-	SimInsts       uint64  `json:"sim_insts"`
-	EmuInsts       uint64  `json:"emu_insts,omitempty"`
-	KCyclesPerSec  float64 `json:"sim_kcycles_per_sec"`
-	InstsPerSec    float64 `json:"committed_insts_per_sec"`
-	EmuInstsPerSec float64 `json:"emu_insts_per_sec,omitempty"`
-	// Durable-store traffic (result + checkpoint lookups) and the regime it
-	// implies: "cold" rows computed and wrote back, "warm" rows were answered
-	// entirely from disk (their wall_seconds measure I/O, not simulation),
-	// "mixed" saw both, "idle" ran with a store but never consulted it
-	// (analytic rows, or points absorbed by the memory tier). Absent when the
-	// run had no store.
-	StoreHits   uint64 `json:"store_hits,omitempty"`
-	StoreMisses uint64 `json:"store_misses,omitempty"`
-	StoreState  string `json:"store_state,omitempty"`
-	// Analytic marks experiments that derive their tables from configuration
-	// arithmetic alone (storage tables): no simulation, no emulation.
-	Analytic bool `json:"analytic,omitempty"`
-	// CPI carries the cpi_* bucket columns: cycles the experiment's executed
-	// runs charged to each attribution bucket, keyed "cpi_<bucket>". Absent
-	// unless runs attributed (cpu.Config.CPIStack — the cpistack experiment);
-	// when every run attributed, the values sum to sim_cycles exactly.
-	CPI map[string]uint64 `json:"cpi,omitempty"`
-}
-
-type benchTotal struct {
-	WallSeconds    float64 `json:"wall_seconds"`
-	Sims           uint64  `json:"sims"`
-	CkptHits       uint64  `json:"ckpt_hits"`
-	CkptMisses     uint64  `json:"ckpt_misses"`
-	SimCycles      uint64  `json:"sim_cycles"`
-	SimInsts       uint64  `json:"sim_insts"`
-	EmuInsts       uint64  `json:"emu_insts"`
-	KCyclesPerSec  float64 `json:"sim_kcycles_per_sec"`
-	InstsPerSec    float64 `json:"committed_insts_per_sec"`
-	EmuInstsPerSec float64 `json:"emu_insts_per_sec"`
-	// Whole-run store traffic from the store's own counters (both artifact
-	// kinds), absent when -store was unset.
-	StoreHits        uint64  `json:"store_hits,omitempty"`
-	StoreMisses      uint64  `json:"store_misses,omitempty"`
-	StoreBytesRead   uint64  `json:"store_bytes_read,omitempty"`
-	StoreReadSeconds float64 `json:"store_read_seconds,omitempty"`
-	StoreState       string  `json:"store_state,omitempty"`
-	// CPI: whole-run cpi_* bucket totals (see benchExp.CPI).
-	CPI map[string]uint64 `json:"cpi,omitempty"`
-}
-
-func (b *benchReport) add(id string, wall time.Duration, prev, st runner.Stats) {
-	sec := wall.Seconds()
-	cycles := st.SimCycles - prev.SimCycles
-	insts := st.SimInsts - prev.SimInsts
-	exp := benchExp{
-		ID:          id,
-		SimLoop:     b.Loop,
-		EmuLoop:     b.EmuLoop,
-		CoreWorkers: b.CoreWorkers,
-		WallSeconds: sec,
-		Sims:        st.Runs - prev.Runs,
-		CacheHits:   st.Hits - prev.Hits,
-		CkptHits:    st.CkptHits - prev.CkptHits,
-		CkptMisses:  st.CkptMisses - prev.CkptMisses,
-		SimCycles:   cycles,
-		SimInsts:    insts,
-		EmuInsts:    st.EmuInsts - prev.EmuInsts,
-	}
-	if sec > 0 {
-		exp.KCyclesPerSec = float64(cycles) / 1e3 / sec
-		exp.InstsPerSec = float64(insts) / sec
-		exp.EmuInstsPerSec = float64(exp.EmuInsts) / sec
-	}
-	if b.Store != "" {
-		exp.StoreHits = (st.StoreHits + st.StoreCkptHits) - (prev.StoreHits + prev.StoreCkptHits)
-		exp.StoreMisses = (st.StoreMisses + st.StoreCkptMisses) - (prev.StoreMisses + prev.StoreCkptMisses)
-		exp.StoreState = storeState(exp.StoreHits, exp.StoreMisses)
-	}
-	exp.Analytic = exp.Sims == 0 && exp.CacheHits == 0 && exp.EmuInsts == 0 && exp.StoreHits == 0
-	exp.CPI = cpiFields(st.SimCPI, prev.SimCPI)
-	b.Experiments = append(b.Experiments, exp)
-}
-
-// cpiFields renders a CPI-stack delta as the cpi_* JSON columns, nil when
-// nothing was attributed over the span.
-func cpiFields(cur, prev obs.CPIStack) map[string]uint64 {
-	var m map[string]uint64
-	for b, v := range cur {
-		if d := v - prev[b]; d > 0 {
-			if m == nil {
-				m = make(map[string]uint64, obs.NumCPIBuckets)
-			}
-			m["cpi_"+obs.CPIBucketNames[b]] = d
+// parseCores parses the -scalecores list: comma-separated positive core
+// counts, each entry a whole decimal number (surrounding spaces allowed).
+func parseCores(list string) ([]int, error) {
+	var cores []int
+	for _, s := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad -scalecores entry %q", s)
 		}
+		cores = append(cores, n)
 	}
-	return m
-}
-
-// storeState classifies a hit/miss delta into the provenance label the
-// report rows carry.
-func storeState(hits, misses uint64) string {
-	switch {
-	case hits == 0 && misses == 0:
-		return "idle"
-	case misses == 0:
-		return "warm"
-	case hits == 0:
-		return "cold"
-	default:
-		return "mixed"
-	}
-}
-
-func (b *benchReport) write(path string, st runner.Stats) error {
-	b.Generated = time.Now().UTC().Format(time.RFC3339)
-	var wall float64
-	for _, e := range b.Experiments {
-		wall += e.WallSeconds
-	}
-	total := benchTotal{
-		WallSeconds: wall, Sims: st.Runs,
-		CkptHits: st.CkptHits, CkptMisses: st.CkptMisses,
-		SimCycles: st.SimCycles, SimInsts: st.SimInsts,
-		EmuInsts: st.EmuInsts,
-	}
-	if wall > 0 {
-		total.KCyclesPerSec = float64(st.SimCycles) / 1e3 / wall
-		total.InstsPerSec = float64(st.SimInsts) / wall
-		total.EmuInstsPerSec = float64(st.EmuInsts) / wall
-	}
-	if m := b.storeMetrics; m != nil {
-		total.StoreHits, total.StoreMisses = m.Hits, m.Misses
-		total.StoreBytesRead = m.BytesRead
-		total.StoreReadSeconds = m.ReadTime.Seconds()
-		total.StoreState = storeState(m.Hits, m.Misses)
-	}
-	total.CPI = cpiFields(st.SimCPI, obs.CPIStack{})
-	b.Total = &total
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return cores, nil
 }

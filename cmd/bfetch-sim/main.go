@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/emu"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -37,9 +36,6 @@ func main() {
 		warmup   = flag.Uint64("warmup", 100_000, "warmup instructions per core")
 		measure  = flag.Uint64("measure", 300_000, "measured instructions per core")
 		conf     = flag.Float64("conf", 0.75, "B-Fetch path confidence threshold")
-		simloop  = flag.String("simloop", "auto", "clock strategy: auto, event, or naive (escape hatch)")
-		emuloop  = flag.String("emuloop", "auto", "functional-emulation engine: auto, compiled, or interp (escape hatch)")
-		simpar   = flag.Int("simpar", 0, "core workers (bulk-synchronous parallel stepping; 0/1 = serial, results byte-identical)")
 		scale    = flag.Bool("scale", false, "use the scale-out memory system (banked LLC, channeled DRAM) sized for the core count")
 		cpistack = flag.Bool("cpistack", false, "attribute every core cycle to a CPI-stack bucket and print the breakdown")
 		tsEvery  = flag.Uint64("ts", 0, "sample the metrics registry every N cycles into the obs report's time series (0 disables)")
@@ -81,18 +77,6 @@ func main() {
 		return
 	}
 
-	loop, err := sim.ParseLoopMode(*simloop)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-		os.Exit(1)
-	}
-	exec, err := emu.ParseExecMode(*emuloop)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-		os.Exit(1)
-	}
-	emu.DefaultExec = exec
-
 	names := strings.Split(*apps, ",")
 	cfg := sim.Default(sim.PrefetcherKind(*pf))
 	if *scale {
@@ -107,10 +91,7 @@ func main() {
 	if *obsTrace != "" {
 		tr = obs.NewTrace(*traceCap, *traceEvery)
 	}
-	opts := sim.RunOpts{
-		FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure, Loop: loop,
-		CoreWorkers: *simpar,
-	}
+	opts := sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure}
 	var res sim.Result
 	start := time.Now()
 	if *storeDir != "" && tr == nil {

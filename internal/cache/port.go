@@ -12,13 +12,12 @@
 // (b) private-cache block readyAt fields — and both are only *compared
 // against the clock* at cycles strictly after the current one (a sentinel
 // is numerically huge, so mid-cycle "still in flight?" checks see exactly
-// what a synchronous future completion would look like). In serial mode the
-// simulator ticks cores in index order, so servicing ports in index order
-// replays requests into the shared levels in precisely the order the
-// synchronous model issued them: identical bank/channel state transitions,
-// identical completion times, bit-identical results. That same argument is
-// the determinism proof for parallel stepping — worker scheduling can
-// reorder core *execution*, but never the port service order.
+// what a synchronous future completion would look like). The simulator
+// ticks cores in index order, so servicing ports in index order replays
+// requests into the shared levels in precisely the order the synchronous
+// model issued them: identical bank/channel state transitions, identical
+// completion times, bit-identical results. The service order, not the tick
+// order, is what fixes bank and channel arbitration.
 package cache
 
 // PendingBase tags a completion time as unresolved: the low bits are the

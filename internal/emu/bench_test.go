@@ -56,16 +56,26 @@ func benchWorkload(b *testing.B, name string) (*isa.Program, *mem.Memory) {
 	return prog, img
 }
 
-func benchEmu(b *testing.B, name string, mode emu.ExecMode) {
+// stepRun is the interpreter's Run loop driven from outside: a retire hook
+// would select the same engine, but would add its call cost to every
+// instruction.
+func stepRun(c *emu.CPU, maxInsts uint64) (uint64, error) {
+	var n uint64
+	for n < maxInsts && !c.Halted {
+		if err := c.Step(); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
+
+func benchEmu(b *testing.B, name string, run func(*emu.CPU, uint64) (uint64, error)) {
 	prog, img := benchWorkload(b, name)
 	img.Freeze()
-	restart := func() *emu.CPU {
-		c := emu.New(prog, img.Fork())
-		c.Exec = mode
-		return c
-	}
+	restart := func() *emu.CPU { return emu.New(prog, img.Fork()) }
 	c := restart()
-	if _, err := c.Run(benchInsts); err != nil { // warm caches, touch pages
+	if _, err := run(c, benchInsts); err != nil { // warm caches, touch pages
 		b.Fatal(err)
 	}
 	b.SetBytes(benchInsts)
@@ -76,7 +86,7 @@ func benchEmu(b *testing.B, name string, mode emu.ExecMode) {
 			c = restart()
 			b.StartTimer()
 		}
-		if _, err := c.Run(benchInsts); err != nil {
+		if _, err := run(c, benchInsts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,12 +102,12 @@ var emuBenchWorkloads = []string{"alu", "gamess", "mcf", "lbm"}
 
 func BenchmarkEmuInterp(b *testing.B) {
 	for _, name := range emuBenchWorkloads {
-		b.Run(name, func(b *testing.B) { benchEmu(b, name, emu.ExecInterp) })
+		b.Run(name, func(b *testing.B) { benchEmu(b, name, stepRun) })
 	}
 }
 
 func BenchmarkEmuCompiled(b *testing.B) {
 	for _, name := range emuBenchWorkloads {
-		b.Run(name, func(b *testing.B) { benchEmu(b, name, emu.ExecCompiled) })
+		b.Run(name, func(b *testing.B) { benchEmu(b, name, (*emu.CPU).Run) })
 	}
 }

@@ -21,68 +21,11 @@
 package emu
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
 	"repro/internal/isa"
 )
-
-// ExecMode selects the functional-emulator execution engine. The zero value
-// ExecAuto resolves to DefaultExec, letting the -emuloop CLI escape hatch
-// (mirroring -simloop) pin a whole process to one engine.
-type ExecMode uint8
-
-const (
-	ExecAuto     ExecMode = iota // DefaultExec; compiled unless instrumented
-	ExecInterp                   // always the Step interpreter
-	ExecCompiled                 // threaded code when possible (OnRetire still interprets)
-)
-
-// DefaultExec is the engine an ExecAuto CPU runs on. CLIs override it from
-// the -emuloop flag before any simulation starts; it is not safe to change
-// while emulators are running.
-var DefaultExec = ExecCompiled
-
-// ParseExecMode parses an -emuloop flag value.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "auto", "":
-		return ExecAuto, nil
-	case "interp":
-		return ExecInterp, nil
-	case "compiled":
-		return ExecCompiled, nil
-	}
-	return ExecAuto, fmt.Errorf("emu: unknown emulator loop mode %q (want auto, interp, or compiled)", s)
-}
-
-// String implements fmt.Stringer for flag help, logs, and bench provenance.
-func (m ExecMode) String() string {
-	switch m {
-	case ExecInterp:
-		return "interp"
-	case ExecCompiled:
-		return "compiled"
-	default:
-		return "auto"
-	}
-}
-
-// useCompiled reports whether Run should dispatch to the threaded-code
-// engine. An OnRetire hook forces the interpreter: the hook's contract is
-// one callback per retired instruction with the full Retire record, and the
-// compiled form deliberately does not materialize those.
-func (c *CPU) useCompiled() bool {
-	if c.OnRetire != nil {
-		return false
-	}
-	mode := c.Exec
-	if mode == ExecAuto {
-		mode = DefaultExec
-	}
-	return mode != ExecInterp
-}
 
 // Micro-op kinds. The first group mirrors the ISA one-to-one; the fused
 // group executes two adjacent instructions per dispatch. kDeopt routes an

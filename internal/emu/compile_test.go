@@ -16,6 +16,10 @@ import (
 // over every workload kernel and over seeded random programs exercising the
 // fault paths the kernels never hit.
 
+// nopRetire is the hook the differential tests attach to pin a CPU to the
+// Step interpreter: any retire hook, even one that does nothing, selects it.
+func nopRetire(emu.Retire) {}
+
 // diffState compares two CPUs after equal-budget runs.
 func diffState(t *testing.T, label string, ic, cc *emu.CPU, ni, nc uint64, ei, ec error) {
 	t.Helper()
@@ -41,9 +45,8 @@ func TestCompiledMatchesInterpWorkloads(t *testing.T) {
 			t.Parallel()
 			prog, img := w.Build()
 			ic := emu.New(prog, img.Fork())
-			ic.Exec = emu.ExecInterp
+			ic.OnRetire = nopRetire
 			cc := emu.New(prog, img.Fork())
-			cc.Exec = emu.ExecCompiled
 
 			ni, ei := ic.Run(budget)
 			nc, ec := cc.Run(budget)
@@ -71,15 +74,15 @@ func TestCompiledEngineAlternation(t *testing.T) {
 	}
 	prog, img := w.Build()
 	ref := emu.New(prog, img.Fork())
-	ref.Exec = emu.ExecInterp
+	ref.OnRetire = nopRetire
 	mix := emu.New(prog, img.Fork())
 
 	var total uint64
 	for i, chunk := range []uint64{1, 3, 998, 41, 7, 5000, 1, 1, 2500} {
 		if i%2 == 0 {
-			mix.Exec = emu.ExecCompiled
+			mix.OnRetire = nil
 		} else {
-			mix.Exec = emu.ExecInterp
+			mix.OnRetire = nopRetire
 		}
 		if _, err := mix.Run(chunk); err != nil {
 			t.Fatal(err)
@@ -155,10 +158,9 @@ func TestCompiledMatchesInterpRandom(t *testing.T) {
 		img.Freeze()
 
 		ic := emu.New(prog, img.Fork())
-		ic.Exec = emu.ExecInterp
+		ic.OnRetire = nopRetire
 		ic.Regs = regs
 		cc := emu.New(prog, img.Fork())
-		cc.Exec = emu.ExecCompiled
 		cc.Regs = regs
 
 		// Chunked on the compiled side: odd chunk sizes exercise the
@@ -216,9 +218,8 @@ func TestCompiledFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ic := emu.New(tc.prog, mem.New())
-			ic.Exec = emu.ExecInterp
+			ic.OnRetire = nopRetire
 			cc := emu.New(tc.prog, mem.New())
-			cc.Exec = emu.ExecCompiled
 			if tc.prep != nil {
 				tc.prep(ic)
 				tc.prep(cc)
@@ -234,27 +235,9 @@ func TestCompiledFaults(t *testing.T) {
 	}
 }
 
-func TestParseExecMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want emu.ExecMode
-		err  bool
-	}{
-		{"auto", emu.ExecAuto, false},
-		{"", emu.ExecAuto, false},
-		{"interp", emu.ExecInterp, false},
-		{"compiled", emu.ExecCompiled, false},
-		{"fast", 0, true},
-	} {
-		got, err := emu.ParseExecMode(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("emu.ParseExecMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-}
-
 // TestOnRetireForcesInterp verifies the instrumentation contract: a hooked
-// CPU observes every retired instruction even when pinned to emu.ExecCompiled.
+// CPU observes every retired instruction, so Run must not take the compiled
+// engine.
 func TestOnRetireForcesInterp(t *testing.T) {
 	prog := isa.MustAssemble(`
 		movi r1, 5
@@ -264,7 +247,6 @@ func TestOnRetireForcesInterp(t *testing.T) {
 		halt
 	`)
 	c := emu.New(prog, mem.New())
-	c.Exec = emu.ExecCompiled
 	var seen int
 	c.OnRetire = func(r emu.Retire) { seen++ }
 	n, err := c.Run(1000)

@@ -39,10 +39,6 @@ type CPU struct {
 	// OnRetire, when non-nil, observes every executed instruction. A hooked
 	// CPU always runs on the interpreter (DESIGN.md §5d).
 	OnRetire func(r Retire)
-
-	// Exec selects the execution engine for Run. The zero value ExecAuto
-	// resolves to DefaultExec (compiled, unless -emuloop overrides it).
-	Exec ExecMode
 }
 
 // New returns a CPU at the program entry with zeroed registers.
@@ -202,11 +198,13 @@ func (c *CPU) Step() error {
 // a clean halt.
 //
 // Run dispatches to the threaded-code engine (Compile) unless the CPU is
-// instrumented with OnRetire or pinned to the interpreter via Exec /
-// DefaultExec; both engines maintain the same architectural state machine,
-// so runs may even alternate engines mid-program.
+// instrumented with OnRetire: the hook's contract is one callback per
+// retired instruction with the full Retire record, which the compiled form
+// deliberately does not materialize. Both engines maintain the same
+// architectural state machine, so runs may even alternate engines
+// mid-program.
 func (c *CPU) Run(maxInsts uint64) (uint64, error) {
-	if c.useCompiled() {
+	if c.OnRetire == nil {
 		return Compile(c.Prog).run(c, maxInsts)
 	}
 	var n uint64

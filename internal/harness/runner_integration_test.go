@@ -88,7 +88,7 @@ func TestCrossExperimentCacheHits(t *testing.T) {
 }
 
 func TestBaselineStoreSharesAcrossExperimentsWithoutCache(t *testing.T) {
-	// With the runner cache disabled (the -seq worst case), the baseline
+	// With the runner cache disabled (the worst case), the baseline
 	// store must still keep the second experiment from re-simulating the
 	// shared no-prefetch baseline points.
 	eng := runner.NewSequential()

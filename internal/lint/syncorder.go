@@ -11,8 +11,8 @@ import (
 // are written so a lexical over-approximation is the contract):
 //
 //  1. No channel send while a mutex is held. A send can block for
-//     arbitrarily long (the BSP worker token channels are exactly
-//     rendezvous points); blocking inside a critical section turns a
+//     arbitrarily long (an unbuffered channel is a rendezvous point);
+//     blocking inside a critical section turns a
 //     scheduling hiccup into a lock convoy, and pairing it with a receive
 //     under the same lock is a deadlock. Completion signalling under a lock
 //     should use close() (which never blocks) — the runner's singleflight

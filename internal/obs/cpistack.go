@@ -19,8 +19,8 @@ package obs
 // CPIBucket indexes one attribution bucket.
 type CPIBucket uint8
 
-// Bucket order is part of the report format: CPIBucketNames, registry metric
-// order, and the benchjson cpi_* columns all follow it.
+// Bucket order is part of the report format: CPIBucketNames and the registry
+// metric order follow it.
 const (
 	CPIBase           CPIBucket = iota // committed work (incl. halted drain)
 	CPIFetchStall                      // empty ROB, front end filling the pipe

@@ -40,8 +40,8 @@ type RunReport struct {
 	Metrics Snapshot `json:"metrics"` // full registry snapshot
 
 	// TS is the run's interval time series (nil unless sampling was
-	// configured); its rows are deterministic across loop and worker-count
-	// choices.
+	// configured); its rows are deterministic across the simulator's clock
+	// loops and the batch's worker count.
 	TS *TimeSeriesData `json:"ts,omitempty"`
 
 	WallSeconds   float64 `json:"wall_seconds"`        // inside sim.Run
@@ -74,7 +74,6 @@ func (r *RunReport) Finalize() {
 type RunsFile struct {
 	Schema    string      `json:"schema"` // SchemaRuns
 	Generated string      `json:"generated,omitempty"`
-	Loop      string      `json:"loop,omitempty"`
 	Runs      []RunReport `json:"runs"`
 }
 

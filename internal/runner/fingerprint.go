@@ -32,9 +32,6 @@ func Fingerprint(cfg sim.Config, apps []string, opts sim.RunOpts) (string, bool)
 	// sim.Run normalizes Cores to the application count; mirror that so a
 	// caller-set Cores value cannot split otherwise-identical points.
 	cfg.Cores = len(apps)
-	// Parallel stepping is byte-identical at any worker count (a pure
-	// wall-clock knob), so it must not split the cache either.
-	opts.CoreWorkers = 0
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%#v|%q|%#v", cfg, apps, opts)
 	return sb.String(), true

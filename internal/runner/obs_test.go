@@ -13,33 +13,30 @@ import (
 
 // TestObsSnapshotDeterminism is the scheduling-independence witness for the
 // observability layer specifically: the metrics snapshot and lifecycle
-// breakdown of every job must be bit-identical between -j 1 and -j N, for
-// both clock strategies.
+// breakdown of every job must be bit-identical between -j 1 and -j N.
+// (Their identity across the event and naive clock loops is pinned by
+// sim.TestLoopEquivalence, which compares whole Results.)
 func TestObsSnapshotDeterminism(t *testing.T) {
-	for _, loop := range []sim.LoopMode{sim.LoopEvent, sim.LoopNaive} {
-		opts := tinyOpts()
-		opts.Loop = loop
-		var jobs []Job
-		for _, kind := range []sim.PrefetcherKind{sim.PFStride, sim.PFBFetch} {
-			for _, app := range []string{"mcf", "libquantum"} {
-				jobs = append(jobs, Solo(sim.Default(kind), app, opts))
-			}
+	var jobs []Job
+	for _, kind := range []sim.PrefetcherKind{sim.PFStride, sim.PFBFetch} {
+		for _, app := range []string{"mcf", "libquantum"} {
+			jobs = append(jobs, Solo(sim.Default(kind), app, tinyOpts()))
 		}
-		seq := NewSequential().RunAll(jobs)
-		par := New(8).RunAll(jobs)
-		for i := range jobs {
-			if seq[i].Err != nil || par[i].Err != nil {
-				t.Fatalf("loop %v job %d: seq %v, par %v", loop, i, seq[i].Err, par[i].Err)
-			}
-			if !reflect.DeepEqual(seq[i].Result.Metrics, par[i].Result.Metrics) {
-				t.Errorf("loop %v job %d: metrics snapshot diverges between -j 1 and -j 8", loop, i)
-			}
-			if !reflect.DeepEqual(seq[i].Result.Lifecycle, par[i].Result.Lifecycle) {
-				t.Errorf("loop %v job %d: lifecycle diverges between -j 1 and -j 8", loop, i)
-			}
-			if len(seq[i].Result.Metrics.Samples) == 0 {
-				t.Errorf("loop %v job %d: empty metrics snapshot", loop, i)
-			}
+	}
+	seq := NewSequential().RunAll(jobs)
+	par := New(8).RunAll(jobs)
+	for i := range jobs {
+		if seq[i].Err != nil || par[i].Err != nil {
+			t.Fatalf("job %d: seq %v, par %v", i, seq[i].Err, par[i].Err)
+		}
+		if !reflect.DeepEqual(seq[i].Result.Metrics, par[i].Result.Metrics) {
+			t.Errorf("job %d: metrics snapshot diverges between -j 1 and -j 8", i)
+		}
+		if !reflect.DeepEqual(seq[i].Result.Lifecycle, par[i].Result.Lifecycle) {
+			t.Errorf("job %d: lifecycle diverges between -j 1 and -j 8", i)
+		}
+		if len(seq[i].Result.Metrics.Samples) == 0 {
+			t.Errorf("job %d: empty metrics snapshot", i)
 		}
 	}
 }

@@ -9,16 +9,15 @@ import "testing"
 func BenchmarkSimMemoryBound(b *testing.B) {
 	opts := RunOpts{WarmupInsts: 5_000, MeasureInsts: 25_000}
 	for _, mode := range []struct {
-		name string
-		loop LoopMode
-	}{{"naive", LoopNaive}, {"event", LoopEvent}} {
+		name  string
+		naive bool
+	}{{"naive", true}, {"event", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			o := opts
-			o.Loop = mode.loop
+			cfg := Default(PFNone)
 			b.ReportAllocs()
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				res, err := RunSolo(Default(PFNone), "mcf", o)
+				res, err := runLoop(cfg, []string{"mcf"}, opts, mode.naive)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -31,32 +30,20 @@ func BenchmarkSimMemoryBound(b *testing.B) {
 
 // BenchmarkSimScale is the scale-out engine's headline measurement: a
 // 16-core memory-diverse mix on the banked/channeled configuration, under
-// (a) the naive per-cycle scan, (b) the indexed event loop, and (c) the
-// event loop with 8 core workers. Results are byte-identical across all
-// three, so this is pure wall clock. The par8 leg only pays off when
-// runtime.NumCPU() exceeds 1: the per-cycle barrier costs ~1µs, so it needs
-// real hardware parallelism across the ~16×50ns core ticks to come out
-// ahead — on a single-CPU host it measures the barrier overhead instead.
+// (a) the naive per-cycle scan and (b) the indexed event loop. Results are
+// byte-identical across the two, so this is pure wall clock.
 func BenchmarkSimScale(b *testing.B) {
 	opts := RunOpts{WarmupInsts: 2_000, MeasureInsts: 8_000}
 	for _, mode := range []struct {
-		name    string
-		loop    LoopMode
-		workers int
-	}{
-		{"naive", LoopNaive, 0},
-		{"event", LoopEvent, 0},
-		{"event-par8", LoopEvent, 8},
-	} {
+		name  string
+		naive bool
+	}{{"naive", true}, {"event", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			o := opts
-			o.Loop = mode.loop
-			o.CoreWorkers = mode.workers
 			cfg := DefaultScale(PFBFetch, len(mix16))
 			b.ReportAllocs()
 			var coreCycles uint64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg, mix16, o)
+				res, err := runLoop(cfg, mix16, opts, mode.naive)
 				if err != nil {
 					b.Fatal(err)
 				}

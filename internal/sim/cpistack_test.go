@@ -3,7 +3,7 @@ package sim
 // CPI-stack and time-series contracts at system scale: the exact-partition
 // invariant (every counted cycle lands in exactly one bucket) for every
 // engine under both clock loops, solo and on the 16-core banked mix, and the
-// interval sampler's bit-identity across loop modes and core-worker counts.
+// interval sampler's bit-identity across the two loops.
 
 import (
 	"reflect"
@@ -14,6 +14,18 @@ import (
 
 // allKinds is every prefetch engine, the cpistack experiment's sweep set.
 var allKinds = []PrefetcherKind{PFNone, PFNextN, PFStride, PFSMS, PFSTeMS, PFISB, PFBFetch}
+
+// mix16 tiles eight memory-diverse workloads twice: the 16-core CMP mix the
+// scale-out engine targets. Every core is active the whole run, so the
+// banked LLC and the channeled DRAM see sustained same-cycle contention.
+var mix16 = []string{
+	"mcf", "lbm", "milc", "astar", "libquantum", "soplex", "sphinx", "leslie3d",
+	"mcf", "lbm", "milc", "astar", "libquantum", "soplex", "sphinx", "leslie3d",
+}
+
+// mixOpts is small enough to sweep seven engines on both loops but long
+// enough to fill the port queues, bank MSHRs and DRAM channel slots.
+var mixOpts = RunOpts{WarmupInsts: 2_000, MeasureInsts: 6_000}
 
 // checkPartition asserts the exact-partition invariant on every core of a
 // result: buckets sum to cycles, no slack, no overlap.
@@ -27,6 +39,22 @@ func checkPartition(t *testing.T, label string, res Result) {
 	}
 }
 
+// runBothLoops runs the protocol on the naive and on the event loop and
+// checks the exact partition on each result.
+func runBothLoops(t *testing.T, cfg Config, apps []string, opts RunOpts) (naive, event Result) {
+	t.Helper()
+	var err error
+	if naive, err = runLoop(cfg, apps, opts, true); err != nil {
+		t.Fatalf("naive loop: %v", err)
+	}
+	checkPartition(t, "naive", naive)
+	if event, err = runLoop(cfg, apps, opts, false); err != nil {
+		t.Fatalf("event loop: %v", err)
+	}
+	checkPartition(t, "event", event)
+	return naive, event
+}
+
 // TestCPIStackExactPartition runs every engine with attribution enabled,
 // solo under both loops, and requires (a) the partition to be exact and
 // (b) the event loop's per-bucket charges — including the piecewise gap
@@ -37,20 +65,10 @@ func TestCPIStackExactPartition(t *testing.T) {
 			t.Parallel()
 			cfg := Default(kind)
 			cfg.CPU.CPIStack = true
-			var runs []Result
-			for _, loop := range []LoopMode{LoopNaive, LoopEvent} {
-				opts := eqOpts
-				opts.Loop = loop
-				res, err := Run(cfg, []string{"mcf"}, opts)
-				if err != nil {
-					t.Fatalf("loop %v: %v", loop, err)
-				}
-				checkPartition(t, loop.String(), res)
-				runs = append(runs, res)
-			}
-			if !reflect.DeepEqual(runs[0], runs[1]) {
+			naive, event := runBothLoops(t, cfg, []string{"mcf"}, eqOpts)
+			if !reflect.DeepEqual(naive, event) {
 				t.Errorf("attributed snapshots diverge across loops\nnaive: %+v\nevent: %+v",
-					runs[0].Core, runs[1].Core)
+					naive.Core, event.Core)
 			}
 		})
 	}
@@ -59,7 +77,7 @@ func TestCPIStackExactPartition(t *testing.T) {
 // TestCPIStackExactPartitionBankedMix extends the invariant to the 16-core
 // scale-out system — banked LLC with MSHRs, channeled DRAM — where the
 // queueing buckets (llc_bank_queue, mshr, dram_chan_queue) actually charge,
-// for every engine under both loops and under BSP parallel stepping.
+// for every engine under both loops.
 func TestCPIStackExactPartitionBankedMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -69,29 +87,9 @@ func TestCPIStackExactPartitionBankedMix(t *testing.T) {
 			t.Parallel()
 			cfg := DefaultScale(kind, len(mix16))
 			cfg.CPU.CPIStack = true
-			var runs []Result
-			for _, loop := range []LoopMode{LoopNaive, LoopEvent} {
-				opts := parOpts
-				opts.Loop = loop
-				res, err := Run(cfg, mix16, opts)
-				if err != nil {
-					t.Fatalf("loop %v: %v", loop, err)
-				}
-				checkPartition(t, loop.String(), res)
-				runs = append(runs, res)
-			}
-			if !reflect.DeepEqual(runs[0], runs[1]) {
+			naive, event := runBothLoops(t, cfg, mix16, mixOpts)
+			if !reflect.DeepEqual(naive, event) {
 				t.Errorf("attributed mix snapshots diverge across loops")
-			}
-			opts := parOpts
-			opts.CoreWorkers = 5
-			par, err := Run(cfg, mix16, opts)
-			if err != nil {
-				t.Fatalf("parallel stepping: %v", err)
-			}
-			checkPartition(t, "parallel", par)
-			if !reflect.DeepEqual(runs[0], par) {
-				t.Errorf("attributed snapshot diverges under parallel stepping")
 			}
 		})
 	}
@@ -99,9 +97,8 @@ func TestCPIStackExactPartitionBankedMix(t *testing.T) {
 
 // TestTimeSeriesDeterminism pins the sampler's contract: the emitted
 // TimeSeriesData — row values, row count, spacing after merge-downsampling —
-// is bit-identical across naive-vs-event loops and across core-worker
-// counts, on the contended 16-core system where the loops' idle-crediting
-// and gap-skipping differ most.
+// is bit-identical across naive-vs-event loops, on the contended 16-core
+// system where the loops' idle-crediting and gap-skipping differ most.
 func TestTimeSeriesDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -111,41 +108,18 @@ func TestTimeSeriesDeterminism(t *testing.T) {
 	cfg.TSInterval = 256
 	cfg.TSMaxRows = 16
 
-	base, err := Run(cfg, mix16, parOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.TS == nil || len(base.TS.Rows) == 0 {
+	naive, event := runBothLoops(t, cfg, mix16, mixOpts)
+	if event.TS == nil || len(event.TS.Rows) == 0 {
 		t.Fatal("no time series emitted")
 	}
-	if base.TS.Schema != obs.SchemaTS {
-		t.Fatalf("time series schema %q, want %q", base.TS.Schema, obs.SchemaTS)
+	if event.TS.Schema != obs.SchemaTS {
+		t.Fatalf("time series schema %q, want %q", event.TS.Schema, obs.SchemaTS)
 	}
-	if base.TS.Interval == cfg.TSInterval {
-		t.Logf("note: run short enough that no downsampling occurred (interval still %d)", base.TS.Interval)
+	if event.TS.Interval == cfg.TSInterval {
+		t.Logf("note: run short enough that no downsampling occurred (interval still %d)", event.TS.Interval)
 	}
-
-	for _, v := range []struct {
-		name    string
-		loop    LoopMode
-		workers int
-	}{
-		{"event-serial", LoopEvent, 0},
-		{"naive-serial", LoopNaive, 0},
-		{"event-par8", LoopEvent, 8},
-		{"naive-par8", LoopNaive, 8},
-	} {
-		opts := parOpts
-		opts.Loop = v.loop
-		opts.CoreWorkers = v.workers
-		res, err := Run(cfg, mix16, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		if !reflect.DeepEqual(base.TS, res.TS) {
-			t.Errorf("%s: time series diverges from baseline\nbase:  %+v\ngot:   %+v",
-				v.name, base.TS, res.TS)
-		}
+	if !reflect.DeepEqual(naive.TS, event.TS) {
+		t.Errorf("time series diverges across loops\nnaive: %+v\nevent: %+v", naive.TS, event.TS)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -17,10 +18,15 @@ import (
 // exercise warmup, ResetStats, squashes, and DRAM contention.
 var eqOpts = RunOpts{WarmupInsts: 10_000, MeasureInsts: 40_000}
 
-func runWithLoop(t *testing.T, cfg Config, apps []string, opts RunOpts, mode LoopMode) (Result, error) {
-	t.Helper()
-	opts.Loop = mode
-	return Run(cfg, apps, opts)
+// runLoop executes the protocol exactly as Run does, on the naive reference
+// loop when naive is set and on the event loop otherwise.
+func runLoop(cfg Config, apps []string, opts RunOpts, naive bool) (Result, error) {
+	s, err := NewForRun(cfg, apps, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	s.naive = naive
+	return runProtocol(s, opts)
 }
 
 // TestLoopEquivalence is the event-driven clock's contract: for every
@@ -43,8 +49,8 @@ func TestLoopEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			naive, errN := runWithLoop(t, tc.cfg, tc.apps, eqOpts, LoopNaive)
-			event, errE := runWithLoop(t, tc.cfg, tc.apps, eqOpts, LoopEvent)
+			naive, errN := runLoop(tc.cfg, tc.apps, eqOpts, true)
+			event, errE := runLoop(tc.cfg, tc.apps, eqOpts, false)
 			if (errN == nil) != (errE == nil) {
 				t.Fatalf("error mismatch: naive %v, event %v", errN, errE)
 			}
@@ -59,29 +65,47 @@ func TestLoopEquivalence(t *testing.T) {
 }
 
 // TestLoopEquivalenceOnError checks the cycle-bound path: when a run cannot
-// reach its instruction budget, both loops must fail with the same error and
-// identical partial counters.
+// reach its instruction budget, both loops must fail with the same error —
+// naming the core that lags furthest — and identical partial counters, solo
+// and on a 4-core banked system whose cores contend for LLC banks and DRAM
+// channels.
 func TestLoopEquivalenceOnError(t *testing.T) {
-	run := func(mode LoopMode) (Result, error) {
-		s, err := buildSystem(Default(PFNone), []string{"libquantum"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Loop = mode
-		err = s.Run(1<<40, 50_000) // unreachable budget: must hit the bound
-		return s.Snapshot(), err
+	cases := []struct {
+		name   string
+		cfg    Config
+		apps   []string
+		cycles uint64
+	}{
+		{"solo", Default(PFNone), []string{"libquantum"}, 50_000},
+		{"banked-4core", DefaultScale(PFNone, 4), []string{"libquantum", "mcf", "milc", "lbm"}, 30_000},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(naive bool) (Result, error) {
+				s, err := buildSystem(tc.cfg, tc.apps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.naive = naive
+				err = s.Run(1<<40, tc.cycles) // unreachable budget: must hit the bound
+				return s.Snapshot(), err
+			}
 
-	naive, errN := run(LoopNaive)
-	event, errE := run(LoopEvent)
-	if errN == nil || errE == nil {
-		t.Fatalf("expected both loops to hit the cycle bound (naive %v, event %v)", errN, errE)
-	}
-	if errN.Error() != errE.Error() {
-		t.Errorf("error text diverges:\nnaive: %v\nevent: %v", errN, errE)
-	}
-	if !reflect.DeepEqual(naive, event) {
-		t.Errorf("partial snapshots diverge\nnaive: %+v\nevent: %+v", naive, event)
+			naive, errN := run(true)
+			event, errE := run(false)
+			if errN == nil || errE == nil {
+				t.Fatalf("expected both loops to hit the cycle bound (naive %v, event %v)", errN, errE)
+			}
+			if errN.Error() != errE.Error() {
+				t.Errorf("error text diverges:\nnaive: %v\nevent: %v", errN, errE)
+			}
+			if !strings.Contains(errE.Error(), "lags furthest") {
+				t.Errorf("bound error does not name the straggler: %v", errE)
+			}
+			if !reflect.DeepEqual(naive, event) {
+				t.Errorf("partial snapshots diverge\nnaive: %+v\nevent: %+v", naive, event)
+			}
+		})
 	}
 }
 

@@ -89,8 +89,8 @@ type Config struct {
 	// TSInterval > 0 attaches a deterministic interval sampler: the metrics
 	// registry's scalars are recorded every TSInterval cycles into a bounded
 	// ring of at most TSMaxRows rows (0 picks the obs default) that doubles
-	// its spacing when full. The emitted series is bit-identical across
-	// loop modes and worker counts.
+	// its spacing when full. The emitted series is bit-identical across the
+	// event and naive clock loops.
 	TSInterval uint64
 	TSMaxRows  int
 }
@@ -141,49 +141,6 @@ func DefaultScale(pf PrefetcherKind, cores int) Config {
 	return cfg
 }
 
-// LoopMode selects how System.Run advances the shared clock.
-type LoopMode uint8
-
-const (
-	// LoopAuto defers to DefaultLoop.
-	LoopAuto LoopMode = iota
-	// LoopEvent advances the clock to the earliest next event across cores,
-	// skipping cycles in which no core would do any work. Produces
-	// bit-identical statistics to LoopNaive (see TestLoopEquivalence).
-	LoopEvent
-	// LoopNaive ticks every core every cycle — the reference loop, kept as
-	// an escape hatch and as the equivalence-test oracle.
-	LoopNaive
-)
-
-// DefaultLoop is the clock strategy used when a System's Loop is LoopAuto.
-var DefaultLoop = LoopEvent
-
-// ParseLoopMode maps a -simloop flag value to a LoopMode.
-func ParseLoopMode(s string) (LoopMode, error) {
-	switch s {
-	case "", "auto":
-		return LoopAuto, nil
-	case "event":
-		return LoopEvent, nil
-	case "naive":
-		return LoopNaive, nil
-	}
-	return LoopAuto, fmt.Errorf("sim: unknown loop mode %q (want auto, event, or naive)", s)
-}
-
-// String implements fmt.Stringer for flag help and logs.
-func (m LoopMode) String() string {
-	switch m {
-	case LoopEvent:
-		return "event"
-	case LoopNaive:
-		return "naive"
-	default:
-		return "auto"
-	}
-}
-
 // System is an assembled simulation: cores with private hierarchies over a
 // shared LLC and DRAM channel.
 type System struct {
@@ -199,15 +156,6 @@ type System struct {
 	// bit-identical to synchronous access).
 	Ports []*cache.SharedPort //bfetch:noreset wiring; drained every cycle
 
-	// Loop selects the clock-advance strategy; LoopAuto means DefaultLoop.
-	Loop LoopMode //bfetch:noreset configuration
-
-	// CoreWorkers > 1 enables bulk-synchronous parallel stepping: each
-	// cycle's core-local work runs on that many workers (see corePool).
-	// Results are byte-identical at any worker count. Ignored while a
-	// lifecycle trace is attached (the trace ring is shared across cores).
-	CoreWorkers int //bfetch:noreset configuration
-
 	// Reg is the system's unified metrics registry: every component —
 	// cores, caches, DRAM, prefetch engines, lifecycle classifiers —
 	// registers into it at assembly, and Snapshot/ResetStats cover it.
@@ -220,17 +168,20 @@ type System struct {
 
 	// ts is the interval time-series sampler (Config.TSInterval > 0); both
 	// run loops sample every boundary exactly once, so the recorded rows are
-	// independent of the loop and worker-count choice.
+	// independent of the loop.
 	ts *obs.TimeSeries //bfetch:noreset restarted explicitly with the window (Restart)
+
+	// naive selects the reference clock loop (runNaive) over the event loop.
+	// Only the equivalence tests set it: the naive loop is their oracle.
+	naive bool //bfetch:noreset configuration
 
 	clock     uint64 //bfetch:noreset global simulation clock, monotonic across the reset
 	statsBase uint64 // clock value at the last ResetStats
 
 	// Run-loop scratch state, reseeded at every Run call.
-	sched         evtHeap   //bfetch:noreset scheduler state, reseeded by Run
-	nextUncounted []uint64  //bfetch:noreset scheduler state, reseeded by Run
-	due           []int32   //bfetch:noreset scratch
-	pool          *corePool //bfetch:noreset live only inside Run
+	sched         evtHeap  //bfetch:noreset scheduler state, reseeded by Run
+	nextUncounted []uint64 //bfetch:noreset scheduler state, reseeded by Run
+	due           []int32  //bfetch:noreset scratch
 }
 
 // boot is one core's starting state: a program, its memory image, and —
@@ -398,46 +349,25 @@ func (f feedbackAdapter) PrefetchUseless(loadPC, blockAddr uint64) {
 // architectural fault. Cores that reach their budget stop cycling, matching
 // the paper's run-until-all-done methodology.
 //
-// The clock strategy is governed by Loop (default: event-driven skipping)
-// and the stepping by CoreWorkers; every combination produces bit-identical
-// statistics and errors.
+// The clock skips cycles in which no core has work (runEvent); the result is
+// bit-identical, statistics and errors alike, to ticking every core every
+// cycle (runNaive, the tests' oracle).
 func (s *System) Run(instsPerCore, maxCycles uint64) error {
 	target := make([]uint64, len(s.Cores))
 	for i, c := range s.Cores {
 		target[i] = c.Stats.Committed + instsPerCore
 	}
 	limit := s.clock + maxCycles
-	if s.CoreWorkers > 1 && len(s.Cores) > 1 && s.tr == nil {
-		workers := s.CoreWorkers
-		if workers > len(s.Cores) {
-			workers = len(s.Cores)
-		}
-		s.pool = newCorePool(s.Cores, workers)
-		defer func() {
-			s.pool.stop()
-			s.pool = nil
-		}()
-	}
-	mode := s.Loop
-	if mode == LoopAuto {
-		mode = DefaultLoop
-	}
-	if mode == LoopNaive {
+	if s.naive {
 		return s.runNaive(target, limit, instsPerCore, maxCycles)
 	}
 	return s.runEvent(target, limit, instsPerCore, maxCycles)
 }
 
-// tickCores runs Cycle(now) on every core in due — serially in index order,
-// or on the worker pool when one is attached. The two are interchangeable:
-// during the tick cores touch private state only (shared-level traffic
-// queues on their ports), so execution order within the cycle is
-// unobservable.
+// tickCores runs Cycle(now) on every core in due, in index order. During the
+// tick cores touch private state only — shared-level traffic queues on their
+// ports until servicePorts — so no core observes another's tick.
 func (s *System) tickCores(due []int32, now uint64) {
-	if s.pool != nil && len(due) > 1 {
-		s.pool.run(due, now)
-		return
-	}
 	for _, i := range due {
 		s.Cores[i].Cycle(now)
 	}
@@ -742,13 +672,6 @@ type RunOpts struct {
 	// CyclesPerInst bounds runtime: the run aborts after
 	// (Warmup+Measure)×CyclesPerInst cycles. Zero means 1000.
 	CyclesPerInst uint64
-	// Loop selects the clock-advance strategy (LoopAuto → DefaultLoop).
-	Loop LoopMode
-	// CoreWorkers > 1 steps each cycle's cores on a worker pool
-	// (bulk-synchronous parallel mode); results are byte-identical at any
-	// value, so it is purely a wall-clock knob — and is therefore excluded
-	// from the runner's result-cache fingerprint.
-	CoreWorkers int
 }
 
 // DefaultRunOpts is the measurement protocol used by the experiments, a
@@ -840,8 +763,6 @@ func RunCheckpointed(cfg Config, cps []*ckpt.Checkpoint, opts RunOpts) (Result, 
 // runProtocol runs warmup (cycle-accurate, counters discarded) then the
 // measured window on an assembled system.
 func runProtocol(s *System, opts RunOpts) (Result, error) {
-	s.Loop = opts.Loop
-	s.CoreWorkers = opts.CoreWorkers
 	cpi := opts.CyclesPerInst
 	if cpi == 0 {
 		cpi = 1000
