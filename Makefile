@@ -53,7 +53,9 @@ verify-race: race
 # Hot-path microbenchmarks (BenchmarkCoreCycle must report 0 allocs/op;
 # MemReadWrite/MemFork/Checkpoint guard the fast-forward machinery;
 # EmuInterp/EmuCompiled guard the threaded-code speedup and RobScan/RobBitmap
-# the issue-stage selection kernel).
+# the issue-stage selection kernel). End-to-end measurements come from
+# `bash benchmark/run.sh`, judged with `go run ./benchmark compare` (see
+# benchmark/README.md).
 bench:
 	$(GO) test -run xxx -bench 'CoreCycle|CacheAccess|BFetchTick|SimMemoryBound' \
 		-benchmem ./internal/cpu ./internal/cache ./internal/core ./internal/sim

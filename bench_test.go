@@ -220,7 +220,7 @@ func benchEngine(b *testing.B, mkEngine func() *runner.Engine) {
 }
 
 func BenchmarkRunnerSerial(b *testing.B) {
-	benchEngine(b, runner.NewSequential)
+	benchEngine(b, func() *runner.Engine { return runner.New(1) })
 }
 
 func BenchmarkRunnerParallel(b *testing.B) {

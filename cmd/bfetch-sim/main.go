@@ -102,7 +102,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
 			os.Exit(1)
 		}
-		eng := runner.NewSequential()
+		eng := runner.New(1)
 		eng.SetStore(st)
 		res, err = eng.Run(runner.Multi(cfg, names, opts))
 		if err != nil {

@@ -74,26 +74,25 @@ type robEntry struct {
 
 	destVal int64
 	ea      uint64
-	eaValid bool
 	stData  int64
 	doneAt  uint64
-	faulted bool
 	sqWait  uint64 // sqGen when this load was last found blocked
+	eaValid bool
+	faulted bool
 
 	// CPI attribution (cfg.CPIStack): set when the load issued to the
 	// memory hierarchy; zeroed with the rest of the entry at dispatch.
 	memStart uint64          // cycle the load went to memory
-	memClass bool            // memStart/cl are valid
 	cl       cache.LoadClass // hierarchy annotation for head-of-ROB charging
+	memClass bool            // memStart/cl are valid
 
-	// Control-flow bookkeeping.
-	predTaken   bool
-	predNext    int // predicted next instruction index; -1 = fetch stalled
-	ghr         branch.GHR
+	// Control-flow bookkeeping. The byte-sized fields sit next to each
+	// other (and to memClass) so the entry carries little padding.
 	pred        branch.Pred
-	ratSnap     [isa.NumRegs]ratEntry
-	hasSnap     bool
+	predTaken   bool
 	actualTaken bool
+	ghr         branch.GHR
+	predNext    int // predicted next instruction index; -1 = fetch stalled
 	actualNext  int
 }
 
@@ -139,6 +138,13 @@ type Core struct {
 	inflightBM []uint64
 	pendBM     []uint64
 
+	// snaps[s] is the rename-table snapshot of the control instruction in
+	// ROB slot s, written at dispatch and read by recover. It lives beside
+	// the ROB rather than in robEntry so the hot entry stays small: the
+	// snapshot is 768 bytes, most entries never take one, and every
+	// dispatch zero-fills its entry.
+	snaps [][isa.NumRegs]ratEntry
+
 	// storeQ is a ring of uncommitted stores, oldest first (disambiguation).
 	// Capacity is the ROB size — a store occupies a ROB slot while queued —
 	// so the backing array is allocated once and never grows.
@@ -166,6 +172,13 @@ type Core struct {
 	// do not advance it: a new store is younger than every already-pending
 	// load, and disambiguation only looks at older stores.
 	sqGen uint64
+
+	// pendStale is set when some parked load may pass on a retry: sqGen
+	// advanced (sqAdvance), or a load was parked for a port. While it is
+	// clear every pendBM entry holds sqWait == sqGen, so issue skips the
+	// pendBM walk and NextEvent does not pin the clock to now+1 for parked
+	// loads.
+	pendStale bool
 
 	// fq is the fetch queue as a ring: capacity cfg.FetchQueue, allocated
 	// once. (A plain slice advanced with fq[1:] would re-allocate its
@@ -205,6 +218,7 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, hier *cache.Hierarchy,
 		readyBM:    make([]uint64, words),
 		inflightBM: make([]uint64, words),
 		pendBM:     make([]uint64, words),
+		snaps:      make([][isa.NumRegs]ratEntry, cfg.ROBEntries),
 		storeQ:     make([]ref, max(1, cfg.ROBEntries)),
 		fq:         make([]fqEntry, max(1, cfg.FetchQueue)),
 	}
@@ -322,6 +336,9 @@ func bmSet(bm []uint64, s int) { bm[s>>6] |= 1 << (uint(s) & 63) }
 
 //bfetch:hotpath
 func bmClear(bm []uint64, s int) { bm[s>>6] &^= 1 << (uint(s) & 63) }
+
+//bfetch:hotpath
+func bmHas(bm []uint64, s int) bool { return bm[s>>6]&(1<<(uint(s)&63)) != 0 }
 
 //bfetch:hotpath
 func bmAny(bm []uint64) bool {
@@ -453,7 +470,7 @@ func (c *Core) commit(now uint64) {
 			}
 			c.sqN--
 			c.sqBuckDrop(e.ea) // a committed store always resolved its address
-			c.sqGen++          // drained: loads blocked behind it may pass now
+			c.sqAdvance()      // drained: loads blocked behind it may pass now
 		}
 		e.seq = 0
 		if c.headSlot++; c.headSlot == len(c.rob) {
@@ -573,12 +590,13 @@ func (c *Core) recover(e *robEntry, now uint64) {
 	for c.sqN > 0 && c.sqAt(c.sqN-1).seq > e.seq {
 		c.sqN--
 	}
-	c.sqGen++
+	c.sqAdvance()
 
 	// Restore the rename table from the branch's snapshot, dropping
 	// mappings to entries that committed while the branch was in flight.
+	snap := &c.snaps[e.slot]
 	for r := range c.rat {
-		s := e.ratSnap[r]
+		s := snap[r]
 		if s.valid && c.entry(s.ref) == nil {
 			s.valid = false
 		}
@@ -615,16 +633,23 @@ func (c *Core) issue(now uint64) {
 	ports := c.cfg.CachePorts
 
 	// Blocked loads retry first (they already consumed an issue slot),
-	// oldest first — the age-order walk doubles as the port arbiter.
+	// oldest first — the age-order walk doubles as the port arbiter. The
+	// walk runs only when some parked load may pass (pendStale); a load that
+	// finds no port leaves the flag set for the next cycle.
 	var it bmIter
-	if bmAny(c.pendBM) {
+	if c.pendStale {
+		c.pendStale = false
 		it.init(c.pendBM, c.headSlot)
-		for s, ok := it.next(); ok && ports > 0; s, ok = it.next() {
+		for s, ok := it.next(); ok; s, ok = it.next() {
 			e := &c.rob[s]
 			if e.sqWait == c.sqGen {
 				// Store queue unchanged since this load was last rejected:
 				// the verdict cannot have moved, skip the rescan.
 				continue
+			}
+			if ports == 0 {
+				c.pendStale = true
+				break
 			}
 			if c.tryLoad(e, now) {
 				ports--
@@ -663,6 +688,7 @@ func (c *Core) execute(e *robEntry, now uint64, ports *int) {
 			// retried whatever the generation. sqGen only grows, so the
 			// predecessor value can never match a current generation.
 			e.sqWait = c.sqGen - 1
+			c.pendStale = true
 			bmSet(c.pendBM, e.slot)
 			return
 		}
@@ -681,7 +707,7 @@ func (c *Core) execute(e *robEntry, now uint64, ports *int) {
 		// from the unknown counter to its address bucket.
 		c.sqUnknown--
 		c.sqBuckAdd(e.ea)
-		c.sqGen++ // resolved: blocked loads can re-disambiguate
+		c.sqAdvance() // resolved: blocked loads can re-disambiguate
 	case in.IsControl():
 		e.actualTaken = emu.BranchTaken(in.Op, e.srcVal[0])
 		switch {
@@ -751,6 +777,15 @@ func (c *Core) tryLoad(e *robEntry, now uint64) bool {
 	}
 	bmSet(c.inflightBM, e.slot)
 	return true
+}
+
+// sqAdvance moves the store-queue generation, so every load parked under
+// the old one is retried.
+//
+//bfetch:hotpath
+func (c *Core) sqAdvance() {
+	c.sqGen++
+	c.pendStale = true
 }
 
 // sqBucket hashes an access address to a disambiguation filter bucket.
@@ -886,8 +921,7 @@ func (c *Core) dispatch(now uint64) {
 		// Control instructions snapshot the RAT for recovery and feed the
 		// prefetcher's decoded-branch register.
 		if in.IsControl() {
-			e.ratSnap = c.rat
-			e.hasSnap = true
+			c.snaps[slot] = c.rat
 			var target uint64
 			if in.IsDirect() {
 				target = c.prog.PC(in.Target)
@@ -1022,17 +1056,20 @@ const NoEvent = ^uint64(0)
 // bit-identical results to ticking every cycle.
 //
 // Each pipeline stage contributes its wake-up condition; anything that could
-// act on the very next cycle (ready entries, blocked loads retrying for a
-// port, a busy prefetch engine) pins the next event to now+1.
+// act on the very next cycle (ready entries, a parked load that may pass on
+// a retry, a busy prefetch engine) pins the next event to now+1. A load
+// parked under an unchanged store-queue generation pins nothing: only a
+// store resolving, draining or being squashed can free it, and each of
+// those is itself an event below.
 //
 //bfetch:hotpath
 func (c *Core) NextEvent(now uint64) uint64 {
 	if c.halted {
 		return NoEvent
 	}
-	// Issue has work queued, blocked loads retry every cycle, and a non-idle
-	// prefetch engine ticks every cycle: no skipping.
-	if bmAny(c.readyBM) || bmAny(c.pendBM) || !c.pf.Idle() {
+	// Issue has work queued, a parked load may pass, or a non-idle prefetch
+	// engine ticks every cycle: no skipping.
+	if bmAny(c.readyBM) || c.pendStale || !c.pf.Idle() {
 		return now + 1
 	}
 	next := uint64(NoEvent)

@@ -62,7 +62,7 @@ func (c *Core) classify(now uint64) obs.CPIBucket {
 	}
 	e := &c.rob[c.headSlot]
 	if e.inst.IsLoad() && e.state == sIssued {
-		if c.pendBM[e.slot>>6]&(1<<(uint(e.slot)&63)) != 0 {
+		if bmHas(c.pendBM, e.slot) {
 			return obs.CPIStoreQueue
 		}
 		if e.memClass {
@@ -127,10 +127,15 @@ func (c *Core) chargeGap(from, end uint64) {
 		c.Stats.CPI[obs.CPIFetchStall] += end - from
 		return
 	}
-	// Gap cycles have empty ready/pend bitmaps, so a non-empty ROB's head is
-	// an in-flight entry: a load in memory walks its segments, anything else
-	// (ALU/branch latency, a forwarded load) is Base — exactly classify's
-	// verdict for each skipped cycle.
+	// Gap cycles have an empty ready bitmap and pendStale clear, so a
+	// non-empty ROB's head is an in-flight entry, never a parked load. A
+	// parked head has no older stores left, so pendStale was set after its
+	// last rejection — by the drain of the last older store, or by its
+	// parking for a port — and a retry clears the flag only once the load
+	// has left pendBM (a retry short of a port sets it again). So a load in
+	// memory walks its segments and anything else (ALU/branch latency, a
+	// forwarded load) is Base — exactly classify's verdict for each skipped
+	// cycle.
 	e := &c.rob[c.headSlot]
 	if !e.inst.IsLoad() || e.state != sIssued || !e.memClass {
 		c.Stats.CPI[obs.CPIBase] += end - from

@@ -49,7 +49,7 @@ func runWith(t *testing.T, id string, eng *runner.Engine, log *bytes.Buffer) str
 func TestParallelTablesMatchSequential(t *testing.T) {
 	for _, id := range []string{"fig8", "fig9", "fig11", "fig13", "fig14", "fig3", "fig7"} {
 		var seqLog, parLog bytes.Buffer
-		seq := runWith(t, id, runner.NewSequential(), &seqLog)
+		seq := runWith(t, id, runner.New(1), &seqLog)
 		par := runWith(t, id, runner.New(8), &parLog)
 		if seq != par {
 			t.Errorf("%s: parallel tables differ from sequential\n--- seq ---\n%s--- par ---\n%s", id, seq, par)
@@ -91,7 +91,7 @@ func TestBaselineStoreSharesAcrossExperimentsWithoutCache(t *testing.T) {
 	// With the runner cache disabled (the worst case), the baseline
 	// store must still keep the second experiment from re-simulating the
 	// shared no-prefetch baseline points.
-	eng := runner.NewSequential()
+	eng := runner.New(1)
 	eng.SetCache(false)
 	p := Params{
 		Opts:      sim.RunOpts{WarmupInsts: 5_000, MeasureInsts: 10_000},

@@ -23,7 +23,7 @@ func TestObsSnapshotDeterminism(t *testing.T) {
 			jobs = append(jobs, Solo(sim.Default(kind), app, tinyOpts()))
 		}
 	}
-	seq := NewSequential().RunAll(jobs)
+	seq := New(1).RunAll(jobs)
 	par := New(8).RunAll(jobs)
 	for i := range jobs {
 		if seq[i].Err != nil || par[i].Err != nil {

@@ -93,21 +93,14 @@ type Stats struct {
 	// reported via AddEmuInsts (the emulator-driven characterization
 	// experiments).
 	EmuInsts uint64
-
-	// SimCPI sums executed runs' per-core CPI stacks (zero unless jobs ran
-	// with cpu.Config.CPIStack). When every run attributed, SimCPI.Total()
-	// == SimCycles — the batch-level echo of the per-core exact-partition
-	// invariant.
-	SimCPI obs.CPIStack
 }
 
 // Engine schedules simulation jobs over a bounded worker pool and memoizes
-// their results. The zero value is not usable; construct with New or
-// NewSequential. An Engine is safe for concurrent use and needs no
-// shutdown: workers live only for the duration of each RunAll call.
+// their results. The zero value is not usable; construct with New. An
+// Engine is safe for concurrent use and needs no shutdown: workers live
+// only for the duration of each RunAll call.
 type Engine struct {
 	workers int
-	seq     bool
 	noCache bool
 	store   *store.Store // durable second tier; nil = memory-only
 
@@ -135,7 +128,6 @@ type Engine struct {
 	simCycles, simInsts atomic.Uint64
 	emuInsts            atomic.Uint64
 	simNanos            atomic.Int64
-	simCPI              [obs.NumCPIBuckets]atomic.Uint64
 
 	// stream, when set, receives live NDJSON events: a progress event per
 	// finished job, and a run summary plus time-series rows per executed
@@ -179,20 +171,8 @@ func New(workers int) *Engine {
 	}
 }
 
-// NewSequential returns an Engine that executes every job inline on the
-// caller's goroutine — the escape hatch for debugging and for hosts where
-// background goroutines are unwelcome. The cache still applies.
-func NewSequential() *Engine {
-	e := New(1)
-	e.seq = true
-	return e
-}
-
-// Workers reports the pool size (1 for sequential engines).
+// Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// Sequential reports whether jobs execute inline on the caller's goroutine.
-func (e *Engine) Sequential() bool { return e.seq }
 
 // SetCache enables or disables result memoization (enabled by default).
 // Disabling does not drop already-cached results; it only stops lookups
@@ -266,7 +246,7 @@ func (e *Engine) SetLog(w io.Writer) {
 
 // Stats returns a snapshot of the cache and throughput counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Hits: e.hits.Load(), Misses: e.misses.Load(), Runs: e.runs.Load(),
 		CkptHits: e.ckHits.Load(), CkptMisses: e.ckMisses.Load(),
 		StoreHits: e.stHits.Load(), StoreMisses: e.stMisses.Load(),
@@ -275,10 +255,6 @@ func (e *Engine) Stats() Stats {
 		SimTime:  time.Duration(e.simNanos.Load()),
 		EmuInsts: e.emuInsts.Load(),
 	}
-	for b := range st.SimCPI {
-		st.SimCPI[b] = e.simCPI[b].Load()
-	}
-	return st
 }
 
 // AddEmuInsts reports functionally emulated instructions executed outside
@@ -300,7 +276,7 @@ func (e *Engine) RunAll(jobs []Job) []Outcome {
 	before := e.Stats()
 	e.jobsTotal.Add(uint64(len(jobs)))
 	out := make([]Outcome, len(jobs))
-	if e.seq || e.workers == 1 || len(jobs) <= 1 {
+	if e.workers == 1 || len(jobs) <= 1 {
 		for i, j := range jobs {
 			out[i] = e.runJob(j)
 		}
@@ -342,7 +318,7 @@ func (e *Engine) logBatch(jobs int, before, after Stats) {
 // into index-addressed slots by fn, which keeps assembly deterministic.
 func (e *Engine) Map(n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	if e.seq || e.workers == 1 || n <= 1 {
+	if e.workers == 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			errs[i] = fn(i)
 		}
@@ -458,19 +434,12 @@ func (e *Engine) execute(j Job) Outcome {
 	e.simNanos.Add(int64(elapsed))
 	if err == nil {
 		var cycles, insts uint64
-		var cpi obs.CPIStack
 		for _, cs := range res.Core {
 			cycles += cs.Cycles
 			insts += cs.Committed
-			cpi.AddStack(&cs.CPI)
 		}
 		e.simCycles.Add(cycles)
 		e.simInsts.Add(insts)
-		for b, v := range cpi {
-			if v > 0 {
-				e.simCPI[b].Add(v)
-			}
-		}
 		e.report(j, res, insts, elapsed)
 		e.publishRun(j, res, insts, elapsed)
 	}

@@ -34,7 +34,7 @@ func testJobs() []Job {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	jobs := testJobs()
-	seq := NewSequential().RunAll(jobs)
+	seq := New(1).RunAll(jobs)
 	par := New(8).RunAll(jobs)
 	if len(seq) != len(jobs) || len(par) != len(jobs) {
 		t.Fatalf("outcome counts: seq %d, par %d, want %d", len(seq), len(par), len(jobs))
@@ -94,7 +94,7 @@ func TestCacheHitsOnRepeatedJobs(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	e := NewSequential()
+	e := New(1)
 	e.SetCache(false)
 	job := Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())
 	e.RunAll([]Job{job, job})
@@ -198,7 +198,7 @@ func TestMap(t *testing.T) {
 
 func TestEngineLog(t *testing.T) {
 	var buf bytes.Buffer
-	e := NewSequential()
+	e := New(1)
 	e.SetLog(&buf)
 	if _, err := e.Run(Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())); err != nil {
 		t.Fatal(err)
@@ -210,9 +210,7 @@ func TestEngineLog(t *testing.T) {
 
 // TestTimeSeriesWorkerInvariance pins the tentpole's batch-level determinism
 // contract: an attributed, sampled 16-core job produces a bit-identical
-// interval time series whether the batch runs on one worker or eight, and the
-// batch-level CPI aggregate preserves the exact partition (SimCPI.Total() ==
-// SimCycles when every run attributed).
+// interval time series whether the batch runs on one worker or eight.
 func TestTimeSeriesWorkerInvariance(t *testing.T) {
 	apps := []string{"mcf", "milc", "libquantum", "astar"}
 	cfg := sim.DefaultScale(sim.PFBFetch, len(apps))
@@ -229,8 +227,7 @@ func TestTimeSeriesWorkerInvariance(t *testing.T) {
 		}(), "lbm", tinyOpts()),
 	}
 
-	e1 := New(1)
-	one := e1.RunAll(jobs)
+	one := New(1).RunAll(jobs)
 	eight := New(8).RunAll(jobs)
 	for i := range jobs {
 		if one[i].Err != nil || eight[i].Err != nil {
@@ -242,14 +239,6 @@ func TestTimeSeriesWorkerInvariance(t *testing.T) {
 		if !reflect.DeepEqual(one[i].Result.TS, eight[i].Result.TS) {
 			t.Errorf("job %d: time series diverges between -j 1 and -j 8", i)
 		}
-	}
-
-	st := e1.Stats()
-	if st.SimCPI.Total() == 0 {
-		t.Fatal("batch CPI aggregate is empty despite attributed jobs")
-	}
-	if st.SimCPI.Total() != st.SimCycles {
-		t.Errorf("batch CPI buckets sum to %d, want exactly SimCycles = %d", st.SimCPI.Total(), st.SimCycles)
 	}
 }
 

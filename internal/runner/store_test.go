@@ -103,7 +103,7 @@ func TestStoreCheckpointTier(t *testing.T) {
 	job := Solo(sim.Default(sim.PFNone), "lbm", storeOpts())
 
 	st1, _ := store.Open(dir)
-	cold := NewSequential()
+	cold := New(1)
 	cold.SetStore(st1)
 	if _, err := cold.Run(job); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestStoreCheckpointTier(t *testing.T) {
 	}
 
 	st2, _ := store.Open(dir)
-	warmEng := NewSequential()
+	warmEng := New(1)
 	warmEng.SetStore(st2)
 	// Force a result-tier miss with a config the cold engine never ran, so
 	// the simulation must execute — but its checkpoint must come from disk.
@@ -160,7 +160,7 @@ func TestStoreWorkerCountInvariant(t *testing.T) {
 // escape hatch stays a true escape hatch.
 func TestStoreDisabledByNoCache(t *testing.T) {
 	st, _ := store.Open(t.TempDir())
-	e := NewSequential()
+	e := New(1)
 	e.SetStore(st)
 	e.SetCache(false)
 	job := Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())
@@ -176,7 +176,7 @@ func TestStoreDisabledByNoCache(t *testing.T) {
 // TestStoreBatchLog checks the batch summary names the disk tier.
 func TestStoreBatchLog(t *testing.T) {
 	st, _ := store.Open(t.TempDir())
-	e := NewSequential()
+	e := New(1)
 	e.SetStore(st)
 	var buf bytes.Buffer
 	e.SetLog(&buf)

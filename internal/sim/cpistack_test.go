@@ -9,7 +9,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // allKinds is every prefetch engine, the cpistack experiment's sweep set.
@@ -92,6 +95,72 @@ func TestCPIStackExactPartitionBankedMix(t *testing.T) {
 				t.Errorf("attributed mix snapshots diverge across loops")
 			}
 		})
+	}
+}
+
+// parkedLoadKernel is the cpu package's parked-load kernel as a workload:
+// each iteration's store takes its address from a pointer load that misses
+// to DRAM, a younger independent load waits parked behind that store for the
+// whole miss, and a same-address reload is forwarded from the store.
+func parkedLoadKernel(iters int) workload.Workload {
+	return workload.New("parked", "loads parked behind unresolved stores", "pointer", true,
+		func() (*isa.Program, *mem.Memory) {
+			const ptrs, targets, other = 0x100000, 0x800000, 0x200000
+			m := mem.New()
+			for i := 0; i < iters; i++ {
+				m.WriteInt64(uint64(ptrs+i*4096), int64(targets+i*64))
+			}
+			b := isa.NewBuilder()
+			b.Movi(isa.R(1), ptrs)
+			b.Movi(isa.R(7), other)
+			b.Movi(isa.R(10), int64(iters))
+			loop := b.Here()
+			b.Ld(isa.R(2), isa.R(1), 0)
+			b.St(isa.R(10), isa.R(2), 0)
+			b.Ld(isa.R(4), isa.R(7), 0)
+			b.Ld(isa.R(5), isa.R(2), 0)
+			b.Addi(isa.R(1), isa.R(1), 4096)
+			b.Addi(isa.R(7), isa.R(7), 8)
+			b.Addi(isa.R(10), isa.R(10), -1)
+			b.Bnez(isa.R(10), loop)
+			b.Halt()
+			return b.MustProgram(), m
+		})
+}
+
+// TestCPIStackParkedLoadGap covers the gaps the event loop skips while a
+// load sits parked behind a store whose address is still in flight: the
+// naive and event loops must agree on every counter (cycles, store
+// forwards, each CPI bucket) and both must partition the cycles exactly.
+func TestCPIStackParkedLoadGap(t *testing.T) {
+	cfg := Default(PFNone)
+	cfg.CPU.CPIStack = true
+	cfg.Cores = 1
+	w := parkedLoadKernel(1_200)
+	opts := RunOpts{WarmupInsts: 2_000, MeasureInsts: 6_000}
+	run := func(naive bool) Result {
+		s, err := New(cfg, []workload.Workload{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.naive = naive
+		res, err := runProtocol(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	naive, event := run(true), run(false)
+	checkPartition(t, "naive", naive)
+	checkPartition(t, "event", event)
+	cs := event.Core[0]
+	if cs.StoreForwards == 0 || cs.CPI[obs.CPIDRAM] == 0 {
+		t.Errorf("kernel no longer forwards (%d) or stalls on DRAM (%d cycles)",
+			cs.StoreForwards, cs.CPI[obs.CPIDRAM])
+	}
+	if !reflect.DeepEqual(naive, event) {
+		t.Errorf("parked-load snapshots diverge across loops\nnaive: %+v\nevent: %+v",
+			naive.Core, event.Core)
 	}
 }
 
