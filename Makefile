@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-full verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke clean
+.PHONY: all build test vet lint verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -21,27 +21,22 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Custom static analysis (internal/lint), AST layer only — fast enough for
-# tier-1: hot-path zero-allocation contract, transitive hotpath reachability,
-# concurrency discipline, determinism rules, stats-reset audit. Exits
-# non-zero on any finding.
+# Custom static analysis (internal/lint): the compiler-witnessed hot-path
+# allocation gate over every function reachable from a //bfetch:hotpath root,
+# concurrency discipline, determinism rules, stats-reset audit. The gate
+# builds with -gcflags='-m=2 ...' and caches facts per package by build ID:
+# a cold run costs one build, a warm run milliseconds. Exits non-zero on any
+# finding.
 lint:
 	$(GO) run ./cmd/bfetch-lint
-
-# Full two-layer gate: the AST analyzers plus the compiler-witnessed
-# escape/inlining/bounds-check layer (go build -gcflags='-m=2 ...', facts
-# cached per package by build ID — cold runs cost a build, warm runs
-# milliseconds).
-lint-full:
-	$(GO) run ./cmd/bfetch-lint -compiler
 
 # Tier-1 verify (ROADMAP.md).
 verify: build vet test
 
-# Full pass: tier-1 plus the two-layer bfetch-lint gate and the race leg
-# over the concurrent packages.
+# Full pass: tier-1 plus the bfetch-lint gate and the race leg over the
+# concurrent packages.
 verify-full: build vet
-	$(GO) run ./cmd/bfetch-lint -compiler
+	$(GO) run ./cmd/bfetch-lint
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 

@@ -1,25 +1,22 @@
 // Command bfetch-lint runs the repository's custom static-analysis suite
-// (internal/lint) over the module. The AST layer (hotpath zero-allocation
-// contract, transitive hotpath reachability, concurrency discipline,
-// determinism rules, stats-reset audit) always runs; -compiler adds the
-// compiler-witnessed layer (escape/inlining/bounds-check facts from
-// `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'`, cached by build ID).
-// It prints findings compiler-style and exits non-zero when any survive, so
-// `make lint` / `make lint-full` and CI can gate on it.
+// (internal/lint) over the module: the compiler-witnessed hot-path
+// allocation gate (escape), concurrency discipline, determinism rules and
+// the stats-reset audit. The allocation gate builds the module with
+// `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'` and caches the
+// diagnostics per package by build ID, so a cold run costs one build and a
+// warm run milliseconds. It prints findings compiler-style and exits
+// non-zero when any survive, so `make lint` and CI can gate on it.
 //
 // Usage:
 //
-//	bfetch-lint [-C dir] [-compiler] [-json] [-nocache] [-cachedir DIR]
-//	            [-analyzer hotpath|hotcall|syncorder|determinism|statsreset|escape]
+//	bfetch-lint [-C dir]
 //
-// With no -C it lints the module containing the working directory. -json
-// emits one finding per line as {"file","line","col","analyzer","message"}
-// for tooling; the default output matches the GitHub problem matcher shipped
-// in .github/bfetch-lint-matcher.json.
+// With no -C it lints the module containing the working directory. The
+// output matches the GitHub problem matcher shipped in
+// .github/bfetch-lint-matcher.json.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,38 +27,14 @@ import (
 
 func main() {
 	dir := flag.String("C", ".", "directory inside the module to lint")
-	only := flag.String("analyzer", "", "restrict output to one analyzer (hotpath, hotcall, syncorder, determinism, statsreset, escape)")
-	compiler := flag.Bool("compiler", false, "also run the compiler-witnessed escape analyzer (slower cold; fact table cached by build ID)")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
-	noCache := flag.Bool("nocache", false, "bypass the compiler-fact cache (always rebuild diagnostics)")
-	cacheDir := flag.String("cachedir", "", "override the compiler-fact cache directory (default: user cache dir/bfetch-lint)")
-	quiet := flag.Bool("q", false, "suppress the summary line")
 	flag.Parse()
-
-	if *only != "" {
-		known := false
-		for _, name := range lint.AnalyzerNames {
-			if name == *only {
-				known = true
-			}
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "bfetch-lint: unknown analyzer %q (have %s)\n",
-				*only, strings.Join(lint.AnalyzerNames, ", "))
-			os.Exit(2)
-		}
-	}
-	if *only == "escape" {
-		*compiler = true
-	}
 
 	root, err := lint.FindModuleRoot(*dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	res, err := lint.RunAll(root, lint.DefaultOptions(), *compiler,
-		lint.CollectOptions{CacheDir: *cacheDir, NoCache: *noCache})
+	res, err := lint.RunAll(root, lint.DefaultOptions())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -69,43 +42,12 @@ func main() {
 	for _, w := range res.Warnings {
 		fmt.Fprintf(os.Stderr, "bfetch-lint: warning: %s\n", w)
 	}
-
-	diags := res.Diags
-	if *only != "" {
-		kept := diags[:0]
-		for _, d := range diags {
-			if d.Analyzer == *only {
-				kept = append(kept, d)
-			}
-		}
-		diags = kept
+	for _, d := range res.Diags {
+		fmt.Println(d)
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		for _, d := range diags {
-			rec := struct {
-				File     string `json:"file"`
-				Line     int    `json:"line"`
-				Col      int    `json:"col"`
-				Analyzer string `json:"analyzer"`
-				Message  string `json:"message"`
-			}{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message}
-			if err := enc.Encode(rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "bfetch-lint: %d package(s), %d analyzer(s) [%s], %d finding(s)\n",
-			res.Packages, len(res.Ran), strings.Join(res.Ran, " "), len(diags))
-	}
-	if len(diags) > 0 {
+	fmt.Fprintf(os.Stderr, "bfetch-lint: %d package(s), %d analyzer(s) [%s], %d finding(s)\n",
+		res.Packages, len(res.Ran), strings.Join(res.Ran, " "), len(res.Diags))
+	if len(res.Diags) > 0 {
 		os.Exit(1)
 	}
 }

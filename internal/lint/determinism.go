@@ -329,3 +329,64 @@ func importNames(f *ast.File) (randName, timeName string) {
 	}
 	return randName, timeName
 }
+
+// moduleIndex records, without go/types, which module functions return
+// maps, so a caller's map-typed variables can be tracked across packages.
+type moduleIndex struct {
+	// mapResults maps "pkgbase.FuncName" and "rel|FuncName" to the indices
+	// of map-typed results in that function's result list.
+	mapResults map[string][]int
+}
+
+func buildModuleIndex(pkgs []*Package) *moduleIndex {
+	idx := &moduleIndex{mapResults: make(map[string][]int)}
+	for _, p := range pkgs {
+		base := pkgBase(p.Rel)
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Recv != nil || d.Type.Results == nil {
+					continue
+				}
+				var mapIdx []int
+				i := 0
+				for _, field := range d.Type.Results.List {
+					n := len(field.Names)
+					if n == 0 {
+						n = 1
+					}
+					for k := 0; k < n; k++ {
+						if _, isMap := field.Type.(*ast.MapType); isMap {
+							mapIdx = append(mapIdx, i)
+						}
+						i++
+					}
+				}
+				if len(mapIdx) > 0 {
+					idx.mapResults[base+"."+d.Name.Name] = mapIdx
+					idx.mapResults[p.Rel+"|"+d.Name.Name] = mapIdx
+				}
+			}
+		}
+	}
+	return idx
+}
+
+// baseIdent resolves the root identifier of an expression like x,
+// x[i:j], or (x) — nil for selector-rooted expressions.
+func baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch v := e.(type) {
+		case *ast.Ident:
+			return v
+		case *ast.SliceExpr:
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.ParenExpr:
+			e = v.X
+		default:
+			return nil
+		}
+	}
+}

@@ -1,57 +1,59 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"path/filepath"
 	"strings"
 )
 
-// Escape is the compiler-witnessed gate: instead of guessing from the AST
-// what might allocate, it checks what the compiler actually decided
-// (facts from CollectFacts or ParseFacts):
+// pureStdlib are the packages outside the module a hot function may call
+// without a hatch: pure arithmetic that never allocates.
+var pureStdlib = map[string]bool{"math": true, "math/bits": true}
+
+// Escape is the hot-path allocation gate. Rather than guessing from the AST
+// what might allocate, it checks what the compiler decided (facts from
+// CollectFacts or ParseFacts), over the whole hot closure — every function
+// reachable from a //bfetch:hotpath root, annotated or not:
 //
-//	(a) a //bfetch:hotpath function with a value the compiler moved or
-//	    escaped to the heap fails — //bfetch:alloc-ok on the line keeps
-//	    the same cold-path hatch the AST layer uses;
-//	(b) a call inside a hotpath function whose callee the compiler refused
-//	    to inline fails, unless the callee is itself //bfetch:hotpath
-//	    (checked on its own terms; the big pipeline stages are deliberate
-//	    non-inline boundaries) or the call carries //bfetch:noinline-ok
-//	    with a reason string;
-//	(c) a loop annotated //bfetch:bce that retains a bounds check fails —
+//	(a) a value the compiler moved or escaped to the heap fails. The
+//	    compiler reports an inlined callee's escapes at the call site, so a
+//	    caller sees through its inlined helpers; //bfetch:alloc-ok on the
+//	    line is the cold-path hatch;
+//	(b) a call into a package outside the module fails unless the package
+//	    is math or math/bits: the compiler's facts stop at the module
+//	    boundary, so strconv.Itoa or sort.Ints would allocate unseen.
+//	    //bfetch:alloc-ok is the hatch here too. The rule reads the call's
+//	    qualifier only, so a conversion to a foreign named type counts as
+//	    a call;
+//	(c) a call inside an annotated function whose module callee the
+//	    compiler did not inline fails, unless the callee is itself
+//	    //bfetch:hotpath (the big pipeline stages are deliberate non-inline
+//	    boundaries);
+//	(d) a loop annotated //bfetch:bce that retains a bounds check fails —
 //	    there is no hatch; fix the loop or drop the annotation.
-//
-// Calls the compiler witnessed as inlined ("inlining call to" at the call
-// line) pass (b) outright; calls that resolve to nothing in-module
-// (interface dispatch, func values) are outside the witness and are left to
-// the hotcall closure.
 func Escape(pkgs []*Package, fidx *funcIndex, facts *FactTable) []Diagnostic {
 	var out []Diagnostic
+	for _, h := range fidx.hotClosure() {
+		relFile := moduleRelFile(facts.Root, h.n.p, h.n.f)
+		if relFile == "" {
+			continue
+		}
+		where := "//bfetch:hotpath " + h.n.name
+		if !h.n.hotpath {
+			where = fmt.Sprintf("%s (reached from //bfetch:hotpath %s)", h.n.name, h.root.displayName())
+		}
+		checkEscapes(h.n, relFile, where, facts, &out)
+		checkForeignCalls(h.n, fidx, where, &out)
+		if h.n.hotpath {
+			checkInlining(h.n, relFile, fidx, facts, &out)
+		}
+	}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
-			relFile := moduleRelFile(facts.Root, p, f)
-			if relFile == "" {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if hasDirective(fd.Doc, "bfetch:hotpath") {
-					checkHotEscapes(p, f, fd, relFile, facts, &out)
-					checkHotInlining(p, f, fd, relFile, fidx, facts, &out)
-				}
-			}
-			checkBCELoops(p, f, relFile, facts, &out)
-			// A noinline-ok hatch must carry a reason; a bare marker is
-			// unauditable.
-			for line, text := range p.markerArgs(f, "bfetch:noinline-ok") {
-				if strings.TrimSpace(text) == "" {
-					p.report(&out, f, f.Pos(), "escape", "",
-						"line %d: //bfetch:noinline-ok requires a reason string", line)
-				}
+			if relFile := moduleRelFile(facts.Root, p, f); relFile != "" {
+				checkBCELoops(p, f, relFile, facts, &out)
 			}
 		}
 	}
@@ -69,9 +71,10 @@ func moduleRelFile(root string, p *Package, f *ast.File) string {
 	return filepath.ToSlash(rel)
 }
 
-// checkHotEscapes reports every compiler-witnessed heap escape inside the
-// hotpath function's body range.
-func checkHotEscapes(p *Package, f *ast.File, fd *ast.FuncDecl, relFile string, facts *FactTable, out *[]Diagnostic) {
+// checkEscapes reports every compiler-witnessed heap escape inside the
+// function's body range.
+func checkEscapes(n *funcNode, relFile, where string, facts *FactTable, out *[]Diagnostic) {
+	p, fd := n.p, n.decl
 	start := p.Fset.Position(fd.Body.Pos()).Line
 	end := p.Fset.Position(fd.Body.End()).Line
 	for line := start; line <= end; line++ {
@@ -80,32 +83,47 @@ func checkHotEscapes(p *Package, f *ast.File, fd *ast.FuncDecl, relFile string, 
 				continue
 			}
 			// Position the diagnostic at the fact's own line so the
-			// alloc-ok hatch works the same way as in the AST layer.
-			pos := posOnLine(p, f, fd, fact.Line)
-			p.report(out, f, pos, "escape", "bfetch:alloc-ok",
-				"compiler: %s escapes to heap inside //bfetch:hotpath %s", fact.Name, fd.Name.Name)
+			// alloc-ok hatch on that line applies.
+			pos := posOnLine(p, n.f, fd, fact.Line)
+			p.report(out, n.f, pos, "escape", "bfetch:alloc-ok",
+				"compiler: %s escapes to heap inside %s", fact.Name, where)
 		}
 	}
 }
 
-// checkHotInlining walks the call sites of a hotpath function and requires
-// each module-resolved callee to be inlined, hotpath-annotated, or hatched.
-func checkHotInlining(p *Package, f *ast.File, fd *ast.FuncDecl, relFile string, fidx *funcIndex, facts *FactTable, out *[]Diagnostic) {
-	var node *funcNode
-	for _, n := range fidx.nodes {
-		if n.decl == fd {
-			node = n
-			break
+// checkForeignCalls reports every call into a package outside the module
+// other than math and math/bits.
+func checkForeignCalls(n *funcNode, fidx *funcIndex, where string, out *[]Diagnostic) {
+	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
+		call, ok := node.(*ast.CallExpr)
+		if !ok {
+			return true
 		}
-	}
-	if node == nil {
-		return
-	}
-	for _, e := range fidx.edges(node) {
-		if e.safe || e.cold || e.unresolved || len(e.targets) == 0 {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		x, ok := importName(sel.X)
+		if !ok {
+			return true
+		}
+		if path, ok := fidx.foreign[n.f][x.Name]; ok && !pureStdlib[path] {
+			n.p.report(out, n.f, call.Pos(), "escape", "bfetch:alloc-ok",
+				"call to %s.%s inside %s leaves the module, where the compiler witness ends; hot code may call only math and math/bits",
+				x.Name, sel.Sel.Name, where)
+		}
+		return true
+	})
+}
+
+// checkInlining walks the call sites of an annotated function and requires
+// each module-resolved callee to be inlined or annotated itself.
+func checkInlining(n *funcNode, relFile string, fidx *funcIndex, facts *FactTable, out *[]Diagnostic) {
+	for _, e := range fidx.edges(n) {
+		if len(e.targets) == 0 {
 			continue
 		}
-		line := p.Fset.Position(e.pos).Line
+		line := n.p.Fset.Position(e.pos).Line
 		inlined := false
 		for _, fact := range facts.FactsAt(relFile, line) {
 			if fact.Kind == FactInlineCall && factBaseName(fact.Name) == e.callee {
@@ -147,9 +165,9 @@ func checkHotInlining(p *Package, f *ast.File, fd *ast.FuncDecl, relFile string,
 			}
 			reason = "inlinable, but not inlined at this call site"
 		}
-		p.report(out, f, e.pos, "escape", "bfetch:noinline-ok",
-			"call to %s in //bfetch:hotpath %s is not inlined (%s); annotate the callee //bfetch:hotpath or hatch with //bfetch:noinline-ok <reason>",
-			e.callee, fd.Name.Name, reason)
+		n.p.report(out, n.f, e.pos, "escape", "",
+			"call to %s in //bfetch:hotpath %s is not inlined (%s); annotate the callee //bfetch:hotpath",
+			e.callee, n.name, reason)
 	}
 }
 

@@ -1,0 +1,253 @@
+package lint
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// gateDir compiles the single-package module at dir with the diagnostic
+// flags for real and runs the escape analyzer over it. A toolchain whose
+// output the parser no longer recognizes skips the test — the same
+// skip-with-warning degradation the CLI performs — rather than passing
+// vacuously or failing on format drift.
+func gateDir(t *testing.T, dir string) (*Package, []Diagnostic) {
+	t.Helper()
+	pkgs, err := LoadModule(dir)
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("%s: got %d packages, want 1", dir, len(pkgs))
+	}
+	facts, err := CollectFacts(dir, pkgs, CollectOptions{CacheDir: t.TempDir()})
+	if errors.Is(err, ErrNoFacts) {
+		t.Skipf("toolchain diagnostic format not recognized; escape analyzer degrades to skip: %v", err)
+	}
+	if err != nil {
+		t.Fatalf("collecting facts: %v", err)
+	}
+	return pkgs[0], Escape(pkgs, buildFuncIndex(pkgs), facts)
+}
+
+// gateSource is gateDir over a throwaway module holding one file.
+func gateSource(t *testing.T, name, src string) []Diagnostic {
+	t.Helper()
+	dir := t.TempDir()
+	for file, data := range map[string]string{"go.mod": "module fixture\n\ngo 1.22\n", name: src} {
+		if err := os.WriteFile(filepath.Join(dir, file), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, diags := gateDir(t, dir)
+	return diags
+}
+
+// mutate applies one textual mutation, failing if the fixture drifted.
+func mutate(t *testing.T, src, old, new string) string {
+	t.Helper()
+	out := strings.Replace(src, old, new, 1)
+	if out == src {
+		t.Fatalf("mutation %q did not apply; fixture drifted", old)
+	}
+	return out
+}
+
+// TestEscapeGolden compiles the escape fixture (its own mini-module under
+// testdata/src/escape) and checks the findings against its // want
+// comments, so they assert against live toolchain output rather than
+// recordings.
+func TestEscapeGolden(t *testing.T) {
+	p, diags := gateDir(t, filepath.Join("testdata", "src", "escape"))
+	matchWants(t, p, diags)
+}
+
+// escLikeSrc mirrors the one hatched heap escape the live tree carries (the
+// copy-on-write fault in mem.pageFor): an annotated function whose escaping
+// local is excused by //bfetch:alloc-ok. Deleting the hatch must surface the
+// compiler-witnessed finding.
+const escLikeSrc = `package esc
+
+//bfetch:hotpath
+func leak(n int) *int {
+	v := n //bfetch:alloc-ok boot-time registration, called once
+	return &v
+}
+`
+
+// escLikeFacts is the matching recorded compiler output: v is moved to the
+// heap at its declaration on line 5.
+const escLikeFacts = "esc.go:4:6: cannot inline leak: marked go:noinline\nesc.go:5:2: moved to heap: v\n"
+
+func TestEscapeHatchMutation(t *testing.T) {
+	p, err := ParseSource("esc.go", escLikeSrc)
+	if err != nil {
+		t.Fatalf("parsing clean source: %v", err)
+	}
+	pkgs := []*Package{p}
+	facts := ParseFacts(".", []byte(escLikeFacts))
+	if diags := Escape(pkgs, buildFuncIndex(pkgs), facts); len(diags) != 0 {
+		t.Fatalf("clean source produced findings: %v", diags)
+	}
+
+	mutated := mutate(t, escLikeSrc, " //bfetch:alloc-ok boot-time registration, called once", "")
+	p, err = ParseSource("esc.go", mutated)
+	if err != nil {
+		t.Fatalf("parsing mutated source: %v", err)
+	}
+	pkgs = []*Package{p}
+	diags := Escape(pkgs, buildFuncIndex(pkgs), facts)
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "v escapes to heap inside //bfetch:hotpath leak") {
+		t.Fatalf("mutated source: got %v, want exactly one escape finding for v", diags)
+	}
+}
+
+// obsLikeSrc mirrors the observability registry's hot-path instruments: a
+// fixed-slot counter increment and a ring-buffer trace append, both under
+// //bfetch:hotpath. The mutation plants a heap allocation inside the
+// increment, witnessing that the obs instruments are inside the gate rather
+// than merely absent from its findings.
+const obsLikeSrc = `package obs
+
+type Counter struct{ v *uint64 }
+
+//bfetch:hotpath
+func (c Counter) Inc() { *c.v++ }
+
+type Trace struct {
+	buf  []uint64
+	w, n int
+}
+
+//bfetch:hotpath
+func (t *Trace) Record(v uint64) {
+	if t == nil {
+		return
+	}
+	t.buf[t.w] = v
+	t.w++
+	if t.w == len(t.buf) {
+		t.w = 0
+	}
+}
+`
+
+func TestObsHotpathMutation(t *testing.T) {
+	if diags := gateSource(t, "obs.go", obsLikeSrc); len(diags) != 0 {
+		t.Fatalf("clean obs-like source produced findings: %v", diags)
+	}
+	mutated := mutate(t, obsLikeSrc,
+		"func (c Counter) Inc() { *c.v++ }",
+		"func (c Counter) Inc() { *c.v++; _ = make([]uint64, *c.v) }")
+	diags := gateSource(t, "obs.go", mutated)
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "escapes to heap inside //bfetch:hotpath Inc") {
+		t.Fatalf("mutated source: got %v, want exactly one escape finding in Inc", diags)
+	}
+}
+
+// emuLikeSrc mirrors the two cycle-kernel shapes this module's hot paths
+// lean on: the threaded-code emulator's superblock dispatch loop (pre-decoded
+// op records executed inline in a switch) and the out-of-order core's
+// TrailingZeros64-style bitmap scheduler walk. The clean pass witnesses both
+// idioms compile allocation-free; the mutation plants an op body wrapped in
+// a closure kept past the step, which the compiler must heap-allocate.
+const emuLikeSrc = `package emu
+
+type cop struct {
+	kind   uint8
+	rd, rs uint8
+	imm    int64
+}
+
+type kernel struct {
+	ops  []cop
+	term []int32
+}
+
+var hook func()
+
+//bfetch:hotpath
+func (k *kernel) run(regs *[32]int64, pc int) int {
+	ops := k.ops
+	t := int(k.term[pc])
+	for i := pc; i < t; i++ {
+		o := &ops[i]
+		switch o.kind {
+		case 0:
+			regs[o.rd&31] = regs[o.rs&31] + o.imm
+		default:
+			regs[o.rd&31] = o.imm
+		}
+	}
+	return t
+}
+
+//bfetch:hotpath
+func pick(bm []uint64, width int) int {
+	n := 0
+	for _, w := range bm {
+		for ; w != 0; w &= w - 1 {
+			if n++; n == width {
+				return n
+			}
+		}
+	}
+	return n
+}
+`
+
+func TestCompiledDispatchHotpathMutation(t *testing.T) {
+	if diags := gateSource(t, "emu.go", emuLikeSrc); len(diags) != 0 {
+		t.Fatalf("clean emu-like source produced findings: %v", diags)
+	}
+	mutated := mutate(t, emuLikeSrc,
+		"regs[o.rd&31] = regs[o.rs&31] + o.imm\n",
+		"hook = func() { regs[o.rd&31] = regs[o.rs&31] + o.imm }\n")
+	diags := gateSource(t, "emu.go", mutated)
+	if len(diags) == 0 {
+		t.Fatal("mutated source: no findings, want the retained closure's escape")
+	}
+	line := strings.Count(mutated[:strings.Index(mutated, "hook = func")], "\n") + 1
+	for _, d := range diags {
+		if !strings.Contains(d.Message, "inside //bfetch:hotpath run") || d.Pos.Line != line {
+			t.Errorf("mutated source: unexpected finding %s", d)
+		}
+	}
+}
+
+// hotcallLikeSrc mirrors the shape of mem.pageFor in the live tree: an
+// annotated kernel calling an annotated helper the compiler does not
+// inline, whose one allocation is a hatched grow-once path. Deleting the
+// helper's annotation must fail: a non-inlined call out of a hot function
+// has to land on an annotated callee.
+const hotcallLikeSrc = `package core
+
+type eng struct{ buf []int }
+
+//bfetch:hotpath
+func (e *eng) cycle(n int) {
+	e.refill(n)
+}
+
+//bfetch:hotpath
+//go:noinline
+func (e *eng) refill(n int) {
+	if cap(e.buf) < n {
+		e.buf = make([]int, n) //bfetch:alloc-ok grow-once scratch
+	}
+	e.buf = e.buf[:n]
+}
+`
+
+func TestHotcallAnnotationMutation(t *testing.T) {
+	if diags := gateSource(t, "core.go", hotcallLikeSrc); len(diags) != 0 {
+		t.Fatalf("clean source produced findings: %v", diags)
+	}
+	mutated := mutate(t, hotcallLikeSrc, "//bfetch:hotpath\n//go:noinline\n", "//go:noinline\n")
+	diags := gateSource(t, "core.go", mutated)
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "call to refill in //bfetch:hotpath cycle is not inlined") {
+		t.Fatalf("mutated source: got %v, want exactly one not-inlined finding naming refill", diags)
+	}
+}

@@ -25,7 +25,7 @@ import (
 // flags + file contents), so warm lint runs never invoke the compiler.
 //
 // The contract with the toolchain is deliberately narrow — exactly five line
-// shapes are recognized (DESIGN.md §6c):
+// shapes are recognized (DESIGN.md §6b):
 //
 //	file.go:L:C: can inline NAME with cost N as: ...
 //	file.go:L:C: cannot inline NAME: REASON
@@ -44,7 +44,7 @@ const factsGCFlags = "-m=2 -d=ssa/check_bce/debug=1"
 
 // factsParserVersion invalidates cached fact files when the parser itself
 // changes shape. Bump on any change to parseFactLine or the Fact type.
-const factsParserVersion = "1"
+const factsParserVersion = "2"
 
 // FactKind classifies one compiler diagnostic.
 type FactKind uint8
@@ -115,8 +115,6 @@ type CollectOptions struct {
 	// CacheDir overrides the fact-cache location (default:
 	// os.UserCacheDir()/bfetch-lint). Tests point it at a temp dir.
 	CacheDir string
-	// NoCache disables reading and writing the fact cache.
-	NoCache bool
 }
 
 // CollectFacts returns the compiler fact table for the module at root,
@@ -124,7 +122,7 @@ type CollectOptions struct {
 // only for packages whose sources changed. pkgs must be LoadModule(root).
 func CollectFacts(root string, pkgs []*Package, opts CollectOptions) (*FactTable, error) {
 	cacheDir := opts.CacheDir
-	if cacheDir == "" && !opts.NoCache {
+	if cacheDir == "" {
 		if base, err := os.UserCacheDir(); err == nil {
 			cacheDir = filepath.Join(base, "bfetch-lint")
 		} else {
@@ -148,10 +146,6 @@ func CollectFacts(root string, pkgs []*Package, opts CollectOptions) (*FactTable
 	table := &FactTable{Root: root, ByFile: make(map[string][]Fact)}
 	var missing []*pkgState
 	for _, st := range states {
-		if opts.NoCache {
-			missing = append(missing, st)
-			continue
-		}
 		facts, ok := readFactCache(cacheDir, st.key)
 		if !ok {
 			missing = append(missing, st)
@@ -193,9 +187,7 @@ func CollectFacts(root string, pkgs []*Package, opts CollectOptions) (*FactTable
 			for _, f := range facts {
 				table.ByFile[f.File] = append(table.ByFile[f.File], f)
 			}
-			if !opts.NoCache {
-				writeFactCache(cacheDir, st.key, facts)
-			}
+			writeFactCache(cacheDir, st.key, facts)
 		}
 		if totalFuncs > 0 && totalFacts == 0 {
 			return nil, ErrNoFacts
@@ -283,8 +275,9 @@ var factPosRE = regexp.MustCompile(`^([^\s:][^:]*\.go):(\d+):(\d+): (.*)$`)
 
 // parseFactLine recognizes exactly the five diagnostic shapes the contract
 // pins. Lines positioned outside the module (absolute paths — the stdlib),
-// indented escape-trace continuations, and every other -m=2 shape
-// (leaking param, parameter tags, ...) fall through.
+// positions whose line or column is not a positive int, indented
+// escape-trace continuations, and every other -m=2 shape (leaking param,
+// parameter tags, ...) fall through.
 func parseFactLine(line string) (Fact, bool) {
 	m := factPosRE.FindStringSubmatch(line)
 	if m == nil {
@@ -297,8 +290,14 @@ func parseFactLine(line string) (Fact, bool) {
 	// Root-package builds spell positions "./file.go" on newer toolchains;
 	// the table is keyed by the bare relative path.
 	file = strings.TrimPrefix(file, "./")
-	ln, _ := strconv.Atoi(m[2])
-	col, _ := strconv.Atoi(m[3])
+	ln, err := strconv.Atoi(m[2])
+	if err != nil || ln < 1 {
+		return Fact{}, false
+	}
+	col, err := strconv.Atoi(m[3])
+	if err != nil || col < 1 {
+		return Fact{}, false
+	}
 	msg := m[4]
 	f := Fact{File: file, Line: ln, Col: col}
 	switch {

@@ -1,65 +1,11 @@
 package lint
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// ----------------------------------------------------------- escape golden --
-
-// TestEscapeGolden compiles the escape fixture (its own mini-module under
-// testdata/src/escape) with the real diagnostic flags and checks the
-// compiler-witnessed findings against the // want comments. A toolchain
-// whose output the parser no longer recognizes skips the test — the same
-// skip-with-warning degradation the CLI performs — rather than passing
-// vacuously or failing on format drift.
-func TestEscapeGolden(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "escape")
-	pkgs, err := LoadModule(dir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s: got %d packages, want 1", dir, len(pkgs))
-	}
-	facts, err := CollectFacts(dir, pkgs, CollectOptions{CacheDir: t.TempDir()})
-	if errors.Is(err, ErrNoFacts) {
-		t.Skipf("toolchain diagnostic format not recognized; escape layer degrades to skip: %v", err)
-	}
-	if err != nil {
-		t.Fatalf("collecting facts: %v", err)
-	}
-	p := pkgs[0]
-	wants := collectWants(p)
-	diags := Escape(pkgs, buildFuncIndex(pkgs), facts)
-	for _, d := range diags {
-		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
-		matched := -1
-		for i, w := range wants[key] {
-			if strings.Contains(d.Message, w) {
-				matched = i
-				break
-			}
-		}
-		if matched < 0 {
-			t.Errorf("unexpected diagnostic at %s: %s", key, d.Message)
-			continue
-		}
-		wants[key] = append(wants[key][:matched], wants[key][matched+1:]...)
-		if len(wants[key]) == 0 {
-			delete(wants, key)
-		}
-	}
-	for key, subs := range wants {
-		for _, w := range subs {
-			t.Errorf("missing diagnostic at %s: want message containing %q", key, w)
-		}
-	}
-}
 
 // ------------------------------------------------- toolchain format pinning --
 
@@ -126,47 +72,47 @@ func TestParseFactsUnknownFormat(t *testing.T) {
 	}
 }
 
-// --------------------------------------------------------- escape mutation --
-
-// escLikeSrc mirrors the one hatched heap escape the live tree carries (the
-// copy-on-write fault in mem.pageFor): an annotated function whose escaping
-// local is excused by //bfetch:alloc-ok. Deleting the hatch must surface the
-// compiler-witnessed finding.
-const escLikeSrc = `package esc
-
-//bfetch:hotpath
-func leak(n int) *int {
-	v := n //bfetch:alloc-ok boot-time registration, called once
-	return &v
+// FuzzParseFacts feeds arbitrary diagnostic streams to the parser, seeded
+// with the recorded toolchain outputs. Whatever the input, parsing must not
+// panic, every fact must sit under its own file's key, and every position
+// must be a real source line.
+func FuzzParseFacts(f *testing.F) {
+	for _, name := range []string{"go1.22.txt", "go1.24.txt"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "facts", name))
+		if err != nil {
+			f.Fatalf("reading seed: %v", err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte("0.go:0:0: can inline 0\n"))
+	f.Fuzz(func(t *testing.T, out []byte) {
+		table := ParseFacts(".", out)
+		for file, facts := range table.ByFile {
+			for _, fact := range facts {
+				if fact.File != file {
+					t.Errorf("fact %+v filed under %q", fact, file)
+				}
+				if fact.Line < 1 || fact.Col < 1 {
+					t.Errorf("fact %+v has a position before line 1, column 1", fact)
+				}
+			}
+		}
+	})
 }
-`
 
-// escLikeFacts is the matching recorded compiler output: v is moved to the
-// heap at its declaration on line 5.
-const escLikeFacts = "esc.go:4:6: cannot inline leak: marked go:noinline\nesc.go:5:2: moved to heap: v\n"
-
-func TestEscapeHatchMutation(t *testing.T) {
-	p, err := ParseSource("esc.go", escLikeSrc)
-	if err != nil {
-		t.Fatalf("parsing clean source: %v", err)
-	}
-	pkgs := []*Package{p}
-	facts := ParseFacts(".", []byte(escLikeFacts))
-	if diags := Escape(pkgs, buildFuncIndex(pkgs), facts); len(diags) != 0 {
-		t.Fatalf("clean source produced findings: %v", diags)
-	}
-
-	mutated := strings.Replace(escLikeSrc, " //bfetch:alloc-ok boot-time registration, called once", "", 1)
-	if mutated == escLikeSrc {
-		t.Fatal("mutation did not apply; fixture drifted")
-	}
-	p, err = ParseSource("esc.go", mutated)
-	if err != nil {
-		t.Fatalf("parsing mutated source: %v", err)
-	}
-	pkgs = []*Package{p}
-	diags := Escape(pkgs, buildFuncIndex(pkgs), facts)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "v escapes to heap inside //bfetch:hotpath leak") {
-		t.Fatalf("mutated source: got %v, want exactly one escape finding for v", diags)
+// TestParseFactsRejectsBadPositions pins the position check the fuzz target
+// asserts: a line or column of zero, or one that overflows int, is not a
+// fact.
+func TestParseFactsRejectsBadPositions(t *testing.T) {
+	for _, line := range []string{
+		"0.go:0:0: can inline f",
+		"a.go:0:5: moved to heap: v",
+		"a.go:3:0: moved to heap: v",
+		"a.go:99999999999999999999:1: moved to heap: v",
+		"a.go:1:99999999999999999999: moved to heap: v",
+	} {
+		if table := ParseFacts(".", []byte(line)); len(table.ByFile) != 0 {
+			t.Errorf("%q parsed to facts: %+v", line, table.ByFile)
+		}
 	}
 }

@@ -1,15 +1,16 @@
-// Package lint is the repository's custom static-analysis suite: a
-// two-layer system enforcing the invariants the simulator's performance and
-// reproducibility rest on, using only the standard library (the module
-// stays dependency-free).
+// Package lint is the repository's custom static-analysis suite: it
+// enforces the invariants the simulator's performance and reproducibility
+// rest on, using only the standard library (the module stays
+// dependency-free). Four analyzers run on every invocation:
 //
-// Layer 2 — whole-program AST (fast, runs on every `make lint`):
-//
-//   - hotpath: functions annotated //bfetch:hotpath (the per-cycle
-//     simulation kernel) must not contain allocating constructs.
-//   - hotcall: the transitive closure of functions reachable from a
-//     //bfetch:hotpath root must be annotated (and therefore checked) or
-//     provably trivially alloc-free — no un-annotated helper slips through.
+//   - escape: the hot-path allocation gate. It builds the module with the
+//     compiler's -m=2 and bounds-check diagnostics (facts.go) and checks
+//     every function reachable from a //bfetch:hotpath root (the per-cycle
+//     simulation kernel) — annotated or not — for heap escapes, calls out
+//     of the module other than math and math/bits, non-inlined calls out
+//     of annotated functions, and bounds checks left in //bfetch:bce
+//     loops. The fact table is cached per package by build ID, so warm
+//     runs cost milliseconds.
 //   - syncorder: no channel send while a mutex is held, lock acquisition
 //     must respect the declared //bfetch:lockorder partial order, and sync
 //     types must not be copied by value.
@@ -20,20 +21,11 @@
 //     for all of its fields — each field is either assigned in the method or
 //     explicitly annotated //bfetch:noreset.
 //
-// Layer 1 — compiler-witnessed (`make lint-full`, facts.go/escape.go):
-//
-//   - escape: runs the real compiler with -m=2 and the BCE debug stream and
-//     fails when a //bfetch:hotpath function heap-escapes a value, calls a
-//     non-inlined callee without a //bfetch:noinline-ok reason, or a
-//     //bfetch:bce loop retains a bounds check. The diagnostic fact table is
-//     cached per package by build ID, so warm runs cost milliseconds.
-//
 // Escape hatches are deliberate and auditable: //bfetch:alloc-ok,
 // //bfetch:wallclock, //bfetch:orderok and //bfetch:sync-ok suppress a
-// single finding on the same or the following line; //bfetch:noinline-ok
-// and //bfetch:coldcall require a reason string; //bfetch:noreset marks a
-// struct field as learned/configuration state that a stats reset must
-// preserve. DESIGN.md §6b–6c document the contract and annotation grammar.
+// single finding on the same or the following line; //bfetch:noreset marks
+// a struct field as learned/configuration state that a stats reset must
+// preserve. DESIGN.md §6b documents the contract and annotation grammar.
 package lint
 
 import (
@@ -45,15 +37,10 @@ import (
 	"strings"
 )
 
-// AnalyzerNames lists every analyzer the suite runs, in gate order. The
-// first five are the AST layer (Run); "escape" is the compiler-witnessed
-// layer (Escape, fed by CollectFacts).
-var AnalyzerNames = []string{"hotpath", "hotcall", "syncorder", "determinism", "statsreset", "escape"}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Position
-	Analyzer string // one of AnalyzerNames
+	Analyzer string // syncorder, determinism, statsreset or escape
 	Message  string
 }
 
@@ -78,11 +65,11 @@ type Package struct {
 	mapFieldCache map[string]bool
 }
 
-// Options configures a Run.
+// Options configures RunAll.
 type Options struct {
 	// DeterminismPkgs lists the module-relative package directories the
-	// determinism analyzer applies to. Hotpath and statsreset always run
-	// module-wide (they trigger only on annotations/method names).
+	// determinism analyzer applies to. The others run module-wide (they
+	// trigger only on annotations, locks and method names).
 	DeterminismPkgs []string
 }
 
@@ -95,33 +82,7 @@ func DefaultOptions() Options {
 	}}
 }
 
-// Run applies the AST-layer analyzers (hotpath, hotcall, syncorder,
-// determinism, statsreset) to the packages and returns the surviving
-// (unsuppressed) diagnostics sorted by position. The compiler-witnessed
-// escape analyzer is separate (CollectFacts + Escape) because it shells out
-// to the toolchain.
-func Run(pkgs []*Package, opts Options) []Diagnostic {
-	det := make(map[string]bool, len(opts.DeterminismPkgs))
-	for _, p := range opts.DeterminismPkgs {
-		det[p] = true
-	}
-	idx := buildModuleIndex(pkgs)
-	fidx := buildFuncIndex(pkgs)
-	var out []Diagnostic
-	for _, p := range pkgs {
-		out = append(out, Hotpath(p, idx)...)
-		out = append(out, StatsReset(p)...)
-		out = append(out, SyncOrder(p)...)
-		if det[p.Rel] {
-			out = append(out, Determinism(p, idx)...)
-		}
-	}
-	out = append(out, Hotcall(pkgs, fidx)...)
-	sortDiags(out)
-	return out
-}
-
-// RunResult is the outcome of the full two-layer gate.
+// RunResult is the outcome of the gate.
 type RunResult struct {
 	Diags []Diagnostic
 	Ran   []string // analyzers that actually executed, in gate order
@@ -132,33 +93,39 @@ type RunResult struct {
 	Packages int
 }
 
-// RunAll loads the module at root and applies the AST layer and, when
-// compiler is true, the compiler-witnessed escape layer. An unrecognizable
-// toolchain diagnostic format degrades escape to a skip-with-warning rather
-// than an error (or a false pass).
-func RunAll(root string, opts Options, compiler bool, copts CollectOptions) (RunResult, error) {
+// RunAll loads the module at root and applies every analyzer, returning the
+// surviving (unsuppressed) diagnostics sorted by position. An
+// unrecognizable toolchain diagnostic format degrades escape to a
+// skip-with-warning rather than an error (or a false pass).
+func RunAll(root string, opts Options) (RunResult, error) {
 	pkgs, err := LoadModule(root)
 	if err != nil {
 		return RunResult{}, err
 	}
-	res := RunResult{Packages: len(pkgs)}
-	res.Diags = Run(pkgs, opts)
-	res.Ran = []string{"hotpath", "hotcall", "syncorder", "determinism", "statsreset"}
-	if compiler {
-		facts, ferr := CollectFacts(root, pkgs, copts)
-		switch {
-		case errors.Is(ferr, ErrNoFacts):
-			res.Warnings = append(res.Warnings, ferr.Error())
-		case ferr != nil:
-			return res, ferr
-		default:
-			fidx := buildFuncIndex(pkgs)
-			diags := Escape(pkgs, fidx, facts)
-			res.Diags = append(res.Diags, diags...)
-			res.Ran = append(res.Ran, "escape")
-			sortDiags(res.Diags)
-		}
+	res := RunResult{Packages: len(pkgs), Ran: []string{"syncorder", "determinism", "statsreset"}}
+	det := make(map[string]bool, len(opts.DeterminismPkgs))
+	for _, p := range opts.DeterminismPkgs {
+		det[p] = true
 	}
+	idx := buildModuleIndex(pkgs)
+	for _, p := range pkgs {
+		res.Diags = append(res.Diags, SyncOrder(p)...)
+		if det[p.Rel] {
+			res.Diags = append(res.Diags, Determinism(p, idx)...)
+		}
+		res.Diags = append(res.Diags, StatsReset(p)...)
+	}
+	facts, err := CollectFacts(root, pkgs, CollectOptions{})
+	switch {
+	case errors.Is(err, ErrNoFacts):
+		res.Warnings = append(res.Warnings, err.Error())
+	case err != nil:
+		return res, err
+	default:
+		res.Diags = append(res.Diags, Escape(pkgs, buildFuncIndex(pkgs), facts)...)
+		res.Ran = append(res.Ran, "escape")
+	}
+	sortDiags(res.Diags)
 	return res, nil
 }
 
@@ -209,7 +176,7 @@ func (p *Package) markerLines(f *ast.File, marker string) map[int]bool {
 }
 
 // markerArgs returns, per line, the text following marker in f's comments
-// (e.g. the reason string of //bfetch:noinline-ok or //bfetch:coldcall).
+// (e.g. the order declared by //bfetch:lockorder).
 // Lines carrying the marker with no argument map to "".
 func (p *Package) markerArgs(f *ast.File, marker string) map[int]string {
 	out := make(map[int]string)
@@ -265,108 +232,6 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 		if text == directive || strings.HasPrefix(text, directive+" ") {
 			return true
 		}
-	}
-	return false
-}
-
-// -------------------------------------------------------- module-wide index --
-
-// moduleIndex carries the cross-package facts analyzers need without
-// go/types: which functions return maps (so callers' map-typed variables can
-// be tracked), which take variadic any parameters (argument boxing), and
-// which named types are declared as slices or maps.
-type moduleIndex struct {
-	// mapResults maps "pkgbase.FuncName" and "rel|FuncName" to the indices
-	// of map-typed results in that function's result list.
-	mapResults map[string][]int
-	// variadicAny marks functions declared with a ...any / ...interface{}
-	// parameter, keyed like mapResults.
-	variadicAny map[string]bool
-	// sliceMapTypes marks named types declared as slice or map types, keyed
-	// "pkgbase.TypeName" and "rel|TypeName".
-	sliceMapTypes map[string]bool
-}
-
-func buildModuleIndex(pkgs []*Package) *moduleIndex {
-	idx := &moduleIndex{
-		mapResults:    make(map[string][]int),
-		variadicAny:   make(map[string]bool),
-		sliceMapTypes: make(map[string]bool),
-	}
-	for _, p := range pkgs {
-		base := pkgBase(p.Rel)
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Recv != nil {
-						continue
-					}
-					if hasVariadicAny(d.Type) {
-						idx.variadicAny[base+"."+d.Name.Name] = true
-						idx.variadicAny[p.Rel+"|"+d.Name.Name] = true
-					}
-					if d.Type.Results == nil {
-						continue
-					}
-					var mapIdx []int
-					i := 0
-					for _, field := range d.Type.Results.List {
-						n := len(field.Names)
-						if n == 0 {
-							n = 1
-						}
-						for k := 0; k < n; k++ {
-							if _, isMap := field.Type.(*ast.MapType); isMap {
-								mapIdx = append(mapIdx, i)
-							}
-							i++
-						}
-					}
-					if len(mapIdx) > 0 {
-						idx.mapResults[base+"."+d.Name.Name] = mapIdx
-						idx.mapResults[p.Rel+"|"+d.Name.Name] = mapIdx
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						switch t := ts.Type.(type) {
-						case *ast.MapType:
-							idx.sliceMapTypes[base+"."+ts.Name.Name] = true
-							idx.sliceMapTypes[p.Rel+"|"+ts.Name.Name] = true
-						case *ast.ArrayType:
-							if t.Len == nil {
-								idx.sliceMapTypes[base+"."+ts.Name.Name] = true
-								idx.sliceMapTypes[p.Rel+"|"+ts.Name.Name] = true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return idx
-}
-
-// hasVariadicAny reports whether the signature ends in ...any or
-// ...interface{}.
-func hasVariadicAny(ft *ast.FuncType) bool {
-	if ft.Params == nil || len(ft.Params.List) == 0 {
-		return false
-	}
-	last := ft.Params.List[len(ft.Params.List)-1]
-	el, ok := last.Type.(*ast.Ellipsis)
-	if !ok {
-		return false
-	}
-	switch t := el.Elt.(type) {
-	case *ast.Ident:
-		return t.Name == "any"
-	case *ast.InterfaceType:
-		return t.Methods == nil || len(t.Methods.List) == 0
 	}
 	return false
 }

@@ -1,7 +1,12 @@
-// Package escape is the golden fixture for the compiler-witnessed layer.
+// Package escape is the golden fixture for the hot-path allocation gate.
 // TestEscapeGolden builds it with the diagnostic flags for real, so the
 // wants below assert against live toolchain output rather than recordings.
 package escape
+
+import (
+	"fmt"
+	"strings"
+)
 
 // leak returns the address of a local: the compiler moves v to the heap.
 //
@@ -28,9 +33,31 @@ func drive(xs []int) int {
 	return big(xs) // want "call to big in //bfetch:hotpath drive is not inlined"
 }
 
+var sink []uint64
+
+// tick reaches grow through the un-annotated step. Both helpers inline, and
+// the compiler reports grow's escape at grow itself and again at each
+// inlined call site, so every hot caller sees it.
+//
 //bfetch:hotpath
-func driveHatched(xs []int) int {
-	return big(xs) //bfetch:noinline-ok cold configuration validation, called once
+func tick(n int) {
+	step(n) // want "escapes to heap inside //bfetch:hotpath tick"
+}
+
+func step(n int) {
+	sink = grow(n) // want "escapes to heap inside step (reached from //bfetch:hotpath escape.tick)"
+}
+
+func grow(n int) []uint64 {
+	return make([]uint64, n) // want "escapes to heap inside grow (reached from //bfetch:hotpath escape.tick)"
+}
+
+// pad calls out of the module into a package that allocates: the compiler
+// reports nothing at this line, so the foreign-call rule has to.
+//
+//bfetch:hotpath
+func pad(n int) int {
+	return len(strings.Repeat("x", n)) // want "call to strings.Repeat inside //bfetch:hotpath pad leaves the module"
 }
 
 // bceBad keeps a data-dependent bounds check inside an annotated loop:
@@ -42,4 +69,15 @@ func bceBad(xs []int, idx []int) int {
 		s += xs[i] // want "bce loop retains a bounds check"
 	}
 	return s
+}
+
+// fault's error exit is a hatched cold path: neither the boxed argument nor
+// the foreign call is a finding.
+//
+//bfetch:hotpath
+func fault(pc uint64) error {
+	if pc == 0 {
+		return fmt.Errorf("fault at pc %#x", pc) //bfetch:alloc-ok once-per-run exit
+	}
+	return nil
 }

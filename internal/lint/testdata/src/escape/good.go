@@ -1,5 +1,7 @@
 package escape
 
+import "math/bits"
+
 // bceGood indexes with the range induction variable: the compiler proves
 // every access in bounds and the //bfetch:bce claim holds.
 func bceGood(xs []uint64) uint64 {
@@ -17,4 +19,25 @@ func bceGood(xs []uint64) uint64 {
 func stack(n int) int {
 	v := n * 2
 	return v + 1
+}
+
+// lowest reaches the un-annotated mix, which allocates nothing, and calls
+// math/bits, which the foreign-call rule allows.
+//
+//bfetch:hotpath
+func lowest(w uint64) int {
+	return bits.TrailingZeros64(mix(w))
+}
+
+func mix(w uint64) uint64 { return w ^ w>>7 }
+
+// scratch holds two constructs a syntax check would flag but the compiler
+// keeps on the stack: a constant-size make and an immediately invoked
+// closure.
+//
+//bfetch:hotpath
+func scratch(n int) int {
+	_ = make([]uint64, 4)
+	func() { n++ }()
+	return n
 }

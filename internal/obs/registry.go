@@ -10,8 +10,8 @@
 // components register metrics under canonical dotted names at assembly
 // time, and a single Snapshot()/Reset() pair covers all of them. Hot-path
 // instruments (Counter, Gauge, Histogram) are fixed-slot handles whose
-// increments are allocation-free — the bfetch-lint hotpath analyzer audits
-// them like the rest of the per-cycle kernel. Cold metrics (existing stat
+// increments are allocation-free — bfetch-lint's compiler-witnessed escape
+// gate audits them like the rest of the per-cycle kernel. Cold metrics (existing stat
 // struct fields) register as Func collectors read at snapshot time, so the
 // per-cycle kernel keeps its plain field increments.
 //

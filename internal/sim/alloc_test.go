@@ -5,13 +5,19 @@ package sim
 // hierarchy; this is the scale-out configuration — 16 cores, deferred
 // shared-level ports, banked LLC with MSHRs, channeled DRAM — stepped
 // exactly as the cycle loops step it (tick phase, then port service).
+//
+// testing.AllocsPerRun integer-divides the window's mallocs by its runs, so
+// "zero" here means fewer than one allocation per system cycle over the
+// 2,000-cycle window, not none: allocations a few hundred cycles apart (a
+// dispatch slice re-grown, a first-touch page, a prefetcher map growing)
+// pass unseen.
 
 import "testing"
 
 // TestBankedCMPCycleZeroAlloc drives a full 16-core scale-out system — core
 // ticks, per-core port service through bank arbitration, MSHR claim and DRAM
-// channel slots — and requires a steady state of zero heap allocations per
-// system cycle.
+// channel slots — and requires a steady state of fewer than one heap
+// allocation per system cycle (AllocsPerRun rounds the mean down to zero).
 func TestBankedCMPCycleZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -54,8 +60,9 @@ func TestBankedCMPCycleZeroAlloc(t *testing.T) {
 // full observability tentpole attached: CPI attribution charging every core
 // every cycle, and the interval time-series sampler firing — at an interval
 // small enough that ring compaction (merge-downsampling) happens repeatedly
-// inside the measured window. Both must add zero heap allocations, or they
-// could not ship config-gated on the measurement path.
+// inside the measured window. Both must keep the window under one heap
+// allocation per cycle, or they could not ship config-gated on the
+// measurement path.
 func TestBankedCMPCycleZeroAllocAttributed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
