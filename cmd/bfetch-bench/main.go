@@ -104,33 +104,13 @@ func run() error {
 
 	var curExp atomic.Value // string: experiment the batch loop is inside
 	curExp.Store("")
-	start := time.Now()
 	if *httpAddr != "" {
 		hub := obs.NewStreamHub()
 		eng.SetStream(hub)
 		srv, err := obs.Serve(*httpAddr,
 			func() obs.Status {
-				done, total := eng.Progress()
-				st := eng.Stats()
-				s := obs.Status{
-					Schema:     obs.SchemaStatus,
-					Experiment: curExp.Load().(string),
-					JobsDone:   done, JobsTotal: total,
-					Runs:      st.Runs,
-					CacheHits: st.Hits, CacheMisses: st.Misses,
-					CkptHits: st.CkptHits, CkptMisses: st.CkptMisses,
-					SimCycles: st.SimCycles, SimInsts: st.SimInsts,
-					UptimeSeconds: time.Since(start).Seconds(),
-				}
-				if s.UptimeSeconds > 0 {
-					s.KCyclesPerSec = float64(s.SimCycles) / 1e3 / s.UptimeSeconds
-				}
-				if dstore != nil {
-					m := dstore.Metrics()
-					s.StoreHits, s.StoreMisses = m.Hits, m.Misses
-					s.StoreBytesRead = m.BytesRead
-					s.StoreReadSeconds = m.ReadTime.Seconds()
-				}
+				s := eng.Stats()
+				s.Experiment = curExp.Load().(string)
 				return s
 			},
 			func() obs.RunsFile {
@@ -175,7 +155,7 @@ func run() error {
 		}
 	}
 
-	var prev runner.Stats
+	var prev obs.Status
 	for _, e := range todo {
 		start := time.Now()
 		curExp.Store(e.ID)
@@ -188,12 +168,10 @@ func run() error {
 		st := eng.Stats()
 		line := fmt.Sprintf("%s finished in %s (%d sims run, cache: %d hits, %d misses; ckpt: %d hits, %d misses)",
 			e.ID, wall.Round(time.Millisecond),
-			st.Runs-prev.Runs, st.Hits-prev.Hits, st.Misses-prev.Misses,
+			st.Runs-prev.Runs, st.CacheHits-prev.CacheHits, st.CacheMisses-prev.CacheMisses,
 			st.CkptHits-prev.CkptHits, st.CkptMisses-prev.CkptMisses)
 		if dstore != nil {
-			line += fmt.Sprintf("; store: %d hits, %d misses",
-				(st.StoreHits+st.StoreCkptHits)-(prev.StoreHits+prev.StoreCkptHits),
-				(st.StoreMisses+st.StoreCkptMisses)-(prev.StoreMisses+prev.StoreCkptMisses))
+			line += storeSummary(st, prev)
 		}
 		fmt.Fprintln(os.Stderr, line)
 		prev = st
@@ -215,13 +193,12 @@ func run() error {
 			}
 		}
 	}
-	if st := eng.Stats(); st.Hits > 0 || len(todo) > 1 || dstore != nil {
+	if st := eng.Stats(); st.CacheHits > 0 || len(todo) > 1 || dstore != nil {
 		line := fmt.Sprintf("total: %d sims run, cache: %d hits, %d misses; ckpt: %d hits, %d misses; %d insts emulated",
-			st.Runs, st.Hits, st.Misses, st.CkptHits, st.CkptMisses, st.EmuInsts)
+			st.Runs, st.CacheHits, st.CacheMisses, st.CkptHits, st.CkptMisses, st.EmuInsts)
 		if dstore != nil {
-			m := dstore.Metrics()
-			line += fmt.Sprintf("; store: %d hits, %d misses, %d KB read in %s",
-				m.Hits, m.Misses, m.BytesRead/1024, m.ReadTime.Round(time.Millisecond))
+			line += storeSummary(st, obs.Status{}) + fmt.Sprintf(", %d KB read in %s", st.StoreBytesRead/1024,
+				time.Duration(st.StoreReadSeconds*float64(time.Second)).Round(time.Millisecond))
 		}
 		fmt.Fprintln(os.Stderr, line)
 	}
@@ -258,6 +235,18 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// storeSummary formats the store lookups (results and checkpoints) made
+// between prev and st, naming failed write-backs when there were any.
+func storeSummary(st, prev obs.Status) string {
+	s := fmt.Sprintf("; store: %d hits, %d misses",
+		st.StoreHits+st.StoreCkptHits-prev.StoreHits-prev.StoreCkptHits,
+		st.StoreMisses+st.StoreCkptMisses-prev.StoreMisses-prev.StoreCkptMisses)
+	if n := st.StoreWriteErrs - prev.StoreWriteErrs; n > 0 {
+		s += fmt.Sprintf(", %d write errors", n)
+	}
+	return s
 }
 
 // parseCores parses the -scalecores list: comma-separated positive core

@@ -92,6 +92,7 @@ func main() {
 		tr = obs.NewTrace(*traceCap, *traceEvery)
 	}
 	opts := sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure}
+	job := runner.Multi(cfg, names, opts)
 	var res sim.Result
 	start := time.Now()
 	if *storeDir != "" && tr == nil {
@@ -104,7 +105,7 @@ func main() {
 		}
 		eng := runner.New(1)
 		eng.SetStore(st)
-		res, err = eng.Run(runner.Multi(cfg, names, opts))
+		res, err = eng.Run(job)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
 			os.Exit(1)
@@ -165,7 +166,7 @@ func main() {
 	}
 
 	if *obsOut != "" {
-		if err := writeObsReport(*obsOut, *pf, names, res, wall); err != nil {
+		if err := writeObsReport(*obsOut, runner.Report(job, res, wall)); err != nil {
 			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
 			os.Exit(1)
 		}
@@ -179,25 +180,9 @@ func main() {
 	}
 }
 
-// writeObsReport emits the run's bfetch-obs-run/v1 document: the lifecycle
-// classification, its quality ratios, and the full metrics-registry snapshot.
-func writeObsReport(path, engine string, apps []string, res sim.Result, wall time.Duration) error {
-	var insts uint64
-	for _, cs := range res.Core {
-		insts += cs.Committed
-	}
-	r := obs.RunReport{
-		Engine:      engine,
-		Apps:        apps,
-		Cycles:      res.Cycles,
-		Insts:       insts,
-		IPC:         res.IPC,
-		PerCore:     res.Lifecycle,
-		Metrics:     res.Metrics,
-		TS:          res.TS,
-		WallSeconds: wall.Seconds(),
-	}
-	r.Finalize()
+// writeObsReport writes the run's bfetch-obs-run/v1 document to path ('-'
+// for stdout).
+func writeObsReport(path string, r obs.RunReport) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err

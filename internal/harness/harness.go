@@ -43,8 +43,9 @@ type Params struct {
 	// fig1 and fig8 simulate their common Stride/SMS points once.
 	Runner *runner.Engine
 	// Baselines shares no-prefetch baseline results across experiments at
-	// the API level — independent of the runner cache, so even sequential
-	// or cache-disabled runs compute each baseline point once. nil disables
+	// the API level — independent of the runner cache, so even experiments
+	// that each get their own engine (Runner nil) compute each baseline
+	// point once. nil disables
 	// cross-experiment sharing (each speedups call still runs its baseline
 	// only once).
 	Baselines *BaselineStore
@@ -79,12 +80,16 @@ func (p Params) logf(format string, args ...any) {
 	fmt.Fprintf(p.Log, format+"\n", args...)
 }
 
+// newEngine builds the engine an experiment runs on when Params.Runner is
+// nil: a fresh GOMAXPROCS-wide one.
+var newEngine = func() *runner.Engine { return runner.New(0) }
+
 // engine returns the batch executor, defaulting to a parallel one.
 func (p Params) engine() *runner.Engine {
 	if p.Runner != nil {
 		return p.Runner
 	}
-	return runner.New(0)
+	return newEngine()
 }
 
 // Experiment reproduces one paper artifact.
@@ -105,7 +110,7 @@ func registerExperiment(e Experiment) {
 	run := e.Run
 	e.Run = func(p Params) ([]*stats.Table, error) {
 		if p.Runner == nil {
-			p.Runner = runner.New(0)
+			p.Runner = newEngine()
 		}
 		return run(p)
 	}
@@ -136,7 +141,7 @@ func ByID(id string) (Experiment, error) {
 // protocol) point across experiments. Figures 1, 8, 12, 14 and 15 and the
 // mix experiments all normalize to the same no-prefetch baseline; one store
 // per bfetch-bench invocation makes them share a single result set even
-// when the runner's own cache is bypassed.
+// when each experiment runs on its own engine.
 type BaselineStore struct {
 	mu sync.Mutex
 	m  map[string]sim.Result

@@ -82,41 +82,48 @@ func TestCrossExperimentCacheHits(t *testing.T) {
 	}
 	st := eng.Stats()
 	// 2 workloads × 2 shared prefetcher configs = 4 hits minimum.
-	if st.Hits < 4 {
+	if st.CacheHits < 4 {
 		t.Errorf("cache stats after fig1+fig8: %+v, want ≥4 hits", st)
 	}
 }
 
 func TestBaselineStoreSharesAcrossExperimentsWithoutCache(t *testing.T) {
-	// With the runner cache disabled (the worst case), the baseline
-	// store must still keep the second experiment from re-simulating the
-	// shared no-prefetch baseline points.
-	eng := runner.New(1)
-	eng.SetCache(false)
+	// With Runner nil each experiment gets its own engine, so no run-cache
+	// spans the two experiments: only the baseline store can keep the
+	// second one from re-simulating the shared no-prefetch baseline points.
+	var engines []*runner.Engine
+	defer func(orig func() *runner.Engine) { newEngine = orig }(newEngine)
+	newEngine = func() *runner.Engine {
+		eng := runner.New(1)
+		engines = append(engines, eng)
+		return eng
+	}
 	p := Params{
 		Opts:      sim.RunOpts{WarmupInsts: 5_000, MeasureInsts: 10_000},
 		Workloads: []string{"libquantum", "gamess"},
-		Runner:    eng,
 		Baselines: NewBaselineStore(),
 	}
-	run := func(id string) {
+	run := func(id string) *runner.Engine {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		n := len(engines)
 		if _, err := e.Run(p); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		if len(engines) != n+1 {
+			t.Fatalf("%s ran on %d new engines, want 1", id, len(engines)-n)
+		}
+		return engines[n]
 	}
 	run("fig8")
-	afterFirst := eng.Stats().Runs
 	if p.Baselines.Len() != len(p.Workloads) {
 		t.Fatalf("baseline store holds %d points, want %d", p.Baselines.Len(), len(p.Workloads))
 	}
-	run("fig12")
-	// fig12 needs 3 threshold configs × 2 workloads = 6 new runs; its 2
+	// fig12 needs 3 threshold configs × 2 workloads = 6 runs; its 2
 	// baseline points must come from the store.
-	if got := eng.Stats().Runs - afterFirst; got != 6 {
-		t.Errorf("fig12 ran %d sims with cache off, want 6 (baselines from the store)", got)
+	if got := run("fig12").Stats().Runs; got != 6 {
+		t.Errorf("fig12 ran %d sims on its own engine, want 6 (baselines from the store)", got)
 	}
 }

@@ -5,7 +5,7 @@ package obs
 //
 //	/obs         current Status (schema bfetch-obs-status/v1)
 //	/obs/runs    completed runs so far (schema bfetch-obs/v1)
-//	/obs/stream  live NDJSON event stream (progress / run / sample events)
+//	/obs/stream  live NDJSON stream of run reports and status documents
 //	/debug/vars  expvar, including a published bfetch status var
 //	/debug/pprof net/http/pprof profiles
 //

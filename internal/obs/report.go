@@ -1,11 +1,11 @@
 package obs
 
-// Structured run reports. Each executed simulation can emit one RunReport —
-// the metrics-registry snapshot, the per-engine lifecycle breakdown, and
-// the run's simulation throughput — and a batch collects them into a
-// RunsFile. The live introspection endpoint serves a Status document. All
-// three are versioned by a schema tag, and ValidateReport checks any of
-// them: the obs-smoke CI target round-trips a real run through it.
+// Structured records. Each executed simulation emits one RunReport — the
+// metrics-registry snapshot, the per-engine lifecycle breakdown, and the
+// run's simulation throughput — and a batch collects them into a RunsFile.
+// The batch itself is described by one Status. Every document, stream
+// lines included, is versioned by a schema tag, and ValidateReport checks
+// any of them: the obs-smoke CI target round-trips a real batch through it.
 
 import (
 	"encoding/json"
@@ -77,7 +77,9 @@ type RunsFile struct {
 	Runs      []RunReport `json:"runs"`
 }
 
-// Status is the live introspection document served at /obs.
+// Status is the batch record: the runner's job, cache, checkpoint and
+// store counters. It is served at /obs, published on /obs/stream after
+// every finished job, and is the only type holding batch counters.
 type Status struct {
 	Schema     string `json:"schema"` // SchemaStatus
 	Experiment string `json:"experiment,omitempty"`
@@ -85,38 +87,41 @@ type Status struct {
 	JobsDone  uint64 `json:"jobs_done"`
 	JobsTotal uint64 `json:"jobs_total"`
 
-	Runs        uint64 `json:"runs"`
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	CkptHits    uint64 `json:"ckpt_hits"`
-	CkptMisses  uint64 `json:"ckpt_misses"`
+	Runs        uint64 `json:"runs"`         // simulations executed (misses + uncacheable)
+	CacheHits   uint64 `json:"cache_hits"`   // jobs answered from memory (or coalesced in flight)
+	CacheMisses uint64 `json:"cache_misses"` // cacheable jobs that had to simulate
+	// Checkpoint cache for fast-forward protocols: each (workload, FFInsts)
+	// prefix is emulated once (a miss); every further simulation needing
+	// it restores copy-on-write (a hit).
+	CkptHits   uint64 `json:"ckpt_hits"`
+	CkptMisses uint64 `json:"ckpt_misses"`
 
 	// Durable-store tier (internal/store), present when the batch runs
-	// with -store: disk lookups across both artifact kinds, payload bytes
-	// validated in, and wall time spent inside store reads.
+	// with -store. A store hit replaces a simulation (StoreHits) or a
+	// checkpoint emulation (StoreCkptHits) with a disk read and counts in
+	// neither memory column; a miss fell through to compute and was
+	// written back, and StoreWriteErrs counts write-backs that failed.
 	StoreHits        uint64  `json:"store_hits,omitempty"`
 	StoreMisses      uint64  `json:"store_misses,omitempty"`
+	StoreCkptHits    uint64  `json:"store_ckpt_hits,omitempty"`
+	StoreCkptMisses  uint64  `json:"store_ckpt_misses,omitempty"`
+	StoreWriteErrs   uint64  `json:"store_write_errs,omitempty"`
 	StoreBytesRead   uint64  `json:"store_bytes_read,omitempty"`
 	StoreReadSeconds float64 `json:"store_read_seconds,omitempty"`
 
+	// Throughput, summed over executed runs' measured windows.
 	SimCycles     uint64  `json:"sim_cycles"`
 	SimInsts      uint64  `json:"sim_insts"`
-	KCyclesPerSec float64 `json:"sim_kcycles_per_sec"`
+	KCyclesPerSec float64 `json:"sim_kcycles_per_sec"` // cycles / uptime
+	// EmuInsts counts functionally emulated instructions: fast-forward
+	// prefixes of checkpoint misses plus reported profile work.
+	EmuInsts uint64 `json:"emu_insts"`
 
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// CacheHitRate returns hits / (hits + misses), or 0.
-func (s Status) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-}
-
-// ValidateReport parses data as any of the three obs documents, dispatching
-// on the schema tag, and checks structural invariants. It returns the
-// schema found.
+// ValidateReport parses data as any obs document, dispatching on the schema
+// tag, and checks structural invariants. It returns the schema found.
 func ValidateReport(data []byte) (string, error) {
 	var probe struct {
 		Schema string `json:"schema"`

@@ -1,12 +1,13 @@
 package obs
 
-// Live run streaming. A StreamHub fans NDJSON events out to any number of
+// Live run streaming. A StreamHub fans NDJSON lines out to any number of
 // concurrent subscribers; the /obs/stream endpoint (http.go) attaches one
-// subscriber per connected client. Producers — the batch runner — publish
-// typed events at run granularity: a progress event per finished job, and a
-// run summary plus the run's interval time-series rows when a simulation
-// completes. Publishing happens outside the simulation's per-cycle path, so
-// the hot kernel stays allocation-free regardless of how many clients watch.
+// subscriber per connected client. The batch runner publishes the same two
+// records it emits everywhere else: a RunReport (time series included) per
+// executed simulation and a Status per finished job, so every line carries a
+// schema tag and passes ValidateReport. Publishing happens outside the
+// simulation's per-cycle path, so the hot kernel stays allocation-free
+// regardless of how many clients watch.
 //
 // Slow-client policy: each subscriber owns a bounded buffered channel, and
 // Publish never blocks — an event that finds a subscriber's buffer full is
@@ -19,41 +20,10 @@ import (
 	"sync"
 )
 
-// StreamProgress reports batch progress; one is published per finished job
-// (whether it simulated or was answered from a cache).
-type StreamProgress struct {
-	Event     string `json:"event"` // "progress"
-	JobsDone  uint64 `json:"jobs_done"`
-	JobsTotal uint64 `json:"jobs_total"`
-}
-
-// StreamRun summarizes one executed simulation.
-type StreamRun struct {
-	Event       string   `json:"event"` // "run"
-	Engine      string   `json:"engine"`
-	Apps        []string `json:"apps"`
-	Cycles      uint64   `json:"cycles"`
-	Insts       uint64   `json:"insts"`
-	IPC         float64  `json:"ipc"` // aggregate: insts / cycles
-	WallSeconds float64  `json:"wall_seconds"`
-}
-
-// StreamSample is one interval time-series row from an executed run,
-// published after that run's StreamRun event. Cycle is the absolute
-// simulated-cycle boundary the row sampled; Names is sent on a run's first
-// row only (the schema is fixed for the whole run).
-type StreamSample struct {
-	Event  string   `json:"event"` // "sample"
-	Engine string   `json:"engine"`
-	Apps   []string `json:"apps"`
-	Cycle  uint64   `json:"cycle"`
-	Names  []string `json:"names,omitempty"`
-	Row    []uint64 `json:"row"`
-}
-
-// streamBuffer is each subscriber's channel depth: enough to absorb a full
-// run's burst (summary + a maxRows time series) without loss for any client
-// that is actually reading.
+// streamBuffer is each subscriber's channel depth. A job publishes at most
+// two lines (its RunReport if it simulated, then a Status), so this holds
+// 128 jobs' output — far more than a -j N pool finishes between two reads
+// of a client that is keeping up.
 const streamBuffer = 256
 
 // StreamHub fans published events out to subscribers. The zero value is not
@@ -108,7 +78,7 @@ func (h *StreamHub) Dropped() uint64 {
 // Publish marshals v as one NDJSON line and offers it to every subscriber
 // without blocking; subscribers whose buffers are full miss this event. A
 // nil hub is a no-op, so producers need no guard. Marshal failures are
-// silently dropped — event types are plain structs and cannot fail, and the
+// silently dropped — the records are plain structs and cannot fail, and the
 // streaming surface must never abort a batch.
 func (h *StreamHub) Publish(v any) {
 	if h == nil {

@@ -20,23 +20,23 @@ func TestStreamHubFanout(t *testing.T) {
 		t.Fatalf("Subscribers() = %d, want 2", n)
 	}
 
-	h.Publish(StreamProgress{Event: "progress", JobsDone: 1, JobsTotal: 2})
-	h.Publish(StreamRun{Event: "run", Engine: "bfetch", Cycles: 100, Insts: 50})
+	h.Publish(Status{Schema: SchemaStatus, JobsDone: 1, JobsTotal: 2})
+	h.Publish(RunReport{Schema: SchemaRun, Engine: "bfetch", Cycles: 100, Insts: 50})
 
 	for name, ch := range map[string]<-chan []byte{"a": a, "b": b} {
-		for i, wantEvent := range []string{"progress", "run"} {
+		for i, wantSchema := range []string{SchemaStatus, SchemaRun} {
 			line := <-ch
 			if line[len(line)-1] != '\n' {
 				t.Errorf("%s line %d not newline-terminated", name, i)
 			}
-			var ev struct {
-				Event string `json:"event"`
+			var doc struct {
+				Schema string `json:"schema"`
 			}
-			if err := json.Unmarshal(line, &ev); err != nil {
+			if err := json.Unmarshal(line, &doc); err != nil {
 				t.Fatalf("%s line %d: %v", name, i, err)
 			}
-			if ev.Event != wantEvent {
-				t.Errorf("%s line %d event %q, want %q", name, i, ev.Event, wantEvent)
+			if doc.Schema != wantSchema {
+				t.Errorf("%s line %d schema %q, want %q", name, i, doc.Schema, wantSchema)
 			}
 		}
 	}
@@ -49,15 +49,15 @@ func TestStreamHubFanout(t *testing.T) {
 	if n := h.Subscribers(); n != 1 {
 		t.Errorf("Subscribers() after cancel = %d, want 1", n)
 	}
-	h.Publish(StreamProgress{Event: "progress", JobsDone: 2, JobsTotal: 2})
+	h.Publish(Status{Schema: SchemaStatus, JobsDone: 2, JobsTotal: 2})
 	if line := <-b; line == nil {
 		t.Error("surviving subscriber missed a publish after peer cancelled")
 	}
 	cancelB()
 	// Publishing with no subscribers, and on a nil hub, must be no-ops.
-	h.Publish(StreamRun{Event: "run"})
+	h.Publish(RunReport{Schema: SchemaRun})
 	var nilHub *StreamHub
-	nilHub.Publish(StreamRun{Event: "run"})
+	nilHub.Publish(RunReport{Schema: SchemaRun})
 }
 
 // TestStreamHubSlowClient checks the non-blocking drop policy: a subscriber
@@ -68,7 +68,7 @@ func TestStreamHubSlowClient(t *testing.T) {
 	_, cancel := h.Subscribe()
 	defer cancel()
 	for i := 0; i < streamBuffer+5; i++ {
-		h.Publish(StreamProgress{Event: "progress", JobsDone: uint64(i)})
+		h.Publish(Status{Schema: SchemaStatus, JobsDone: uint64(i)})
 	}
 	if got := h.Dropped(); got != 5 {
 		t.Errorf("Dropped() = %d, want 5", got)
@@ -91,7 +91,7 @@ func TestStreamHubConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					h.Publish(StreamProgress{Event: "progress", JobsDone: uint64(i)})
+					h.Publish(Status{Schema: SchemaStatus, JobsDone: uint64(i)})
 				}
 			}
 		}()
@@ -120,7 +120,8 @@ func TestStreamHubConcurrent(t *testing.T) {
 
 // TestServeStream exercises the /obs/stream endpoint end to end: a client
 // connects, the hub registers it, published events arrive as parseable
-// NDJSON lines, and disconnecting unregisters the subscriber.
+// NDJSON lines that pass ValidateReport, and disconnecting unregisters the
+// subscriber.
 func TestServeStream(t *testing.T) {
 	hub := NewStreamHub()
 	srv, err := Serve("127.0.0.1:0", func() Status { return Status{Schema: SchemaStatus} }, nil, hub)
@@ -151,21 +152,21 @@ func TestServeStream(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	hub.Publish(StreamSample{
-		Event: "sample", Engine: "bfetch", Cycle: 4096,
-		Names: []string{"c0.cpu.cycles"}, Row: []uint64{4096},
-	})
+	hub.Publish(Status{Schema: SchemaStatus, JobsDone: 3, JobsTotal: 4})
 
 	line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev StreamSample
-	if err := json.Unmarshal(line, &ev); err != nil {
-		t.Fatalf("bad stream line %q: %v", line, err)
+	if schema, err := ValidateReport(line); err != nil || schema != SchemaStatus {
+		t.Fatalf("stream line %q: schema %q, %v", line, schema, err)
 	}
-	if ev.Event != "sample" || ev.Cycle != 4096 || len(ev.Names) != 1 || len(ev.Row) != 1 {
-		t.Errorf("stream event %+v, want the published sample", ev)
+	var s Status
+	if err := json.Unmarshal(line, &s); err != nil {
+		t.Fatal(err)
+	}
+	if s.JobsDone != 3 || s.JobsTotal != 4 {
+		t.Errorf("stream status %+v, want the published 3/4", s)
 	}
 
 	resp.Body.Close()
@@ -176,7 +177,7 @@ func TestServeStream(t *testing.T) {
 		}
 		// Nudge the handler's select loop: a publish to a closed connection
 		// surfaces the write error / context cancellation.
-		hub.Publish(StreamProgress{Event: "progress"})
+		hub.Publish(Status{Schema: SchemaStatus})
 		time.Sleep(time.Millisecond)
 	}
 }

@@ -62,27 +62,26 @@ func TestCheckpointedRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointCacheDisabled: with the cache off, fast-forward jobs run
-// inline (no shared state) and still produce identical results.
+// TestCheckpointCacheDisabled: the engine always boots fast-forward jobs
+// from its checkpoint cache, and the result must equal sim.Run's inline
+// fast-forward, the test oracle.
 func TestCheckpointCacheDisabled(t *testing.T) {
 	opts := ffTinyOpts()
-	job := Solo(sim.Default(sim.PFStride), "mcf", opts)
-
-	cached, err := New(2).Run(job)
+	cfg := sim.Default(sim.PFStride)
+	inline, err := sim.Run(cfg, []string{"mcf"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := New(2)
-	off.SetCache(false)
-	uncached, err := off.Run(job)
+	eng := New(2)
+	cached, err := eng.Run(Solo(cfg, "mcf", opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cached, uncached) {
-		t.Error("cache-disabled fast-forward diverges from checkpointed run")
+	if !reflect.DeepEqual(inline, cached) {
+		t.Error("checkpointed run diverges from the inline fast-forward oracle")
 	}
-	if st := off.Stats(); st.CkptMisses != 0 || st.CkptHits != 0 {
-		t.Errorf("cache-disabled engine touched the checkpoint cache: %+v", st)
+	if st := eng.Stats(); st.CkptMisses != 1 {
+		t.Errorf("checkpoint misses = %d, want 1 (the run booted from the cache)", st.CkptMisses)
 	}
 }
 

@@ -1,10 +1,8 @@
 package runner
 
 import (
-	"bytes"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -80,34 +78,12 @@ func TestRunReportsCollection(t *testing.T) {
 		}
 	}
 
-	done, total := e.Progress()
-	if done != 3 || total != 3 {
-		t.Errorf("Progress = %d/%d, want 3/3", done, total)
+	if st := e.Stats(); st.JobsDone != 3 || st.JobsTotal != 3 {
+		t.Errorf("jobs %d/%d, want 3/3", st.JobsDone, st.JobsTotal)
 	}
 
 	e.SetRunReports(false)
 	if got := e.RunReports(); len(got) != 0 {
 		t.Errorf("reports after disabling: %d", len(got))
-	}
-}
-
-func TestBatchSummaryLogging(t *testing.T) {
-	var buf bytes.Buffer
-	e := New(2)
-	e.SetLog(&buf)
-	jobs := []Job{
-		Solo(sim.Default(sim.PFStride), "gamess", tinyOpts()),
-		Solo(sim.Default(sim.PFStride), "gamess", tinyOpts()),
-	}
-	e.RunAll(jobs)
-	if !strings.Contains(buf.String(), "batch of 2 done") {
-		t.Errorf("no batch summary in log:\n%s", buf.String())
-	}
-
-	// Disabling the cache with retained entries logs the bypass, and
-	// subsequent jobs log per-job bypass lines.
-	e.SetCache(false)
-	if !strings.Contains(buf.String(), "bypassed") {
-		t.Errorf("no bypass notice in log:\n%s", buf.String())
 	}
 }

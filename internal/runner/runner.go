@@ -22,7 +22,6 @@ package runner
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,42 +57,8 @@ type Outcome struct {
 	Err    error
 }
 
-// Stats counts the Engine's cache and execution activity.
-type Stats struct {
-	Hits   uint64 // jobs answered from the cache (or coalesced in flight)
-	Misses uint64 // cacheable jobs that had to simulate
-	Runs   uint64 // simulations actually executed (misses + uncacheable)
-
-	// Checkpoint-cache accounting for fast-forward protocols: each
-	// (workload, FFInsts) prefix is emulated once (a miss); every further
-	// simulation needing it restores copy-on-write (a hit).
-	CkptHits   uint64
-	CkptMisses uint64
-
-	// Durable-store accounting (zero unless a store is attached with
-	// SetStore). A store hit replaces a simulation (StoreHits) or a
-	// checkpoint emulation (StoreCkptHits) with a disk read; it counts
-	// here and in neither the in-memory hit nor miss columns (it was not
-	// in memory, and nothing was computed). Misses are disk-tier lookups
-	// that fell through to compute — the computed artifact is written back.
-	StoreHits       uint64
-	StoreMisses     uint64
-	StoreCkptHits   uint64
-	StoreCkptMisses uint64
-
-	// Simulation throughput accounting, summed over executed runs (cache
-	// hits contribute nothing — no simulation happened). Cycles and
-	// instructions cover the measured window of every core.
-	SimCycles uint64        // core-cycles simulated
-	SimInsts  uint64        // instructions committed
-	SimTime   time.Duration // wall time spent inside sim.Run
-
-	// EmuInsts counts functionally emulated instructions: fast-forward
-	// prefixes executed for checkpoint-cache misses, plus any profile work
-	// reported via AddEmuInsts (the emulator-driven characterization
-	// experiments).
-	EmuInsts uint64
-}
+// Stats is the Engine's batch record (see obs.Status).
+type Stats = obs.Status
 
 // Engine schedules simulation jobs over a bounded worker pool and memoizes
 // their results. The zero value is not usable; construct with New. An
@@ -101,19 +66,8 @@ type Stats struct {
 // only for the duration of each RunAll call.
 type Engine struct {
 	workers int
-	noCache bool
 	store   *store.Store // durable second tier; nil = memory-only
-
-	// Lock discipline: the Engine's mutexes guard disjoint state and are
-	// never held together in steady state; if a path ever must nest them,
-	// logMu is the innermost leaf — nothing is acquired under it.
-	//
-	//bfetch:lockorder Engine.mu < Engine.logMu
-	//bfetch:lockorder Engine.ckMu < Engine.logMu
-	//bfetch:lockorder Engine.repMu < Engine.logMu
-
-	logMu sync.Mutex
-	log   io.Writer
+	start   time.Time    // construction time, for the status uptime
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -127,15 +81,14 @@ type Engine struct {
 	stCkHits, stCkMiss  atomic.Uint64
 	simCycles, simInsts atomic.Uint64
 	emuInsts            atomic.Uint64
-	simNanos            atomic.Int64
 
-	// stream, when set, receives live NDJSON events: a progress event per
-	// finished job, and a run summary plus time-series rows per executed
-	// simulation. Set before submitting jobs; a nil hub publishes nothing.
+	// stream, when set, receives each executed run's RunReport and a
+	// Status after every finished job. Set before submitting jobs; a nil
+	// hub publishes nothing.
 	stream *obs.StreamHub
 
-	// Batch progress, for live introspection: jobs submitted through
-	// RunAll/Run and jobs finished (from cache or simulation).
+	// Jobs submitted through RunAll/Run and jobs finished (from cache or
+	// simulation).
 	jobsTotal, jobsDone atomic.Uint64
 
 	repMu       sync.Mutex
@@ -166,6 +119,7 @@ func New(workers int) *Engine {
 	}
 	return &Engine{
 		workers:   workers,
+		start:     time.Now(), //bfetch:wallclock status uptime only
 		entries:   make(map[string]*entry),
 		ckEntries: make(map[string]*ckptEntry),
 	}
@@ -174,32 +128,15 @@ func New(workers int) *Engine {
 // Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// SetCache enables or disables result memoization (enabled by default).
-// Disabling does not drop already-cached results; it only stops lookups
-// and insertions.
-func (e *Engine) SetCache(on bool) {
-	if !on && !e.noCache {
-		e.mu.Lock()
-		retained := len(e.entries)
-		e.mu.Unlock()
-		if retained > 0 {
-			e.logf("runner: run-cache disabled; %d cached results retained but bypassed", retained)
-		}
-	}
-	e.noCache = !on
-}
-
 // SetStore attaches a durable on-disk store (internal/store) as the second
 // tier of the lookup: memory singleflight → disk store → compute, with
 // computed results and checkpoints written back. Attach before submitting
-// jobs; a nil store detaches. Store failures (unreadable entries, write
-// errors) are logged and absorbed — the disk tier can only make runs
-// cheaper, never wronger, because entries are keyed by the same fingerprint
-// that guarantees byte-identical results and validated end-to-end on read.
+// jobs; a nil store detaches. Store failures are absorbed: an unreadable
+// entry is a miss, and a failed write-back counts in StoreWriteErrs. The
+// disk tier can only make runs cheaper, never wronger, because entries are
+// keyed by the same fingerprint that guarantees byte-identical results and
+// validated end-to-end on read.
 func (e *Engine) SetStore(s *store.Store) { e.store = s }
-
-// Store returns the attached durable store, or nil.
-func (e *Engine) Store() *store.Store { return e.store }
 
 // SetRunReports enables collection of one obs.RunReport per executed
 // simulation (cache hits re-simulate nothing and contribute none). Off by
@@ -223,38 +160,38 @@ func (e *Engine) RunReports() []obs.RunReport {
 	return out
 }
 
-// Progress reports jobs finished and jobs submitted — the run-queue gauge
-// the live introspection endpoint polls.
-func (e *Engine) Progress() (done, total uint64) {
-	return e.jobsDone.Load(), e.jobsTotal.Load()
-}
-
-// SetStream attaches a live event hub: each finished job publishes a
-// progress event, and each executed simulation publishes a run summary
-// followed by its interval time-series rows. Attach before submitting jobs;
-// nil detaches. Publishing is non-blocking (the hub drops events to slow
-// subscribers), so streaming never back-pressures the batch.
+// SetStream attaches a live hub: each executed simulation publishes its
+// RunReport, and each finished job publishes the engine's Stats. Attach
+// before submitting jobs; nil detaches. Publishing is non-blocking (the hub
+// drops lines to slow subscribers), so streaming never back-pressures the
+// batch.
 func (e *Engine) SetStream(h *obs.StreamHub) { e.stream = h }
 
-// SetLog directs per-job progress lines to w (nil disables). Writes are
-// serialized internally, so any Writer is acceptable.
-func (e *Engine) SetLog(w io.Writer) {
-	e.logMu.Lock()
-	e.log = w
-	e.logMu.Unlock()
-}
-
-// Stats returns a snapshot of the cache and throughput counters.
+// Stats returns the engine's batch record: jobs done and submitted, cache,
+// checkpoint and store counters, and throughput since New. Callers fill in
+// Experiment.
 func (e *Engine) Stats() Stats {
-	return Stats{
-		Hits: e.hits.Load(), Misses: e.misses.Load(), Runs: e.runs.Load(),
+	s := Stats{
+		Schema: obs.SchemaStatus,
+		// Done is loaded before total, so done ≤ total holds.
+		JobsDone: e.jobsDone.Load(), JobsTotal: e.jobsTotal.Load(),
+		Runs: e.runs.Load(), CacheHits: e.hits.Load(), CacheMisses: e.misses.Load(),
 		CkptHits: e.ckHits.Load(), CkptMisses: e.ckMisses.Load(),
 		StoreHits: e.stHits.Load(), StoreMisses: e.stMisses.Load(),
 		StoreCkptHits: e.stCkHits.Load(), StoreCkptMisses: e.stCkMiss.Load(),
 		SimCycles: e.simCycles.Load(), SimInsts: e.simInsts.Load(),
-		SimTime:  time.Duration(e.simNanos.Load()),
-		EmuInsts: e.emuInsts.Load(),
+		EmuInsts:      e.emuInsts.Load(),
+		UptimeSeconds: time.Since(e.start).Seconds(), //bfetch:wallclock status uptime only
 	}
+	if s.UptimeSeconds > 0 {
+		s.KCyclesPerSec = float64(s.SimCycles) / 1e3 / s.UptimeSeconds
+	}
+	if e.store != nil {
+		m := e.store.Metrics()
+		s.StoreWriteErrs, s.StoreBytesRead = m.WriteErrs, m.BytesRead
+		s.StoreReadSeconds = m.ReadTime.Seconds()
+	}
+	return s
 }
 
 // AddEmuInsts reports functionally emulated instructions executed outside
@@ -265,15 +202,14 @@ func (e *Engine) AddEmuInsts(n uint64) { e.emuInsts.Add(n) }
 
 // Run executes one job (through the cache).
 func (e *Engine) Run(job Job) (sim.Result, error) {
+	e.jobsTotal.Add(1)
 	o := e.runJob(job)
 	return o.Result, o.Err
 }
 
 // RunAll executes the batch and returns one Outcome per job, in job order.
 // Identical jobs — within the batch or vs. earlier batches — simulate once.
-// At batch end a cache hit-rate summary is logged (when a log is attached).
 func (e *Engine) RunAll(jobs []Job) []Outcome {
-	before := e.Stats()
 	e.jobsTotal.Add(uint64(len(jobs)))
 	out := make([]Outcome, len(jobs))
 	if e.workers == 1 || len(jobs) <= 1 {
@@ -283,33 +219,7 @@ func (e *Engine) RunAll(jobs []Job) []Outcome {
 	} else {
 		e.fanOut(len(jobs), func(i int) { out[i] = e.runJob(jobs[i]) })
 	}
-	e.logBatch(len(jobs), before, e.Stats())
 	return out
-}
-
-// logBatch emits the batch-end cache summary: how the run- and
-// checkpoint-caches performed over this batch alone.
-func (e *Engine) logBatch(jobs int, before, after Stats) {
-	hits := after.Hits - before.Hits
-	misses := after.Misses - before.Misses
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = 100 * float64(hits) / float64(hits+misses)
-	}
-	stHits := after.StoreHits - before.StoreHits
-	stMisses := after.StoreMisses - before.StoreMisses
-	bypassed := uint64(jobs) - hits - misses - stHits
-	line := fmt.Sprintf("runner: batch of %d done: run-cache %d hits / %d misses (%.0f%% hit rate), %d bypassed; ckpt %d hits / %d misses",
-		jobs, hits, misses, rate, bypassed,
-		after.CkptHits-before.CkptHits, after.CkptMisses-before.CkptMisses)
-	if e.store != nil {
-		m := e.store.Metrics()
-		line += fmt.Sprintf("; store %d hits / %d misses (+ckpt %d/%d; %d KB read in %s)",
-			stHits, stMisses,
-			after.StoreCkptHits-before.StoreCkptHits, after.StoreCkptMisses-before.StoreCkptMisses,
-			m.BytesRead>>10, m.ReadTime.Round(time.Millisecond))
-	}
-	e.logf("%s", line)
 }
 
 // Map runs fn(0..n-1) across the pool and returns the lowest-index error.
@@ -361,19 +271,9 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 // in-flight entry cannot deadlock: entries never depend on one another, so
 // the computing worker always makes progress.
 func (e *Engine) runJob(j Job) Outcome {
-	defer func() {
-		done := e.jobsDone.Add(1)
-		if e.stream != nil {
-			e.stream.Publish(obs.StreamProgress{Event: "progress", JobsDone: done, JobsTotal: e.jobsTotal.Load()})
-		}
-	}()
+	defer e.finish()
 	key, cacheable := Fingerprint(j.Cfg, j.Apps, j.Opts)
-	if !cacheable || e.noCache {
-		if e.noCache {
-			e.logf("runner: run-cache bypass (cache disabled): %s %v", j.Cfg.Prefetcher, j.Apps)
-		} else {
-			e.logf("runner: run-cache bypass (unfingerprintable config): %s %v", j.Cfg.Prefetcher, j.Apps)
-		}
+	if !cacheable {
 		return e.execute(j)
 	}
 	e.mu.Lock()
@@ -391,7 +291,6 @@ func (e *Engine) runJob(j Job) Outcome {
 				ent.res = res
 				close(ent.done)
 				e.stHits.Add(1)
-				e.logf("runner: %-8s %v from store", j.Cfg.Prefetcher, j.Apps)
 				return Outcome{Result: res}
 			}
 			e.stMisses.Add(1)
@@ -401,9 +300,7 @@ func (e *Engine) runJob(j Job) Outcome {
 		close(ent.done)
 		e.misses.Add(1)
 		if e.store != nil && o.Err == nil {
-			if err := e.store.PutResult(key, o.Result); err != nil {
-				e.logf("runner: store write-back failed (continuing): %v", err)
-			}
+			_ = e.store.PutResult(key, o.Result) // a failure counts in StoreWriteErrs
 		}
 		return o
 	}
@@ -413,15 +310,21 @@ func (e *Engine) runJob(j Job) Outcome {
 	return Outcome{Result: ent.res, Err: ent.err}
 }
 
+// finish counts one finished job and publishes the batch record.
+func (e *Engine) finish() {
+	e.jobsDone.Add(1)
+	if e.stream != nil {
+		e.stream.Publish(e.Stats())
+	}
+}
+
 // execute performs the actual simulation. Fast-forward protocols boot from
-// the engine's checkpoint cache so each workload's prefix is emulated once;
-// with the cache disabled (SetCache(false)) the fast-forward runs inline
-// per simulation instead — bit-identical either way.
+// the engine's checkpoint cache so each workload's prefix is emulated once.
 func (e *Engine) execute(j Job) Outcome {
-	start := time.Now() //bfetch:wallclock per-run elapsed time, logged only
+	start := time.Now() //bfetch:wallclock run wall time, RunReport only
 	var res sim.Result
 	var err error
-	if ff := j.Opts.FastForwardInsts; ff > 0 && !e.noCache {
+	if ff := j.Opts.FastForwardInsts; ff > 0 {
 		var cps []*ckpt.Checkpoint
 		if cps, err = e.checkpoints(j.Apps, ff); err == nil {
 			res, err = sim.RunCheckpointed(j.Cfg, cps, j.Opts)
@@ -429,32 +332,42 @@ func (e *Engine) execute(j Job) Outcome {
 	} else {
 		res, err = sim.Run(j.Cfg, j.Apps, j.Opts)
 	}
-	elapsed := time.Since(start) //bfetch:wallclock feeds simNanos throughput stats
+	wall := time.Since(start) //bfetch:wallclock run wall time, RunReport only
 	e.runs.Add(1)
-	e.simNanos.Add(int64(elapsed))
 	if err == nil {
-		var cycles, insts uint64
 		for _, cs := range res.Core {
-			cycles += cs.Cycles
-			insts += cs.Committed
+			e.simCycles.Add(cs.Cycles)
+			e.simInsts.Add(cs.Committed)
 		}
-		e.simCycles.Add(cycles)
-		e.simInsts.Add(insts)
-		e.report(j, res, insts, elapsed)
-		e.publishRun(j, res, insts, elapsed)
+		e.record(j, res, wall)
 	}
-	e.logf("runner: %-8s %v done in %s", j.Cfg.Prefetcher, j.Apps,
-		elapsed.Round(time.Millisecond))
 	return Outcome{Result: res, Err: err}
 }
 
-// report records one executed run's observability document, if collection
-// is enabled.
-func (e *Engine) report(j Job, res sim.Result, insts uint64, elapsed time.Duration) {
+// record emits one executed run's RunReport: kept for RunReports when
+// collection is on, and published when a stream is attached.
+func (e *Engine) record(j Job, res sim.Result, wall time.Duration) {
 	e.repMu.Lock()
-	defer e.repMu.Unlock()
-	if !e.keepReports {
+	keep := e.keepReports
+	e.repMu.Unlock()
+	if !keep && e.stream == nil {
 		return
+	}
+	r := Report(j, res, wall)
+	e.stream.Publish(r)
+	e.repMu.Lock()
+	if e.keepReports {
+		e.reports = append(e.reports, r)
+	}
+	e.repMu.Unlock()
+}
+
+// Report builds the run record of one executed job from its result and the
+// wall time spent simulating it.
+func Report(j Job, res sim.Result, wall time.Duration) obs.RunReport {
+	var insts uint64
+	for _, cs := range res.Core {
+		insts += cs.Committed
 	}
 	r := obs.RunReport{
 		Engine:      string(j.Cfg.Prefetcher),
@@ -465,43 +378,10 @@ func (e *Engine) report(j Job, res sim.Result, insts uint64, elapsed time.Durati
 		PerCore:     append([]obs.LifecycleStats(nil), res.Lifecycle...),
 		Metrics:     res.Metrics,
 		TS:          res.TS,
-		WallSeconds: elapsed.Seconds(),
+		WallSeconds: wall.Seconds(),
 	}
 	r.Finalize()
-	e.reports = append(e.reports, r)
-}
-
-// publishRun streams one executed run: a summary event, then the run's
-// interval time-series rows (first row carries the column schema). No-op
-// without an attached hub.
-func (e *Engine) publishRun(j Job, res sim.Result, insts uint64, elapsed time.Duration) {
-	if e.stream == nil {
-		return
-	}
-	engine := string(j.Cfg.Prefetcher)
-	apps := append([]string(nil), j.Apps...)
-	run := obs.StreamRun{
-		Event: "run", Engine: engine, Apps: apps,
-		Cycles: res.Cycles, Insts: insts,
-		WallSeconds: elapsed.Seconds(),
-	}
-	if res.Cycles > 0 {
-		run.IPC = float64(insts) / float64(res.Cycles)
-	}
-	e.stream.Publish(run)
-	if ts := res.TS; ts != nil {
-		for k, row := range ts.Rows {
-			ev := obs.StreamSample{
-				Event: "sample", Engine: engine, Apps: apps,
-				Cycle: ts.Base + uint64(k+1)*ts.Interval,
-				Row:   row,
-			}
-			if k == 0 {
-				ev.Names = ts.Names
-			}
-			e.stream.Publish(ev)
-		}
-	}
+	return r
 }
 
 // checkpoints resolves one cached checkpoint per application.
@@ -543,27 +423,19 @@ func (e *Engine) checkpoint(name string, ff uint64) (*ckpt.Checkpoint, error) {
 					ent.cp = cp
 					close(ent.done)
 					e.stCkHits.Add(1)
-					e.logf("runner: checkpoint %-12s ff=%d from store (%d KB image)",
-						name, ff, cp.FootprintBytes()>>10)
 					return ent.cp, nil
 				}
 				e.stCkMiss.Add(1)
 			}
 		}
-		start := time.Now() //bfetch:wallclock checkpoint-build timing, logged only
 		ent.cp, ent.err = ckpt.ByName(name, ff)
 		close(ent.done)
 		e.ckMisses.Add(1)
-		if e.store != nil && storeKey != "" && ent.err == nil {
-			if err := e.store.PutCheckpoint(storeKey, ent.cp); err != nil {
-				e.logf("runner: checkpoint store write-back failed (continuing): %v", err)
-			}
+		if storeKey != "" && ent.err == nil {
+			_ = e.store.PutCheckpoint(storeKey, ent.cp) // a failure counts in StoreWriteErrs
 		}
 		if ent.cp != nil {
 			e.emuInsts.Add(ent.cp.Arch.Retired)
-			e.logf("runner: checkpoint %-12s ff=%d built in %s (%d KB image)",
-				name, ff, time.Since(start).Round(time.Millisecond), //bfetch:wallclock log line only
-				ent.cp.FootprintBytes()>>10)
 		}
 		return ent.cp, ent.err
 	}
@@ -571,12 +443,4 @@ func (e *Engine) checkpoint(name string, ff uint64) (*ckpt.Checkpoint, error) {
 	<-ent.done
 	e.ckHits.Add(1)
 	return ent.cp, ent.err
-}
-
-func (e *Engine) logf(format string, args ...any) {
-	e.logMu.Lock()
-	defer e.logMu.Unlock()
-	if e.log != nil {
-		fmt.Fprintf(e.log, format+"\n", args...)
-	}
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -80,7 +79,7 @@ func TestCacheHitsOnRepeatedJobs(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.Misses != 1 || st.Hits != 3 || st.Runs != 1 {
+	if st.CacheMisses != 1 || st.CacheHits != 3 || st.Runs != 1 {
 		t.Errorf("after batch: %+v, want 1 miss / 3 hits / 1 run", st)
 	}
 
@@ -88,18 +87,8 @@ func TestCacheHitsOnRepeatedJobs(t *testing.T) {
 	if _, err := e.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Hits != 4 || st.Runs != 1 {
+	if st := e.Stats(); st.CacheHits != 4 || st.Runs != 1 {
 		t.Errorf("after resubmission: %+v, want 4 hits / 1 run", st)
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	e := New(1)
-	e.SetCache(false)
-	job := Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())
-	e.RunAll([]Job{job, job})
-	if st := e.Stats(); st.Runs != 2 || st.Hits != 0 {
-		t.Errorf("cache-off stats = %+v, want 2 runs / 0 hits", st)
 	}
 }
 
@@ -196,18 +185,6 @@ func TestMap(t *testing.T) {
 	}
 }
 
-func TestEngineLog(t *testing.T) {
-	var buf bytes.Buffer
-	e := New(1)
-	e.SetLog(&buf)
-	if _, err := e.Run(Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "gamess") {
-		t.Errorf("log = %q", buf.String())
-	}
-}
-
 // TestTimeSeriesWorkerInvariance pins the tentpole's batch-level determinism
 // contract: an attributed, sampled 16-core job produces a bit-identical
 // interval time series whether the batch runs on one worker or eight.
@@ -242,10 +219,10 @@ func TestTimeSeriesWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestStreamPublishing subscribes a hub to an engine and checks the event
-// protocol end to end: progress events count jobs up to the total, each
-// executed run publishes a run summary, and a sampled job's time-series rows
-// arrive with the Names header on the first row only.
+// TestStreamPublishing subscribes a hub to an engine running one sampled
+// job and checks the two-record protocol end to end: every line is a valid
+// obs document, the run publishes one RunReport carrying its time series,
+// the finished job publishes one Status, and nothing is dropped.
 func TestStreamPublishing(t *testing.T) {
 	hub := obs.NewStreamHub()
 	sub, cancel := hub.Subscribe()
@@ -261,58 +238,47 @@ func TestStreamPublishing(t *testing.T) {
 	if outs[0].Err != nil {
 		t.Fatal(outs[0].Err)
 	}
+	if outs[0].Result.TS == nil {
+		t.Fatal("sampled job produced no time series")
+	}
 
-	var progress, runs, samples, namedRows int
+	var status, runs int
 	for len(sub) > 0 {
 		line := <-sub
-		var ev struct {
-			Event     string   `json:"event"`
-			JobsDone  uint64   `json:"jobs_done"`
-			JobsTotal uint64   `json:"jobs_total"`
-			Engine    string   `json:"engine"`
-			Cycle     uint64   `json:"cycle"`
-			Names     []string `json:"names"`
-			Row       []uint64 `json:"row"`
+		schema, err := obs.ValidateReport(line)
+		if err != nil {
+			t.Fatalf("stream line fails validation: %v\n%s", err, line)
 		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
-		}
-		switch ev.Event {
-		case "progress":
-			progress++
-			if ev.JobsDone != 1 || ev.JobsTotal != 1 {
-				t.Errorf("progress %d/%d, want 1/1", ev.JobsDone, ev.JobsTotal)
+		switch schema {
+		case obs.SchemaStatus:
+			status++
+			var s obs.Status
+			if err := json.Unmarshal(line, &s); err != nil {
+				t.Fatal(err)
 			}
-		case "run":
+			if s.JobsDone != 1 || s.JobsTotal != 1 {
+				t.Errorf("status jobs %d/%d, want 1/1", s.JobsDone, s.JobsTotal)
+			}
+		case obs.SchemaRun:
 			runs++
-			if ev.Engine != string(sim.PFBFetch) {
-				t.Errorf("run event engine %q, want %q", ev.Engine, sim.PFBFetch)
+			var r obs.RunReport
+			if err := json.Unmarshal(line, &r); err != nil {
+				t.Fatal(err)
 			}
-		case "sample":
-			samples++
-			if len(ev.Names) > 0 {
-				namedRows++
-				if len(ev.Names) != len(ev.Row) {
-					t.Errorf("sample names/row width mismatch: %d vs %d", len(ev.Names), len(ev.Row))
-				}
+			if r.Engine != string(sim.PFBFetch) {
+				t.Errorf("run engine %q, want %q", r.Engine, sim.PFBFetch)
 			}
-			if ev.Cycle == 0 {
-				t.Error("sample event with zero cycle boundary")
+			if !reflect.DeepEqual(r.TS, outs[0].Result.TS) {
+				t.Error("streamed run's time series differs from Result.TS")
 			}
 		default:
-			t.Errorf("unknown stream event %q", ev.Event)
+			t.Errorf("unexpected stream schema %q", schema)
 		}
 	}
-	if progress != 1 || runs != 1 {
-		t.Errorf("got %d progress and %d run events, want 1 and 1", progress, runs)
-	}
-	if samples == 0 {
-		t.Error("no sample events for a sampled job")
-	}
-	if namedRows != 1 {
-		t.Errorf("%d sample events carried the Names header, want exactly 1 (first row)", namedRows)
+	if status != 1 || runs != 1 {
+		t.Errorf("got %d status and %d run lines, want 1 and 1", status, runs)
 	}
 	if hub.Dropped() != 0 {
-		t.Errorf("%d events dropped with a draining subscriber", hub.Dropped())
+		t.Errorf("%d lines dropped with a draining subscriber", hub.Dropped())
 	}
 }

@@ -1,9 +1,9 @@
 package runner
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -80,7 +80,7 @@ func TestStoreTwoTierLookup(t *testing.T) {
 	if ws.StoreHits != 3 || ws.StoreMisses != 0 {
 		t.Errorf("warm run not 100%% store hits: %+v", ws)
 	}
-	if ws.Hits != 1 { // the duplicate job still lands in the memory tier
+	if ws.CacheHits != 1 { // the duplicate job still lands in the memory tier
 		t.Errorf("memory tier lost the duplicate: %+v", ws)
 	}
 
@@ -156,32 +156,24 @@ func TestStoreWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestStoreDisabledByNoCache: SetCache(false) bypasses both tiers — the
-// escape hatch stays a true escape hatch.
-func TestStoreDisabledByNoCache(t *testing.T) {
-	st, _ := store.Open(t.TempDir())
+// TestStoreWriteErrorsCounted: a write-back that fails (here a file sits
+// where the result directory belongs) must not fail the job, and must show
+// in the batch record instead of vanishing.
+func TestStoreWriteErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, store.KindRun), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := New(1)
 	e.SetStore(st)
-	e.SetCache(false)
-	job := Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())
-	e.RunAll([]Job{job, job})
-	if s := e.Stats(); s.Runs != 2 || s.StoreHits != 0 || s.StoreMisses != 0 {
-		t.Errorf("cache-off engine touched the store: %+v", s)
+	if _, err := e.Run(Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())); err != nil {
+		t.Fatalf("job failed on a store write error: %v", err)
 	}
-	if m := st.Metrics(); m.Writes != 0 {
-		t.Errorf("cache-off engine wrote %d entries", m.Writes)
-	}
-}
-
-// TestStoreBatchLog checks the batch summary names the disk tier.
-func TestStoreBatchLog(t *testing.T) {
-	st, _ := store.Open(t.TempDir())
-	e := New(1)
-	e.SetStore(st)
-	var buf bytes.Buffer
-	e.SetLog(&buf)
-	e.RunAll([]Job{Solo(sim.Default(sim.PFNone), "mcf", tinyOpts())})
-	if out := buf.String(); !strings.Contains(out, "store 0 hits / 1 misses") {
-		t.Errorf("batch log lacks store summary:\n%s", out)
+	if s := e.Stats(); s.Runs != 1 || s.StoreWriteErrs < 1 {
+		t.Errorf("stats %+v, want 1 run and ≥ 1 store write error", s)
 	}
 }

@@ -126,6 +126,7 @@ func (s *Store) PutCheckpoint(key string, cp *ckpt.Checkpoint) error {
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+		s.writeErrs.Add(1)
 		return err
 	}
 	return s.Put(KindCkpt, key, buf.Bytes())

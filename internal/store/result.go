@@ -50,6 +50,7 @@ func (s *Store) GetResult(fingerprint string) (sim.Result, bool) {
 func (s *Store) PutResult(fingerprint string, res sim.Result) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+		s.writeErrs.Add(1)
 		return err
 	}
 	return s.Put(KindRun, RunKey(fingerprint), buf.Bytes())

@@ -45,8 +45,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Format constants: the on-disk entry is header + payload, where the header
@@ -80,7 +78,7 @@ type Metrics struct {
 	Misses        uint64 // lookups answered "not here" (absent or invalid)
 	CorruptMisses uint64 // the subset of misses where a file existed but failed validation
 	Writes        uint64 // entries written back
-	WriteErrs     uint64 // write-backs that failed (logged, never fatal)
+	WriteErrs     uint64 // write-backs that failed (counted, never fatal)
 	BytesRead     uint64 // payload bytes of validated reads
 	BytesWritten  uint64 // payload bytes written back
 	ReadTime      time.Duration
@@ -112,21 +110,6 @@ func (s *Store) Metrics() Metrics {
 		BytesWritten:  s.bytesWritten.Load(),
 		ReadTime:      time.Duration(s.readNanos.Load()),
 	}
-}
-
-// RegisterObs exports the store's counters into a metrics registry under
-// prefix (e.g. "store."). Collectors read the live atomics, so the registry
-// snapshot always reflects current activity; registering satisfies the same
-// obs.Registrant contract every simulated component follows.
-func (s *Store) RegisterObs(reg *obs.Registry, prefix string) {
-	reg.Func(prefix+"hits", s.hits.Load)
-	reg.Func(prefix+"misses", s.misses.Load)
-	reg.Func(prefix+"corrupt_misses", s.corruptMisses.Load)
-	reg.Func(prefix+"writes", s.writes.Load)
-	reg.Func(prefix+"write_errs", s.writeErrs.Load)
-	reg.Func(prefix+"bytes_read", s.bytesRead.Load)
-	reg.Func(prefix+"bytes_written", s.bytesWritten.Load)
-	reg.Func(prefix+"read_nanos", func() uint64 { return uint64(s.readNanos.Load()) })
 }
 
 // KeyOf derives the content address of an artifact from its identity

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -270,27 +269,4 @@ func TestTypeHash(t *testing.T) {
 	if ResultSchemaHash() == "" {
 		t.Error("empty result schema hash")
 	}
-}
-
-func TestRegisterObs(t *testing.T) {
-	s := open(t)
-	key := KeyOf("blob", "x")
-	s.Get("blob", key)
-	s.Put("blob", key, []byte("abc"))
-	s.Get("blob", key)
-
-	reg := obs.NewRegistry()
-	s.RegisterObs(reg, "store.")
-	snap := reg.Snapshot()
-	check := func(name string, want uint64) {
-		t.Helper()
-		if v, ok := snap.Get(name); !ok || v != want {
-			t.Errorf("%s = %d (ok=%v), want %d", name, v, ok, want)
-		}
-	}
-	check("store.hits", 1)
-	check("store.misses", 1)
-	check("store.writes", 1)
-	check("store.bytes_read", 3)
-	check("store.bytes_written", 3)
 }

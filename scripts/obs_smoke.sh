@@ -2,9 +2,10 @@
 # obs_smoke.sh — end-to-end smoke test of the observability layer.
 #
 # Builds the binaries, runs a tiny experiment batch with the live
-# introspection endpoint up, scrapes /obs and /obs/runs while the server
-# lingers, and validates every JSON document (scraped and written) against
-# the obs schemas with `bfetch-sim -validate-obs`. Run via `make obs-smoke`.
+# introspection endpoint up, scrapes /obs, /obs/runs and /obs/stream while
+# the server lingers, and validates every JSON document (scraped, streamed
+# and written) against the obs schemas with `bfetch-sim -validate-obs`. Run
+# via `make obs-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -51,7 +52,7 @@ if [ -z "$ok" ]; then
 fi
 
 # Attach a live-stream client for the rest of the batch: every job still to
-# finish publishes NDJSON progress/run events to it.
+# finish publishes NDJSON status and run documents to it.
 curl -sN --max-time 40 "http://$addr/obs/stream" -o "$workdir/stream.ndjson" &
 stream_pid=$!
 
@@ -74,10 +75,24 @@ kill "$stream_pid" 2>/dev/null || true
 wait "$stream_pid" 2>/dev/null || true
 stream_pid=""
 [ -s "$workdir/stream.ndjson" ] || { echo "/obs/stream produced no events" >&2; exit 1; }
-grep -q '"event":"progress"' "$workdir/stream.ndjson" \
-    || { echo "stream carried no progress events" >&2; head "$workdir/stream.ndjson" >&2; exit 1; }
-grep -q '"event":"run"' "$workdir/stream.ndjson" \
-    || { echo "stream carried no run events" >&2; head "$workdir/stream.ndjson" >&2; exit 1; }
+# Every stream line is an obs document: validate each one, and require at
+# least one batch status and one run report among them.
+status_lines=0
+run_lines=0
+n=0
+while IFS= read -r line; do
+    n=$((n + 1))
+    printf '%s\n' "$line" >"$workdir/line.json"
+    schema=$("$workdir/bfetch-sim" -validate-obs "$workdir/line.json") \
+        || { echo "stream line $n fails validation" >&2; exit 1; }
+    case "$schema" in
+        *"valid bfetch-obs-status/v1") status_lines=$((status_lines + 1)) ;;
+        *"valid bfetch-obs-run/v1") run_lines=$((run_lines + 1)) ;;
+    esac
+done <"$workdir/stream.ndjson"
+echo "stream: $n lines valid ($status_lines status, $run_lines run)"
+[ "$status_lines" -ge 1 ] || { echo "stream carried no status lines" >&2; exit 1; }
+[ "$run_lines" -ge 1 ] || { echo "stream carried no run lines" >&2; exit 1; }
 
 echo "== single-run report + trace via bfetch-sim"
 "$workdir/bfetch-sim" -workloads mcf -pf stride -warmup 20000 -measure 20000 \
