@@ -62,10 +62,10 @@ func TestCheckpointedRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointCacheDisabled: the engine always boots fast-forward jobs
-// from its checkpoint cache, and the result must equal sim.Run's inline
-// fast-forward, the test oracle.
-func TestCheckpointCacheDisabled(t *testing.T) {
+// TestCheckpointedRunMatchesInline: the engine always boots fast-forward
+// jobs from its checkpoint cache, and the result must equal sim.Run's
+// inline fast-forward, the test oracle.
+func TestCheckpointedRunMatchesInline(t *testing.T) {
 	opts := ffTinyOpts()
 	cfg := sim.Default(sim.PFStride)
 	inline, err := sim.Run(cfg, []string{"mcf"}, opts)

@@ -212,22 +212,17 @@ func (s *Store) put(kind, key string, payload []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	buf := make([]byte, 0, headerFixed+len(key)+len(payload))
-	buf = append(buf, magic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	digest := sha256.Sum256(payload)
-	buf = append(buf, digest[:]...)
-	buf = append(buf, key...)
-	buf = append(buf, payload...)
-
 	tmp, err := os.CreateTemp(dir, ".tmp-"+key[:8]+"-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
+	// The header and key, then the payload itself: no payload-sized copy.
+	_, err = tmp.Write(entryHeader(key, payload))
+	if err == nil {
+		_, err = tmp.Write(payload)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("store: %w", err)
@@ -241,4 +236,17 @@ func (s *Store) put(kind, key string, payload []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
+}
+
+// entryHeader returns the bytes an entry holds before its payload: the
+// fixed header followed by the key.
+func entryHeader(key string, payload []byte) []byte {
+	buf := make([]byte, 0, headerFixed+len(key))
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	digest := sha256.Sum256(payload)
+	buf = append(buf, digest[:]...)
+	return append(buf, key...)
 }

@@ -2,11 +2,12 @@
 # store_smoke.sh — end-to-end smoke test of the durable artifact store.
 #
 # Runs one experiment twice against a shared -store directory and asserts
-# the contract the store ships with: the second run computes nothing (zero
-# sims, zero store misses, 100% answered from disk) and its tables are
-# byte-identical to the first run's. A second leg repeats the check across
-# worker counts (-j 1 populates, -j 8 reads) — the disk tier must be as
-# scheduling-independent as the in-memory one. Run via `make store-smoke`.
+# the contract the store ships with: the first run emulates each checkpoint
+# once, the second run computes nothing (zero sims, zero store misses, 100%
+# answered from disk) and its tables are byte-identical to the first run's.
+# A second leg repeats the check across worker counts (-j 1 populates,
+# -j 8 reads) — the disk tier must be as scheduling-independent as the
+# in-memory one. Run via `make store-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,6 +25,14 @@ echo "== cold run (populates the store)"
     -out "$workdir/cold" >/dev/null 2>"$workdir/cold.err"
 grep -q 'store:.*misses' "$workdir/cold.err" || {
     echo "cold run never reported store traffic:" >&2
+    cat "$workdir/cold.err" >&2
+    exit 1
+}
+# Each of the 3 checkpoints is emulated once and never read back: fig8 runs
+# its baselines and its engines as two batches on one engine, and the second
+# batch must find the emulated checkpoints still in memory.
+grep -Eq '^fig8 finished in .*; ckpt: [0-9]+ hits, 3 misses\); store: 0 hits,' "$workdir/cold.err" || {
+    echo "cold run emulated a checkpoint twice or read one back from disk:" >&2
     cat "$workdir/cold.err" >&2
     exit 1
 }
