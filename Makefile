@@ -21,12 +21,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Custom static analysis (internal/lint): the compiler-witnessed hot-path
-# allocation gate over every function reachable from a //bfetch:hotpath root,
-# concurrency discipline, determinism rules, stats-reset audit. The gate
-# builds with -gcflags='-m=2 ...' and caches facts per package by build ID:
-# a cold run costs one build, a warm run milliseconds. Exits non-zero on any
-# finding.
+# Custom static analysis (internal/lint), over every package type-checked
+# with go/types: the compiler-witnessed hot-path allocation gate over every
+# function reachable from a //bfetch:hotpath root, no channel send under a
+# lock, determinism rules, stats-reset audit. The gate builds with
+# -gcflags='-m=2 ...' and caches facts per package by build ID: a cold run
+# costs one build, a warm run about 0.3 s. Exits non-zero on any finding or
+# type error.
 lint:
 	$(GO) run ./cmd/bfetch-lint
 

@@ -1,11 +1,14 @@
 // Command bfetch-lint runs the repository's custom static-analysis suite
 // (internal/lint) over the module: the compiler-witnessed hot-path
-// allocation gate (escape), concurrency discipline, determinism rules and
-// the stats-reset audit. The allocation gate builds the module with
-// `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'` and caches the
-// diagnostics per package by build ID, so a cold run costs one build and a
-// warm run milliseconds. It prints findings compiler-style and exits
-// non-zero when any survive, so `make lint` and CI can gate on it.
+// allocation gate (escape), the send-under-lock check (syncorder),
+// determinism rules and the stats-reset audit. It type-checks every package
+// with go/types, reading standard-library imports from the gc export data
+// `go list -export` reports, and fails on any type error. The allocation
+// gate builds the module with `go build -gcflags='-m=2
+// -d=ssa/check_bce/debug=1'` and caches the diagnostics per package by
+// build ID, so a cold run costs one build and a warm run well under a
+// second. It prints findings compiler-style and exits non-zero when any
+// survive, so `make lint` and CI can gate on it.
 //
 // Usage:
 //
@@ -34,7 +37,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	res, err := lint.RunAll(root, lint.DefaultOptions())
+	res, err := lint.RunAll(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -21,28 +21,29 @@ var pureStdlib = map[string]bool{"math": true, "math/bits": true}
 //	    compiler reports an inlined callee's escapes at the call site, so a
 //	    caller sees through its inlined helpers; //bfetch:alloc-ok on the
 //	    line is the cold-path hatch;
-//	(b) a call into a package outside the module fails unless the package
-//	    is math or math/bits: the compiler's facts stop at the module
-//	    boundary, so strconv.Itoa or sort.Ints would allocate unseen.
-//	    //bfetch:alloc-ok is the hatch here too. The rule reads the call's
-//	    qualifier only, so a conversion to a foreign named type counts as
-//	    a call;
+//	(b) a call to a function or method declared outside the module fails
+//	    unless its package is math or math/bits: the compiler's facts stop
+//	    at the module boundary, so strconv.Itoa or a strings.Builder method
+//	    would allocate unseen. Conversions are not calls.
+//	    //bfetch:alloc-ok is the hatch here too;
 //	(c) a call inside an annotated function whose module callee the
 //	    compiler did not inline fails, unless the callee is itself
 //	    //bfetch:hotpath (the big pipeline stages are deliberate non-inline
 //	    boundaries);
 //	(d) a loop annotated //bfetch:bce that retains a bounds check fails —
 //	    there is no hatch; fix the loop or drop the annotation.
-func Escape(pkgs []*Package, fidx *funcIndex, facts *FactTable) []Diagnostic {
+func Escape(pkgs []*Package, facts *FactTable) []Diagnostic {
 	var out []Diagnostic
+	fidx := buildFuncIndex(pkgs)
 	for _, h := range fidx.hotClosure() {
 		relFile := moduleRelFile(facts.Root, h.n.p, h.n.f)
 		if relFile == "" {
 			continue
 		}
-		where := "//bfetch:hotpath " + h.n.name
+		name := h.n.decl.Name.Name
+		where := "//bfetch:hotpath " + name
 		if !h.n.hotpath {
-			where = fmt.Sprintf("%s (reached from //bfetch:hotpath %s)", h.n.name, h.root.displayName())
+			where = fmt.Sprintf("%s (reached from //bfetch:hotpath %s)", name, h.root.displayName())
 		}
 		checkEscapes(h.n, relFile, where, facts, &out)
 		checkForeignCalls(h.n, fidx, where, &out)
@@ -91,27 +92,21 @@ func checkEscapes(n *funcNode, relFile, where string, facts *FactTable, out *[]D
 	}
 }
 
-// checkForeignCalls reports every call into a package outside the module
-// other than math and math/bits.
+// checkForeignCalls reports every call to a function or method declared
+// outside the module, other than in math and math/bits.
 func checkForeignCalls(n *funcNode, fidx *funcIndex, where string, out *[]Diagnostic) {
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		call, ok := node.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
+		fn := calleeFunc(n.p.Info, call)
+		if fn == nil || fn.Pkg() == nil || fidx.module[fn.Pkg()] || pureStdlib[fn.Pkg().Path()] {
 			return true
 		}
-		x, ok := importName(sel.X)
-		if !ok {
-			return true
-		}
-		if path, ok := fidx.foreign[n.f][x.Name]; ok && !pureStdlib[path] {
-			n.p.report(out, n.f, call.Pos(), "escape", "bfetch:alloc-ok",
-				"call to %s.%s inside %s leaves the module, where the compiler witness ends; hot code may call only math and math/bits",
-				x.Name, sel.Sel.Name, where)
-		}
+		n.p.report(out, n.f, call.Pos(), "escape", "bfetch:alloc-ok",
+			"call to %s inside %s leaves the module, where the compiler witness ends; hot code may call only math and math/bits",
+			fn.FullName(), where)
 		return true
 	})
 }
@@ -120,7 +115,9 @@ func checkForeignCalls(n *funcNode, fidx *funcIndex, where string, out *[]Diagno
 // each module-resolved callee to be inlined or annotated itself.
 func checkInlining(n *funcNode, relFile string, fidx *funcIndex, facts *FactTable, out *[]Diagnostic) {
 	for _, e := range fidx.edges(n) {
-		if len(e.targets) == 0 {
+		if e.target.hotpath {
+			// Under the hotpath contract itself: the big pipeline stages
+			// are deliberate non-inline boundaries.
 			continue
 		}
 		line := n.p.Fset.Position(e.pos).Line
@@ -134,24 +131,13 @@ func checkInlining(n *funcNode, relFile string, fidx *funcIndex, facts *FactTabl
 		if inlined {
 			continue
 		}
-		// Not witnessed as inlined here. Acceptable when every candidate
-		// target is under the hotpath contract itself.
-		allHot := true
-		for _, t := range e.targets {
-			if !t.hotpath {
-				allHot = false
-				break
-			}
-		}
-		if allHot {
-			continue
-		}
 		// Find the compiler's verdict on the callee, preferring facts
 		// positioned in the target's own file.
 		reason := ""
+		targetFile := moduleRelFile(facts.Root, e.target.p, e.target.f)
 		for _, fact := range facts.CannotInline(e.callee) {
 			reason = fact.Detail
-			if factInTargets(fact, e.targets, facts.Root) {
+			if fact.File == targetFile {
 				break
 			}
 		}
@@ -167,19 +153,8 @@ func checkInlining(n *funcNode, relFile string, fidx *funcIndex, facts *FactTabl
 		}
 		n.p.report(out, n.f, e.pos, "escape", "",
 			"call to %s in //bfetch:hotpath %s is not inlined (%s); annotate the callee //bfetch:hotpath",
-			e.callee, n.name, reason)
+			e.callee, n.decl.Name.Name, reason)
 	}
-}
-
-// factInTargets reports whether the fact is positioned in the file of one of
-// the candidate target declarations.
-func factInTargets(fact Fact, targets []*funcNode, root string) bool {
-	for _, t := range targets {
-		if moduleRelFile(root, t.p, t.f) == fact.File {
-			return true
-		}
-	}
-	return false
 }
 
 // checkBCELoops enforces //bfetch:bce: the for/range statement on the line

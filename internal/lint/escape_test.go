@@ -8,19 +8,16 @@ import (
 	"testing"
 )
 
-// gateDir compiles the single-package module at dir with the diagnostic
-// flags for real and runs the escape analyzer over it. A toolchain whose
-// output the parser no longer recognizes skips the test — the same
-// skip-with-warning degradation the CLI performs — rather than passing
-// vacuously or failing on format drift.
-func gateDir(t *testing.T, dir string) (*Package, []Diagnostic) {
+// gateDir compiles the module at dir with the diagnostic flags for real and
+// runs the escape analyzer over it. A toolchain whose output the parser no
+// longer recognizes skips the test — the same skip-with-warning degradation
+// the CLI performs — rather than passing vacuously or failing on format
+// drift.
+func gateDir(t *testing.T, dir string) ([]*Package, []Diagnostic) {
 	t.Helper()
 	pkgs, err := LoadModule(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("%s: got %d packages, want 1", dir, len(pkgs))
 	}
 	facts, err := CollectFacts(dir, pkgs, CollectOptions{CacheDir: t.TempDir()})
 	if errors.Is(err, ErrNoFacts) {
@@ -29,19 +26,31 @@ func gateDir(t *testing.T, dir string) (*Package, []Diagnostic) {
 	if err != nil {
 		t.Fatalf("collecting facts: %v", err)
 	}
-	return pkgs[0], Escape(pkgs, buildFuncIndex(pkgs), facts)
+	return pkgs, Escape(pkgs, facts)
+}
+
+// writeModule writes files (slash-separated paths relative to the module
+// root) plus a go.mod for module "fixture" into a fresh directory.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	files["go.mod"] = "module fixture\n\ngo 1.22\n"
+	for name, data := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // gateSource is gateDir over a throwaway module holding one file.
 func gateSource(t *testing.T, name, src string) []Diagnostic {
 	t.Helper()
-	dir := t.TempDir()
-	for file, data := range map[string]string{"go.mod": "module fixture\n\ngo 1.22\n", name: src} {
-		if err := os.WriteFile(filepath.Join(dir, file), []byte(data), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, diags := gateDir(t, dir)
+	_, diags := gateDir(t, writeModule(t, map[string]string{name: src}))
 	return diags
 }
 
@@ -60,8 +69,11 @@ func mutate(t *testing.T, src, old, new string) string {
 // comments, so they assert against live toolchain output rather than
 // recordings.
 func TestEscapeGolden(t *testing.T) {
-	p, diags := gateDir(t, filepath.Join("testdata", "src", "escape"))
-	matchWants(t, p, diags)
+	pkgs, diags := gateDir(t, filepath.Join("testdata", "src", "escape"))
+	if len(pkgs) != 1 {
+		t.Fatalf("escape fixture: got %d packages, want 1", len(pkgs))
+	}
+	matchWants(t, pkgs[0], diags)
 }
 
 // escLikeSrc mirrors the one hatched heap escape the live tree carries (the
@@ -86,9 +98,8 @@ func TestEscapeHatchMutation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing clean source: %v", err)
 	}
-	pkgs := []*Package{p}
 	facts := ParseFacts(".", []byte(escLikeFacts))
-	if diags := Escape(pkgs, buildFuncIndex(pkgs), facts); len(diags) != 0 {
+	if diags := Escape([]*Package{p}, facts); len(diags) != 0 {
 		t.Fatalf("clean source produced findings: %v", diags)
 	}
 
@@ -97,8 +108,7 @@ func TestEscapeHatchMutation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing mutated source: %v", err)
 	}
-	pkgs = []*Package{p}
-	diags := Escape(pkgs, buildFuncIndex(pkgs), facts)
+	diags := Escape([]*Package{p}, facts)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "v escapes to heap inside //bfetch:hotpath leak") {
 		t.Fatalf("mutated source: got %v, want exactly one escape finding for v", diags)
 	}
@@ -249,5 +259,49 @@ func TestHotcallAnnotationMutation(t *testing.T) {
 	diags := gateSource(t, "core.go", mutated)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "call to refill in //bfetch:hotpath cycle is not inlined") {
 		t.Fatalf("mutated source: got %v, want exactly one not-inlined finding naming refill", diags)
+	}
+}
+
+// TestEscapeTypedMethodCall builds a two-package module whose hot function
+// calls an allocating method of package b through a local variable, in a
+// file that does not import b. Only the variable's type says where the
+// call goes; the escape gate must follow it into b.
+func TestEscapeTypedMethodCall(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"a/eng.go": `package a
+
+import "fixture/b"
+
+type Eng struct{ buf *b.Buf }
+`,
+		"a/hot.go": `package a
+
+//bfetch:hotpath
+func (e *Eng) Tick(n int) int {
+	buf := e.buf
+	return buf.Grow(n)
+}
+`,
+		"b/b.go": `package b
+
+type Buf struct{ s []int }
+
+//go:noinline
+func (x *Buf) Grow(n int) int {
+	x.s = make([]int, n)
+	return len(x.s)
+}
+`,
+	})
+	_, diags := gateDir(t, dir)
+	found := false
+	for _, d := range diags {
+		if filepath.Base(d.Pos.Filename) == "b.go" &&
+			strings.Contains(d.Message, "escapes to heap inside Grow (reached from //bfetch:hotpath a.Eng.Tick)") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("got %v, want the escape in b.Buf.Grow reached from a.Eng.Tick", diags)
 	}
 }

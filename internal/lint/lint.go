@@ -1,19 +1,20 @@
 // Package lint is the repository's custom static-analysis suite: it
 // enforces the invariants the simulator's performance and reproducibility
 // rest on, using only the standard library (the module stays
-// dependency-free). Four analyzers run on every invocation:
+// dependency-free). Every loaded package is type-checked once with go/types,
+// its standard-library imports read from gc export data; a package that
+// fails to type-check fails the run. Four analyzers run on every invocation:
 //
 //   - escape: the hot-path allocation gate. It builds the module with the
 //     compiler's -m=2 and bounds-check diagnostics (facts.go) and checks
 //     every function reachable from a //bfetch:hotpath root (the per-cycle
-//     simulation kernel) — annotated or not — for heap escapes, calls out
-//     of the module other than math and math/bits, non-inlined calls out
-//     of annotated functions, and bounds checks left in //bfetch:bce
-//     loops. The fact table is cached per package by build ID, so warm
-//     runs cost milliseconds.
-//   - syncorder: no channel send while a mutex is held, lock acquisition
-//     must respect the declared //bfetch:lockorder partial order, and sync
-//     types must not be copied by value.
+//     simulation kernel) through the typed call graph — annotated or not —
+//     for heap escapes, calls to functions and methods outside the module
+//     other than math and math/bits, non-inlined calls out of annotated
+//     functions, and bounds checks left in //bfetch:bce loops. The fact
+//     table is cached per package by build ID, so warm runs skip the
+//     compiler.
+//   - syncorder: no channel send while a mutex is held.
 //   - determinism: the simulation/experiment packages must not consult
 //     global randomness or wall clocks, and must not publish results from a
 //     map iteration without an explicit sort.
@@ -22,10 +23,10 @@
 //     explicitly annotated //bfetch:noreset.
 //
 // Escape hatches are deliberate and auditable: //bfetch:alloc-ok,
-// //bfetch:wallclock, //bfetch:orderok and //bfetch:sync-ok suppress a
-// single finding on the same or the following line; //bfetch:noreset marks
-// a struct field as learned/configuration state that a stats reset must
-// preserve. DESIGN.md §6b documents the contract and annotation grammar.
+// //bfetch:wallclock and //bfetch:sync-ok suppress a single finding on the
+// same or the following line; //bfetch:noreset marks a struct field as
+// learned/configuration state that a stats reset must preserve. DESIGN.md
+// §6b documents the contract and annotation grammar.
 package lint
 
 import (
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -49,37 +51,27 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Package is one parsed directory of non-test Go files.
+// Package is one parsed and type-checked directory of non-test Go files.
 type Package struct {
 	Rel   string // module-relative directory, "" for the root
-	Dir   string // absolute or cleaned directory path
+	Path  string // import path
 	Fset  *token.FileSet
 	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 
 	// markers caches, per file, the line numbers carrying each //bfetch:
 	// suppression marker.
 	markers map[*ast.File]map[string]map[int]bool
-
-	// mapFieldCache memoizes the package's map-typed struct field names for
-	// the determinism analyzer.
-	mapFieldCache map[string]bool
 }
 
-// Options configures RunAll.
-type Options struct {
-	// DeterminismPkgs lists the module-relative package directories the
-	// determinism analyzer applies to. The others run module-wide (they
-	// trigger only on annotations, locks and method names).
-	DeterminismPkgs []string
-}
-
-// DefaultOptions scopes determinism to the packages whose output feeds
-// recorded experiment results.
-func DefaultOptions() Options {
-	return Options{DeterminismPkgs: []string{
-		"internal/sim", "internal/harness", "internal/runner", "internal/workload",
-		"internal/obs", "internal/store",
-	}}
+// determinismPkgs are the module-relative package directories whose output
+// feeds recorded experiment results; the determinism analyzer applies to
+// them only. The others run module-wide (they trigger only on annotations,
+// locks and method names).
+var determinismPkgs = map[string]bool{
+	"internal/sim": true, "internal/harness": true, "internal/runner": true,
+	"internal/workload": true, "internal/obs": true, "internal/store": true,
 }
 
 // RunResult is the outcome of the gate.
@@ -94,24 +86,20 @@ type RunResult struct {
 }
 
 // RunAll loads the module at root and applies every analyzer, returning the
-// surviving (unsuppressed) diagnostics sorted by position. An
-// unrecognizable toolchain diagnostic format degrades escape to a
-// skip-with-warning rather than an error (or a false pass).
-func RunAll(root string, opts Options) (RunResult, error) {
+// surviving (unsuppressed) diagnostics sorted by position. A package that
+// fails to type-check is an error. An unrecognizable toolchain diagnostic
+// format degrades escape to a skip-with-warning rather than an error (or a
+// false pass).
+func RunAll(root string) (RunResult, error) {
 	pkgs, err := LoadModule(root)
 	if err != nil {
 		return RunResult{}, err
 	}
 	res := RunResult{Packages: len(pkgs), Ran: []string{"syncorder", "determinism", "statsreset"}}
-	det := make(map[string]bool, len(opts.DeterminismPkgs))
-	for _, p := range opts.DeterminismPkgs {
-		det[p] = true
-	}
-	idx := buildModuleIndex(pkgs)
 	for _, p := range pkgs {
 		res.Diags = append(res.Diags, SyncOrder(p)...)
-		if det[p.Rel] {
-			res.Diags = append(res.Diags, Determinism(p, idx)...)
+		if determinismPkgs[p.Rel] {
+			res.Diags = append(res.Diags, Determinism(p)...)
 		}
 		res.Diags = append(res.Diags, StatsReset(p)...)
 	}
@@ -122,7 +110,7 @@ func RunAll(root string, opts Options) (RunResult, error) {
 	case err != nil:
 		return res, err
 	default:
-		res.Diags = append(res.Diags, Escape(pkgs, buildFuncIndex(pkgs), facts)...)
+		res.Diags = append(res.Diags, Escape(pkgs, facts)...)
 		res.Ran = append(res.Ran, "escape")
 	}
 	sortDiags(res.Diags)
@@ -175,27 +163,6 @@ func (p *Package) markerLines(f *ast.File, marker string) map[int]bool {
 	return byMarker[marker]
 }
 
-// markerArgs returns, per line, the text following marker in f's comments
-// (e.g. the order declared by //bfetch:lockorder).
-// Lines carrying the marker with no argument map to "".
-func (p *Package) markerArgs(f *ast.File, marker string) map[int]string {
-	out := make(map[int]string)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if !strings.HasPrefix(text, marker) {
-				continue
-			}
-			rest := text[len(marker):]
-			if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-				continue // a different, longer marker name
-			}
-			out[p.Fset.Position(c.Pos()).Line] = strings.TrimSpace(rest)
-		}
-	}
-	return out
-}
-
 // suppressed reports whether pos is covered by marker: the marker comment
 // sits on the same line or on the line immediately above.
 func (p *Package) suppressed(f *ast.File, pos token.Pos, marker string) bool {
@@ -234,11 +201,4 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 		}
 	}
 	return false
-}
-
-func pkgBase(rel string) string {
-	if i := strings.LastIndexByte(rel, '/'); i >= 0 {
-		return rel[i+1:]
-	}
-	return rel
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -18,7 +19,7 @@ import (
 
 var wantRE = regexp.MustCompile(`"([^"]*)"`)
 
-func loadFixture(t *testing.T, name string) (*Package, *moduleIndex) {
+func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
 	pkgs, err := LoadModule(dir)
@@ -28,7 +29,7 @@ func loadFixture(t *testing.T, name string) (*Package, *moduleIndex) {
 	if len(pkgs) != 1 {
 		t.Fatalf("fixture %s: got %d packages, want 1", dir, len(pkgs))
 	}
-	return pkgs[0], buildModuleIndex(pkgs)
+	return pkgs[0]
 }
 
 // collectWants maps "file:line" to the unmatched want substrings there.
@@ -52,10 +53,10 @@ func collectWants(p *Package) map[string][]string {
 	return wants
 }
 
-func checkGolden(t *testing.T, fixture string, run func(*Package, *moduleIndex) []Diagnostic) {
+func checkGolden(t *testing.T, fixture string, run func(*Package) []Diagnostic) {
 	t.Helper()
-	p, idx := loadFixture(t, fixture)
-	matchWants(t, p, run(p, idx))
+	p := loadFixture(t, fixture)
+	matchWants(t, p, run(p))
 }
 
 // matchWants checks diags against the // want comments in p's files.
@@ -99,9 +100,7 @@ func TestStoreDeterminismGolden(t *testing.T) {
 }
 
 func TestStatsResetGolden(t *testing.T) {
-	checkGolden(t, "statsreset", func(p *Package, _ *moduleIndex) []Diagnostic {
-		return StatsReset(p)
-	})
+	checkGolden(t, "statsreset", StatsReset)
 }
 
 // --------------------------------------------------------------- live tree --
@@ -119,7 +118,7 @@ func TestLiveTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("finding module root: %v", err)
 	}
-	res, err := RunAll(root, DefaultOptions())
+	res, err := RunAll(root)
 	if err != nil {
 		t.Fatalf("running gate: %v", err)
 	}
@@ -269,9 +268,7 @@ func TestNoresetMutationAlsoGuardsMarkers(t *testing.T) {
 // -------------------------------------------------------------- syncorder --
 
 func TestSyncOrderGolden(t *testing.T) {
-	checkGolden(t, "syncorder", func(p *Package, _ *moduleIndex) []Diagnostic {
-		return SyncOrder(p)
-	})
+	checkGolden(t, "syncorder", SyncOrder)
 }
 
 // syncLikeSrc mirrors the runner's singleflight completion: close() under
@@ -313,7 +310,29 @@ func TestSyncOrderSendMutation(t *testing.T) {
 		t.Fatalf("parsing mutated source: %v", err)
 	}
 	diags := SyncOrder(p)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "channel send while holding flight.mu") {
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "channel send while holding f.mu") {
 		t.Fatalf("mutated source: got %v, want exactly one send-under-lock finding", diags)
+	}
+}
+
+// TestRunAllTypeError runs the gate over a two-package module, then renames
+// the function one package calls in the other. The caller's files did not
+// change, but it no longer type-checks: the gate must fail, not pass over a
+// smaller set of packages or stale per-package results.
+func TestRunAllTypeError(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"a/a.go": "package a\n\nimport \"fixture/b\"\n\nfunc Twice(n int) int { return 2 * b.Next(n) }\n",
+		"b/b.go": "package b\n\nfunc Next(n int) int { return n + 1 }\n",
+	})
+	if res, err := RunAll(dir); err != nil || len(res.Diags) != 0 {
+		t.Fatalf("clean module: %v, findings %v", err, res.Diags)
+	}
+	renamed := "package b\n\nfunc Succ(n int) int { return n + 1 }\n"
+	if err := os.WriteFile(filepath.Join(dir, "b", "b.go"), []byte(renamed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := RunAll(dir)
+	if err == nil || !strings.Contains(err.Error(), "undefined: b.Next") {
+		t.Fatalf("RunAll = %v, want the type error naming b.Next", err)
 	}
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-)
+import "go/ast"
 
 // StatsReset structurally audits every Reset/ResetStats/Restart method:
 // each field of the receiver struct must either be written by the method
@@ -33,7 +30,7 @@ func StatsReset(p *Package) []Diagnostic {
 				continue
 			}
 			recvName, typeName := recvInfo(fd)
-			si, known := structs[typeName]
+			fields, known := structs[typeName]
 			if !known {
 				continue
 			}
@@ -41,12 +38,9 @@ func StatsReset(p *Package) []Diagnostic {
 			if accounted == nil {
 				continue // *recv = T{...}: whole-struct overwrite
 			}
-			for _, field := range si.fields {
-				if field.anonymous || accounted[field.name] {
-					continue
-				}
-				if hasDirective(field.doc, "bfetch:noreset") || hasDirective(field.comment, "bfetch:noreset") ||
-					p.suppressed(si.file, field.pos, "bfetch:noreset") {
+			for _, field := range fields {
+				if accounted[field.name] || hasDirective(field.doc, "bfetch:noreset") ||
+					hasDirective(field.comment, "bfetch:noreset") {
 					continue
 				}
 				p.report(&out, f, fd.Name.Pos(), "statsreset", "",
@@ -58,23 +52,18 @@ func StatsReset(p *Package) []Diagnostic {
 	return out
 }
 
-type structInfoT struct {
-	file   *ast.File
-	fields []fieldInfoT
-}
-
-type fieldInfoT struct {
-	name      string
-	anonymous bool
-	pos       token.Pos
-	doc       *ast.CommentGroup
-	comment   *ast.CommentGroup
+// resetField is one named field of a struct, with the comments a
+// //bfetch:noreset annotation may sit in.
+type resetField struct {
+	name         string
+	doc, comment *ast.CommentGroup
 }
 
 // collectStructs gathers every named struct type in the package with its
-// field metadata.
-func collectStructs(p *Package) map[string]structInfoT {
-	out := make(map[string]structInfoT)
+// named fields. Embedded fields are left out: their own Reset methods are
+// audited separately.
+func collectStructs(p *Package) map[string][]resetField {
+	out := make(map[string][]resetField)
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -90,23 +79,13 @@ func collectStructs(p *Package) map[string]structInfoT {
 				if !ok || st.Fields == nil {
 					continue
 				}
-				si := structInfoT{file: f}
+				var fields []resetField
 				for _, field := range st.Fields.List {
-					if len(field.Names) == 0 {
-						si.fields = append(si.fields, fieldInfoT{
-							name: embeddedName(field.Type), anonymous: true,
-							pos: field.Pos(), doc: field.Doc, comment: field.Comment,
-						})
-						continue
-					}
 					for _, name := range field.Names {
-						si.fields = append(si.fields, fieldInfoT{
-							name: name.Name,
-							pos:  name.Pos(), doc: field.Doc, comment: field.Comment,
-						})
+						fields = append(fields, resetField{name.Name, field.Doc, field.Comment})
 					}
 				}
-				out[ts.Name.Name] = si
+				out[ts.Name.Name] = fields
 			}
 		}
 	}
@@ -230,17 +209,4 @@ func accountedFields(fd *ast.FuncDecl, recvName string) map[string]bool {
 		return nil
 	}
 	return acc
-}
-
-// embeddedName returns the type name of an anonymous field.
-func embeddedName(t ast.Expr) string {
-	switch v := t.(type) {
-	case *ast.Ident:
-		return v.Name
-	case *ast.StarExpr:
-		return embeddedName(v.X)
-	case *ast.SelectorExpr:
-		return v.Sel.Name
-	}
-	return ""
 }

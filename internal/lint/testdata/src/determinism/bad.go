@@ -1,5 +1,5 @@
 // Package determinism holds known-bad fixtures for the determinism analyzer.
-// Parsed by the golden tests, never compiled.
+// Type-checked by the golden tests, never built.
 package determinism
 
 import (
@@ -35,4 +35,14 @@ func badMapPrint(m map[string]int) {
 	for k, v := range m {
 		fmt.Printf("%s=%d\n", k, v) // want "fmt.Printf inside a map range emits output in iteration order"
 	}
+}
+
+// badOrderInsensitive publishes map order even though its caller only sums
+// the result: there is no hatch, so the sum has to range over the map.
+func badOrderInsensitive(m map[string]int) []int {
+	var totals []int
+	for _, v := range m {
+		totals = append(totals, v) // want "inside a map range publishes iteration order"
+	}
+	return totals
 }

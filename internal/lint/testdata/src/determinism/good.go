@@ -29,16 +29,6 @@ func goodWallClock() time.Duration {
 	return time.Since(start) //bfetch:wallclock
 }
 
-// goodOrderOk documents a deliberate order-insensitive publication: summing
-// is commutative, and the marker records that the author checked.
-func goodOrderOk(m map[string]int) []int {
-	var totals []int
-	for _, v := range m {
-		totals = append(totals, v) //bfetch:orderok feeds an order-insensitive sum
-	}
-	return totals
-}
-
 // goodSliceRange ranges over a slice, not a map: no order hazard.
 func goodSliceRange(xs []string) []string {
 	var out []string

@@ -60,6 +60,15 @@ func pad(n int) int {
 	return len(strings.Repeat("x", n)) // want "call to strings.Repeat inside //bfetch:hotpath pad leaves the module"
 }
 
+// peek calls a method on a value of a type declared outside the module:
+// the callee is a strings function all the same.
+//
+//bfetch:hotpath
+func peek(r *strings.Reader) int {
+	b, _ := r.ReadByte() // want "call to (*strings.Reader).ReadByte inside //bfetch:hotpath peek leaves the module"
+	return int(b)
+}
+
 // bceBad keeps a data-dependent bounds check inside an annotated loop:
 // nothing bounds idx's elements against len(xs).
 func bceBad(xs []int, idx []int) int {

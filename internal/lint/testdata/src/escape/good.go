@@ -1,6 +1,9 @@
 package escape
 
-import "math/bits"
+import (
+	"math/bits"
+	"time"
+)
 
 // bceGood indexes with the range induction variable: the compiler proves
 // every access in bounds and the //bfetch:bce claim holds.
@@ -40,4 +43,12 @@ func scratch(n int) int {
 	_ = make([]uint64, 4)
 	func() { n++ }()
 	return n
+}
+
+// ticks converts to a named type declared outside the module. A conversion
+// is not a call, so the foreign-call rule does not apply.
+//
+//bfetch:hotpath
+func ticks(n int64) time.Duration {
+	return time.Duration(n) * time.Nanosecond
 }

@@ -1,5 +1,5 @@
 // Package statsreset holds known-bad fixtures for the statsreset analyzer.
-// Parsed by the golden tests, never compiled.
+// Type-checked by the golden tests, never built.
 package statsreset
 
 // counters forgets two fields in its reset: the PR 2 bug class.
@@ -48,4 +48,14 @@ type sampler struct {
 func (s *sampler) Restart(now uint64) { // want "field sampler.nextAt is not reset"
 	s.rows = 0
 	s.step = 1
+}
+
+// wired annotates its link but forgets the counter declared after it: a
+// trailing marker belongs to its own field, not to the next one.
+type wired struct {
+	next *wired //bfetch:noreset wiring
+	hits uint64
+}
+
+func (w *wired) ResetStats() { // want "field wired.hits is not reset"
 }

@@ -1,6 +1,6 @@
 // Package storedet holds known-bad fixtures shaped like the durable store:
 // unannotated wall-clock reads around disk I/O and directory scans that
-// publish map iteration order. Parsed by the golden tests, never compiled.
+// publish map iteration order. Type-checked by the golden tests, never built.
 package storedet
 
 import (

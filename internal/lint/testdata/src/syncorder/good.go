@@ -32,16 +32,3 @@ func (w *worker) urgent(v int) {
 	w.out <- v //bfetch:sync-ok buffered diagnostics channel sized for worst case
 	w.mu.Unlock()
 }
-
-// ordered nests in the declared direction (mu before logMu is fine — the
-// declaration in bad.go says server.mu < server.logMu).
-func (s *server) ordered() {
-	s.mu.Lock()
-	s.logMu.Lock()
-	s.n++
-	s.logMu.Unlock()
-	s.mu.Unlock()
-}
-
-// pointered takes the lock-bearing struct by pointer: no copy.
-func pointered(a *server) int { return a.n }

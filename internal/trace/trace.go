@@ -146,28 +146,34 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Read returns the next event, or io.EOF at the end of the stream.
+// Read returns the next event, or io.EOF at the end of the stream. A stream
+// that ends inside a record is io.ErrUnexpectedEOF, never a clean end.
 func (t *Reader) Read() (Event, error) {
 	flags, err := t.r.ReadByte()
 	if err != nil {
-		return Event{}, err // io.EOF propagates cleanly
+		return Event{}, err // io.EOF on a record boundary is the clean end
 	}
 	e := Event{Kind: Kind(flags >> 1), Taken: flags&1 != 0}
 	if e.Kind < KindLoad || e.Kind > KindPrefPollute {
 		return Event{}, fmt.Errorf("trace: invalid record kind %d", e.Kind)
 	}
+	field := func(v *uint64) {
+		if err == nil {
+			*v, err = binary.ReadUvarint(t.r)
+		}
+	}
 	if e.Kind.IsPrefetch() {
-		if e.Cycle, err = binary.ReadUvarint(t.r); err != nil {
-			return Event{}, fmt.Errorf("trace: truncated record: %w", err)
-		}
+		field(&e.Cycle)
 	}
-	if e.PC, err = binary.ReadUvarint(t.r); err != nil {
-		return Event{}, fmt.Errorf("trace: truncated record: %w", err)
-	}
+	field(&e.PC)
 	if e.Kind == KindLoad || e.Kind == KindStore || e.Kind.IsPrefetch() {
-		if e.Addr, err = binary.ReadUvarint(t.r); err != nil {
-			return Event{}, fmt.Errorf("trace: truncated record: %w", err)
-		}
+		field(&e.Addr)
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return Event{}, fmt.Errorf("trace: truncated record: %w", err)
 	}
 	return e, nil
 }

@@ -194,3 +194,100 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// encode writes events as a complete stream.
+func encode(t testing.TB, events []Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decode reads a whole stream.
+func decode(data []byte) ([]Event, error) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return r.ReadAll()
+}
+
+// TestTruncatedAfterFlags cuts a stream right after the second record's
+// flags byte. The record has started, so the stream is truncated, not
+// complete after one event.
+func TestTruncatedAfterFlags(t *testing.T) {
+	first := Event{Kind: KindLoad, PC: 0x1000, Addr: 0x40}
+	full := encode(t, []Event{first, {Kind: KindLoad, PC: 0x1004, Addr: 0x80}})
+	cut := len(encode(t, []Event{first})) + 1
+	got, err := decode(full[:cut])
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if len(got) != 1 || got[0] != first {
+		t.Errorf("events before the cut = %+v, want [%+v]", got, first)
+	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes to the reader: they decode to
+// events or an error, never a panic. When they decode cleanly, every cut
+// of their canonical re-encoding decodes as complete exactly when it ends
+// on a record boundary, and then to the events before the cut.
+func FuzzTraceReader(f *testing.F) {
+	prog := isa.MustAssemble(`
+		movi r16, 0x4000
+		movi r10, 3
+	loop:
+		ld   r1, 0(r16)
+		st   r1, 8(r16)
+		addi r16, r16, 64
+		addi r10, r10, -1
+		bnez r10, loop
+		halt
+	`)
+	var buf bytes.Buffer
+	if _, err := Record(&buf, prog, mem.New(), 100); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(encode(f, []Event{{Kind: KindPrefLate, PC: 0x10, Addr: 0x1c0, Cycle: 1 << 40}}))
+	f.Add(buf.Bytes()[:buf.Len()-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := decode(data)
+		if err != nil || len(events) > 256 {
+			return
+		}
+		stream := encode(t, events)
+		boundary := map[int]int{len(stream): len(events)}
+		for i := range events {
+			boundary[len(encode(t, events[:i]))] = i
+		}
+		for cut := 8; cut <= len(stream); cut++ {
+			got, err := decode(stream[:cut])
+			n, onBoundary := boundary[cut]
+			switch {
+			case onBoundary && err != nil:
+				t.Fatalf("cut at record boundary %d: %v", cut, err)
+			case !onBoundary && err == nil:
+				t.Fatalf("cut at %d, inside a record, decoded as complete: %+v", cut, got)
+			case onBoundary && len(got) != n:
+				t.Fatalf("cut at %d: %d events, want %d", cut, len(got), n)
+			}
+			for i := range got {
+				if got[i] != events[i] {
+					t.Fatalf("cut at %d: event %d = %+v, want %+v", cut, i, got[i], events[i])
+				}
+			}
+		}
+	})
+}
