@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke clean
+.PHONY: all build test vet lint verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -86,6 +86,21 @@ obs-smoke:
 # plus a -j 1 / -j 8 leg sharing one store.
 store-smoke:
 	./scripts/store_smoke.sh
+
+# Experiment smoke test: every experiment (-exp all) over four kernels at a
+# reduced protocol, once with -j 1 and once with -j 8; the two table outputs
+# must match byte for byte. This is the only CI step that runs cpistack,
+# ext-isb, ext-bw, ext-depth, fig10, mix8, fig15 and ablation.
+EXP_SMOKE_ARGS = -exp all -workloads mcf,lbm,gamess,libquantum -mixes 2 \
+	-scalecores 2,4 -ff 20000 -warmup 5000 -measure 20000 -q
+
+exp-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/bfetch-bench" ./cmd/bfetch-bench && \
+	"$$tmp/bfetch-bench" $(EXP_SMOKE_ARGS) -j 1 > "$$tmp/j1.txt" && \
+	"$$tmp/bfetch-bench" $(EXP_SMOKE_ARGS) -j 8 > "$$tmp/j8.txt" && \
+	diff -u "$$tmp/j1.txt" "$$tmp/j8.txt" && \
+	echo "exp-smoke: -j 1 and -j 8 print identical tables ($$(wc -l < "$$tmp/j1.txt") lines)"
 
 clean:
 	rm -rf results

@@ -52,9 +52,8 @@ func runFig3(p Params) ([]*stats.Table, error) {
 	// single profile threaded through all 18 programs mixes state across
 	// the boundaries, since static load indexes collide between programs).
 	ws := p.workloads()
-	eng := p.engine()
 	profs := make([]*emu.DeltaProfile, len(ws))
-	if err := eng.Map(len(ws), func(i int) error {
+	if err := p.Runner.Map(len(ws), func(i int) error {
 		w, err := workload.ByName(ws[i])
 		if err != nil {
 			return err
@@ -64,7 +63,7 @@ func runFig3(p Params) ([]*stats.Table, error) {
 		profs[i] = emu.NewDeltaProfile()
 		profs[i].Attach(cpu)
 		n, err := cpu.Run(charInsts)
-		eng.AddEmuInsts(n)
+		p.Runner.AddEmuInsts(n)
 		if err != nil {
 			return fmt.Errorf("fig3 profile of %s: %w", ws[i], err)
 		}
@@ -103,9 +102,8 @@ func runFig7(p Params) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 7: branches per branch-carrying fetch cycle",
 		"benchmark", "1_branch", "2_branches", "3_branches", "4_branches")
 	ws := p.workloads()
-	eng := p.engine()
 	breakdowns := make([][]float64, len(ws))
-	if err := eng.Map(len(ws), func(i int) error {
+	if err := p.Runner.Map(len(ws), func(i int) error {
 		w, err := workload.ByName(ws[i])
 		if err != nil {
 			return err
@@ -115,7 +113,7 @@ func runFig7(p Params) ([]*stats.Table, error) {
 		prof := emu.NewFetchGroupProfile(4)
 		prof.Attach(cpu)
 		n, err := cpu.Run(charInsts)
-		eng.AddEmuInsts(n)
+		p.Runner.AddEmuInsts(n)
 		if err != nil {
 			return fmt.Errorf("fig7 profile of %s: %w", ws[i], err)
 		}

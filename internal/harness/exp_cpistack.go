@@ -49,7 +49,7 @@ func runCPIStack(p Params) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	solo := stats.NewTable(
 		"CPI stack, solo (fraction of core cycles per bucket, summed over workloads)",
 		cpiCols()...)
@@ -71,18 +71,9 @@ func runCPIStack(p Params) ([]*stats.Table, error) {
 	// 16-core mix: the highest-FOA 16-application mix on the scale-out
 	// memory system (banked LLC, channeled DRAM), so the queueing buckets —
 	// llc_bank_queue, dram_chan_queue — have real contention to attribute.
-	foa, err := workload.FOAProfiles(foaProfileInsts)
+	foa, err := p.foaProfiles()
 	if err != nil {
 		return nil, err
-	}
-	allowed := map[string]bool{}
-	for _, name := range ws {
-		allowed[name] = true
-	}
-	for name := range foa {
-		if !allowed[name] {
-			delete(foa, name)
-		}
 	}
 	mixes := workload.SelectMixes(16, 1, foa)
 	if len(mixes) == 0 {
@@ -95,7 +86,7 @@ func runCPIStack(p Params) ([]*stats.Table, error) {
 		cfg.CPU.CPIStack = true
 		jobs = append(jobs, runner.Multi(cfg, mix.Apps, p.Opts))
 	}
-	outs = p.engine().RunAll(jobs)
+	outs = p.Runner.RunAll(jobs)
 	mixT := stats.NewTable(
 		fmt.Sprintf("CPI stack, 16-core mix %s (fraction of core cycles per bucket, summed over cores)", mix.Name),
 		cpiCols()...)

@@ -3,13 +3,10 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/isb"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/stems"
-	"repro/internal/workload"
 )
 
 // Extension experiments beyond the paper's figures: the heavy-weight ISB
@@ -56,61 +53,37 @@ func runExtISB(p Params) ([]*stats.Table, error) {
 	lt := lifecycleTable("Extension (obs): prefetch lifecycle by engine",
 		[]string{"SMS", "Bfetch", "ISB", "STeMS"}, lcs)
 
-	// Meta-data growth: run ISB on a representative irregular workload and
-	// report the mapping footprint against B-Fetch's fixed budget.
+	// Meta-data growth: ISB's and STeMS's state after their measured mcf
+	// window (run-cache hits when mcf is in the workload set), against
+	// B-Fetch's fixed budget.
+	heavy := []sim.PrefetcherKind{sim.PFISB, sim.PFSTeMS}
+	outs := p.Runner.RunAll([]runner.Job{
+		runner.Solo(sim.Default(heavy[0]), "mcf", p.Opts),
+		runner.Solo(sim.Default(heavy[1]), "mcf", p.Opts),
+	})
+	var kb [2]float64
+	for i, o := range outs {
+		if o.Err != nil {
+			return nil, fmt.Errorf("%s on mcf: %w", heavy[i], o.Err)
+		}
+		// A store filled before the metric existed answers with a result
+		// that lacks it: its key covers the config and the Result shape,
+		// not the metric set.
+		v, ok := o.Result.Metrics.Get("c0.pf.meta_bytes")
+		if !ok {
+			return nil, fmt.Errorf("harness: %s result on mcf has no c0.pf.meta_bytes", heavy[i])
+		}
+		kb[i] = float64(v) / 1024
+	}
 	meta := stats.NewTable("Extension: prefetcher state after an mcf run",
 		"prefetcher", "state", "location")
-	res, err := runWithISB(p, "mcf")
-	if err != nil {
-		return nil, err
-	}
-	stemsMeta, err := runWithSTeMS(p, "mcf")
-	if err != nil {
-		return nil, err
-	}
 	meta.AddRow("B-Fetch", "12.84 KB (fixed)", "on-chip")
 	meta.AddRow("SMS", "≈65 KB (fixed)", "on-chip")
-	meta.AddRow("ISB", fmt.Sprintf("%.1f KB (grows with footprint)", float64(res)/1024),
+	meta.AddRow("ISB", fmt.Sprintf("%.1f KB (grows with footprint)", kb[0]),
 		"off-chip in the original (≈8 MB budget, +8.4% traffic)")
-	meta.AddRow("STeMS", fmt.Sprintf("%.1f KB (grows with history)", float64(stemsMeta)/1024),
+	meta.AddRow("STeMS", fmt.Sprintf("%.1f KB (grows with history)", kb[1]),
 		"temporal log off-chip in the original (MBs)")
 	return []*stats.Table{t, lt, meta}, nil
-}
-
-// runWithSTeMS measures STeMS's meta-data bytes after running one workload.
-func runWithSTeMS(p Params, app string) (int, error) {
-	w, err := workload.ByName(app)
-	if err != nil {
-		return 0, err
-	}
-	cfg := sim.Default(sim.PFSTeMS)
-	s, err := sim.New(cfg, []workload.Workload{w})
-	if err != nil {
-		return 0, err
-	}
-	total := p.Opts.WarmupInsts + p.Opts.MeasureInsts
-	if err := s.Run(total, total*1000); err != nil {
-		return 0, err
-	}
-	return s.PFs[0].(*stems.STeMS).MetaBytes(), nil
-}
-
-// runWithISB measures ISB's meta-data bytes after running one workload.
-func runWithISB(p Params, app string) (int, error) {
-	w, err := workload.ByName(app)
-	if err != nil {
-		return 0, err
-	}
-	cfg := sim.Default(sim.PFISB)
-	s, err := sim.New(cfg, []workload.Workload{w})
-	if err != nil {
-		return 0, err
-	}
-	total := p.Opts.WarmupInsts + p.Opts.MeasureInsts
-	if err := s.Run(total, total*1000); err != nil {
-		return 0, err
-	}
-	return s.PFs[0].(*isb.ISB).MetaBytes(), nil
 }
 
 // runExtBandwidth measures SMS and B-Fetch speedups while scaling the DRAM
@@ -132,7 +105,7 @@ func runExtBandwidth(p Params) ([]*stats.Table, error) {
 			}
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	k := 0
 	for _, cpf := range cpfs {
 		var smsSp, bfSp []float64
@@ -166,32 +139,15 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 		return nil, err
 	}
 
-	// Timed runs go through the engine as one batch; the instrumented runs
-	// (engine counters are not carried through sim.Run's Result) fan out
-	// over the same pool via Map, one slot per (threshold, workload) point.
-	configs := make([]sim.Config, len(thresholds))
 	var jobs []runner.Job
-	for ti, th := range thresholds {
+	for _, th := range thresholds {
 		cfg := sim.Default(sim.PFBFetch)
 		cfg.BFetch.PathThreshold = th
-		configs[ti] = cfg
 		for _, name := range ws {
 			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
-	insts := make([]obs.Snapshot, len(jobs))
-	if err := p.engine().Map(len(jobs), func(i int) error {
-		st, err := bfetchStats(configs[i/len(ws)], ws[i%len(ws)], p.Opts)
-		if err != nil {
-			return fmt.Errorf("instrumented run on %s: %w", ws[i%len(ws)], err)
-		}
-		insts[i] = st
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
+	outs := p.Runner.RunAll(jobs)
 	for ti, th := range thresholds {
 		var (
 			steps, starts, stopsConf, stopsBrtc uint64
@@ -203,11 +159,11 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 				return nil, fmt.Errorf("threshold %.2f on %s: %w", th, name, o.Err)
 			}
 			speedup = append(speedup, o.Result.IPC[0]/base[wi].IPC[0])
-			st := insts[ti*len(ws)+wi]
-			steps += bfetchMetric(st, "lookahead_steps")
-			starts += bfetchMetric(st, "lookahead_starts")
-			stopsConf += bfetchMetric(st, "lookahead_stops")
-			stopsBrtc += bfetchMetric(st, "brtc_misses")
+			m := o.Result.Metrics
+			steps += metric(m, "c0.pf.lookahead_steps")
+			starts += metric(m, "c0.pf.lookahead_starts")
+			stopsConf += metric(m, "c0.pf.lookahead_stops")
+			stopsBrtc += metric(m, "c0.pf.brtc_misses")
 		}
 		avg := 0.0
 		if starts > 0 {
@@ -217,4 +173,11 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 		t.AddRow(fmt.Sprintf("%.2f", th), avg, stopsConf, stopsBrtc, stats.Geomean(speedup))
 	}
 	return []*stats.Table{t}, nil
+}
+
+// metric reads one scalar from a result's metrics snapshot; a metric the
+// system did not register reads as 0.
+func metric(m obs.Snapshot, name string) uint64 {
+	v, _ := m.Get(name)
+	return v
 }

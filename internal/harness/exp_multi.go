@@ -44,49 +44,69 @@ func init() {
 // foaProfileInsts is the functional profile length behind mix selection.
 const foaProfileInsts = 100_000
 
-func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
+// foaProfiles returns the FOA contention estimate of each requested
+// workload: the pool every mix experiment selects its mixes from.
+func (p Params) foaProfiles() (map[string]float64, error) {
 	foa, err := workload.FOAProfiles(foaProfileInsts)
 	if err != nil {
 		return nil, err
 	}
-	// Restrict to the requested workload subset, if any.
-	allowed := map[string]bool{}
+	pool := make(map[string]float64, len(foa))
 	for _, name := range p.workloads() {
-		allowed[name] = true
-	}
-	for name := range foa {
-		if !allowed[name] {
-			delete(foa, name)
+		if v, ok := foa[name]; ok {
+			pool[name] = v
 		}
 	}
-	mixes := workload.SelectMixes(n, p.Mixes, foa)
-	if len(mixes) == 0 {
-		return nil, fmt.Errorf("harness: no %d-app mixes from %d workloads", n, len(foa))
-	}
+	return pool, nil
+}
 
-	kinds := sim.Kinds
-
-	// Weighted-speedup denominators: each application alone on the
-	// *baseline* (no-prefetch) system, common to every prefetcher — the
-	// paper's normalization puts the baseline system at 1.0 and reports
-	// each prefetcher's multiprogrammed gain over it (§V-A, §V-B2). These
-	// are the same solo points every speedup figure divides by, so they
-	// come from the shared baseline store.
+// soloIPCs returns each pool application's IPC alone on the no-prefetch
+// baseline: the weighted-speedup denominators, common to every prefetcher.
+// The paper's normalization puts the baseline system at 1.0 and reports
+// each prefetcher's multiprogrammed gain over it (§V-A, §V-B2). These are
+// the same solo points every speedup figure divides by.
+func (p Params) soloIPCs(foa map[string]float64) (map[string]float64, error) {
 	apps := make([]string, 0, len(foa))
 	for name := range foa {
 		apps = append(apps, name)
 	}
 	sort.Strings(apps)
-	soloRes, err := p.baselineResults(sim.Default(sim.PFNone), apps)
+	res, err := p.baselineResults(sim.Default(sim.PFNone), apps)
 	if err != nil {
 		return nil, fmt.Errorf("solo baseline: %w", err)
 	}
-	solo := map[string]float64{}
+	solo := make(map[string]float64, len(apps))
 	for i, name := range apps {
-		solo[name] = soloRes[i].IPC[0]
+		solo[name] = res[i].IPC[0]
 	}
 	p.logf("  baseline solo IPCs done")
+	return solo, nil
+}
 
+// soloOf returns one mix's weighted-speedup denominators.
+func soloOf(solo map[string]float64, apps []string) []float64 {
+	den := make([]float64, len(apps))
+	for i, app := range apps {
+		den[i] = solo[app]
+	}
+	return den
+}
+
+func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
+	foa, err := p.foaProfiles()
+	if err != nil {
+		return nil, err
+	}
+	mixes := workload.SelectMixes(n, p.Mixes, foa)
+	if len(mixes) == 0 {
+		return nil, fmt.Errorf("harness: no %d-app mixes from %d workloads", n, len(foa))
+	}
+	solo, err := p.soloIPCs(foa)
+	if err != nil {
+		return nil, err
+	}
+
+	kinds := sim.Kinds
 	// Weighted speedup per mix per kind, as one batch over the whole grid.
 	var jobs []runner.Job
 	for _, kind := range kinds {
@@ -94,7 +114,7 @@ func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Multi(sim.Default(kind), mix.Apps, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	ws := map[sim.PrefetcherKind][]float64{}
 	for ki, kind := range kinds {
 		for mi, mix := range mixes {
@@ -102,11 +122,7 @@ func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
 			if o.Err != nil {
 				return nil, fmt.Errorf("%s on %s (%v): %w", kind, mix.Name, mix.Apps, o.Err)
 			}
-			den := make([]float64, len(mix.Apps))
-			for i, app := range mix.Apps {
-				den[i] = solo[app]
-			}
-			ws[kind] = append(ws[kind], stats.WeightedSpeedup(o.Result.IPC, den))
+			ws[kind] = append(ws[kind], stats.WeightedSpeedup(o.Result.IPC, soloOf(solo, mix.Apps)))
 		}
 		p.logf("  %s mixes for %s done", figure, kind)
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/runner"
@@ -35,18 +34,9 @@ func runScale(p Params) ([]*stats.Table, error) {
 	if len(counts) == 0 {
 		counts = scaleDefaultCores
 	}
-	foa, err := workload.FOAProfiles(foaProfileInsts)
+	foa, err := p.foaProfiles()
 	if err != nil {
 		return nil, err
-	}
-	allowed := map[string]bool{}
-	for _, name := range p.workloads() {
-		allowed[name] = true
-	}
-	for name := range foa {
-		if !allowed[name] {
-			delete(foa, name)
-		}
 	}
 
 	// One top-contention mix per core count; the sweep axis is the CMP
@@ -60,22 +50,10 @@ func runScale(p Params) ([]*stats.Table, error) {
 		mixes[i] = ms[0]
 	}
 
-	// Weighted-speedup denominators: solo IPC on the no-prefetch Table II
-	// baseline, shared with every other speedup figure.
-	apps := make([]string, 0, len(foa))
-	for name := range foa {
-		apps = append(apps, name)
-	}
-	sort.Strings(apps)
-	soloRes, err := p.baselineResults(sim.Default(sim.PFNone), apps)
+	solo, err := p.soloIPCs(foa)
 	if err != nil {
-		return nil, fmt.Errorf("solo baseline: %w", err)
+		return nil, err
 	}
-	solo := map[string]float64{}
-	for i, name := range apps {
-		solo[name] = soloRes[i].IPC[0]
-	}
-	p.logf("  baseline solo IPCs done")
 
 	kinds := sim.Kinds
 	var jobs []runner.Job
@@ -84,7 +62,7 @@ func runScale(p Params) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Multi(sim.DefaultScale(kind, n), mixes[i].Apps, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	res := map[sim.PrefetcherKind][]sim.Result{}
 	for ki, kind := range kinds {
 		for i := range counts {
@@ -98,11 +76,7 @@ func runScale(p Params) ([]*stats.Table, error) {
 	}
 
 	ws := func(kind sim.PrefetcherKind, i int) float64 {
-		den := make([]float64, len(mixes[i].Apps))
-		for j, app := range mixes[i].Apps {
-			den[j] = solo[app]
-		}
-		return stats.WeightedSpeedup(res[kind][i].IPC, den)
+		return stats.WeightedSpeedup(res[kind][i].IPC, soloOf(solo, mixes[i].Apps))
 	}
 
 	speedup := stats.NewTable(

@@ -84,14 +84,6 @@ func (p Params) logf(format string, args ...any) {
 // nil: a fresh GOMAXPROCS-wide one.
 var newEngine = func() *runner.Engine { return runner.New(0) }
 
-// engine returns the batch executor, defaulting to a parallel one.
-func (p Params) engine() *runner.Engine {
-	if p.Runner != nil {
-		return p.Runner
-	}
-	return newEngine()
-}
-
 // Experiment reproduces one paper artifact.
 type Experiment struct {
 	ID    string // paper artifact id: fig1, tab1, ...
@@ -193,7 +185,7 @@ func (p Params) baselineResults(cfg sim.Config, names []string) ([]sim.Result, e
 		missing = append(missing, i)
 		jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	for k, i := range missing {
 		if err := outs[k].Err; err != nil {
 			return nil, fmt.Errorf("baseline on %s: %w", names[i], err)
@@ -224,7 +216,7 @@ func speedups(p Params, baseline sim.Config, configs []sim.Config) ([][]float64,
 			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 
 	out := make([][]float64, len(configs))
 	lcs := make([]obs.LifecycleStats, len(configs))

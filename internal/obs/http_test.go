@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -64,8 +65,9 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 // TestServeWithoutRuns checks the runs endpoint is absent when no supplier
-// is wired, and that a second server in the same process is fine (the
-// expvar publication must not panic on re-registration).
+// is wired, and that a second server in the same process serves no status
+// var at /debug/vars: a process-wide one would still read the first
+// server's status.
 func TestServeWithoutRuns(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func() Status { return Status{Schema: SchemaStatus} }, nil, nil)
 	if err != nil {
@@ -74,5 +76,8 @@ func TestServeWithoutRuns(t *testing.T) {
 	defer srv.Close()
 	if code, _ := get(t, "http://"+srv.Addr()+"/obs/runs"); code != http.StatusNotFound {
 		t.Errorf("GET /obs/runs without supplier: %d, want 404", code)
+	}
+	if _, body := get(t, "http://"+srv.Addr()+"/debug/vars"); strings.Contains(string(body), `"bfetch"`) {
+		t.Errorf("/debug/vars publishes a bfetch var:\n%s", body)
 	}
 }

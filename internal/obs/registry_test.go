@@ -5,17 +5,14 @@ import (
 	"testing"
 )
 
-func TestRegistryCountersGaugesHists(t *testing.T) {
+func TestRegistryCountersHists(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("b.count")
-	g := r.Gauge("a.gauge")
+	c := r.Counter("e.count")
 	h := r.Histogram("c.hist")
 	r.Func("d.func", func() uint64 { return 7 })
 
 	c.Inc()
 	c.Add(4)
-	g.Set(9)
-	g.Set(3) // last value wins
 	h.Observe(0)
 	h.Observe(5)
 	h.Observe(1 << 40) // clamps into the last bucket
@@ -23,18 +20,15 @@ func TestRegistryCountersGaugesHists(t *testing.T) {
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
-	if g.Value() != 3 {
-		t.Errorf("gauge = %d, want 3", g.Value())
-	}
 	if h.Count() != 3 {
 		t.Errorf("hist count = %d, want 3", h.Count())
 	}
-	if r.Len() != 4 {
-		t.Errorf("Len = %d, want 4", r.Len())
+	if r.Len() != 3 {
+		t.Errorf("Len = %d, want 3", r.Len())
 	}
 
 	s := r.Snapshot()
-	wantNames := []string{"a.gauge", "b.count", "d.func"}
+	wantNames := []string{"d.func", "e.count"}
 	var gotNames []string
 	for _, smp := range s.Samples {
 		gotNames = append(gotNames, smp.Name)
@@ -42,8 +36,8 @@ func TestRegistryCountersGaugesHists(t *testing.T) {
 	if !reflect.DeepEqual(gotNames, wantNames) {
 		t.Errorf("snapshot names = %v, want %v (sorted)", gotNames, wantNames)
 	}
-	if v, ok := s.Get("b.count"); !ok || v != 5 {
-		t.Errorf("Get(b.count) = %d, %v", v, ok)
+	if v, ok := s.Get("e.count"); !ok || v != 5 {
+		t.Errorf("Get(e.count) = %d, %v", v, ok)
 	}
 	if v, ok := s.Get("d.func"); !ok || v != 7 {
 		t.Errorf("Get(d.func) = %d, %v", v, ok)
@@ -62,19 +56,16 @@ func TestRegistryCountersGaugesHists(t *testing.T) {
 func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h")
 	live := uint64(11)
 	r.Func("f", func() uint64 { return live })
 
 	c.Add(10)
-	g.Set(2)
 	h.Observe(3)
 	r.Reset()
 
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Errorf("after Reset: counter %d gauge %d hist %d, want zeros",
-			c.Value(), g.Value(), h.Count())
+	if c.Value() != 0 || h.Count() != 0 {
+		t.Errorf("after Reset: counter %d hist %d, want zeros", c.Value(), h.Count())
 	}
 	// Func collectors read live state owned elsewhere; Reset must not touch it.
 	if v, _ := r.Snapshot().Get("f"); v != 11 {
@@ -90,5 +81,5 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.Histogram("x")
 }

@@ -248,9 +248,9 @@ func (e *Engine) RunAll(jobs []Job) []Outcome {
 }
 
 // Map runs fn(0..n-1) across the pool and returns the lowest-index error.
-// It is the general-purpose fan-out for experiment work that is not a plain
-// sim run (functional profiles, instrumented runs); results must be written
-// into index-addressed slots by fn, which keeps assembly deterministic.
+// It is the fan-out for experiment work that is not a simulation (the
+// functional profiles); results must be written into index-addressed slots
+// by fn, which keeps assembly deterministic.
 func (e *Engine) Map(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	if e.workers == 1 || n <= 1 {

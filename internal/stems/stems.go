@@ -234,6 +234,7 @@ func (s *STeMS) ResetStats() {
 func (s *STeMS) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Func(prefix+"temporal_hits", func() uint64 { return s.TemporalHits })
 	reg.Func(prefix+"generations", func() uint64 { return s.Generations })
+	reg.Func(prefix+"meta_bytes", func() uint64 { return uint64(s.MetaBytes()) })
 	s.queue.RegisterObs(reg, prefix)
 }
 
