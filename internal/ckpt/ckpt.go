@@ -7,10 +7,13 @@
 // functional emulator (internal/emu), and Restore boots any number of
 // cycle-accurate simulations from it.
 //
-// The memory image is frozen at capture (mem.Memory.Freeze), so Restore is
-// an O(1) copy-on-write fork: concurrent simulations restored from one
-// checkpoint share the image's footprint and privately copy only the pages
-// they write. Restore is safe to call from many goroutines at once.
+// The memory image is the workload's built image plus the pages the prefix
+// changed, frozen at capture (mem.Memory.Freeze): it shares every unchanged
+// page with the workload's image, and Restore is an O(1) copy-on-write fork,
+// so concurrent simulations restored from one checkpoint share its footprint
+// and privately copy only the pages they write. A checkpoint rebuilt from
+// its changed pages (FromParts) has the same shape. Restore is safe to call
+// from many goroutines at once.
 //
 // What a checkpoint deliberately does NOT capture: any microarchitectural
 // state. Caches, branch predictor, confidence estimator and prefetcher all
@@ -42,8 +45,9 @@ type Checkpoint struct {
 	// Arch is the captured architectural state.
 	Arch emu.Arch
 
+	w     workload.Workload
 	prog  *isa.Program
-	image *mem.Memory // frozen; Restore forks it
+	image *mem.Memory // frozen; w's image plus the changed pages; Restore forks it
 }
 
 // New builds the workload, executes ffInsts instructions on the functional
@@ -62,6 +66,7 @@ func New(w workload.Workload, ffInsts uint64) (*Checkpoint, error) {
 		Workload: w.Name,
 		FFInsts:  ffInsts,
 		Arch:     c.Arch(),
+		w:        w,
 		prog:     prog,
 		image:    image,
 	}, nil
@@ -77,42 +82,53 @@ func ByName(name string, ffInsts uint64) (*Checkpoint, error) {
 }
 
 // FromParts reconstructs a checkpoint from externally stored state: the
-// workload name (whose program is rebuilt — workload builds are
-// deterministic, so the rebuilt program is the one the state was captured
-// against), the requested fast-forward length, the captured architectural
-// state, and the memory image. The image is frozen here, so the caller must
-// hand over ownership; it must not mutate it afterwards.
+// workload name (whose program and image are rebuilt — workload builds are
+// deterministic, so they are the ones the state was captured against), the
+// requested fast-forward length, the captured architectural state, and the
+// pages the fast-forward changed (Written). The pages are overlaid on a
+// copy-on-write fork of the built image, so the result shares the
+// unchanged pages exactly as a checkpoint made by New does.
 //
 // FromParts trusts its inputs only as far as cheap validation can carry:
 // the workload must exist and the PC must be a valid resume point for the
-// rebuilt program. Content integrity (the image and Arch actually being
+// rebuilt program. Content integrity (the pages and Arch actually being
 // the prefix's output) is the storage layer's job — internal/store keys
 // checkpoint entries by the workload's built content, so a changed workload
 // generator can never pair stale state with a fresh program.
-func FromParts(name string, ffInsts uint64, arch emu.Arch, image *mem.Memory) (*Checkpoint, error) {
+func FromParts(name string, ffInsts uint64, arch emu.Arch, written []mem.PageImage) (*Checkpoint, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	prog, _ := w.Build()
+	prog, image := w.Build()
 	if arch.PC < 0 || arch.PC > len(prog.Insts) {
 		return nil, fmt.Errorf("ckpt: restored PC %d out of range for %s (%d insts)",
 			arch.PC, name, len(prog.Insts))
 	}
+	image.Overlay(written)
 	image.Freeze()
 	return &Checkpoint{
 		Workload: name,
 		FFInsts:  ffInsts,
 		Arch:     arch,
+		w:        w,
 		prog:     prog,
 		image:    image,
 	}, nil
 }
 
 // Image returns the checkpoint's frozen memory image. It is shared state —
-// callers may read or Fork it but must not write through it directly; the
-// serialization path (internal/store) exports its pages.
+// callers may read or Fork it but must not write through it directly.
 func (c *Checkpoint) Image() *mem.Memory { return c.image }
+
+// Written returns the pages whose contents differ from the workload's built
+// image, sorted by page number — a page the prefix zeroed included. They
+// are all a checkpoint holds beyond the workload: FromParts rebuilds the
+// checkpoint from them.
+func (c *Checkpoint) Written() []mem.PageImage {
+	_, built := c.w.Build()
+	return c.image.Diff(built)
+}
 
 // Restore returns what a core needs to resume from the checkpoint: the
 // program (shared — it is read-only), a copy-on-write fork of the memory

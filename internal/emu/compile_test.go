@@ -128,65 +128,89 @@ func randProgram(rng *rand.Rand, n int) *isa.Program {
 	return p
 }
 
+// randBudget bounds each random program's run.
+const randBudget = 2_000
+
 func TestCompiledMatchesInterpRandom(t *testing.T) {
 	const (
 		seeds  = 300
 		progLn = 48
-		budget = 2_000
 	)
 	for seed := int64(0); seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prog := randProgram(rng, progLn)
-
-		var regs [isa.NumRegs]int64
-		for i := range regs {
-			switch rng.Intn(3) {
-			case 0:
-				regs[i] = int64(rng.Intn(4096))
-			case 1:
-				// Valid text addresses make some JRs succeed.
-				regs[i] = int64(prog.PC(rng.Intn(progLn)))
-			case 2:
-				regs[i] = rng.Int63() - rng.Int63()
-			}
-		}
-		regs[isa.RZero] = 0
-		img := mem.New()
-		for i := 0; i < 64; i++ {
-			img.WriteInt64(uint64(rng.Intn(4096))*8, rng.Int63()-rng.Int63())
-		}
-		img.Freeze()
-
-		ic := emu.New(prog, img.Fork())
-		ic.OnRetire = nopRetire
-		ic.Regs = regs
-		cc := emu.New(prog, img.Fork())
-		cc.Regs = regs
-
-		// Chunked on the compiled side: odd chunk sizes exercise the
-		// mid-superblock budget path against a one-shot interpreter run.
-		ni, ei := ic.Run(budget)
-		var (
-			nc uint64
-			ec error
-		)
-		for nc < budget && ec == nil && !cc.Halted {
-			chunk := uint64(1 + rng.Intn(97))
-			if chunk > budget-nc {
-				chunk = budget - nc
-			}
-			var k uint64
-			k, ec = cc.Run(chunk)
-			nc += k
-			if ec == nil && k < chunk {
-				break // halted
-			}
-		}
-		diffState(t, prog.Insts[0].String(), ic, cc, ni, nc, ei, ec)
+		diffRandom(t, seed, progLn)
 		if t.Failed() {
 			t.Fatalf("seed %d diverged", seed)
 		}
 	}
+}
+
+// FuzzCompiledMatchesInterp runs the random differential over fuzzed
+// (seed, program length) pairs; the seed corpus samples the random test's
+// seeds at its program length, plus a few other lengths.
+func FuzzCompiledMatchesInterp(f *testing.F) {
+	for seed := int64(0); seed < 300; seed += 25 {
+		f.Add(seed, uint16(48))
+	}
+	for _, n := range []uint16{1, 2, 7, 200} {
+		f.Add(int64(n), n)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		diffRandom(t, seed, 1+int(n)%256)
+	})
+}
+
+// diffRandom runs one seeded random program of progLn instructions, with
+// seeded registers and memory, on both engines and compares their states.
+func diffRandom(t *testing.T, seed int64, progLn int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	prog := randProgram(rng, progLn)
+
+	var regs [isa.NumRegs]int64
+	for i := range regs {
+		switch rng.Intn(3) {
+		case 0:
+			regs[i] = int64(rng.Intn(4096))
+		case 1:
+			// Valid text addresses make some JRs succeed.
+			regs[i] = int64(prog.PC(rng.Intn(progLn)))
+		case 2:
+			regs[i] = rng.Int63() - rng.Int63()
+		}
+	}
+	regs[isa.RZero] = 0
+	img := mem.New()
+	for i := 0; i < 64; i++ {
+		img.WriteInt64(uint64(rng.Intn(4096))*8, rng.Int63()-rng.Int63())
+	}
+	img.Freeze()
+
+	ic := emu.New(prog, img.Fork())
+	ic.OnRetire = nopRetire
+	ic.Regs = regs
+	cc := emu.New(prog, img.Fork())
+	cc.Regs = regs
+
+	// Chunked on the compiled side: odd chunk sizes exercise the
+	// mid-superblock budget path against a one-shot interpreter run.
+	ni, ei := ic.Run(randBudget)
+	var (
+		nc uint64
+		ec error
+	)
+	for nc < randBudget && ec == nil && !cc.Halted {
+		chunk := uint64(1 + rng.Intn(97))
+		if chunk > randBudget-nc {
+			chunk = randBudget - nc
+		}
+		var k uint64
+		k, ec = cc.Run(chunk)
+		nc += k
+		if ec == nil && k < chunk {
+			break // halted
+		}
+	}
+	diffState(t, prog.Insts[0].String(), ic, cc, ni, nc, ei, ec)
 }
 
 // TestCompiledFaults pins the compiled engine's fault behavior to the

@@ -13,43 +13,58 @@ type PageImage struct {
 	Words [PageWords]uint64
 }
 
-// ExportPages returns a deep copy of the address space's visible contents as
-// page images sorted by page number. All-zero pages are omitted: untouched
-// memory reads as zero, so dropping them loses nothing (Equal treats absent
-// and zero-filled pages alike) and keeps the export canonical — two
-// architecturally equal address spaces export identical slices regardless of
-// which zero pages each happened to materialize.
-func (m *Memory) ExportPages() []PageImage {
+// Diff returns deep copies of the pages whose visible contents differ
+// between m and base, as m holds them, sorted by page number. A nil base is
+// empty memory. A page that base holds and m reads as zero is included
+// all-zero; otherwise absent and all-zero pages are alike (as in Equal), so
+// the result is canonical: base.Overlay(m.Diff(base)) makes base Equal to m,
+// and m.Diff(nil) is the same for any two equal address spaces. Pages both
+// sides share copy-on-write are skipped without comparing them.
+func (m *Memory) Diff(base *Memory) []PageImage {
+	if base == nil {
+		base = &Memory{}
+	}
 	var zero page
-	pns := make([]uint64, 0, len(m.pages)+len(m.ro))
-	for pn, p := range m.pages {
-		if *p != zero {
-			pns = append(pns, pn)
+	changed := make(map[uint64]bool)
+	for _, layer := range []map[uint64]*page{m.pages, m.ro, base.pages, base.ro} {
+		for pn := range layer {
+			p, q := m.lookup(pn), base.lookup(pn)
+			if p == nil {
+				p = &zero
+			}
+			if q == nil {
+				q = &zero
+			}
+			if p != q && *p != *q {
+				changed[pn] = true
+			}
 		}
 	}
-	for pn, p := range m.ro {
-		if _, shadowed := m.pages[pn]; !shadowed && *p != zero {
-			pns = append(pns, pn)
-		}
+	pns := make([]uint64, 0, len(changed))
+	for pn := range changed {
+		pns = append(pns, pn)
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	out := make([]PageImage, len(pns))
 	for i, pn := range pns {
 		out[i].PN = pn
-		out[i].Words = *m.lookup(pn)
+		if p := m.lookup(pn); p != nil {
+			out[i].Words = *p
+		}
 	}
 	return out
 }
 
-// FromPages reconstructs an address space from exported page images. The
-// result is an independent private copy — mutating it cannot affect the
-// source of the images. Page order does not matter; duplicate page numbers
-// keep the last occurrence.
-func FromPages(pages []PageImage) *Memory {
-	m := New()
+// Overlay writes page images into m's private layer, replacing whatever m
+// held at those page numbers; duplicate page numbers keep the last image.
+// The pages are copied, so m shares nothing with the images afterwards.
+func (m *Memory) Overlay(pages []PageImage) {
 	for i := range pages {
+		pn := pages[i].PN
 		p := page(pages[i].Words)
-		m.pages[pages[i].PN] = &p
+		m.pages[pn] = &p
+		if e := &m.tlb[tlbIdx(pn)]; e.pn == pn {
+			*e = tlbEntry{}
+		}
 	}
-	return m
 }

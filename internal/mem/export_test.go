@@ -3,8 +3,9 @@ package mem
 import "testing"
 
 // TestExportImportRoundTrip pins the serialization substrate of durable
-// checkpoints: export → import must reproduce the address space exactly,
-// including contents that live in a frozen base under private overlays.
+// checkpoints: a diff against empty memory, overlaid on empty memory, must
+// reproduce the address space exactly, including contents that live in a
+// frozen base under private overlays.
 func TestExportImportRoundTrip(t *testing.T) {
 	m := New()
 	m.Write64(0x1000_0000, 0xdeadbeef)
@@ -14,7 +15,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	m.Write64(0x1000_0000, 0xfeedface) // private page shadowing frozen base
 	m.Write64(0x3000_0000, 7)
 
-	back := FromPages(m.ExportPages())
+	back := New()
+	back.Overlay(m.Diff(nil))
 	if !Equal(m, back) {
 		t.Fatal("export/import round trip lost contents")
 	}
@@ -32,10 +34,10 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportCanonical pins the canonical-form property the checkpoint
-// content fingerprint relies on: zero pages do not appear, page order is
-// sorted, and two architecturally equal spaces that materialized different
-// zero pages export identically.
+// TestExportCanonical pins the canonical-form property the workload content
+// fingerprint relies on: against empty memory, zero pages do not appear,
+// page order is sorted, and two architecturally equal spaces that
+// materialized different zero pages export identically.
 func TestExportCanonical(t *testing.T) {
 	a := New()
 	a.Write64(0x2000, 5)
@@ -46,7 +48,7 @@ func TestExportCanonical(t *testing.T) {
 	b.Write64(0x1000, 3)
 	b.Write64(0x2000, 5)
 
-	pa, pb := a.ExportPages(), b.ExportPages()
+	pa, pb := a.Diff(nil), b.Diff(nil)
 	if len(pa) != 2 || len(pb) != 2 {
 		t.Fatalf("exports have %d and %d pages, want 2 and 2 (zero pages must be dropped)", len(pa), len(pb))
 	}
@@ -62,10 +64,51 @@ func TestExportCanonical(t *testing.T) {
 
 // TestExportEmpty covers the degenerate cases.
 func TestExportEmpty(t *testing.T) {
-	if pages := New().ExportPages(); len(pages) != 0 {
+	if pages := New().Diff(nil); len(pages) != 0 {
 		t.Errorf("empty space exported %d pages", len(pages))
 	}
-	if m := FromPages(nil); m.Read64(0) != 0 {
-		t.Error("import of no pages is not an empty space")
+	m := New()
+	m.Overlay(nil)
+	if m.Read64(0) != 0 || m.FootprintBytes() != 0 {
+		t.Error("overlay of no pages changed an empty space")
+	}
+}
+
+// TestDiffOverBase pins the checkpoint delta: against a base it was forked
+// from, a diff carries exactly the pages whose contents changed — a page
+// zeroed since the fork included, a page rewritten with its old contents
+// excluded — and overlaying it on the base reproduces the source.
+func TestDiffOverBase(t *testing.T) {
+	base := New()
+	for _, pn := range []uint64{1, 2, 3, 4} {
+		base.Write64(pn*PageBytes, pn)
+	}
+	base.Freeze()
+	m := base.Fork()
+	m.Write64(1*PageBytes, 0)  // page 1 becomes all-zero
+	m.Write64(2*PageBytes, 2)  // page 2 rewritten unchanged
+	m.Write64(3*PageBytes, 33) // page 3 changed
+	m.Write64(9*PageBytes, 9)  // page 9 new
+	m.Freeze()
+
+	d := m.Diff(base.Fork())
+	var pns []uint64
+	for _, p := range d {
+		pns = append(pns, p.PN)
+	}
+	if len(pns) != 3 || pns[0] != 1 || pns[1] != 3 || pns[2] != 9 {
+		t.Fatalf("diff holds pages %v, want [1 3 9]", pns)
+	}
+	if d[0].Words != ([PageWords]uint64{}) {
+		t.Error("the zeroed page is not carried as all-zero")
+	}
+	back := base.Fork()
+	back.Read64(1 * PageBytes) // cache the shared page's translation
+	back.Overlay(d)
+	if !Equal(back, m) {
+		t.Error("base overlaid with the diff differs from the source")
+	}
+	if back.Read64(1*PageBytes) != 0 || back.Read64(4*PageBytes) != 4 {
+		t.Error("overlay left a stale page or lost a shared one")
 	}
 }

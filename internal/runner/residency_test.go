@@ -68,56 +68,54 @@ func warmCheckpointStore(t *testing.T) *store.Store {
 	return st
 }
 
-// TestRestoredCheckpointResidency: the first copy of a checkpoint read from
-// the store does not stay in memory after its batch. A later batch that
-// needs it reads it from disk again, instead of emulating it, and keeps
-// that copy. Results equal a storeless engine's.
+// TestRestoredCheckpointResidency: a checkpoint read from the store stays
+// in memory for the engine's lifetime, like an emulated one, so it is read
+// from disk once however many batches and jobs need it. Results equal a
+// storeless engine's.
 func TestRestoredCheckpointResidency(t *testing.T) {
-	e := New(2)
-	e.SetStore(warmCheckpointStore(t))
 	first, second := residencyBatches()
-	outs := runBatch(t, e, first)
-	if n := resident(e); n != 0 {
-		t.Errorf("%d checkpoints resident after the first batch, want 0", n)
-	}
-	outs = append(outs, runBatch(t, e, second)...)
-	if n := resident(e); n != 2 {
-		t.Errorf("%d checkpoints resident after the second batch, want 2 (read back and kept)", n)
-	}
-	if s := e.Stats(); s.CkptMisses != 0 || s.StoreCkptHits != 4 {
-		t.Errorf("ckpt misses %d, store ckpt hits %d; want 0, 4 (two per batch)",
-			s.CkptMisses, s.StoreCkptHits)
-	}
-	ref := New(2).RunAll(append(first, second...))
-	for i := range ref {
-		if ref[i].Err != nil || !reflect.DeepEqual(ref[i].Result, outs[i].Result) {
-			t.Errorf("job %d: result differs from a storeless engine's (ref err %v)", i, ref[i].Err)
-		}
-	}
-}
-
-// TestRestoredCheckpointPinnedForBatch: a one-worker engine runs eight
-// configs sharing one checkpoint in one batch. The checkpoint is pinned for
-// the whole batch, so it is read from disk once, not once per job.
-func TestRestoredCheckpointPinnedForBatch(t *testing.T) {
-	opts := storeOpts()
-	var jobs []Job
+	// Eight configs sharing the mcf checkpoint, one batch, one worker.
+	var eight []Job
 	for _, kind := range []sim.PrefetcherKind{sim.PFNone, sim.PFStride, sim.PFSMS, sim.PFBFetch} {
-		jobs = append(jobs, Solo(sim.Default(kind), "mcf", opts))
+		eight = append(eight, Solo(sim.Default(kind), "mcf", storeOpts()))
 		wide := sim.Default(kind)
 		wide.CPU = wide.CPU.WithWidth(2)
-		jobs = append(jobs, Solo(wide, "mcf", opts))
+		eight = append(eight, Solo(wide, "mcf", storeOpts()))
 	}
-	e := New(1)
-	e.SetStore(warmCheckpointStore(t))
-	runBatch(t, e, jobs)
-	s := e.Stats()
-	if s.CkptMisses != 0 || s.StoreCkptHits != 1 || s.CkptHits != uint64(len(jobs)-1) {
-		t.Errorf("ckpt misses %d, store ckpt hits %d, ckpt hits %d; want 0, 1, %d",
-			s.CkptMisses, s.StoreCkptHits, s.CkptHits, len(jobs)-1)
-	}
-	if n := resident(e); n != 0 {
-		t.Errorf("%d checkpoints resident after the batch, want 0", n)
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		batches  [][]Job
+		resident int
+	}{
+		{"two batches", 2, [][]Job{first, second}, 2},
+		{"eight configs", 1, [][]Job{eight}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(tc.workers)
+			e.SetStore(warmCheckpointStore(t))
+			var jobs []Job
+			var outs []Outcome
+			for _, b := range tc.batches {
+				jobs = append(jobs, b...)
+				outs = append(outs, runBatch(t, e, b)...)
+			}
+			if n := resident(e); n != tc.resident {
+				t.Errorf("%d checkpoints resident, want %d", n, tc.resident)
+			}
+			s := e.Stats()
+			if want := uint64(len(jobs) - tc.resident); s.CkptMisses != 0 ||
+				s.StoreCkptHits != uint64(tc.resident) || s.CkptHits != want {
+				t.Errorf("ckpt misses %d, store ckpt hits %d, ckpt hits %d; want 0, %d (one read each), %d",
+					s.CkptMisses, s.StoreCkptHits, s.CkptHits, tc.resident, want)
+			}
+			ref := New(2).RunAll(jobs)
+			for i := range ref {
+				if ref[i].Err != nil || !reflect.DeepEqual(ref[i].Result, outs[i].Result) {
+					t.Errorf("job %d: result differs from a storeless engine's (ref err %v)", i, ref[i].Err)
+				}
+			}
+		})
 	}
 }
 

@@ -16,13 +16,10 @@
 // is emulated at most once per Engine lifetime (singleflight, like the
 // run-cache) and every simulation of that workload boots from a
 // copy-on-write restore of the cached checkpoint — however many prefetcher
-// kinds, depths or bandwidth points sweep over it. An emulated checkpoint
-// stays in memory for the Engine's lifetime; it shares the workload's built
-// image copy-on-write, so it costs little. A checkpoint read from the store
-// holds its whole image, so the first copy read leaves memory once no
-// unfinished job of a submitted batch needs it. If a later batch needs it
-// again, the copy read back stays: a checkpoint that several batches use is
-// read at most twice per Engine.
+// kinds, depths or bandwidth points sweep over it. Every checkpoint stays in
+// memory for the Engine's lifetime, whether emulated or read from the
+// store: either way it holds only the pages its prefix changed and shares
+// the rest with the workload's built image copy-on-write.
 // Restored runs are bit-identical to inline fast-forwarding (pinned by
 // TestCheckpointedRunEquivalence).
 package runner
@@ -79,13 +76,8 @@ type Engine struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 
-	// ckMu guards ckEntries, ckPins and ckDropped. ckPins counts, per
-	// checkpoint key, the submitted fast-forward jobs that need it and have
-	// not finished; ckDropped holds the keys whose entry has left memory.
 	ckMu      sync.Mutex
 	ckEntries map[string]*ckptEntry
-	ckPins    map[string]int
-	ckDropped map[string]bool
 
 	hits, misses, runs  atomic.Uint64
 	ckHits, ckMisses    atomic.Uint64
@@ -117,14 +109,10 @@ type entry struct {
 }
 
 // ckptEntry is one memoized fast-forward checkpoint, singleflight like entry.
-// droppable (guarded by Engine.ckMu) marks the first copy of a checkpoint
-// read from the store; only such an entry leaves memory when its last pin
-// goes.
 type ckptEntry struct {
-	done      chan struct{}
-	cp        *ckpt.Checkpoint
-	err       error
-	droppable bool
+	done chan struct{}
+	cp   *ckpt.Checkpoint
+	err  error
 }
 
 // New returns a parallel Engine running up to workers simulations at once;
@@ -138,8 +126,6 @@ func New(workers int) *Engine {
 		start:     time.Now(), //bfetch:wallclock status uptime only
 		entries:   make(map[string]*entry),
 		ckEntries: make(map[string]*ckptEntry),
-		ckPins:    make(map[string]int),
-		ckDropped: make(map[string]bool),
 	}
 }
 
@@ -153,12 +139,8 @@ func (e *Engine) Workers() int { return e.workers }
 // entry is a miss, and a failed write-back counts in StoreWriteErrs. The
 // disk tier can only make runs cheaper, never wronger, because entries are
 // keyed by the same fingerprint that guarantees byte-identical results and
-// validated end-to-end on read.
-//
-// A checkpoint read from the store is dropped from memory once no
-// unfinished job of any submitted batch needs it; the next batch that needs
-// it reads it from disk again and keeps that copy. Emulated checkpoints stay
-// in memory, as without a store.
+// validated end-to-end on read. A checkpoint read from the store stays in
+// memory like an emulated one, so each is read at most once per Engine.
 func (e *Engine) SetStore(s *store.Store) { e.store = s }
 
 // SetRunReports enables collection of one obs.RunReport per executed
@@ -226,7 +208,6 @@ func (e *Engine) AddEmuInsts(n uint64) { e.emuInsts.Add(n) }
 // Run executes one job (through the cache), as a batch of one.
 func (e *Engine) Run(job Job) (sim.Result, error) {
 	e.jobsTotal.Add(1)
-	e.pin(job)
 	o := e.runJob(job)
 	return o.Result, o.Err
 }
@@ -235,7 +216,6 @@ func (e *Engine) Run(job Job) (sim.Result, error) {
 // Identical jobs — within the batch or vs. earlier batches — simulate once.
 func (e *Engine) RunAll(jobs []Job) []Outcome {
 	e.jobsTotal.Add(uint64(len(jobs)))
-	e.pin(jobs...)
 	out := make([]Outcome, len(jobs))
 	if e.workers == 1 || len(jobs) <= 1 {
 		for i, j := range jobs {
@@ -296,7 +276,7 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 // in-flight entry cannot deadlock: entries never depend on one another, so
 // the computing worker always makes progress.
 func (e *Engine) runJob(j Job) Outcome {
-	defer e.finish(j)
+	defer e.finish()
 	key, cacheable := Fingerprint(j.Cfg, j.Apps, j.Opts)
 	if !cacheable {
 		return e.execute(j)
@@ -335,10 +315,8 @@ func (e *Engine) runJob(j Job) Outcome {
 	return Outcome{Result: ent.res, Err: ent.err}
 }
 
-// finish unpins one finished job's checkpoints, counts it and publishes
-// the batch record.
-func (e *Engine) finish(j Job) {
-	e.unpin(j)
+// finish counts one finished job and publishes the batch record.
+func (e *Engine) finish() {
 	e.jobsDone.Add(1)
 	if e.stream != nil {
 		e.stream.Publish(e.Stats())
@@ -431,7 +409,7 @@ func (e *Engine) checkpoints(apps []string, ff uint64) ([]*ckpt.Checkpoint, erro
 // workload builds are deterministic (the workload package's contract — the
 // same property the run-cache fingerprint relies on).
 func (e *Engine) checkpoint(name string, ff uint64) (*ckpt.Checkpoint, error) {
-	key := ckptKey(name, ff)
+	key := fmt.Sprintf("%s|%d", name, ff)
 	e.ckMu.Lock()
 	ent, found := e.ckEntries[key]
 	if !found {
@@ -450,11 +428,6 @@ func (e *Engine) checkpoint(name string, ff uint64) (*ckpt.Checkpoint, error) {
 					ent.cp = cp
 					close(ent.done)
 					e.stCkHits.Add(1)
-					// This job pins key, so its unpin drops the entry,
-					// unless an earlier copy was dropped already.
-					e.ckMu.Lock()
-					ent.droppable = !e.ckDropped[key]
-					e.ckMu.Unlock()
 					return ent.cp, nil
 				}
 				e.stCkMiss.Add(1)
@@ -475,46 +448,4 @@ func (e *Engine) checkpoint(name string, ff uint64) (*ckpt.Checkpoint, error) {
 	<-ent.done
 	e.ckHits.Add(1)
 	return ent.cp, ent.err
-}
-
-// ckptKey names one (workload, ffInsts) checkpoint in ckEntries and ckPins.
-func ckptKey(name string, ff uint64) string { return fmt.Sprintf("%s|%d", name, ff) }
-
-// pin marks every checkpoint the jobs will need as wanted until the job
-// that needs it finishes. Pinning a whole batch at submission, rather than
-// each job as it starts, keeps a restored checkpoint resident between two
-// jobs of one batch that share it, so no batch reads a checkpoint twice.
-func (e *Engine) pin(jobs ...Job) {
-	e.ckMu.Lock()
-	defer e.ckMu.Unlock()
-	for _, j := range jobs {
-		if ff := j.Opts.FastForwardInsts; ff > 0 {
-			for _, name := range j.Apps {
-				e.ckPins[ckptKey(name, ff)]++
-			}
-		}
-	}
-}
-
-// unpin releases a finished job's pins, dropping each droppable
-// checkpoint nothing else pins.
-func (e *Engine) unpin(j Job) {
-	ff := j.Opts.FastForwardInsts
-	if ff == 0 {
-		return
-	}
-	e.ckMu.Lock()
-	defer e.ckMu.Unlock()
-	for _, name := range j.Apps {
-		key := ckptKey(name, ff)
-		e.ckPins[key]--
-		if e.ckPins[key] > 0 {
-			continue
-		}
-		delete(e.ckPins, key)
-		if ent, ok := e.ckEntries[key]; ok && ent.droppable {
-			delete(e.ckEntries, key)
-			e.ckDropped[key] = true
-		}
-	}
 }

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/gob"
+	"runtime"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -16,6 +19,7 @@ const ffInsts = 20_000
 // architectural state and memory image bit-identical to the in-process
 // Freeze/Fork checkpoint it came from. This is the property that lets a
 // disk read replace a prefix emulation without any bit-identity caveats.
+// The entry must hold only the pages that differ from the built image.
 func TestCheckpointRoundTripAllWorkloads(t *testing.T) {
 	s := open(t)
 	names := workload.Names()
@@ -43,6 +47,14 @@ func TestCheckpointRoundTripAllWorkloads(t *testing.T) {
 			if !ok {
 				t.Fatal("stored checkpoint not found")
 			}
+			payload, _ := s.Get(KindCkpt, key)
+			var img ckptImage
+			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(img.Written), changedPages(t, name, orig); got != want {
+				t.Errorf("entry holds %d pages, want the %d that differ from the built image", got, want)
+			}
 			if back.Arch != orig.Arch {
 				t.Errorf("architectural state differs:\n got %+v\nwant %+v", back.Arch, orig.Arch)
 			}
@@ -54,6 +66,47 @@ func TestCheckpointRoundTripAllWorkloads(t *testing.T) {
 					back.Workload, back.FFInsts, orig.Workload, orig.FFInsts)
 			}
 		})
+	}
+}
+
+// changedPages counts the pages of cp's image whose contents differ from
+// the workload's built image, from the two images' canonical exports.
+func changedPages(t *testing.T, name string, cp *ckpt.Checkpoint) int {
+	t.Helper()
+	w, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, built := w.Build()
+	before := make(map[uint64][mem.PageWords]uint64)
+	for _, p := range built.Diff(nil) {
+		before[p.PN] = p.Words
+	}
+	n := 0
+	for _, p := range cp.Image().Diff(nil) {
+		if old, ok := before[p.PN]; !ok || old != p.Words {
+			n++
+		}
+		delete(before, p.PN)
+	}
+	return n + len(before) // pages the prefix zeroed
+}
+
+// TestCheckpointKeyComputedOnce: a workload's content fingerprint is
+// computed on its first checkpoint key, so a second key for milc (2,048
+// image pages, 8 MiB) allocates almost nothing.
+func TestCheckpointKeyComputedOnce(t *testing.T) {
+	if _, err := CheckpointKey("milc", ffInsts); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := CheckpointKey("milc", 2*ffInsts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("second CheckpointKey allocated %d bytes, want < 64 KiB", n)
 	}
 }
 

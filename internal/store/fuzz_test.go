@@ -78,7 +78,9 @@ func FuzzStoreGet(f *testing.F) {
 
 // FuzzGetCheckpoint wraps an arbitrary payload in a valid entry under a
 // checkpoint's key. GetCheckpoint must answer a miss, or a checkpoint of
-// exactly the requested (workload, ff) — never a panic.
+// exactly the requested (workload, ff) — never a panic. Each lookup counts
+// as exactly one hit or one miss, matching its answer, and corrupt misses
+// stay a subset of misses.
 func FuzzGetCheckpoint(f *testing.F) {
 	s, err := Open(f.TempDir())
 	if err != nil {
@@ -93,9 +95,18 @@ func FuzzGetCheckpoint(f *testing.F) {
 		if err := s.Put(KindCkpt, key, payload); err != nil {
 			t.Fatal(err)
 		}
+		before := s.Metrics()
 		cp, ok := s.GetCheckpoint(key, fuzzName, fuzzFF)
 		if ok && (cp.Workload != fuzzName || cp.FFInsts != fuzzFF) {
 			t.Fatalf("lookup for %s ff=%d answered %s ff=%d", fuzzName, fuzzFF, cp.Workload, cp.FFInsts)
+		}
+		m := s.Metrics()
+		hits, misses := m.Hits-before.Hits, m.Misses-before.Misses
+		if ok && (hits != 1 || misses != 0) || !ok && (hits != 0 || misses != 1) {
+			t.Fatalf("lookup answered ok=%v but counted %d hits, %d misses", ok, hits, misses)
+		}
+		if m.CorruptMisses > m.Misses {
+			t.Fatalf("%d corrupt misses exceed %d misses", m.CorruptMisses, m.Misses)
 		}
 	})
 }

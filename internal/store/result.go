@@ -32,15 +32,13 @@ func RunKey(fingerprint string) string {
 // fingerprint. A decode failure — possible only if an entry passed the
 // integrity check but predates a schema change that somehow left the hash
 // unchanged, which the structural hash rules out short of a collision — is
-// treated as a miss like every other defect.
+// a corrupt miss like every other defect.
 func (s *Store) GetResult(fingerprint string) (sim.Result, bool) {
-	payload, ok := s.Get(KindRun, RunKey(fingerprint))
-	if !ok {
-		return sim.Result{}, false
-	}
 	var res sim.Result
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&res); err != nil {
-		s.corruptMisses.Add(1)
+	ok := s.load(KindRun, RunKey(fingerprint), func(payload []byte) error {
+		return gob.NewDecoder(bytes.NewReader(payload)).Decode(&res)
+	})
+	if !ok {
 		return sim.Result{}, false
 	}
 	return res, true

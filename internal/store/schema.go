@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -67,15 +66,4 @@ func describeType(sb *strings.Builder, t reflect.Type, seen map[reflect.Type]boo
 	default:
 		sb.WriteString(t.Kind().String())
 	}
-}
-
-// sortedKeys returns a map's string keys in order — the deterministic
-// iteration idiom the determinism analyzer expects of this package.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -141,19 +141,34 @@ func (s *Store) path(kind, key string) string {
 // mismatch — is a miss; Get never returns an error because the store's only
 // promise is "maybe cheaper than recomputing".
 func (s *Store) Get(kind, key string) ([]byte, bool) {
+	var out []byte
+	ok := s.load(kind, key, func(payload []byte) error {
+		out = payload
+		return nil
+	})
+	return out, ok
+}
+
+// load reads and validates the entry for (kind, key) and hands its payload
+// to decode. The lookup counts as one hit or one miss: a payload decode
+// rejects is a corrupt miss, like a file that fails validation.
+func (s *Store) load(kind, key string, decode func(payload []byte) error) bool {
 	start := time.Now() //bfetch:wallclock read-latency metric, reported only
 	payload, ok, corrupt := s.read(s.path(kind, key), key)
 	s.readNanos.Add(int64(time.Since(start))) //bfetch:wallclock read-latency metric, reported only
+	if ok && decode(payload) != nil {
+		ok, corrupt = false, true
+	}
 	if !ok {
 		s.misses.Add(1)
 		if corrupt {
 			s.corruptMisses.Add(1)
 		}
-		return nil, false
+		return false
 	}
 	s.hits.Add(1)
 	s.bytesRead.Add(uint64(len(payload)))
-	return payload, true
+	return true
 }
 
 // read performs the validated read; corrupt reports that a file was present

@@ -13,6 +13,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -43,6 +46,9 @@ type buildCache struct {
 	once sync.Once
 	prog *isa.Program
 	img  *mem.Memory // frozen; handed out as copy-on-write forks
+
+	fpOnce sync.Once
+	fp     string
 }
 
 // Build materializes the program and its initial memory image. The builder
@@ -52,15 +58,72 @@ type buildCache struct {
 // the same *isa.Program every time also lets per-program caches downstream
 // (emu.Compile's threaded code) hit across checkpoints and experiment runs.
 func (w Workload) Build() (*isa.Program, *mem.Memory) {
+	prog, img := w.built()
+	if w.cache == nil {
+		return prog, img
+	}
+	return prog, img.Fork()
+}
+
+// built returns the memoized program and frozen image, which callers must
+// not write; a Workload constructed without New builds afresh.
+func (w Workload) built() (*isa.Program, *mem.Memory) {
 	c := w.cache
-	if c == nil { // zero-value Workload constructed without New
+	if c == nil {
 		return w.build()
 	}
 	c.once.Do(func() {
 		c.prog, c.img = w.build()
 		c.img.Freeze()
 	})
-	return c.prog, c.img.Fork()
+	return c.prog, c.img
+}
+
+// Fingerprint is the hex SHA-256 of the workload's built content: the text
+// base, every instruction field, the symbol table (sorted) and the initial
+// image's non-zero pages in page order, each number a little-endian 64-bit
+// word.
+// Equal fingerprints mean equal builds, so checkpoint keys (internal/store)
+// rest on it. It is computed on first call, once per workload.
+func (w Workload) Fingerprint() string {
+	c := w.cache
+	if c == nil {
+		return fingerprint(w.built())
+	}
+	c.fpOnce.Do(func() { c.fp = fingerprint(w.built()) })
+	return c.fp
+}
+
+func fingerprint(prog *isa.Program, image *mem.Memory) string {
+	h := sha256.New()
+	var buf []byte
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+	}
+	put(prog.TextBase, uint64(len(prog.Insts)))
+	for _, in := range prog.Insts {
+		put(uint64(in.Op), uint64(in.Rd), uint64(in.Rs), uint64(in.Rt), uint64(in.Imm), uint64(in.Target))
+	}
+	syms := make([]string, 0, len(prog.Symbols))
+	for sym := range prog.Symbols {
+		syms = append(syms, sym)
+	}
+	sort.Strings(syms)
+	for _, sym := range syms {
+		buf = append(buf, sym...)
+		put(uint64(prog.Symbols[sym]))
+	}
+	h.Write(buf)
+	for _, p := range image.Diff(nil) {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], p.PN)
+		for _, v := range p.Words {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // New wraps a user-supplied program builder as a Workload, so downstream

@@ -5,7 +5,9 @@
 # the contract the store ships with: the first run emulates each checkpoint
 # once, the second run computes nothing (zero sims, zero store misses, 100%
 # answered from disk) and its tables are byte-identical to the first run's.
-# A second leg repeats the check across worker counts (-j 1 populates,
+# A checkpoint-warm leg then removes the stored results, keeps the stored
+# checkpoints, and requires each checkpoint to be read from disk once.
+# A last leg repeats the check across worker counts (-j 1 populates,
 # -j 8 reads) — the disk tier must be as scheduling-independent as the
 # in-memory one. Run via `make store-smoke`.
 set -euo pipefail
@@ -53,6 +55,19 @@ grep -Eq 'store: [1-9][0-9]* hits, 0 misses' "$workdir/warm.err" || {
 
 echo "== cold vs warm tables byte-identical"
 diff -r "$workdir/cold" "$workdir/warm"
+
+echo "== checkpoint-warm run (results removed, checkpoints kept)"
+rm -rf "$workdir/store/run"
+"$workdir/bfetch-bench" "${proto[@]}" -store "$workdir/store" \
+    -out "$workdir/ckwarm" >/dev/null 2>"$workdir/ckwarm.err"
+# Nothing is emulated, and each of the 3 stored checkpoints is read once:
+# a checkpoint read from the store stays in memory for the second batch.
+grep -q '^fig8 finished in .*; ckpt: 9 hits, 0 misses); store: 3 hits, 12 misses$' "$workdir/ckwarm.err" || {
+    echo "checkpoint-warm run emulated a checkpoint or read one twice:" >&2
+    cat "$workdir/ckwarm.err" >&2
+    exit 1
+}
+diff -r "$workdir/cold" "$workdir/ckwarm"
 
 echo "== worker-count invariance (-j 1 populates, -j 8 reads)"
 "$workdir/bfetch-bench" "${proto[@]}" -store "$workdir/jstore" -j 1 \
