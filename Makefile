@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke clean
+.PHONY: all build test vet lint verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke fuzz-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -101,6 +101,27 @@ exp-smoke:
 	"$$tmp/bfetch-bench" $(EXP_SMOKE_ARGS) -j 8 > "$$tmp/j8.txt" && \
 	diff -u "$$tmp/j1.txt" "$$tmp/j8.txt" && \
 	echo "exp-smoke: -j 1 and -j 8 print identical tables ($$(wc -l < "$$tmp/j1.txt") lines)"
+
+# Fuzz smoke test: each fuzz target fuzzes for FUZZTIME (its seed corpus
+# already runs in `go test`). One `go test -fuzz` per target, since the flag
+# takes a single target per package.
+FUZZTIME ?= 5s
+FUZZ_TARGETS = \
+	./internal/isa:FuzzAssemble \
+	./internal/lint:FuzzParseFacts \
+	./internal/store:FuzzStoreGet \
+	./internal/store:FuzzGetCheckpoint \
+	./internal/runner:FuzzValidateReport \
+	./internal/emu:FuzzCompiledMatchesInterp \
+	./internal/trace:FuzzTraceReader \
+	./internal/cpu:FuzzCoreMatchesEmu
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz-smoke: $$name ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) "$$pkg"; \
+	done
 
 clean:
 	rm -rf results

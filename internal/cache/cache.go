@@ -64,17 +64,22 @@ type FeedbackHandler interface {
 	PrefetchUseless(loadPC uint64, blockAddr uint64)
 }
 
+// block is one way's state. Which block a way holds is not here: the
+// cache's tag array is the only record of that (see Cache.tags).
 type block struct {
-	valid   bool
-	tag     uint64 // block address
-	dirty   bool
-	readyAt uint64
-	lastUse uint64
+	readyAt  uint64
+	lastUse  uint64
+	pfLoadPC uint64
 
+	dirty      bool
 	prefetched bool // filled by a prefetch and not yet touched by demand
-	pfLoadPC   uint64
 	pfWasPf    bool // filled by prefetch at some point (for useful counting)
 }
+
+// validBit marks a tag-array entry as holding a block. Block addresses
+// (byte address >> BlockBits, ASID in bits 50 and up) never reach bit 63,
+// so address 0 is stored as validBit and an empty way as 0.
+const validBit = uint64(1) << 63
 
 // Stats counts one cache's traffic.
 type Stats struct {
@@ -143,11 +148,15 @@ type BankStats struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg   Config  //bfetch:noreset configuration
-	sets  int     //bfetch:noreset configuration
-	ways  int     //bfetch:noreset configuration
-	data  []block //bfetch:noreset cache contents persist across the window boundary
-	next  Level   //bfetch:noreset wiring
+	cfg  Config  //bfetch:noreset configuration
+	sets int     //bfetch:noreset configuration
+	ways int     //bfetch:noreset configuration
+	data []block //bfetch:noreset cache contents persist across the window boundary
+	// tags[i] is blockAddr|validBit for the block way i holds, 0 when the
+	// way is empty; data[i] is its state. A lookup compares 8 bytes per
+	// way, 128 B for a 16-way set.
+	tags  []uint64 //bfetch:noreset cache contents persist across the window boundary
+	next  Level    //bfetch:noreset wiring
 	Stats Stats
 
 	feedback FeedbackHandler //bfetch:noreset wiring
@@ -193,6 +202,7 @@ func New(cfg Config, next Level) *Cache {
 		sets:       sets,
 		ways:       cfg.Ways,
 		data:       make([]block, sets*cfg.Ways),
+		tags:       make([]uint64, sets*cfg.Ways),
 		next:       next,
 		classLevel: classLevelOf(cfg.Name),
 	}
@@ -262,7 +272,7 @@ func (c *Cache) SetLifecycle(lc *obs.Lifecycle) { c.lc = lc }
 func (c *Cache) PendingPrefetched() uint64 {
 	var n uint64
 	for i := range c.data {
-		if c.data[i].valid && c.data[i].prefetched {
+		if c.tags[i] != 0 && c.data[i].prefetched {
 			n++
 		}
 	}
@@ -280,21 +290,33 @@ func (c *Cache) Ways() int { return c.ways }
 // cache bits" overhead accounting).
 func (c *Cache) Blocks() int { return c.sets * c.ways }
 
+// setBase returns the index of blockAddr's set's first way.
+//
 //bfetch:hotpath
-func (c *Cache) setOf(blockAddr uint64) []block {
-	s := int(blockAddr & uint64(c.sets-1))
-	return c.data[s*c.ways : (s+1)*c.ways]
+func (c *Cache) setBase(blockAddr uint64) int {
+	return int(blockAddr&uint64(c.sets-1)) * c.ways
 }
 
-// lookup returns the way holding blockAddr, or nil.
+// way returns the index of the way holding blockAddr, or -1.
+//
+//bfetch:hotpath
+func (c *Cache) way(blockAddr uint64) int {
+	s := c.setBase(blockAddr)
+	want := blockAddr | validBit
+	for i, t := range c.tags[s : s+c.ways] {
+		if t == want {
+			return s + i
+		}
+	}
+	return -1
+}
+
+// lookup returns the state of the way holding blockAddr, or nil.
 //
 //bfetch:hotpath
 func (c *Cache) lookup(blockAddr uint64) *block {
-	set := c.setOf(blockAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == blockAddr {
-			return &set[i]
-		}
+	if i := c.way(blockAddr); i >= 0 {
+		return &c.data[i]
 	}
 	return nil
 }
@@ -303,48 +325,51 @@ func (c *Cache) lookup(blockAddr uint64) *block {
 // dedup and tests); it does not touch LRU state.
 //
 //bfetch:hotpath
-func (c *Cache) Contains(blockAddr uint64) bool { return c.lookup(blockAddr) != nil }
+func (c *Cache) Contains(blockAddr uint64) bool { return c.way(blockAddr) >= 0 }
 
-// victim returns the LRU way of the set, evicting its current contents.
-// pfFill marks evictions caused by a prefetch-fill install, which arm the
-// pollution detector for the displaced block.
+// victim returns the LRU way of the set, evicting its current contents, and
+// tags it with blockAddr. pfFill marks evictions caused by a prefetch-fill
+// install, which arm the pollution detector for the displaced block.
 //
 //bfetch:hotpath
 func (c *Cache) victim(blockAddr uint64, now uint64, pfFill bool) *block {
-	set := c.setOf(blockAddr)
-	v := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			v = &set[i]
+	s := c.setBase(blockAddr)
+	v := s
+	for i := s; i < s+c.ways; i++ {
+		if c.tags[i] == 0 {
+			v = i
 			break
 		}
-		if set[i].lastUse < v.lastUse {
-			v = &set[i]
+		if c.data[i].lastUse < c.data[v].lastUse {
+			v = i
 		}
 	}
-	if v.valid {
+	if old := c.tags[v]; old != 0 {
 		if pfFill {
-			c.lc.FillVictim(v.tag)
+			c.lc.FillVictim(old &^ validBit)
 		}
-		c.evict(v, now)
+		c.evict(&c.data[v], old&^validBit, now)
 	}
-	return v
+	c.tags[v] = blockAddr | validBit
+	return &c.data[v]
 }
 
+// evict retires the block at blockAddr held in b; the caller retags or
+// clears the way.
+//
 //bfetch:hotpath
-func (c *Cache) evict(b *block, now uint64) {
+func (c *Cache) evict(b *block, blockAddr uint64, now uint64) {
 	c.Stats.Evictions++
 	if b.prefetched {
 		c.Stats.PrefetchUseless++
-		c.lc.Evicted(b.pfLoadPC, b.tag, now, b.readyAt)
+		c.lc.Evicted(b.pfLoadPC, blockAddr, now, b.readyAt)
 		if c.feedback != nil {
-			c.feedback.PrefetchUseless(b.pfLoadPC, b.tag)
+			c.feedback.PrefetchUseless(b.pfLoadPC, blockAddr)
 		}
 	}
 	if b.dirty {
-		c.writeback(Request{BlockAddr: b.tag, Kind: Write}, now)
+		c.writeback(Request{BlockAddr: blockAddr, Kind: Write}, now)
 	}
-	b.valid = false
 }
 
 // writeback pushes a dirty block to the next level, off the critical path.
@@ -373,7 +398,7 @@ func (c *Cache) WritebackInstall(req Request, now uint64) {
 		return
 	}
 	v := c.victim(req.BlockAddr, now, false)
-	*v = block{valid: true, tag: req.BlockAddr, dirty: true, readyAt: now, lastUse: now}
+	*v = block{dirty: true, readyAt: now, lastUse: now}
 }
 
 // bankArb claims blockAddr's bank port at or after now, returning the grant
@@ -431,9 +456,9 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 			// late if the demand still had to wait on the in-flight fill.
 			b.prefetched = false
 			c.Stats.PrefetchUseful++
-			c.lc.Used(b.pfLoadPC, b.tag, now, b.readyAt, b.readyAt > done)
+			c.lc.Used(b.pfLoadPC, req.BlockAddr, now, b.readyAt, b.readyAt > done)
 			if c.feedback != nil {
-				c.feedback.PrefetchUseful(b.pfLoadPC, b.tag)
+				c.feedback.PrefetchUseful(b.pfLoadPC, req.BlockAddr)
 			}
 		}
 		if req.Class != nil {
@@ -499,8 +524,6 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 func (c *Cache) install(req Request, now, fillDone uint64) uint64 {
 	v := c.victim(req.BlockAddr, now, req.Kind == PrefetchFill)
 	*v = block{
-		valid:   true,
-		tag:     req.BlockAddr,
 		dirty:   req.Kind == Write,
 		readyAt: fillDone,
 		lastUse: now,
@@ -542,7 +565,7 @@ func (c *Cache) RegisterObs(reg *obs.Registry, prefix string) {
 
 // Invalidate removes a block if present, without writeback (test support).
 func (c *Cache) Invalidate(blockAddr uint64) {
-	if b := c.lookup(blockAddr); b != nil {
-		b.valid = false
+	if i := c.way(blockAddr); i >= 0 {
+		c.tags[i] = 0
 	}
 }

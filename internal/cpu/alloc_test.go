@@ -3,13 +3,14 @@ package cpu
 // These tests turn the zero-allocation claim on the per-cycle kernel from a
 // benchmark observation (BenchmarkCoreCycle) into failing assertions, engine
 // by engine. bfetch-lint's compiler-witnessed escape gate enforces the same
-// contract statically; this is the dynamic witness, and a coarse one:
-// testing.AllocsPerRun integer-divides the window's mallocs by its runs, so
-// a window fails only at one allocation per cycle or more. Rarer
-// allocations — a first-touch page, a map growing, a slice re-grown once per
-// few hundred cycles — pass unseen; the static gate is what rules them out.
+// contract statically; this is the dynamic witness. The core tests count
+// every heap allocation over a whole window of cycles (runtime.MemStats
+// deltas, not testing.AllocsPerRun's per-run quotient, which rounds any rate
+// under one allocation per call down to zero), so a first-touch page, a map
+// growing or a slice re-grown once in thousands of cycles is seen.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/branch"
@@ -22,41 +23,50 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/sms"
 	"repro/internal/stems"
+	"repro/internal/workload"
 )
 
 // mkPrefetcher builds one engine; B-Fetch snoops the branch predictor and
 // confidence estimator, so constructors receive the core's instances.
 type mkPrefetcher func(bp *branch.Predictor, conf *branch.Confidence) prefetch.Prefetcher
 
+// queueRehash is the allowance for prefetch.Queue's pending-request map:
+// its insert/delete churn occasionally makes the runtime rebuild the table,
+// and whether that lands inside a window depends on the per-map hash seed.
+const queueRehash = 2
+
+// allocEngines lists every engine with its allocation budget for
+// TestCycleZeroAlloc's window: 0 where the window measures 0, otherwise the
+// measured count plus the seed-dependent slack, with its source.
 var allocEngines = []struct {
-	name string
-	mk   mkPrefetcher
+	name   string
+	mk     mkPrefetcher
+	budget uint64
 }{
-	{"none", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return prefetch.None{} }},
-	{"nextn", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return prefetch.NewNextN(4) }},
+	{"none", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return prefetch.None{} }, 0},
+	{"nextn", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return prefetch.NewNextN(4) }, queueRehash},
 	{"stride", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher {
 		return prefetch.NewStride(prefetch.DefaultStrideConfig())
-	}},
-	{"sms", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return sms.New(sms.DefaultConfig()) }},
+	}, queueRehash},
+	{"sms", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return sms.New(sms.DefaultConfig()) }, queueRehash},
 	{"stems", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher {
 		return stems.New(stems.DefaultConfig())
-	}},
-	{"isb", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return isb.New(isb.DefaultConfig()) }},
+	}, queueRehash},
+	// ISB's structural-address maps grow as it learns new blocks (map2):
+	// 18 allocations in the window, up to 21 depending on hash seeds.
+	{"isb", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return isb.New(isb.DefaultConfig()) }, 21 + queueRehash},
 	{"bfetch", func(bp *branch.Predictor, conf *branch.Confidence) prefetch.Prefetcher {
 		return core.New(core.DefaultConfig(), bp, conf)
-	}},
+	}, queueRehash},
 }
 
-// newAllocCore mirrors newTestCore but shares the branch machinery with the
-// prefetch engine and wires L1D feedback, matching the sim package's full
-// configuration so feedback callbacks run inside the measured window. The
-// observability layer is attached exactly as sim assembles it — registry
-// collectors, lifecycle classifier, and a sampled tracer in its default-off
-// configuration — so the zero-alloc claim covers the instrumented hot path.
-func newAllocCore(prog *isa.Program, m *mem.Memory, mk mkPrefetcher) *Core {
-	return newAllocCoreCfg(DefaultConfig(), prog, m, mk)
-}
-
+// newAllocCoreCfg mirrors newTestCoreCfg but shares the branch machinery
+// with the prefetch engine and wires L1D feedback, matching the sim
+// package's full configuration so feedback callbacks run inside the
+// measured window. The observability layer is attached exactly as sim
+// assembles it — registry collectors, lifecycle classifier, and a sampled
+// tracer in its default-off configuration — so the zero-alloc claim covers
+// the instrumented hot path.
 func newAllocCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, mk mkPrefetcher) *Core {
 	dram := cache.NewDRAM()
 	llc := cache.New(cache.Config{Name: "L3", Bytes: 2 << 20, Ways: 16, Latency: 20}, dram)
@@ -83,9 +93,59 @@ func newAllocCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, mk mkPrefetch
 	return c
 }
 
+const (
+	allocWarmup = 50_000 // cycles before the window: buffers and tables reach size
+	allocWindow = 60_000 // cycles counted
+)
+
+// budgetedMallocs returns the heap allocations of windowMallocs, measured a
+// second time on a fresh core when the first count exceeds budget. The
+// simulation repeats exactly, so an allocation it makes recurs; a one-off
+// allocation by the Go runtime itself (seen as 6 objects in about one
+// window in a few hundred) does not.
+func budgetedMallocs(t *testing.T, cfg Config, mk mkPrefetcher, budget uint64) (*Core, uint64) {
+	t.Helper()
+	c, n := windowMallocs(t, cfg, mk)
+	if n > budget {
+		c, n = windowMallocs(t, cfg, mk)
+	}
+	return c, n
+}
+
+// windowMallocs runs the milc kernel (pointer-chasing phases whose producer
+// fan-out and working set keep changing, so storage that grows on demand
+// shows up long after warmup) on a core built with cfg, and returns the
+// heap allocations made during the counted window.
+func windowMallocs(t *testing.T, cfg Config, mk mkPrefetcher) (*Core, uint64) {
+	t.Helper()
+	w, err := workload.ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, image := w.Build()
+	c := newAllocCoreCfg(cfg, prog, image, mk)
+	var now uint64
+	for ; now < allocWarmup; now++ {
+		c.Cycle(now)
+	}
+	// Finish any collection the set-up started, so runtime-internal
+	// allocations of a concurrent GC cycle do not land in the window.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for end := now + allocWindow; now < end; now++ {
+		c.Cycle(now)
+	}
+	runtime.ReadMemStats(&after)
+	if c.Halted() {
+		t.Fatal("core halted inside the window")
+	}
+	return c, after.Mallocs - before.Mallocs
+}
+
 // TestCycleZeroAlloc drives the full core — fetch through commit, cache
-// hierarchy, prefetcher tick, feedback — and requires a steady state of zero
-// heap allocations per cycle for every engine.
+// hierarchy, prefetcher tick, feedback — and holds every engine to its
+// allocation budget over the window.
 func TestCycleZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -95,22 +155,9 @@ func TestCycleZeroAlloc(t *testing.T) {
 	}
 	for _, eng := range allocEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			prog, image := benchProgram()
-			c := newAllocCore(prog, image, eng.mk)
-			var now uint64
-			// Warm every internal buffer and table to steady-state capacity.
-			for ; now < 50_000; now++ {
-				c.Cycle(now)
-			}
-			if c.Halted() {
-				t.Fatal("core halted during warmup")
-			}
-			avg := testing.AllocsPerRun(2000, func() {
-				c.Cycle(now)
-				now++
-			})
-			if avg != 0 {
-				t.Errorf("Cycle with %s engine: %.3f allocs/cycle, want 0", eng.name, avg)
+			if _, n := budgetedMallocs(t, DefaultConfig(), eng.mk, eng.budget); n > eng.budget {
+				t.Errorf("%d cycles with %s engine: %d heap allocations, budget %d",
+					allocWindow, eng.name, n, eng.budget)
 			}
 		})
 	}
@@ -119,8 +166,8 @@ func TestCycleZeroAlloc(t *testing.T) {
 // TestCycleZeroAllocCPIStack is TestCycleZeroAlloc with cycle attribution
 // enabled: the per-cycle charge — head-of-ROB classification, the
 // LoadClassified cache path, and the gap-charging arithmetic behind it —
-// must add zero heap allocations for every engine, or the CPI stack could
-// never ship config-gated on the measurement path.
+// must add no heap allocation for any engine, or the CPI stack could never
+// ship config-gated on the measurement path.
 func TestCycleZeroAllocCPIStack(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -132,21 +179,10 @@ func TestCycleZeroAllocCPIStack(t *testing.T) {
 	cfg.CPIStack = true
 	for _, eng := range allocEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			prog, image := benchProgram()
-			c := newAllocCoreCfg(cfg, prog, image, eng.mk)
-			var now uint64
-			for ; now < 50_000; now++ {
-				c.Cycle(now)
-			}
-			if c.Halted() {
-				t.Fatal("core halted during warmup")
-			}
-			avg := testing.AllocsPerRun(2000, func() {
-				c.Cycle(now)
-				now++
-			})
-			if avg != 0 {
-				t.Errorf("Cycle with %s engine + CPI attribution: %.3f allocs/cycle, want 0", eng.name, avg)
+			c, n := budgetedMallocs(t, cfg, eng.mk, eng.budget)
+			if n > eng.budget {
+				t.Errorf("%d cycles with %s engine + CPI attribution: %d heap allocations, budget %d",
+					allocWindow, eng.name, n, eng.budget)
 			}
 			if total := c.Stats.CPI.Total(); total != c.Stats.Cycles {
 				t.Errorf("CPI buckets sum to %d, want exactly Cycles = %d", total, c.Stats.Cycles)

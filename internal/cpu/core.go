@@ -55,28 +55,22 @@ type ratEntry struct {
 	valid bool
 }
 
-type consRef struct {
-	ref
-	srcIdx int
-}
-
 type robEntry struct {
-	seq   uint64 // 0 = free/squashed
-	slot  int
-	idx   int // instruction index
-	pc    uint64
-	inst  isa.Inst
-	state entryState
+	seq  uint64 // 0 = free/squashed
+	slot int
+	idx  int // instruction index
+	pc   uint64
+	inst isa.Inst
 
 	nsrc   int
 	srcVal [2]int64
-	cons   []consRef
+	srcSeq [2]uint64 // seq of the producer source i waits on; 0 = not waiting
 
 	destVal int64
 	ea      uint64
-	stData  int64
-	doneAt  uint64
+	sqNum   uint64 // stores dispatched before this entry (its store-queue number)
 	sqWait  uint64 // sqGen when this load was last found blocked
+	state   entryState
 	eaValid bool
 	faulted bool
 
@@ -94,6 +88,14 @@ type robEntry struct {
 	ghr         branch.GHR
 	predNext    int // predicted next instruction index; -1 = fetch stalled
 	actualNext  int
+}
+
+// sqEntry is one queued store: what disambiguation needs, written when the
+// store executes.
+type sqEntry struct {
+	ea       uint64
+	data     int64
+	resolved bool // ea and data are valid
 }
 
 type fqEntry struct {
@@ -125,6 +127,24 @@ type Core struct {
 	count    int
 	nextSeq  uint64 // monotonically increasing; never reused
 
+	// doneAt[s] is the completion cycle of the entry in ROB slot s, valid
+	// while it is in flight (inflightBM) or done. It lives beside the ROB so
+	// complete() and NextEvent scan 8 bytes per slot, not the entry. doneMin
+	// is a lower bound on doneAt over the in-flight entries: complete()
+	// returns at once while now < doneMin. A load whose completion is still
+	// pending on the shared port holds a sentinel here until end of cycle,
+	// so it pulls doneMin down to the next cycle, when the real value is in.
+	doneAt  []uint64
+	doneMin uint64
+
+	// wake is the wakeup matrix: row p (wakeWords words from p*wakeWords)
+	// has bit d set when the entry in slot d waited on slot p's result at
+	// dispatch. A consumer records its producer's seq per source (srcSeq),
+	// so broadcast checks each visited slot against it and bits left by
+	// squashed or reused slots need no cleanup; broadcast clears the row.
+	wake      []uint64
+	wakeWords int
+
 	// Scheduling bitmaps: bit s of word s/64 tracks ROB slot s. readyBM
 	// marks sReady entries awaiting issue, inflightBM marks sIssued entries
 	// with a scheduled completion, pendBM marks issued loads parked on
@@ -147,10 +167,16 @@ type Core struct {
 
 	// storeQ is a ring of uncommitted stores, oldest first (disambiguation).
 	// Capacity is the ROB size — a store occupies a ROB slot while queued —
-	// so the backing array is allocated once and never grows.
-	storeQ []ref
-	sqHead int
+	// so the backing array is allocated once and never grows. Stores are
+	// numbered in dispatch order: sqBase is the number of the oldest queued
+	// store (the count committed so far), and every ROB entry records in
+	// sqNum the number of stores dispatched before it. A load's older
+	// stores are thus exactly numbers [sqBase, sqNum), and a squash
+	// truncates the queue to the resolving branch's sqNum.
+	storeQ []sqEntry
+	sqHead int // ring index of store number sqBase
 	sqN    int
+	sqBase uint64
 
 	// Store-queue membership filter for disambiguation: sqUnknown counts
 	// queued stores whose address is not yet computed, sqBuck counts
@@ -215,11 +241,15 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, hier *cache.Hierarchy,
 		conf:       conf,
 		pf:         pf,
 		rob:        make([]robEntry, cfg.ROBEntries),
+		doneAt:     make([]uint64, cfg.ROBEntries),
+		doneMin:    NoEvent,
+		wake:       make([]uint64, cfg.ROBEntries*words),
+		wakeWords:  words,
 		readyBM:    make([]uint64, words),
 		inflightBM: make([]uint64, words),
 		pendBM:     make([]uint64, words),
 		snaps:      make([][isa.NumRegs]ratEntry, cfg.ROBEntries),
-		storeQ:     make([]ref, max(1, cfg.ROBEntries)),
+		storeQ:     make([]sqEntry, max(1, cfg.ROBEntries)),
 		fq:         make([]fqEntry, max(1, cfg.FetchQueue)),
 	}
 	c.pfEx, _ = pf.(ExecObserver)
@@ -257,15 +287,15 @@ func (c *Core) fqAt(i int) *fqEntry {
 	return &c.fq[j]
 }
 
-// sqAt returns the i-th store-queue ref, oldest first.
+// sqAt returns the i-th queued store, oldest first: store number sqBase+i.
 //
 //bfetch:hotpath
-func (c *Core) sqAt(i int) ref {
+func (c *Core) sqAt(i int) *sqEntry {
 	j := c.sqHead + i
 	if j >= len(c.storeQ) {
 		j -= len(c.storeQ)
 	}
-	return c.storeQ[j]
+	return &c.storeQ[j]
 }
 
 // Halted reports whether the program has committed HALT (or faulted).
@@ -405,7 +435,7 @@ func (it *bmIter) next() (int, bool) {
 func (c *Core) commit(now uint64) {
 	for n := 0; n < c.cfg.Width && c.count > 0; n++ {
 		e := &c.rob[c.headSlot]
-		if e.state != sDone || e.doneAt > now {
+		if e.state != sDone || c.doneAt[c.headSlot] > now {
 			return
 		}
 		if e.faulted {
@@ -423,7 +453,8 @@ func (c *Core) commit(now uint64) {
 		}
 		switch {
 		case in.IsStore():
-			c.mem.WriteInt64(e.ea, e.stData)
+			// Stores commit in order: the queue head is this store.
+			c.mem.WriteInt64(e.ea, c.storeQ[c.sqHead].data)
 			c.hier.Store(e.ea, now)
 			c.pf.OnAccess(prefetch.AccessInfo{PC: e.pc, Addr: e.ea, Write: true})
 			c.Stats.StoresCommitted++
@@ -463,12 +494,12 @@ func (c *Core) commit(now uint64) {
 		})
 
 		c.Stats.Committed++
-		if in.IsStore() && c.sqN > 0 {
-			// Stores commit in order: the queue head is this store.
+		if in.IsStore() {
 			if c.sqHead++; c.sqHead == len(c.storeQ) {
 				c.sqHead = 0
 			}
 			c.sqN--
+			c.sqBase++
 			c.sqBuckDrop(e.ea) // a committed store always resolved its address
 			c.sqAdvance()      // drained: loads blocked behind it may pass now
 		}
@@ -493,20 +524,40 @@ func (c *Core) complete(now uint64) {
 	// naturally invalidates younger resolutions: the age-order bitmap walk
 	// replaces the old collect-sort-filter scratch list outright. A squash
 	// clears the victims' in-flight bits, which the walk observes for words
-	// not yet visited; bits already snapshotted are caught by the state
-	// re-check (finish never schedules new completions, so nothing can
-	// become done mid-walk).
+	// not yet visited; bits already snapshotted are caught by re-testing
+	// the in-flight bit (finish never schedules new completions, so nothing
+	// can become done mid-walk). The walk reads doneAt, touches only the
+	// entries that complete, and leaves doneMin at the earliest completion
+	// still ahead.
+	if now < c.doneMin {
+		return
+	}
+	next := uint64(NoEvent)
 	var it bmIter
 	it.init(c.inflightBM, c.headSlot)
 	for s, ok := it.next(); ok; s, ok = it.next() {
-		e := &c.rob[s]
-		if e.seq == 0 || e.state != sIssued || e.doneAt > now {
+		if d := c.doneAt[s]; d > now {
+			next = min(next, d)
 			continue
 		}
+		if !bmHas(c.inflightBM, s) {
+			continue // squashed earlier in this walk
+		}
 		bmClear(c.inflightBM, s)
+		e := &c.rob[s]
 		e.state = sDone
 		c.finish(e, now)
 	}
+	c.doneMin = next
+}
+
+// schedule puts the entry in slot s in flight, completing at cycle at.
+//
+//bfetch:hotpath
+func (c *Core) schedule(s int, at uint64) {
+	c.doneAt[s] = at
+	c.doneMin = min(c.doneMin, at)
+	bmSet(c.inflightBM, s)
 }
 
 // finish applies completion effects: value broadcast and branch resolution.
@@ -525,21 +576,34 @@ func (c *Core) finish(e *robEntry, now uint64) {
 	}
 }
 
+// broadcast wakes the consumers recorded in e's wakeup-matrix row. A bit
+// may name a squashed slot or one reused since; the waiting-state and
+// srcSeq checks skip those. Wakeup order does not matter: a woken entry
+// only sets its readyBM bit.
+//
 //bfetch:hotpath
 func (c *Core) broadcast(e *robEntry) {
-	for _, cr := range e.cons {
-		d := c.entry(cr.ref)
-		if d == nil || d.state != sWait {
-			continue
+	row := c.wake[e.slot*c.wakeWords : (e.slot+1)*c.wakeWords]
+	for wi, w := range row {
+		for ; w != 0; w &= w - 1 {
+			s := wi<<6 + bits.TrailingZeros64(w)
+			d := &c.rob[s]
+			if d.seq == 0 || d.state != sWait {
+				continue
+			}
+			for i := range d.srcSeq {
+				if d.srcSeq[i] == e.seq {
+					d.srcVal[i] = e.destVal
+					d.nsrc--
+				}
+			}
+			if d.nsrc == 0 {
+				d.state = sReady
+				bmSet(c.readyBM, s)
+			}
 		}
-		d.srcVal[cr.srcIdx] = e.destVal
-		d.nsrc--
-		if d.nsrc == 0 {
-			d.state = sReady
-			bmSet(c.readyBM, cr.slot)
-		}
+		row[wi] = 0
 	}
-	e.cons = e.cons[:0]
 }
 
 // recover squashes everything younger than the resolving control
@@ -573,7 +637,6 @@ func (c *Core) recover(e *robEntry, now uint64) {
 			}
 		}
 		t.seq = 0
-		t.cons = t.cons[:0]
 		bmClear(c.readyBM, ts)
 		bmClear(c.inflightBM, ts)
 		bmClear(c.pendBM, ts)
@@ -583,13 +646,11 @@ func (c *Core) recover(e *robEntry, now uint64) {
 	c.Stats.Squashed += uint64(c.fqN)
 	c.fqHead, c.fqN = 0, 0
 
-	// Drop squashed stores from the disambiguation queue (they are at the
-	// tail: stores enter in program order). Squashed stores are younger
+	// Drop squashed stores from the disambiguation queue: they are the
+	// tail from the branch's store number on. Squashed stores are younger
 	// than every surviving load, so no surviving verdict can change — the
 	// generation bump is belt-and-braces for a rare path.
-	for c.sqN > 0 && c.sqAt(c.sqN-1).seq > e.seq {
-		c.sqN--
-	}
+	c.sqN = int(e.sqNum - c.sqBase)
 	c.sqAdvance()
 
 	// Restore the rename table from the branch's snapshot, dropping
@@ -701,8 +762,8 @@ func (c *Core) execute(e *robEntry, now uint64, ports *int) {
 	case in.IsStore():
 		e.ea = uint64(e.srcVal[0] + in.Imm)
 		e.eaValid = true
-		e.stData = e.srcVal[1]
-		e.doneAt = now + 1
+		*c.sqAt(int(e.sqNum - c.sqBase)) = sqEntry{ea: e.ea, data: e.srcVal[1], resolved: true}
+		c.schedule(e.slot, now+1)
 		// The queued store's address is now known: move its filter claim
 		// from the unknown counter to its address bucket.
 		c.sqUnknown--
@@ -724,16 +785,15 @@ func (c *Core) execute(e *robEntry, now uint64, ports *int) {
 		default:
 			e.actualNext = e.idx + 1
 		}
-		e.doneAt = now + 1
+		c.schedule(e.slot, now+1)
 	default:
 		v, ok := emu.Eval(in.Op, e.srcVal[0], e.srcVal[1], in.Imm)
 		if !ok {
 			e.faulted = true
 		}
 		e.destVal = v
-		e.doneAt = now + opLatency(in.Op, c.cfg.MulLatency) - 1
+		c.schedule(e.slot, now+opLatency(in.Op, c.cfg.MulLatency)-1)
 	}
-	bmSet(c.inflightBM, e.slot)
 }
 
 // tryLoad attempts to send a load to memory; returns false if blocked by
@@ -748,7 +808,7 @@ func (c *Core) tryLoad(e *robEntry, now uint64) bool {
 	}
 	if fwd {
 		e.destVal = val
-		e.doneAt = now + 1
+		c.schedule(e.slot, now+1)
 		c.Stats.StoreForwards++
 	} else {
 		e.destVal = c.mem.ReadInt64(e.ea)
@@ -762,11 +822,13 @@ func (c *Core) tryLoad(e *robEntry, now uint64) bool {
 		} else {
 			done, hit = c.hier.Load(e.ea, now)
 		}
-		e.doneAt = done
+		c.schedule(e.slot, done)
 		if cache.IsPending(done) {
 			// Shared-level access deferred through the core's port: the real
-			// completion cycle is patched in at the end-of-cycle service.
-			c.hier.DeferDone(&e.doneAt, done)
+			// completion cycle is patched in at the end-of-cycle service, so
+			// the next cycle's complete() must look at it.
+			c.doneMin = min(c.doneMin, now+1)
+			c.hier.DeferDone(&c.doneAt[e.slot], done)
 		}
 		if hit {
 			c.Stats.LoadL1Hits++
@@ -775,7 +837,6 @@ func (c *Core) tryLoad(e *robEntry, now uint64) bool {
 		}
 		c.pf.OnAccess(prefetch.AccessInfo{PC: e.pc, Addr: e.ea, Hit: hit})
 	}
-	bmSet(c.inflightBM, e.slot)
 	return true
 }
 
@@ -811,10 +872,10 @@ func (c *Core) sqBuckDrop(ea uint64) {
 	}
 }
 
-// disambiguate scans the in-flight stores older than the load, youngest
-// first. It returns forwarding data if the nearest older store to the exact
-// address has its data, or blocked if any intervening store address is
-// unknown or overlaps inexactly.
+// disambiguate scans the queued stores older than the load — store numbers
+// [sqBase, e.sqNum) — youngest first. It returns forwarding data if the
+// nearest older store to the exact address has its data, or blocked if any
+// intervening store address is unknown or overlaps inexactly.
 //
 // The scan is guarded by the bucket filter: when every queued store has a
 // resolved address and none lands in the load's three-bucket neighborhood,
@@ -826,20 +887,26 @@ func (c *Core) disambiguate(e *robEntry) (fwd bool, val int64, blocked bool) {
 	if c.sqUnknown == 0 && c.sqMask&bits.RotateLeft64(7, sqBucket(e.ea)-1) == 0 {
 		return false, 0, false
 	}
-	for i := c.sqN - 1; i >= 0; i-- {
-		s := c.entry(c.sqAt(i))
-		if s == nil || s.seq >= e.seq {
-			continue
-		}
-		if !s.eaValid {
+	n := int(e.sqNum - c.sqBase)
+	j := c.sqHead + n - 1
+	if j >= len(c.storeQ) {
+		j -= len(c.storeQ)
+	}
+	for ; n > 0; n-- {
+		s := &c.storeQ[j]
+		if !s.resolved {
 			return false, 0, true
 		}
 		if rangesOverlap(s.ea, e.ea) {
 			if s.ea == e.ea {
-				return true, s.stData, false
+				return true, s.data, false
 			}
 			return false, 0, true // partial overlap: wait for the store to drain
 		}
+		if j == 0 {
+			j = len(c.storeQ)
+		}
+		j--
 	}
 	return false, 0, false
 }
@@ -856,7 +923,8 @@ func (c *Core) dispatch(now uint64) {
 		if c.fqN == 0 || c.count == len(c.rob) {
 			return
 		}
-		f := *c.fqAt(0)
+		// The ring slot stays intact until fetch refills it, after dispatch.
+		f := c.fqAt(0)
 		if f.fetchedAt+c.cfg.FrontEndDelay > now {
 			return
 		}
@@ -868,12 +936,14 @@ func (c *Core) dispatch(now uint64) {
 		seq := c.nextSeq
 		c.nextSeq++
 		slot := c.tailSlot()
+		// Reset the recycled entry in place: zero it, then assign fields,
+		// so no temporary entry is built and copied in.
 		e := &c.rob[slot]
-		*e = robEntry{
-			seq: seq, slot: slot, idx: f.idx, pc: f.pc, inst: c.prog.Insts[f.idx],
-			predTaken: f.predTaken, predNext: f.predNext, ghr: f.ghr, pred: f.pred,
-			actualNext: f.idx + 1, cons: e.cons[:0],
-		}
+		*e = robEntry{}
+		e.seq, e.slot, e.idx, e.pc, e.inst = seq, slot, f.idx, f.pc, c.prog.Insts[f.idx]
+		e.predTaken, e.predNext, e.ghr, e.pred = f.predTaken, f.predNext, f.ghr, f.pred
+		e.actualNext = f.idx + 1
+		e.sqNum = c.sqBase + uint64(c.sqN)
 		c.count++
 		in := e.inst
 
@@ -899,7 +969,8 @@ func (c *Core) dispatch(now uint64) {
 				e.srcVal[i] = p.destVal
 				continue
 			}
-			p.cons = append(p.cons, consRef{ref: ref{slot: slot, seq: seq}, srcIdx: i})
+			c.wake[m.slot*c.wakeWords+slot>>6] |= 1 << (uint(slot) & 63)
+			e.srcSeq[i] = m.seq
 			e.nsrc++
 		}
 
@@ -909,12 +980,8 @@ func (c *Core) dispatch(now uint64) {
 		}
 
 		if in.IsStore() {
-			st := c.sqHead + c.sqN
-			if st >= len(c.storeQ) {
-				st -= len(c.storeQ)
-			}
-			c.storeQ[st] = ref{slot: slot, seq: seq}
 			c.sqN++
+			c.sqAt(c.sqN - 1).resolved = false
 			c.sqUnknown++ // address unknown until the store executes
 		}
 
@@ -941,10 +1008,10 @@ func (c *Core) dispatch(now uint64) {
 			switch {
 			case in.Op == isa.NOP, in.Op == isa.HALT:
 				e.state = sDone
-				e.doneAt = now
+				c.doneAt[slot] = now
 			case in.Op == isa.JMP:
 				e.state = sDone
-				e.doneAt = now
+				c.doneAt[slot] = now
 				e.actualTaken = true
 				e.actualNext = in.Target
 			default:
@@ -1075,8 +1142,8 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	next := uint64(NoEvent)
 	// Commit: the ROB head has completed and waits out its latency.
 	if c.count > 0 {
-		if e := &c.rob[c.headSlot]; e.state == sDone {
-			next = min(next, max(now+1, e.doneAt))
+		if c.rob[c.headSlot].state == sDone {
+			next = min(next, max(now+1, c.doneAt[c.headSlot]))
 		}
 	}
 	// Complete: the earliest in-flight completion. Age order is irrelevant
@@ -1084,8 +1151,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	// guarantees every set bit is a live sIssued entry.
 	for wi, w := range c.inflightBM {
 		for ; w != 0; w &= w - 1 {
-			e := &c.rob[wi<<6+bits.TrailingZeros64(w)]
-			next = min(next, max(now+1, e.doneAt))
+			next = min(next, max(now+1, c.doneAt[wi<<6+bits.TrailingZeros64(w)]))
 		}
 	}
 	// Dispatch: the fetch-queue head clears the front-end delay (and a ROB

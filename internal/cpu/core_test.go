@@ -13,6 +13,10 @@ import (
 )
 
 func newTestCore(prog *isa.Program, m *mem.Memory, pf prefetch.Prefetcher) *Core {
+	return newTestCoreCfg(DefaultConfig(), prog, m, pf)
+}
+
+func newTestCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, pf prefetch.Prefetcher) *Core {
 	if pf == nil {
 		pf = prefetch.None{}
 	}
@@ -21,12 +25,18 @@ func newTestCore(prog *isa.Program, m *mem.Memory, pf prefetch.Prefetcher) *Core
 	hier := cache.NewHierarchy(cache.DefaultHierarchyConfig(), llc, 0)
 	bp := branch.New(branch.DefaultConfig())
 	conf := branch.NewConfidence(branch.DefaultConfidenceConfig())
-	return New(DefaultConfig(), prog, m, hier, bp, conf, pf)
+	return New(cfg, prog, m, hier, bp, conf, pf)
 }
 
 // runBoth executes the program on the functional emulator and the OoO core
 // and checks that their architectural outcomes agree.
 func runBoth(t *testing.T, prog *isa.Program, image *mem.Memory, maxInsts uint64) (*Core, *emu.CPU) {
+	t.Helper()
+	return runBothCfg(t, DefaultConfig(), prog, image, maxInsts)
+}
+
+// runBothCfg is runBoth on a core built with cfg.
+func runBothCfg(t *testing.T, cfg Config, prog *isa.Program, image *mem.Memory, maxInsts uint64) (*Core, *emu.CPU) {
 	t.Helper()
 	memA := image.Clone()
 	memB := image.Clone()
@@ -39,7 +49,7 @@ func runBoth(t *testing.T, prog *isa.Program, image *mem.Memory, maxInsts uint64
 		t.Fatalf("reference did not halt within %d instructions", maxInsts)
 	}
 
-	core := newTestCore(prog, memB, nil)
+	core := newTestCoreCfg(cfg, prog, memB, nil)
 	if _, err := core.Run(maxInsts+10, 100*maxInsts+10000); err != nil {
 		t.Fatalf("core: %v", err)
 	}
@@ -462,4 +472,39 @@ func TestRandomDifferential(t *testing.T) {
 			runBoth(t, prog, image, 2_000_000)
 		})
 	}
+}
+
+// FuzzCoreMatchesEmu runs the random differential on fuzzed core
+// configurations. Each knob is folded into its legal range, values already
+// in range kept as given: ROB 8–256 entries (sizes that are not powers of
+// two exercise the ring arithmetic of the ROB, the store queue and the
+// per-slot arrays), width 1–8, fetch queue 1–64, cache ports 1–4,
+// front-end delay 0–8 and multiply latency 1–8 cycles. Committed
+// registers, memory and the retired count must equal the emulator's.
+func FuzzCoreMatchesEmu(f *testing.F) {
+	f.Add(int64(1), uint16(8), uint8(1), uint8(1), uint8(1), uint8(0), uint8(1))
+	f.Add(int64(2), uint16(13), uint8(8), uint8(4), uint8(4), uint8(3), uint8(3))
+	f.Add(int64(3), uint16(192), uint8(4), uint8(16), uint8(2), uint8(3), uint8(3))
+	f.Add(int64(4), uint16(192), uint8(8), uint8(32), uint8(4), uint8(0), uint8(8))
+	f.Add(int64(5), uint16(13), uint8(1), uint8(2), uint8(1), uint8(8), uint8(1))
+	f.Add(int64(6), uint16(8), uint8(8), uint8(64), uint8(2), uint8(1), uint8(5))
+	f.Add(int64(7), uint16(256), uint8(3), uint8(7), uint8(3), uint8(2), uint8(2))
+	f.Add(int64(8), uint16(100), uint8(2), uint8(5), uint8(1), uint8(5), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, rob uint16, width, fq, ports, fed, mul uint8) {
+		cfg := DefaultConfig()
+		cfg.ROBEntries = foldRange(int(rob), 8, 256)
+		cfg.Width = foldRange(int(width), 1, 8)
+		cfg.FetchQueue = foldRange(int(fq), 1, 64)
+		cfg.CachePorts = foldRange(int(ports), 1, 4)
+		cfg.FrontEndDelay = uint64(foldRange(int(fed), 0, 8))
+		cfg.MulLatency = uint64(foldRange(int(mul), 1, 8))
+		prog, image := randomProgram(rand.New(rand.NewSource(seed)))
+		runBothCfg(t, cfg, prog, image, 2_000_000)
+	})
+}
+
+// foldRange maps v into [lo, hi], leaving values already inside unchanged.
+func foldRange(v, lo, hi int) int {
+	n := hi - lo + 1
+	return lo + ((v-lo)%n+n)%n
 }
