@@ -24,10 +24,11 @@ vet:
 # Custom static analysis (internal/lint), over every package type-checked
 # with go/types: the compiler-witnessed hot-path allocation gate over every
 # function reachable from a //bfetch:hotpath root, no channel send under a
-# lock, determinism rules, stats-reset audit. The gate builds with
-# -gcflags='-m=2 ...' and caches facts per package by build ID: a cold run
-# costs one build, a warm run about 0.3 s. Exits non-zero on any finding or
-# type error.
+# lock, determinism rules, stats-reset audit. The gate compiles with
+# `go list -export -gcflags='-m=2 ...'`, and Go's build cache replays the
+# facts of up-to-date packages: a cold run costs one build, a warm run under
+# a second. Exits non-zero on any finding, type error or unrecognized
+# compiler diagnostic format.
 lint:
 	$(GO) run ./cmd/bfetch-lint
 

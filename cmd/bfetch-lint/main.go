@@ -4,11 +4,12 @@
 // determinism rules and the stats-reset audit. It type-checks every package
 // with go/types, reading standard-library imports from the gc export data
 // `go list -export` reports, and fails on any type error. The allocation
-// gate builds the module with `go build -gcflags='-m=2
-// -d=ssa/check_bce/debug=1'` and caches the diagnostics per package by
-// build ID, so a cold run costs one build and a warm run well under a
-// second. It prints findings compiler-style and exits non-zero when any
-// survive, so `make lint` and CI can gate on it.
+// gate compiles the module with `go list -export -gcflags='-m=2
+// -d=ssa/check_bce/debug=1'`; Go's build cache replays the diagnostics of
+// up-to-date packages, so a cold run costs one build and a warm run under a
+// second. A toolchain whose diagnostic format the parser does not recognize
+// fails the run. It prints findings compiler-style and exits non-zero when
+// any survive, so `make lint` and CI can gate on it.
 //
 // Usage:
 //
@@ -42,14 +43,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	for _, w := range res.Warnings {
-		fmt.Fprintf(os.Stderr, "bfetch-lint: warning: %s\n", w)
-	}
 	for _, d := range res.Diags {
 		fmt.Println(d)
 	}
 	fmt.Fprintf(os.Stderr, "bfetch-lint: %d package(s), %d analyzer(s) [%s], %d finding(s)\n",
-		res.Packages, len(res.Ran), strings.Join(res.Ran, " "), len(res.Diags))
+		res.Packages, len(lint.Analyzers), strings.Join(lint.Analyzers, " "), len(res.Diags))
 	if len(res.Diags) > 0 {
 		os.Exit(1)
 	}

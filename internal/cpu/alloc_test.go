@@ -3,11 +3,12 @@ package cpu
 // These tests turn the zero-allocation claim on the per-cycle kernel from a
 // benchmark observation (BenchmarkCoreCycle) into failing assertions, engine
 // by engine. bfetch-lint's compiler-witnessed escape gate enforces the same
-// contract statically; this is the dynamic witness. The core tests count
-// every heap allocation over a whole window of cycles (runtime.MemStats
-// deltas, not testing.AllocsPerRun's per-run quotient, which rounds any rate
-// under one allocation per call down to zero), so a first-touch page, a map
-// growing or a slice re-grown once in thousands of cycles is seen.
+// contract statically; this is the dynamic witness. The tests count every
+// heap allocation over a whole window of cycles or engine steps
+// (runtime.MemStats deltas, not testing.AllocsPerRun's per-run quotient,
+// which rounds any rate under one allocation per call down to zero), so a
+// first-touch page, a map growing or a slice re-grown once in thousands of
+// cycles is seen.
 
 import (
 	"runtime"
@@ -191,41 +192,66 @@ func TestCycleZeroAllocCPIStack(t *testing.T) {
 	}
 }
 
-// TestAppendTickZeroAlloc exercises each engine standalone: a strided miss
+// tickWindow is the number of standalone engine steps TestAppendTickZeroAlloc
+// counts, after as many warmup steps.
+const tickWindow = 20_000
+
+// tickMallocs builds one engine standalone and feeds it a strided miss
 // stream over a bounded working set through OnAccess (plus a decode feed for
 // the lookahead engine), with AppendTick draining into a reused dst — the
-// exact per-cycle contract the sim loop relies on.
-func TestAppendTickZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is perturbed by the race detector")
-	}
+// exact per-cycle contract the sim loop relies on. It returns the heap
+// allocations of the tickWindow steps after a warmup of as many.
+func tickMallocs(mk mkPrefetcher) uint64 {
 	const (
 		base  = uint64(0x40000)
 		span  = uint64(1 << 16)
 		block = uint64(64)
 	)
+	bp := branch.New(branch.DefaultConfig())
+	conf := branch.NewConfidence(branch.DefaultConfidenceConfig())
+	pf := mk(bp, conf)
+	dst := make([]prefetch.Request, 0, 128)
+	var now, addr uint64
+	step := func() {
+		pf.OnAccess(prefetch.AccessInfo{PC: 0x100, Addr: base + addr, Hit: false})
+		pf.OnDecode(prefetch.DecodeInfo{
+			PC: 0x200, PredTaken: true, PredNext: 0x180, Target: 0x180,
+		})
+		addr = (addr + block) % span
+		dst = pf.AppendTick(dst[:0], now)
+		now++
+	}
+	// Warm tables, queue and scratch to steady state.
+	for i := 0; i < tickWindow; i++ {
+		step()
+	}
+	// No runtime.GC() here, unlike windowMallocs: the set-up allocates too
+	// little to start a collection, and a forced one wakes runtime helpers
+	// whose own allocations land in a window this short.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < tickWindow; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestAppendTickZeroAlloc holds each engine, driven standalone by
+// tickMallocs, to zero heap allocations over the window; a count over zero
+// is measured once more on a fresh engine.
+func TestAppendTickZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
 	for _, eng := range allocEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			bp := branch.New(branch.DefaultConfig())
-			conf := branch.NewConfidence(branch.DefaultConfidenceConfig())
-			pf := eng.mk(bp, conf)
-			dst := make([]prefetch.Request, 0, 128)
-			var now, addr uint64
-			step := func() {
-				pf.OnAccess(prefetch.AccessInfo{PC: 0x100, Addr: base + addr, Hit: false})
-				pf.OnDecode(prefetch.DecodeInfo{
-					PC: 0x200, PredTaken: true, PredNext: 0x180, Target: 0x180,
-				})
-				addr = (addr + block) % span
-				dst = pf.AppendTick(dst[:0], now)
-				now++
+			n := tickMallocs(eng.mk)
+			if n > 0 {
+				n = tickMallocs(eng.mk)
 			}
-			// Warm tables, queue and scratch to steady state.
-			for i := 0; i < 20_000; i++ {
-				step()
-			}
-			if avg := testing.AllocsPerRun(2000, step); avg != 0 {
-				t.Errorf("%s AppendTick: %.3f allocs/tick, want 0", eng.name, avg)
+			if n > 0 {
+				t.Errorf("%s AppendTick, %d steps: %d heap allocations, want 0", eng.name, tickWindow, n)
 			}
 		})
 	}

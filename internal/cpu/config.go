@@ -1,6 +1,10 @@
 package cpu
 
-import "repro/internal/obs"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // Config sizes the out-of-order core. The defaults reproduce the paper's
 // Table II baseline: a 4-wide machine with a 192-entry ROB.
@@ -39,6 +43,26 @@ func DefaultConfig() Config {
 		FetchQueue:      16,
 		MulLatency:      3,
 	}
+}
+
+// Validate rejects a geometry that can never commit an instruction: a core
+// with no fetch, dispatch or commit slot, no ROB entry, no fetch-queue entry
+// or no cache port would spin to the cycle bound instead of failing.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Width", c.Width},
+		{"ROBEntries", c.ROBEntries},
+		{"FetchQueue", c.FetchQueue},
+		{"CachePorts", c.CachePorts},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("cpu: %s must be at least 1, got %d", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // WithWidth returns the configuration adjusted for an n-wide pipeline, used

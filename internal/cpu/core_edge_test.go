@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -340,5 +341,32 @@ func TestROBEntrySize(t *testing.T) {
 	// (Core.storeQ) live beside the ROB, so the entry stays small.
 	if n := unsafe.Sizeof(robEntry{}); n > 216 {
 		t.Errorf("robEntry is %d bytes, want at most 216", n)
+	}
+}
+
+// TestConfigValidate rejects each geometry field that leaves the core unable
+// to commit, naming the field, and accepts the narrowest and widest machines
+// the sensitivity study builds.
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   func(c Config) Config
+		field string // "" when the config is valid
+	}{
+		{"width0", func(c Config) Config { c.Width = 0; return c }, "Width"},
+		{"rob0", func(c Config) Config { c.ROBEntries = 0; return c }, "ROBEntries"},
+		{"fetchq-neg", func(c Config) Config { c.FetchQueue = -1; return c }, "FetchQueue"},
+		{"ports0", func(c Config) Config { c.CachePorts = 0; return c }, "CachePorts"},
+		{"width1", func(c Config) Config { return c.WithWidth(1) }, ""},
+		{"width8", func(c Config) Config { return c.WithWidth(8) }, ""},
+	}
+	for _, tc := range cases {
+		err := tc.cfg(DefaultConfig()).Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field+" must be at least 1")):
+			t.Errorf("%s: got %v, want an error naming %s", tc.name, err, tc.field)
+		}
 	}
 }

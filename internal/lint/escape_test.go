@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,19 +9,14 @@ import (
 
 // gateDir compiles the module at dir with the diagnostic flags for real and
 // runs the escape analyzer over it. A toolchain whose output the parser no
-// longer recognizes skips the test — the same skip-with-warning degradation
-// the CLI performs — rather than passing vacuously or failing on format
-// drift.
+// longer recognizes fails the test, as it fails the CLI.
 func gateDir(t *testing.T, dir string) ([]*Package, []Diagnostic) {
 	t.Helper()
 	pkgs, err := LoadModule(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	facts, err := CollectFacts(dir, pkgs, CollectOptions{CacheDir: t.TempDir()})
-	if errors.Is(err, ErrNoFacts) {
-		t.Skipf("toolchain diagnostic format not recognized; escape analyzer degrades to skip: %v", err)
-	}
+	facts, err := CollectFacts(dir, pkgs)
 	if err != nil {
 		t.Fatalf("collecting facts: %v", err)
 	}
@@ -305,3 +299,40 @@ func (x *Buf) Grow(n int) int {
 		t.Fatalf("got %v, want the escape in b.Buf.Grow reached from a.Eng.Tick", diags)
 	}
 }
+
+// TestEscapeSeesDependencyChange lints a two-package module clean, then
+// grows only the imported callee past the inlining budget and lints again in
+// the same process and build cache. Package a's sources are unchanged, but
+// its facts are not: the call it inlined is now a call it cannot inline,
+// and the second run must say so.
+func TestEscapeSeesDependencyChange(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"a/a.go": `package a
+
+import "fixture/b"
+
+//bfetch:hotpath
+func Tick(x int) int { return b.Add(x, 1) }
+`,
+		"b/b.go": smallAdd,
+	})
+	if _, diags := gateDir(t, dir); len(diags) != 0 {
+		t.Fatalf("clean module produced findings: %v", diags)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "b", "b.go"), []byte(bigAdd), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, diags := gateDir(t, dir)
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "call to Add in //bfetch:hotpath Tick is not inlined") {
+		t.Fatalf("after growing b.Add: got %v, want exactly one not-inlined finding naming Add", diags)
+	}
+}
+
+const smallAdd = `package b
+
+func Add(x, y int) int { return x + y }
+`
+
+// bigAdd is Add grown well past the compiler's inlining budget of 80.
+var bigAdd = "package b\n\nfunc Add(x, y int) int {\n" +
+	strings.Repeat("\tx = x*y + x>>3 ^ y<<5 - x/7\n", 40) + "\treturn x\n}\n"

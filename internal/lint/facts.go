@@ -2,27 +2,24 @@ package lint
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"go/ast"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// This file is the compiler-witness layer: it runs the real Go compiler in
-// diagnostic mode over the module, parses the escape-analysis, inlining and
-// bounds-check-elimination output into a position-indexed fact table, and
-// caches that table per package keyed by a build ID (toolchain version +
-// flags + file contents), so warm lint runs never invoke the compiler.
+// This file is the compiler-witness layer: it compiles the module in
+// diagnostic mode with one `go list -export` run and parses the
+// escape-analysis, inlining and bounds-check-elimination output into a
+// position-indexed fact table. Go's build cache is the only cache: it keys
+// each package on its sources, flags, toolchain and every dependency (whose
+// inlinable bodies shape the package's own facts) and replays the
+// diagnostics of an up-to-date package, so a warm run compiles nothing and a
+// change to an imported package recompiles its importers.
 //
 // The contract with the toolchain is deliberately narrow — exactly five line
 // shapes are recognized (DESIGN.md §6b):
@@ -34,17 +31,13 @@ import (
 //	file.go:L:C: Found IsInBounds | IsSliceInBounds
 //
 // Everything else (param-leak traces, indented explanation lines, stdlib
-// positions) is ignored. If the toolchain stops emitting any recognizable
-// facts for a module that plainly has functions, collection degrades to a
-// skip-with-warning (ErrNoFacts) rather than a silent all-clear.
+// positions) is ignored. If the toolchain emits no recognizable fact for
+// the module, collection fails with ErrNoFacts rather than passing on an
+// empty table.
 
 // factsGCFlags are the compiler flags the witness layer builds with: full
 // escape/inline diagnostics plus the bounds-check-elimination debug stream.
 const factsGCFlags = "-m=2 -d=ssa/check_bce/debug=1"
-
-// factsParserVersion invalidates cached fact files when the parser itself
-// changes shape. Bump on any change to parseFactLine or the Fact type.
-const factsParserVersion = "2"
 
 // FactKind classifies one compiler diagnostic.
 type FactKind uint8
@@ -106,111 +99,40 @@ type FactTable struct {
 
 // ErrNoFacts reports that the compiler ran but its output contained no
 // recognizable diagnostics — a toolchain whose format this parser does not
-// understand. Callers must treat it as "escape analyzer skipped", never as
-// "escape analyzer passed".
-var ErrNoFacts = errors.New("lint: compiler produced no recognizable -m=2/BCE diagnostics; escape analyzer skipped (toolchain format change?)")
+// understand. It fails the gate: an empty fact table would pass every check.
+var ErrNoFacts = errors.New("lint: compiler produced no recognizable -m=2/BCE diagnostics (toolchain format change?)")
 
-// CollectOptions configures fact collection.
-type CollectOptions struct {
-	// CacheDir overrides the fact-cache location (default:
-	// os.UserCacheDir()/bfetch-lint). Tests point it at a temp dir.
-	CacheDir string
-}
-
-// CollectFacts returns the compiler fact table for the module at root,
-// consulting the per-package build-ID cache first and invoking the compiler
-// only for packages whose sources changed. pkgs must be LoadModule(root).
-func CollectFacts(root string, pkgs []*Package, opts CollectOptions) (*FactTable, error) {
-	cacheDir := opts.CacheDir
-	if cacheDir == "" {
-		if base, err := os.UserCacheDir(); err == nil {
-			cacheDir = filepath.Join(base, "bfetch-lint")
-		} else {
-			cacheDir = filepath.Join(os.TempDir(), "bfetch-lint")
-		}
-	}
-
-	states := make([]*pkgState, 0, len(pkgs))
+// CollectFacts compiles every package of pkgs (LoadModule(root)) with the
+// diagnostic flags in one `go list -export` run and returns the parsed fact
+// table. -export compiles without linking, so main packages build like any
+// other, and Go's build cache replays the diagnostics of packages that are
+// up to date.
+func CollectFacts(root string, pkgs []*Package) (*FactTable, error) {
+	args := []string{"list", "-export", "-gcflags=" + factsGCFlags}
 	for _, p := range pkgs {
-		key, err := packageBuildID(p)
-		if err != nil {
-			return nil, err
-		}
-		rel := p.Rel
-		if rel == "" {
-			rel = "."
-		}
-		states = append(states, &pkgState{p: p, key: key, rel: rel, nfun: countFuncs(p)})
+		args = append(args, "./"+p.Rel)
 	}
-
-	table := &FactTable{Root: root, ByFile: make(map[string][]Fact)}
-	var missing []*pkgState
-	for _, st := range states {
-		facts, ok := readFactCache(cacheDir, st.key)
-		if !ok {
-			missing = append(missing, st)
-			continue
-		}
-		for _, f := range facts {
-			table.ByFile[f.File] = append(table.ByFile[f.File], f)
-		}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	// Stdout carries only the import paths, which never parse as facts.
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		// A build error means the tree doesn't compile, which is a lint
+		// error too.
+		return nil, fmt.Errorf("lint: go list -export for compiler facts failed: %v\n%s", err, out)
 	}
-
-	if len(missing) > 0 {
-		byDir, err := compileForFacts(root, missing, false)
-		if err != nil {
-			return nil, err
-		}
-		// A package that has function bodies but yielded zero facts was
-		// served from Go's own build cache (which replays no diagnostics).
-		// Retry those with -a to force recompilation.
-		var stale []*pkgState
-		for _, st := range missing {
-			if st.nfun > 0 && len(byDir[st.rel]) == 0 {
-				stale = append(stale, st)
-			}
-		}
-		if len(stale) > 0 {
-			forced, err := compileForFacts(root, stale, true)
-			if err != nil {
-				return nil, err
-			}
-			for dir, facts := range forced {
-				byDir[dir] = facts
-			}
-		}
-		totalFuncs, totalFacts := 0, 0
-		for _, st := range missing {
-			facts := byDir[st.rel]
-			totalFuncs += st.nfun
-			totalFacts += len(facts)
-			for _, f := range facts {
-				table.ByFile[f.File] = append(table.ByFile[f.File], f)
-			}
-			writeFactCache(cacheDir, st.key, facts)
-		}
-		if totalFuncs > 0 && totalFacts == 0 {
-			return nil, ErrNoFacts
-		}
+	table := ParseFacts(root, out)
+	if len(table.ByFile) == 0 {
+		return nil, ErrNoFacts
 	}
-
-	for file := range table.ByFile {
-		facts := table.ByFile[file]
-		sort.Slice(facts, func(i, j int) bool {
-			if facts[i].Line != facts[j].Line {
-				return facts[i].Line < facts[j].Line
-			}
-			return facts[i].Col < facts[j].Col
-		})
-	}
-	table.index()
 	return table, nil
 }
 
-// ParseFacts parses a recorded diagnostic stream (as emitted by
-// `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'`) into facts, without
-// running the compiler. The toolchain-format pinning tests feed it recorded
-// outputs from several Go versions.
+// ParseFacts parses a diagnostic stream (as emitted by
+// `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'`) into facts sorted by
+// line and column within each file, without running the compiler. The
+// toolchain-format pinning tests feed it recorded outputs from several Go
+// versions.
 func ParseFacts(root string, output []byte) *FactTable {
 	table := &FactTable{Root: root, ByFile: make(map[string][]Fact)}
 	sc := bufio.NewScanner(strings.NewReader(string(output)))
@@ -230,6 +152,14 @@ func ParseFacts(root string, output []byte) *FactTable {
 		}
 		seen[k] = true
 		table.ByFile[f.File] = append(table.ByFile[f.File], f)
+	}
+	for _, facts := range table.ByFile {
+		sort.Slice(facts, func(i, j int) bool {
+			if facts[i].Line != facts[j].Line {
+				return facts[i].Line < facts[j].Line
+			}
+			return facts[i].Col < facts[j].Col
+		})
 	}
 	table.index()
 	return table
@@ -344,141 +274,4 @@ func factBaseName(name string) string {
 		name = name[i+1:]
 	}
 	return name
-}
-
-// ---------------------------------------------------------------- compiler --
-
-// pkgState pairs a parsed package with its cache key and compile spelling.
-type pkgState struct {
-	p    *Package
-	key  string
-	rel  string // "./"-relative dir as passed to go build ("." for the root)
-	nfun int    // function decls with bodies — a lower bound on inline facts
-}
-
-// compileForFacts builds the given packages with the diagnostic flags and
-// returns the parsed facts grouped by module-relative package dir. force
-// adds -a, defeating Go's build cache (which suppresses diagnostics for
-// up-to-date packages).
-func compileForFacts(root string, states []*pkgState, force bool) (map[string][]Fact, error) {
-	args := []string{"build", "-gcflags=" + factsGCFlags}
-	if force {
-		args = append(args, "-a")
-	}
-	// `go build` discards library objects, but writes main-package binaries
-	// to the working directory — and refuses -o DIR when the set holds no
-	// main package at all. Redirect binaries to a throwaway dir only when
-	// one is actually being built.
-	hasMain := false
-	for _, st := range states {
-		if len(st.p.Files) > 0 && st.p.Files[0].Name.Name == "main" {
-			hasMain = true
-			break
-		}
-	}
-	if hasMain {
-		tmp, err := os.MkdirTemp("", "bfetch-lint-bin")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		args = append(args, "-o", tmp)
-	}
-	for _, st := range states {
-		args = append(args, "./"+st.rel)
-	}
-	cmd := exec.Command("go", args...)
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		// The diagnostic stream rides on stderr even on failure; a build
-		// error means the tree doesn't compile, which is a lint error too.
-		return nil, fmt.Errorf("lint: go build for compiler facts failed: %v\n%s", err, out)
-	}
-	parsed := ParseFacts(root, out)
-	// Group facts by the directory of the file they are positioned in; the
-	// module root package groups under "." to match the cache-key spelling.
-	byDir := make(map[string][]Fact)
-	for file, facts := range parsed.ByFile {
-		dir := filepath.ToSlash(filepath.Dir(file))
-		byDir[dir] = append(byDir[dir], facts...)
-	}
-	return byDir, nil
-}
-
-// ---------------------------------------------------------------- build ID --
-
-// packageBuildID derives the cache key for one package: the Go toolchain
-// version, the diagnostic flags, the parser version, and the content of
-// every non-test .go file in the directory. Any change to any input yields
-// a new key, so a stale fact file can never satisfy a fresh tree.
-func packageBuildID(p *Package) (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "go=%s flags=%q parser=%s\n", runtime.Version(), factsGCFlags, factsParserVersion)
-	names := make([]string, 0, len(p.Files))
-	byName := make(map[string]string, len(p.Files))
-	for _, f := range p.Files {
-		pos := p.Fset.Position(f.Package)
-		names = append(names, pos.Filename)
-		byName[pos.Filename] = pos.Filename
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(byName[name])
-		if err != nil {
-			return "", err
-		}
-		sum := sha256.Sum256(data)
-		fmt.Fprintf(h, "%s %s\n", filepath.Base(name), hex.EncodeToString(sum[:]))
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), nil
-}
-
-// countFuncs counts function declarations with bodies: each is guaranteed at
-// least one can/cannot-inline diagnostic, so a package with countFuncs > 0
-// and zero parsed facts was served from a silent build cache (or the
-// toolchain format drifted).
-func countFuncs(p *Package) int {
-	n := 0
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// ------------------------------------------------------------------- cache --
-
-type factCacheFile struct {
-	Version string `json:"version"`
-	Facts   []Fact `json:"facts"`
-}
-
-func readFactCache(dir, key string) ([]Fact, bool) {
-	data, err := os.ReadFile(filepath.Join(dir, key+".facts.json"))
-	if err != nil {
-		return nil, false
-	}
-	var cf factCacheFile
-	if json.Unmarshal(data, &cf) != nil || cf.Version != factsParserVersion {
-		return nil, false
-	}
-	return cf.Facts, true
-}
-
-func writeFactCache(dir, key string, facts []Fact) {
-	if os.MkdirAll(dir, 0o755) != nil {
-		return
-	}
-	data, err := json.Marshal(factCacheFile{Version: factsParserVersion, Facts: facts})
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(dir, key+".tmp")
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		os.Rename(tmp, filepath.Join(dir, key+".facts.json"))
-	}
 }

@@ -11,9 +11,10 @@
 //     simulation kernel) through the typed call graph — annotated or not —
 //     for heap escapes, calls to functions and methods outside the module
 //     other than math and math/bits, non-inlined calls out of annotated
-//     functions, and bounds checks left in //bfetch:bce loops. The fact
-//     table is cached per package by build ID, so warm runs skip the
-//     compiler.
+//     functions, and bounds checks left in //bfetch:bce loops. The facts
+//     come from one `go list -export` run, so Go's build cache replays
+//     them for up-to-date packages and recompiles a package whenever it or
+//     anything it imports changes.
 //   - syncorder: no channel send while a mutex is held.
 //   - determinism: the simulation/experiment packages must not consult
 //     global randomness or wall clocks, and must not publish results from a
@@ -30,7 +31,6 @@
 package lint
 
 import (
-	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -74,28 +74,26 @@ var determinismPkgs = map[string]bool{
 	"internal/workload": true, "internal/obs": true, "internal/store": true,
 }
 
+// Analyzers names the analyzers RunAll applies, in gate order.
+var Analyzers = []string{"syncorder", "determinism", "statsreset", "escape"}
+
 // RunResult is the outcome of the gate.
 type RunResult struct {
-	Diags []Diagnostic
-	Ran   []string // analyzers that actually executed, in gate order
-	// Warnings carries non-fatal degradations — most importantly the
-	// escape analyzer skipping itself because the toolchain's diagnostic
-	// format was not recognized. A warning is not a pass: CI surfaces it.
-	Warnings []string
+	Diags    []Diagnostic
 	Packages int
 }
 
 // RunAll loads the module at root and applies every analyzer, returning the
 // surviving (unsuppressed) diagnostics sorted by position. A package that
-// fails to type-check is an error. An unrecognizable toolchain diagnostic
-// format degrades escape to a skip-with-warning rather than an error (or a
-// false pass).
+// fails to type-check, a tree that does not compile, or a toolchain whose
+// diagnostic format the fact parser does not recognize (ErrNoFacts) is an
+// error.
 func RunAll(root string) (RunResult, error) {
 	pkgs, err := LoadModule(root)
 	if err != nil {
 		return RunResult{}, err
 	}
-	res := RunResult{Packages: len(pkgs), Ran: []string{"syncorder", "determinism", "statsreset"}}
+	res := RunResult{Packages: len(pkgs)}
 	for _, p := range pkgs {
 		res.Diags = append(res.Diags, SyncOrder(p)...)
 		if determinismPkgs[p.Rel] {
@@ -103,16 +101,11 @@ func RunAll(root string) (RunResult, error) {
 		}
 		res.Diags = append(res.Diags, StatsReset(p)...)
 	}
-	facts, err := CollectFacts(root, pkgs, CollectOptions{})
-	switch {
-	case errors.Is(err, ErrNoFacts):
-		res.Warnings = append(res.Warnings, err.Error())
-	case err != nil:
+	facts, err := CollectFacts(root, pkgs)
+	if err != nil {
 		return res, err
-	default:
-		res.Diags = append(res.Diags, Escape(pkgs, facts)...)
-		res.Ran = append(res.Ran, "escape")
 	}
+	res.Diags = append(res.Diags, Escape(pkgs, facts)...)
 	sortDiags(res.Diags)
 	return res, nil
 }

@@ -109,10 +109,9 @@ func TestStatsResetGolden(t *testing.T) {
 // must produce zero findings under all four analyzers. It is the same check
 // `make lint` performs, so a regression — including deleting a
 // //bfetch:hotpath annotation from a non-inlined allocating helper — fails
-// `go test ./...` too. The fact cache is the same one the CLI uses, so warm
-// runs cost milliseconds; if the toolchain's diagnostic format is
-// unrecognized, the escape analyzer skips with a warning (the designed
-// degradation) and the other three still gate.
+// `go test ./...` too. The compiler facts come through Go's build cache, so
+// warm runs compile nothing; a toolchain whose diagnostic format is
+// unrecognized fails the test.
 func TestLiveTreeClean(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -124,14 +123,6 @@ func TestLiveTreeClean(t *testing.T) {
 	}
 	for _, d := range res.Diags {
 		t.Errorf("live tree finding: %s", d)
-	}
-	const all = "syncorder determinism statsreset escape"
-	switch ran := strings.Join(res.Ran, " "); {
-	case ran == all:
-	case ran+" escape" == all && len(res.Warnings) > 0:
-		t.Logf("escape analyzer skipped (toolchain drift): %v", res.Warnings)
-	default:
-		t.Errorf("ran analyzers [%s], want [%s] (warnings %v)", ran, all, res.Warnings)
 	}
 	if res.Packages < 10 {
 		t.Errorf("loaded only %d packages from %s; module walk looks broken", res.Packages, root)

@@ -4,5 +4,5 @@ package sim
 
 // raceEnabled gates the zero-allocation assertions: the race detector's
 // instrumentation allocates on paths that are allocation-free in a normal
-// build, so AllocsPerRun readings are meaningless under -race.
+// build, so allocation counts are meaningless under -race.
 const raceEnabled = true

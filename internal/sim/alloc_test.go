@@ -6,74 +6,52 @@ package sim
 // shared-level ports, banked LLC with MSHRs, channeled DRAM — stepped
 // exactly as the cycle loops step it (tick phase, then port service).
 //
-// testing.AllocsPerRun integer-divides the window's mallocs by its runs, so
-// "zero" here means fewer than one allocation per system cycle over the
-// 2,000-cycle window, not none: allocations a few hundred cycles apart (a
-// dispatch slice re-grown, a first-touch page, a prefetcher map growing)
-// pass unseen.
+// The tests count every heap allocation over a whole window of system cycles
+// (runtime.MemStats deltas, not testing.AllocsPerRun's per-run quotient,
+// which rounds any rate under one allocation per cycle down to zero), so a
+// dispatch slice re-grown, a first-touch page or a prefetcher map growing
+// once in thousands of cycles is seen.
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-// TestBankedCMPCycleZeroAlloc drives a full 16-core scale-out system — core
-// ticks, per-core port service through bank arbitration, MSHR claim and DRAM
-// channel slots — and requires a steady state of fewer than one heap
-// allocation per system cycle (AllocsPerRun rounds the mean down to zero).
-func TestBankedCMPCycleZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is perturbed by the race detector")
+const (
+	allocWarmup = 30_000 // system cycles before the window: buffers reach size
+	allocWindow = 20_000 // system cycles counted
+)
+
+// mix16Budget is the mix's measured allocation count in the window, the same
+// with and without attribution and sampling (16 in 109 of 110 first windows,
+// 17 once, which the second measurement absorbs). Its sources, from a heap profile of
+// the window:
+//   - 5 first-touch pages written by committed stores (mem.pageFor);
+//   - 4 growths of B-Fetch's per-walk visited-block lists (lookahead.visit);
+//   - 1 growth of B-Fetch's pending register-sample list (arf.sample);
+//   - 6 from prefetch.Queue's pending-request map, whose insert/delete churn
+//     occasionally makes the runtime rebuild the table (Push, AppendPop).
+const mix16Budget = 16
+
+// budgetedMallocs returns the heap allocations of windowMallocs, measured a
+// second time on a fresh system when the first count exceeds budget. The
+// simulation repeats exactly, so an allocation it makes recurs; a one-off
+// allocation by the Go runtime itself does not.
+func budgetedMallocs(t *testing.T, cfg Config, budget uint64) (*System, uint64) {
+	t.Helper()
+	s, n := windowMallocs(t, cfg)
+	if n > budget {
+		s, n = windowMallocs(t, cfg)
 	}
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	s, err := buildSystem(DefaultScale(PFBFetch, len(mix16)), mix16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	due := make([]int32, 0, len(s.Cores))
-	var now uint64
-	step := func() {
-		due = due[:0]
-		for i := range s.Cores {
-			if !s.Cores[i].Halted() {
-				due = append(due, int32(i))
-			}
-		}
-		s.tickCores(due, now)
-		s.servicePorts(due)
-		now++
-	}
-	// Warm every buffer — ROBs, port queues, MSHRs, channel slots, engine
-	// tables — to steady-state capacity.
-	for now < 30_000 {
-		step()
-	}
-	if len(due) != len(s.Cores) {
-		t.Fatalf("only %d of %d cores still active after warmup", len(due), len(s.Cores))
-	}
-	avg := testing.AllocsPerRun(2000, step)
-	if avg != 0 {
-		t.Errorf("banked 16-core system cycle: %.3f allocs/cycle, want 0", avg)
-	}
+	return s, n
 }
 
-// TestBankedCMPCycleZeroAllocAttributed is the same system cycle with the
-// full observability tentpole attached: CPI attribution charging every core
-// every cycle, and the interval time-series sampler firing — at an interval
-// small enough that ring compaction (merge-downsampling) happens repeatedly
-// inside the measured window. Both must keep the window under one heap
-// allocation per cycle, or they could not ship config-gated on the
-// measurement path.
-func TestBankedCMPCycleZeroAllocAttributed(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is perturbed by the race detector")
-	}
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := DefaultScale(PFBFetch, len(mix16))
-	cfg.CPU.CPIStack = true
-	cfg.TSInterval = 64
-	cfg.TSMaxRows = 8
+// windowMallocs builds the 16-core mix on cfg, steps it allocWarmup system
+// cycles — core ticks, per-core port service, and the interval sampler when
+// cfg enables it — and returns the heap allocations of the next allocWindow
+// cycles.
+func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
+	t.Helper()
 	s, err := buildSystem(cfg, mix16)
 	if err != nil {
 		t.Fatal(err)
@@ -90,22 +68,70 @@ func TestBankedCMPCycleZeroAllocAttributed(t *testing.T) {
 		s.tickCores(due, now)
 		s.servicePorts(due)
 		now++
-		for s.ts.NextAt() <= now {
+		for s.ts != nil && s.ts.NextAt() <= now {
 			s.ts.Sample()
 		}
 	}
-	for now < 30_000 {
+	for now < allocWarmup {
 		step()
 	}
 	if len(due) != len(s.Cores) {
 		t.Fatalf("only %d of %d cores still active after warmup", len(due), len(s.Cores))
 	}
-	if s.ts.Rows() == 0 {
-		t.Fatal("sampler took no rows during warmup")
+	// Finish any collection the set-up started, so runtime-internal
+	// allocations of a concurrent GC cycle do not land in the window.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for end := now + allocWindow; now < end; {
+		step()
 	}
-	avg := testing.AllocsPerRun(2000, step)
-	if avg != 0 {
-		t.Errorf("attributed+sampled system cycle: %.3f allocs/cycle, want 0", avg)
+	runtime.ReadMemStats(&after)
+	if len(due) != len(s.Cores) {
+		t.Fatalf("only %d of %d cores still active at the end of the window", len(due), len(s.Cores))
+	}
+	return s, after.Mallocs - before.Mallocs
+}
+
+// TestBankedCMPCycleZeroAlloc drives a full 16-core scale-out system — core
+// ticks, per-core port service through bank arbitration, MSHR claim and DRAM
+// channel slots — and holds the window to mix16Budget.
+func TestBankedCMPCycleZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	if _, n := budgetedMallocs(t, DefaultScale(PFBFetch, len(mix16)), mix16Budget); n > mix16Budget {
+		t.Errorf("banked 16-core system, %d cycles: %d heap allocations, budget %d", allocWindow, n, mix16Budget)
+	}
+}
+
+// TestBankedCMPCycleZeroAllocAttributed is the same system cycle with the
+// full observability tentpole attached: CPI attribution charging every core
+// every cycle, and the interval time-series sampler firing — at an interval
+// small enough that ring compaction (merge-downsampling) happens repeatedly
+// inside the measured window. Neither may add an allocation to the plain
+// system's budget, or they could not ship config-gated on the measurement
+// path.
+func TestBankedCMPCycleZeroAllocAttributed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := DefaultScale(PFBFetch, len(mix16))
+	cfg.CPU.CPIStack = true
+	cfg.TSInterval = 64
+	cfg.TSMaxRows = 8
+	s, n := budgetedMallocs(t, cfg, mix16Budget)
+	if n > mix16Budget {
+		t.Errorf("attributed+sampled 16-core system, %d cycles: %d heap allocations, budget %d", allocWindow, n, mix16Budget)
+	}
+	if s.ts.Rows() == 0 {
+		t.Fatal("sampler took no rows")
 	}
 	for i, c := range s.Cores {
 		if total := c.Stats.CPI.Total(); total != c.Stats.Cycles {

@@ -230,6 +230,9 @@ func NewFromCheckpoints(cfg Config, cps []*ckpt.Checkpoint) (*System, error) {
 
 // assemble wires cores, hierarchies, prefetchers, shared LLC and DRAM.
 func assemble(cfg Config, boots []boot) (*System, error) {
+	if err := cfg.CPU.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	dram := cache.NewDRAM()
 	if cfg.DRAMCyclesPerFill > 0 {
 		dram.CyclesPerFill = cfg.DRAMCyclesPerFill

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/branch"
@@ -63,6 +64,18 @@ func TestRunCycleBoundErrors(t *testing.T) {
 	_, err := RunSolo(cfg, "mcf", RunOpts{MeasureInsts: 100_000, CyclesPerInst: 1})
 	if err == nil {
 		t.Error("impossible cycle bound did not error")
+	}
+}
+
+// TestCoreGeometryRejectedAtAssembly: a core that can never commit fails
+// when the system is assembled, naming the field, instead of spinning to
+// the cycle bound.
+func TestCoreGeometryRejectedAtAssembly(t *testing.T) {
+	cfg := Default(PFNone)
+	cfg.CPU.Width = 0
+	_, err := RunSolo(cfg, "gamess", quickOpts)
+	if err == nil || !strings.Contains(err.Error(), "Width must be at least 1") {
+		t.Fatalf("got %v, want an error naming Width", err)
 	}
 }
 
