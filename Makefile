@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke fuzz-smoke clean
+.PHONY: all build test vet fmt-check lint verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke fuzz-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -32,12 +32,16 @@ vet:
 lint:
 	$(GO) run ./cmd/bfetch-lint
 
-# Tier-1 verify (ROADMAP.md).
-verify: build vet test
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Tier-1 verify (ROADMAP.md) plus the formatting gate.
+verify: fmt-check build vet test
 
 # Full pass: tier-1 plus the bfetch-lint gate and the race leg over the
 # concurrent packages.
-verify-full: build vet
+verify-full: fmt-check build vet
 	$(GO) run ./cmd/bfetch-lint
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
@@ -115,7 +119,8 @@ FUZZ_TARGETS = \
 	./internal/runner:FuzzValidateReport \
 	./internal/emu:FuzzCompiledMatchesInterp \
 	./internal/trace:FuzzTraceReader \
-	./internal/cpu:FuzzCoreMatchesEmu
+	./internal/cpu:FuzzCoreMatchesEmu \
+	./internal/sim:FuzzConfigValidate
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -258,6 +258,9 @@ func parseCores(list string) ([]int, error) {
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad -scalecores entry %q", s)
 		}
+		if err := sim.DefaultScale(sim.PFNone, n).Validate(); err != nil {
+			return nil, fmt.Errorf("-scalecores %d: %w", n, err)
+		}
 		cores = append(cores, n)
 	}
 	return cores, nil

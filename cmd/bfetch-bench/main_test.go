@@ -7,7 +7,8 @@ import (
 
 // TestParseCores pins the -scalecores grammar: whole positive decimals only,
 // so a typo like "16.5" or "8x" is an error instead of a silently truncated
-// core count.
+// core count. A count whose scale configuration cannot assemble is
+// rejected too.
 func TestParseCores(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -22,6 +23,7 @@ func TestParseCores(t *testing.T) {
 		{"-4", nil},
 		{"8,,16", nil},
 		{"", nil},
+		{"4,3", nil}, // a 6 MB LLC has 6144 sets, not a power of two
 	} {
 		got, err := parseCores(tc.in)
 		if tc.want == nil {

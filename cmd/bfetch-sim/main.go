@@ -86,6 +86,11 @@ func main() {
 	cfg.BFetch.PathThreshold = *conf
 	cfg.CPU.CPIStack = *cpistack
 	cfg.TSInterval = *tsEvery
+	cfg.Cores = len(names)
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
+		os.Exit(1)
+	}
 
 	var tr *obs.Trace
 	if *obsTrace != "" {

@@ -72,7 +72,9 @@ func (c Config) Scaled(factor float64) Config {
 	return c
 }
 
-func (c Config) validate() error {
+// Validate reports table sizes New cannot build: every table must be a
+// positive power of two, and the local history 1..24 bits.
+func (c Config) Validate() error {
 	for _, n := range []int{c.LocalHistEntries, c.LocalPHTEntries, c.GlobalEntries, c.ChooserEntries, c.BTBEntries} {
 		if n <= 0 || n&(n-1) != 0 {
 			return fmt.Errorf("branch: table size %d is not a positive power of two", n)
@@ -136,7 +138,7 @@ type Predictor struct {
 // New builds a predictor; it panics on an invalid configuration (sizes are
 // compile-time choices in this codebase).
 func New(cfg Config) *Predictor {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	p := &Predictor{

@@ -17,6 +17,8 @@ package branch
 // probability in [MinProb, MaxProb]. The B-Fetch path confidence is the
 // product of these per-branch probabilities along the lookahead path.
 
+import "fmt"
+
 // ConfidenceConfig sizes the estimator. The default (2048 entries of 4+4
 // bits) matches Table I's "Path Confidence Estimator: 2048 entries, 2 KB".
 type ConfidenceConfig struct {
@@ -47,10 +49,19 @@ type Confidence struct {
 	udMax  uint8
 }
 
-// NewConfidence builds an estimator.
-func NewConfidence(cfg ConfidenceConfig) *Confidence {
+// Validate reports a table size NewConfidence cannot build.
+func (cfg ConfidenceConfig) Validate() error {
 	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
-		panic("branch: confidence entries must be a power of two")
+		return fmt.Errorf("branch: confidence entries %d is not a positive power of two", cfg.Entries)
+	}
+	return nil
+}
+
+// NewConfidence builds an estimator; it panics on a configuration Validate
+// rejects.
+func NewConfidence(cfg ConfidenceConfig) *Confidence {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &Confidence{
 		cfg:    cfg,

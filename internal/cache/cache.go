@@ -184,19 +184,32 @@ type Cache struct {
 	classLevel uint8 //bfetch:noreset configuration
 }
 
-// New builds a cache in front of next.
+// Validate reports a geometry New cannot build: ways that do not divide
+// the blocks, or a set or bank count that is not a power of two.
+func (cfg Config) Validate() error {
+	blocks := cfg.Bytes / BlockBytes
+	if cfg.Ways <= 0 || blocks%cfg.Ways != 0 {
+		return fmt.Errorf("cache %s: %d blocks not divisible into %d ways", cfg.Name, blocks, cfg.Ways)
+	}
+	if sets := blocks / cfg.Ways; sets < 1 || sets&(sets-1) != 0 {
+		return fmt.Errorf("cache %s: %d sets is not a power of two", cfg.Name, sets)
+	}
+	if cfg.Banks > 1 && cfg.Banks&(cfg.Banks-1) != 0 {
+		return fmt.Errorf("cache %s: %d banks is not a power of two", cfg.Name, cfg.Banks)
+	}
+	return nil
+}
+
+// New builds a cache in front of next. It panics on a configuration
+// Validate rejects.
 func New(cfg Config, next Level) *Cache {
 	if next == nil {
 		panic("cache: nil next level")
 	}
-	blocks := cfg.Bytes / BlockBytes
-	if cfg.Ways <= 0 || blocks%cfg.Ways != 0 {
-		panic(fmt.Sprintf("cache %s: %d blocks not divisible into %d ways", cfg.Name, blocks, cfg.Ways))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
-	sets := blocks / cfg.Ways
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: %d sets is not a power of two", cfg.Name, sets))
-	}
+	sets := cfg.Bytes / BlockBytes / cfg.Ways
 	c := &Cache{
 		cfg:        cfg,
 		sets:       sets,
@@ -207,9 +220,6 @@ func New(cfg Config, next Level) *Cache {
 		classLevel: classLevelOf(cfg.Name),
 	}
 	if cfg.Banks > 1 {
-		if cfg.Banks&(cfg.Banks-1) != 0 {
-			panic(fmt.Sprintf("cache %s: %d banks is not a power of two", cfg.Name, cfg.Banks))
-		}
 		c.banks = make([]llcBank, cfg.Banks)
 		c.bankMask = uint64(cfg.Banks - 1)
 		if cfg.MSHRs > 0 {

@@ -251,10 +251,26 @@ type Hierarchy struct {
 	Port *SharedPort
 }
 
+// levels returns the L1D and L2 cache configurations.
+func (c HierarchyConfig) levels() (l1, l2 Config) {
+	return Config{Name: "L1D", Bytes: c.L1Bytes, Ways: c.L1Ways, Latency: c.L1Latency, Feedback: true},
+		Config{Name: "L2", Bytes: c.L2Bytes, Ways: c.L2Ways, Latency: c.L2Latency}
+}
+
+// Validate reports an L1D or L2 geometry New cannot build.
+func (c HierarchyConfig) Validate() error {
+	l1, l2 := c.levels()
+	if err := l1.Validate(); err != nil {
+		return err
+	}
+	return l2.Validate()
+}
+
 // NewHierarchy builds a private L1D+L2 in front of the shared LLC.
 func NewHierarchy(cfg HierarchyConfig, shared Level, asid int) *Hierarchy {
-	l2 := New(Config{Name: "L2", Bytes: cfg.L2Bytes, Ways: cfg.L2Ways, Latency: cfg.L2Latency}, shared)
-	l1 := New(Config{Name: "L1D", Bytes: cfg.L1Bytes, Ways: cfg.L1Ways, Latency: cfg.L1Latency, Feedback: true}, l2)
+	l1cfg, l2cfg := cfg.levels()
+	l2 := New(l2cfg, shared)
+	l1 := New(l1cfg, l2)
 	return &Hierarchy{L1D: l1, L2: l2, ASID: uint64(asid)}
 }
 

@@ -5,7 +5,9 @@
 // Checkpoint captures the architectural state — registers, PC, retired
 // count, memory image — after running a workload's prefix once on the
 // functional emulator (internal/emu), and Restore boots any number of
-// cycle-accurate simulations from it.
+// cycle-accurate simulations from it. Resume extends a checkpoint to a
+// longer prefix of the same workload by emulating only the difference, so
+// a chain of checkpoints at growing lengths emulates each prefix once.
 //
 // The memory image is the workload's built image plus the pages the prefix
 // changed, frozen at capture (mem.Memory.Freeze): it shares every unchanged
@@ -51,25 +53,41 @@ type Checkpoint struct {
 }
 
 // New builds the workload, executes ffInsts instructions on the functional
-// emulator, and captures the result. The workload's build must be
+// emulator, and captures the result: a Resume from the built image at
+// ff = 0, so there is one emulation path. The workload's build must be
 // deterministic (the package's contract), so New is a pure function of
 // (workload, ffInsts): two checkpoints of the same point are
 // interchangeable.
 func New(w workload.Workload, ffInsts uint64) (*Checkpoint, error) {
 	prog, image := w.Build()
-	c := emu.New(prog, image)
-	if _, err := c.Run(ffInsts); err != nil {
-		return nil, fmt.Errorf("ckpt: fast-forward of %s after %d insts: %w", w.Name, c.Retired, err)
-	}
 	image.Freeze()
-	return &Checkpoint{
-		Workload: w.Name,
-		FFInsts:  ffInsts,
-		Arch:     c.Arch(),
-		w:        w,
-		prog:     prog,
-		image:    image,
-	}, nil
+	return Resume(&Checkpoint{Workload: w.Name, w: w, prog: prog, image: image}, ffInsts)
+}
+
+// Resume continues base's fast-forward to ffInsts instructions from the
+// program entry: it emulates only the ffInsts − base.FFInsts instructions
+// past base, on a copy-on-write fork of base's frozen image, and captures a
+// checkpoint of the same shape New builds. The emulator is deterministic
+// and resumable, so Resume(New(w, a), b) equals New(w, b) for every a ≤ b —
+// the same Arch, the same changed pages — and a fault reports the same
+// error, since the retired count runs from the program entry. A halted base
+// retires nothing more, so it resumes to itself with the new FFInsts. base
+// is only read, so many Resumes may share it concurrently.
+func Resume(base *Checkpoint, ffInsts uint64) (*Checkpoint, error) {
+	if ffInsts < base.FFInsts {
+		return nil, fmt.Errorf("ckpt: cannot resume %s at %d insts back to %d", base.Workload, base.FFInsts, ffInsts)
+	}
+	cp := *base
+	cp.FFInsts = ffInsts
+	cp.image = base.image.Fork()
+	c := emu.New(cp.prog, cp.image)
+	c.SetArch(base.Arch)
+	if _, err := c.Run(ffInsts - base.FFInsts); err != nil {
+		return nil, fmt.Errorf("ckpt: fast-forward of %s after %d insts: %w", base.Workload, c.Retired, err)
+	}
+	cp.image.Freeze()
+	cp.Arch = c.Arch()
+	return &cp, nil
 }
 
 // ByName is New for a registered workload name.

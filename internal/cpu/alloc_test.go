@@ -31,11 +31,6 @@ import (
 // confidence estimator, so constructors receive the core's instances.
 type mkPrefetcher func(bp *branch.Predictor, conf *branch.Confidence) prefetch.Prefetcher
 
-// queueRehash is the allowance for prefetch.Queue's pending-request map:
-// its insert/delete churn occasionally makes the runtime rebuild the table,
-// and whether that lands inside a window depends on the per-map hash seed.
-const queueRehash = 2
-
 // allocEngines lists every engine with its allocation budget for
 // TestCycleZeroAlloc's window: 0 where the window measures 0, otherwise the
 // measured count plus the seed-dependent slack, with its source.
@@ -45,20 +40,20 @@ var allocEngines = []struct {
 	budget uint64
 }{
 	{"none", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return prefetch.None{} }, 0},
-	{"nextn", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return prefetch.NewNextN(4) }, queueRehash},
+	{"nextn", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return prefetch.NewNextN(4) }, 0},
 	{"stride", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher {
 		return prefetch.NewStride(prefetch.DefaultStrideConfig())
-	}, queueRehash},
-	{"sms", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return sms.New(sms.DefaultConfig()) }, queueRehash},
+	}, 0},
+	{"sms", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return sms.New(sms.DefaultConfig()) }, 0},
 	{"stems", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher {
 		return stems.New(stems.DefaultConfig())
-	}, queueRehash},
+	}, 0},
 	// ISB's structural-address maps grow as it learns new blocks (map2):
 	// 18 allocations in the window, up to 21 depending on hash seeds.
-	{"isb", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return isb.New(isb.DefaultConfig()) }, 21 + queueRehash},
+	{"isb", func(*branch.Predictor, *branch.Confidence) prefetch.Prefetcher { return isb.New(isb.DefaultConfig()) }, 21},
 	{"bfetch", func(bp *branch.Predictor, conf *branch.Confidence) prefetch.Prefetcher {
 		return core.New(core.DefaultConfig(), bp, conf)
-	}, queueRehash},
+	}, 0},
 }
 
 // newAllocCoreCfg mirrors newTestCoreCfg but shares the branch machinery

@@ -228,6 +228,10 @@ type Core struct {
 	Stats Stats
 }
 
+// pfReqsCap is pfReqs' starting capacity: above every built-in engine's
+// two requests per cycle, so the buffer never grows mid-run.
+const pfReqsCap = 4
+
 // New builds a core at the program entry point.
 func New(cfg Config, prog *isa.Program, m *mem.Memory, hier *cache.Hierarchy,
 	bp *branch.Predictor, conf *branch.Confidence, pf prefetch.Prefetcher) *Core {
@@ -251,6 +255,7 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, hier *cache.Hierarchy,
 		snaps:      make([][isa.NumRegs]ratEntry, cfg.ROBEntries),
 		storeQ:     make([]sqEntry, max(1, cfg.ROBEntries)),
 		fq:         make([]fqEntry, max(1, cfg.FetchQueue)),
+		pfReqs:     make([]prefetch.Request, 0, pfReqsCap),
 	}
 	c.pfEx, _ = pf.(ExecObserver)
 	c.nextSeq = 1

@@ -91,8 +91,10 @@ type Status struct {
 	CacheHits   uint64 `json:"cache_hits"`   // jobs answered from memory (or coalesced in flight)
 	CacheMisses uint64 `json:"cache_misses"` // cacheable jobs that had to simulate
 	// Checkpoint cache for fast-forward protocols: each (workload, FFInsts)
-	// prefix is emulated once (a miss); every further simulation needing
-	// it restores copy-on-write (a hit).
+	// point is emulated once (a miss), resuming from the workload's
+	// next-shorter point; every further simulation needing it restores
+	// copy-on-write (a hit). Both count job requests only, not the lookups
+	// of a predecessor to resume from.
 	CkptHits   uint64 `json:"ckpt_hits"`
 	CkptMisses uint64 `json:"ckpt_misses"`
 
@@ -113,8 +115,9 @@ type Status struct {
 	SimCycles     uint64  `json:"sim_cycles"`
 	SimInsts      uint64  `json:"sim_insts"`
 	KCyclesPerSec float64 `json:"sim_kcycles_per_sec"` // cycles / uptime
-	// EmuInsts counts functionally emulated instructions: fast-forward
-	// prefixes of checkpoint misses plus reported profile work.
+	// EmuInsts counts functionally emulated instructions: what checkpoint
+	// misses emulated past the point they resumed from, plus reported
+	// profile work.
 	EmuInsts uint64 `json:"emu_insts"`
 
 	UptimeSeconds float64 `json:"uptime_seconds"`

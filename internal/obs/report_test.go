@@ -64,10 +64,10 @@ func mustJSON(t *testing.T, v any) []byte {
 
 func TestValidateReportAccepts(t *testing.T) {
 	cases := map[string]any{
-		"run":    validRun(),
-		"runs":   RunsFile{Schema: SchemaRuns, Runs: []RunReport{validRun()}},
+		"run":        validRun(),
+		"runs":       RunsFile{Schema: SchemaRuns, Runs: []RunReport{validRun()}},
 		"empty runs": RunsFile{Schema: SchemaRuns, Runs: []RunReport{}},
-		"status": Status{Schema: SchemaStatus, JobsDone: 2, JobsTotal: 5},
+		"status":     Status{Schema: SchemaStatus, JobsDone: 2, JobsTotal: 5},
 	}
 	for name, v := range cases {
 		if _, err := ValidateReport(mustJSON(t, v)); err != nil {

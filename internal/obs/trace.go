@@ -27,12 +27,12 @@ const (
 
 // Trace is a sampled ring of lifecycle events. Construct with NewTrace.
 type Trace struct {
-	buf    []trace.Event //bfetch:noreset fixed ring storage, cleared via n/w
-	every  uint64        //bfetch:noreset sampling configuration
-	seen   uint64        // transitions offered, before sampling
-	kept   uint64        // transitions recorded (≤ seen)
-	w      int           // next write slot
-	n      int           // live records (≤ cap(buf))
+	buf   []trace.Event //bfetch:noreset fixed ring storage, cleared via n/w
+	every uint64        //bfetch:noreset sampling configuration
+	seen  uint64        // transitions offered, before sampling
+	kept  uint64        // transitions recorded (≤ seen)
+	w     int           // next write slot
+	n     int           // live records (≤ cap(buf))
 }
 
 // NewTrace returns a trace retaining at most capacity sampled events,

@@ -130,13 +130,15 @@ func (None) Idle() bool { return true }
 
 // Queue is the bounded prefetch request queue every engine drains through.
 // It deduplicates by block address against its own contents and issues a
-// fixed number of requests per cycle. Table I sizes B-Fetch's queue at 100
-// entries.
+// fixed number of requests per cycle, oldest first. Table I sizes B-Fetch's
+// queue at 100 entries. Its storage is fixed at construction — a ring of
+// capacity requests and an open-addressed table of their blocks — so Push
+// and AppendPop never allocate.
 type Queue struct {
-	buf      []Request       //bfetch:noreset pending requests survive a stats reset
-	capacity int             //bfetch:noreset configuration
-	perCycle int             //bfetch:noreset configuration
-	inQ      map[uint64]bool //bfetch:noreset tracks pending requests, which survive
+	ring     []Request //bfetch:noreset pending requests survive a stats reset
+	head, n  int       //bfetch:noreset the pending requests are ring[head..head+n)
+	perCycle int       //bfetch:noreset configuration
+	inQ      blockSet  //bfetch:noreset tracks pending requests, which survive
 
 	Enqueued    uint64
 	DroppedFull uint64
@@ -147,26 +149,33 @@ type Queue struct {
 // limit.
 func NewQueue(capacity, perCycle int) *Queue {
 	return &Queue{
-		capacity: capacity,
+		ring:     make([]Request, capacity),
 		perCycle: perCycle,
-		inQ:      make(map[uint64]bool, capacity),
+		inQ:      newBlockSet(capacity),
 	}
 }
 
 // Push enqueues a request, dropping it if the queue is full or a request for
 // the same block is already pending.
+//
+//bfetch:hotpath
 func (q *Queue) Push(r Request) {
 	ba := r.Addr >> 6
-	if q.inQ[ba] {
+	if q.inQ.has(ba) {
 		q.DroppedDup++
 		return
 	}
-	if len(q.buf) >= q.capacity {
+	if q.n == len(q.ring) {
 		q.DroppedFull++
 		return
 	}
-	q.buf = append(q.buf, r)
-	q.inQ[ba] = true
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
+	}
+	q.ring[tail] = r
+	q.n++
+	q.inQ.add(ba)
 	q.Enqueued++
 }
 
@@ -176,15 +185,15 @@ func (q *Queue) Push(r Request) {
 //
 //bfetch:hotpath
 func (q *Queue) AppendPop(dst []Request) []Request {
-	n := q.perCycle
-	if n > len(q.buf) {
-		n = len(q.buf)
-	}
-	for _, r := range q.buf[:n] {
-		delete(q.inQ, r.Addr>>6)
+	for k := min(q.perCycle, q.n); k > 0; k-- {
+		r := q.ring[q.head]
+		q.inQ.remove(r.Addr >> 6)
 		dst = append(dst, r)
+		if q.head++; q.head == len(q.ring) {
+			q.head = 0
+		}
+		q.n--
 	}
-	q.buf = q.buf[:copy(q.buf, q.buf[n:])]
 	return dst
 }
 
@@ -207,9 +216,78 @@ func (q *Queue) RegisterObs(reg *obs.Registry, prefix string) {
 }
 
 // Len returns the number of pending requests.
-func (q *Queue) Len() int { return len(q.buf) }
+func (q *Queue) Len() int { return q.n }
 
 // StorageBits sizes the queue as hardware: one block-granular physical
 // address (42 bits at 48-bit physical) per entry, which is how Table I's
 // "Prefetch Queue: 100 entries, 0.51 KB" is reached.
-func (q *Queue) StorageBits() int { return q.capacity * 42 }
+func (q *Queue) StorageBits() int { return len(q.ring) * 42 }
+
+// blockSet is an open-addressed set of block addresses: linear probing over
+// a power-of-two table at least twice the most blocks it will hold, with
+// backward-shift deletion, so it never fills, needs no tombstones and keeps
+// probes short.
+type blockSet struct {
+	slots []uint64 // block address + 1; 0 is an empty slot
+	shift uint     // 64 − log2(len(slots)): home() keeps the hash's top bits
+}
+
+func newBlockSet(n int) blockSet {
+	size, shift := 2, uint(63)
+	for size < 2*n {
+		size, shift = size*2, shift-1
+	}
+	return blockSet{slots: make([]uint64, size), shift: shift}
+}
+
+// home is a block's first probe slot (Fibonacci hashing).
+//
+//bfetch:hotpath
+func (s *blockSet) home(ba uint64) int { return int(ba * 0x9E3779B97F4A7C15 >> s.shift) }
+
+//bfetch:hotpath
+func (s *blockSet) has(ba uint64) bool {
+	mask := len(s.slots) - 1
+	for i := s.home(ba); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			return false
+		case ba + 1:
+			return true
+		}
+	}
+}
+
+// add inserts a block that is not in the set.
+//
+//bfetch:hotpath
+func (s *blockSet) add(ba uint64) {
+	mask := len(s.slots) - 1
+	i := s.home(ba)
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = ba + 1
+}
+
+// remove deletes a block that is in the set, shifting later members of its
+// probe run back so every member stays reachable from its home slot.
+//
+//bfetch:hotpath
+func (s *blockSet) remove(ba uint64) {
+	mask := len(s.slots) - 1
+	i := s.home(ba)
+	for s.slots[i] != ba+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		// The member at j may move back to the hole at i unless its home
+		// lies cyclically in (i, j].
+		if h := s.home(s.slots[j] - 1); (j-h)&mask < (j-i)&mask {
+			continue
+		}
+		s.slots[i] = s.slots[j]
+		i = j
+	}
+	s.slots[i] = 0
+}

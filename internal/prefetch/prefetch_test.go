@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -198,8 +199,8 @@ func TestQuickQueueInvariants(t *testing.T) {
 				return false
 			}
 			seen := map[uint64]bool{}
-			for _, r := range q.buf {
-				ba := r.Addr >> 6
+			for i := 0; i < q.n; i++ {
+				ba := q.ring[(q.head+i)%len(q.ring)].Addr >> 6
 				if seen[ba] {
 					return false
 				}
@@ -209,6 +210,65 @@ func TestQuickQueueInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// mapQueue is the queue's reference model: a slice in FIFO order and a map
+// of pending blocks.
+type mapQueue struct {
+	buf                []Request
+	inQ                map[uint64]bool
+	capacity, perCycle int
+	enq, full, dup     uint64
+}
+
+func (m *mapQueue) push(r Request) {
+	switch ba := r.Addr >> 6; {
+	case m.inQ[ba]:
+		m.dup++
+	case len(m.buf) >= m.capacity:
+		m.full++
+	default:
+		m.buf = append(m.buf, r)
+		m.inQ[ba] = true
+		m.enq++
+	}
+}
+
+func (m *mapQueue) pop() []Request {
+	n := min(m.perCycle, len(m.buf))
+	out := append([]Request(nil), m.buf[:n]...)
+	for _, r := range out {
+		delete(m.inQ, r.Addr>>6)
+	}
+	m.buf = m.buf[n:]
+	return out
+}
+
+// Property: the ring-and-table queue pops exactly what the map-based model
+// pops, and counts the same enqueues and drops, under any push/pop mix —
+// dense block addresses force long probe runs and backward shifts.
+func TestQuickQueueMatchesMapModel(t *testing.T) {
+	f := func(ops []uint16, capacity, perCycle uint8) bool {
+		cp, pc := int(capacity%20), int(perCycle%4)+1
+		q := NewQueue(cp, pc)
+		m := &mapQueue{inQ: map[uint64]bool{}, capacity: cp, perCycle: pc}
+		for _, op := range ops {
+			if op%4 == 0 {
+				if !reflect.DeepEqual(q.PopCycle(), m.pop()) {
+					return false
+				}
+				continue
+			}
+			r := Request{Addr: uint64(op%64) << 6, LoadPC: uint64(op)}
+			q.Push(r)
+			m.push(r)
+		}
+		return q.Len() == len(m.buf) && q.Enqueued == m.enq &&
+			q.DroppedFull == m.full && q.DroppedDup == m.dup
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -112,5 +113,68 @@ func TestConcurrentCheckpointSharing(t *testing.T) {
 	}
 	if want := uint64(len(jobs) - 1); st.CkptHits != want {
 		t.Errorf("checkpoint hits = %d, want %d", st.CkptHits, want)
+	}
+}
+
+// TestChainedCheckpointsEmulateEachPrefixOnce: a batch that fast-forwards
+// the same workloads to several lengths resumes each checkpoint from the
+// next-shorter one, so the engine emulates Σ max ff per workload whatever
+// the job order or worker count — and every result still equals a lone
+// engine's run of the same job. Predecessor lookups count as neither hits
+// nor misses: each point misses once, every other request hits.
+func TestChainedCheckpointsEmulateEachPrefixOnce(t *testing.T) {
+	ffs := map[string][]uint64{"mcf": {4_000, 9_000, 15_000}, "libquantum": {6_000, 11_000}}
+	var jobs []Job
+	for _, kind := range []sim.PrefetcherKind{sim.PFNone, sim.PFStride} {
+		for _, app := range []string{"mcf", "libquantum"} {
+			for _, ff := range ffs[app] {
+				opts := ffTinyOpts()
+				opts.FastForwardInsts = ff
+				jobs = append(jobs, Solo(sim.Default(kind), app, opts))
+			}
+		}
+	}
+	reversed := slices.Clone(jobs)
+	slices.Reverse(reversed)
+	for _, order := range []struct {
+		name string
+		jobs []Job
+	}{{"ascending", jobs}, {"descending", reversed}} {
+		for _, workers := range []int{1, 2} {
+			eng := New(workers)
+			outs := eng.RunAll(order.jobs)
+			for i, o := range outs {
+				if o.Err != nil {
+					t.Fatalf("%s -j %d job %d: %v", order.name, workers, i, o.Err)
+				}
+				want, err := New(1).Run(order.jobs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(o.Result, want) {
+					t.Errorf("%s -j %d job %d: chained result diverges from a lone run", order.name, workers, i)
+				}
+			}
+			st := eng.Stats()
+			if want := uint64(15_000 + 11_000); st.EmuInsts != want {
+				t.Errorf("%s -j %d: emulated %d insts, want %d (Σ max ff per workload)", order.name, workers, st.EmuInsts, want)
+			}
+			if st.CkptMisses != 5 || st.CkptHits != 5 {
+				t.Errorf("%s -j %d: checkpoint misses/hits = %d/%d, want 5/5 (one miss per point)",
+					order.name, workers, st.CkptMisses, st.CkptHits)
+			}
+		}
+	}
+}
+
+// TestChainedCheckpointErrorReachesLongerPoint: a longer point fails with
+// its predecessor's error value, unchanged.
+func TestChainedCheckpointErrorReachesLongerPoint(t *testing.T) {
+	short, long := ffTinyOpts(), ffTinyOpts()
+	long.FastForwardInsts *= 2
+	cfg := sim.Default(sim.PFNone)
+	outs := New(1).RunAll([]Job{Solo(cfg, "no-such-kernel", long), Solo(cfg, "no-such-kernel", short)})
+	if outs[1].Err == nil || outs[0].Err != outs[1].Err {
+		t.Errorf("longer point's error %v, want the predecessor's %v", outs[0].Err, outs[1].Err)
 	}
 }

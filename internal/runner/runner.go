@@ -16,7 +16,11 @@
 // is emulated at most once per Engine lifetime (singleflight, like the
 // run-cache) and every simulation of that workload boots from a
 // copy-on-write restore of the cached checkpoint — however many prefetcher
-// kinds, depths or bandwidth points sweep over it. Every checkpoint stays in
+// kinds, depths or bandwidth points sweep over it. A checkpoint that is
+// neither in memory nor in the store resumes from the next-shorter
+// fast-forward point of the same workload among the submitted jobs
+// (ckpt.Resume), so an Engine emulates each workload's longest prefix once
+// rather than every prefix from the program entry. Every checkpoint stays in
 // memory for the Engine's lifetime, whether emulated or read from the
 // store: either way it holds only the pages its prefix changed and shares
 // the rest with the workload's built image copy-on-write.
@@ -27,6 +31,7 @@ package runner
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,6 +83,7 @@ type Engine struct {
 
 	ckMu      sync.Mutex
 	ckEntries map[string]*ckptEntry
+	ffPoints  map[string][]uint64 // per workload: sorted fast-forward lengths of submitted jobs
 
 	hits, misses, runs  atomic.Uint64
 	ckHits, ckMisses    atomic.Uint64
@@ -109,10 +115,14 @@ type entry struct {
 }
 
 // ckptEntry is one memoized fast-forward checkpoint, singleflight like entry.
+// A predecessor lookup may create an entry before any job asks for it;
+// claimed records that a job has, so hit/miss counts stay per job request.
 type ckptEntry struct {
-	done chan struct{}
-	cp   *ckpt.Checkpoint
-	err  error
+	done    chan struct{}
+	cp      *ckpt.Checkpoint
+	err     error
+	stored  bool // read from the store rather than emulated
+	claimed bool // guarded by Engine.ckMu
 }
 
 // New returns a parallel Engine running up to workers simulations at once;
@@ -126,6 +136,7 @@ func New(workers int) *Engine {
 		start:     time.Now(), //bfetch:wallclock status uptime only
 		entries:   make(map[string]*entry),
 		ckEntries: make(map[string]*ckptEntry),
+		ffPoints:  make(map[string][]uint64),
 	}
 }
 
@@ -208,6 +219,7 @@ func (e *Engine) AddEmuInsts(n uint64) { e.emuInsts.Add(n) }
 // Run executes one job (through the cache), as a batch of one.
 func (e *Engine) Run(job Job) (sim.Result, error) {
 	e.jobsTotal.Add(1)
+	e.recordPoints([]Job{job})
 	o := e.runJob(job)
 	return o.Result, o.Err
 }
@@ -216,6 +228,7 @@ func (e *Engine) Run(job Job) (sim.Result, error) {
 // Identical jobs — within the batch or vs. earlier batches — simulate once.
 func (e *Engine) RunAll(jobs []Job) []Outcome {
 	e.jobsTotal.Add(uint64(len(jobs)))
+	e.recordPoints(jobs)
 	out := make([]Outcome, len(jobs))
 	if e.workers == 1 || len(jobs) <= 1 {
 		for i, j := range jobs {
@@ -273,8 +286,10 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 }
 
 // runJob executes one job through the cache. A waiter blocking on an
-// in-flight entry cannot deadlock: entries never depend on one another, so
-// the computing worker always makes progress.
+// in-flight entry cannot deadlock: result entries never depend on one
+// another, and a checkpoint entry depends only on a shorter checkpoint of
+// the same workload, so the dependency graph has no cycle and the
+// computing worker always makes progress.
 func (e *Engine) runJob(j Job) Outcome {
 	defer e.finish()
 	key, cacheable := Fingerprint(j.Cfg, j.Apps, j.Opts)
@@ -402,50 +417,114 @@ func (e *Engine) checkpoints(apps []string, ff uint64) ([]*ckpt.Checkpoint, erro
 	return cps, nil
 }
 
+// recordPoints adds the jobs' (workload, fast-forward) points to the sorted
+// per-workload sets that checkpoint misses resume from. It runs before the
+// jobs fan out, so a point's predecessor is known whatever order the
+// workers reach them in.
+func (e *Engine) recordPoints(jobs []Job) {
+	e.ckMu.Lock()
+	defer e.ckMu.Unlock()
+	for _, j := range jobs {
+		ff := j.Opts.FastForwardInsts
+		if ff == 0 {
+			continue
+		}
+		for _, name := range j.Apps {
+			pts := e.ffPoints[name]
+			if i, found := slices.BinarySearch(pts, ff); !found {
+				e.ffPoints[name] = slices.Insert(pts, i, ff)
+			}
+		}
+	}
+}
+
 // checkpoint returns the memoized fast-forward checkpoint for one
-// (workload, ffInsts) point, emulating it on first request. Concurrent
-// requests for the same point coalesce onto a single emulation, exactly
-// like runJob's result cache. Workload names are a sound cache key because
-// workload builds are deterministic (the workload package's contract — the
-// same property the run-cache fingerprint relies on).
+// (workload, ffInsts) point of a job, computing it on first request.
+// Concurrent requests for the same point coalesce onto a single
+// computation, exactly like runJob's result cache. Workload names are a
+// sound cache key because workload builds are deterministic (the workload
+// package's contract — the same property the run-cache fingerprint relies
+// on). The first job request of a point counts a checkpoint miss unless the
+// store answered it; every later one counts a hit.
 func (e *Engine) checkpoint(name string, ff uint64) (*ckpt.Checkpoint, error) {
+	ent, first := e.ckptEntry(name, ff, true)
+	<-ent.done
+	switch {
+	case !first:
+		e.ckHits.Add(1)
+	case !ent.stored:
+		e.ckMisses.Add(1)
+	}
+	return ent.cp, ent.err
+}
+
+// ckptEntry returns the entry of one point, creating and filling it if it
+// is new. claim marks a job's request; a predecessor lookup passes false
+// and counts in neither hits nor misses. first reports the claiming request.
+func (e *Engine) ckptEntry(name string, ff uint64, claim bool) (ent *ckptEntry, first bool) {
 	key := fmt.Sprintf("%s|%d", name, ff)
 	e.ckMu.Lock()
 	ent, found := e.ckEntries[key]
 	if !found {
 		ent = &ckptEntry{done: make(chan struct{})}
 		e.ckEntries[key] = ent
-		e.ckMu.Unlock()
-		// Second tier: a durable checkpoint replaces the whole prefix
-		// emulation with one disk read. The key is content-addressed over
-		// the workload's built program and initial image, so a changed
-		// kernel generator can never resurrect stale state.
-		var storeKey string
-		if e.store != nil {
-			if k, err := store.CheckpointKey(name, ff); err == nil {
-				storeKey = k
-				if cp, ok := e.store.GetCheckpoint(storeKey, name, ff); ok {
-					ent.cp = cp
-					close(ent.done)
-					e.stCkHits.Add(1)
-					return ent.cp, nil
-				}
-				e.stCkMiss.Add(1)
-			}
+	}
+	first = claim && !ent.claimed
+	if claim {
+		ent.claimed = true
+	}
+	var pred uint64 // the next-shorter recorded point; 0 = the program entry
+	if !found {
+		pts := e.ffPoints[name]
+		if i, _ := slices.BinarySearch(pts, ff); i > 0 {
+			pred = pts[i-1]
 		}
-		ent.cp, ent.err = ckpt.ByName(name, ff)
-		close(ent.done)
-		e.ckMisses.Add(1)
-		if storeKey != "" && ent.err == nil {
-			_ = e.store.PutCheckpoint(storeKey, ent.cp) // a failure counts in StoreWriteErrs
-		}
-		if ent.cp != nil {
-			e.emuInsts.Add(ent.cp.Arch.Retired)
-		}
-		return ent.cp, ent.err
 	}
 	e.ckMu.Unlock()
-	<-ent.done
-	e.ckHits.Add(1)
-	return ent.cp, ent.err
+	if !found {
+		e.fill(ent, name, ff, pred)
+	}
+	return ent, first
+}
+
+// fill computes a new entry. Second tier: a durable checkpoint replaces
+// the prefix emulation with one disk read. The key is content-addressed
+// over the workload's built program and initial image, so a changed kernel
+// generator can never resurrect stale state. On a store miss the point
+// resumes from its predecessor's entry (itself memory, store or emulation),
+// and a predecessor's error is the point's error unchanged: the emulator
+// would fault at the same instruction on the way to the longer point.
+func (e *Engine) fill(ent *ckptEntry, name string, ff, pred uint64) {
+	var storeKey string
+	if e.store != nil {
+		if k, err := store.CheckpointKey(name, ff); err == nil {
+			storeKey = k
+			if cp, ok := e.store.GetCheckpoint(storeKey, name, ff); ok {
+				ent.cp, ent.stored = cp, true
+				close(ent.done)
+				e.stCkHits.Add(1)
+				return
+			}
+			e.stCkMiss.Add(1)
+		}
+	}
+	var from uint64 // retired count the emulation starts at
+	if pred == 0 {
+		ent.cp, ent.err = ckpt.ByName(name, ff)
+	} else {
+		base, _ := e.ckptEntry(name, pred, false)
+		<-base.done
+		if ent.err = base.err; ent.err == nil {
+			ent.cp, ent.err = ckpt.Resume(base.cp, ff)
+			from = base.cp.Arch.Retired
+		}
+	}
+	close(ent.done)
+	if ent.err != nil {
+		return
+	}
+	e.emuInsts.Add(ent.cp.Arch.Retired - from)
+	if storeKey != "" {
+		_ = e.store.PutCheckpoint(storeKey, ent.cp) // a failure counts in StoreWriteErrs
+	}
 }

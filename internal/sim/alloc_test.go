@@ -23,15 +23,15 @@ const (
 )
 
 // mix16Budget is the mix's measured allocation count in the window, the same
-// with and without attribution and sampling (16 in 109 of 110 first windows,
-// 17 once, which the second measurement absorbs). Its sources, from a heap profile of
-// the window:
+// with and without attribution and sampling. Its sources, from a heap
+// profile of the window:
 //   - 5 first-touch pages written by committed stores (mem.pageFor);
 //   - 4 growths of B-Fetch's per-walk visited-block lists (lookahead.visit);
-//   - 1 growth of B-Fetch's pending register-sample list (arf.sample);
-//   - 6 from prefetch.Queue's pending-request map, whose insert/delete churn
-//     occasionally makes the runtime rebuild the table (Push, AppendPop).
-const mix16Budget = 16
+//   - 1 growth of B-Fetch's pending register-sample list (arf.sample).
+//
+// prefetch.Queue's fixed ring and block table and the core's preallocated
+// request buffer add none.
+const mix16Budget = 10
 
 // budgetedMallocs returns the heap allocations of windowMallocs, measured a
 // second time on a fresh system when the first count exceeds budget. The

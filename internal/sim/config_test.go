@@ -1,0 +1,64 @@
+package sim
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/workload"
+)
+
+// TestThreeAppRunNamesLLC: a core count that is not a power of two gives
+// the default LLC a set count that is not one either; the run must fail
+// with an error naming the L3 instead of panicking in the cache constructor.
+func TestThreeAppRunNamesLLC(t *testing.T) {
+	_, err := Run(Default(PFBFetch), []string{"mcf", "lbm", "milc"}, RunOpts{MeasureInsts: 1_000})
+	if err == nil || !strings.Contains(err.Error(), "L3") {
+		t.Errorf("3-app run: got %v, want an error naming L3", err)
+	}
+}
+
+// geom decodes one fuzz byte into a size: unit × 2^(b&7) × (1 + b>>6), so
+// one value in four has a factor of three and fails a power-of-two check.
+func geom(b uint8, unit int) int { return unit << (b & 7) * (1 + int(b>>6)) }
+
+// FuzzConfigValidate: over cache geometries, branch table sizes, core
+// counts and core widths, Validate either rejects the configuration or the
+// system assembles and runs — never a panic. Sizes stay small so a valid
+// configuration allocates little.
+func FuzzConfigValidate(f *testing.F) {
+	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(4))
+	f.Add(uint8(1), uint8(6), uint8(4), uint8(0x47), uint8(2), uint8(5), uint8(8), uint8(4), uint8(0x47), uint8(6), uint8(2), uint8(6))
+	f.Add(uint8(2), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(1))
+	kinds := []PrefetcherKind{PFNone, PFStride, PFNextN, PFSMS, PFBFetch, PFISB, PFSTeMS, PFPerfect}
+	f.Fuzz(func(t *testing.T, cores, l1, l1w, l2, l2w, llc, llcw, banks, bp, conf, width, kind uint8) {
+		cfg := Default(kinds[int(kind)%len(kinds)])
+		cfg.Cores = int(cores%4) + 1
+		cfg.Hier.L1Bytes, cfg.Hier.L1Ways = geom(l1, 64), int(l1w%17)
+		cfg.Hier.L2Bytes, cfg.Hier.L2Ways = geom(l2, 256), int(l2w%17)
+		cfg.LLCPerCore, cfg.LLCWays = geom(llc, 1024), int(llcw%17)
+		cfg.LLCBanks = int(banks % 9)
+		cfg.Branch.GlobalEntries = geom(bp, 16)
+		cfg.Branch.LocalHistBits = int(bp % 30)
+		cfg.Confidence.Entries = geom(conf, 16)
+		cfg.CPU = cfg.CPU.WithWidth(int(width % 9))
+		if err := cfg.Validate(); err != nil {
+			t.Log(err)
+			return
+		}
+		apps := make([]workload.Workload, cfg.Cores)
+		for i := range apps {
+			w, err := workload.ByName("gamess")
+			if err != nil {
+				t.Fatal(err)
+			}
+			apps[i] = w
+		}
+		s, err := New(cfg, apps)
+		if err != nil {
+			t.Fatalf("valid configuration failed to assemble: %v", err)
+		}
+		if err := s.Run(200, 200_000); err != nil {
+			t.Fatalf("valid configuration failed to run: %v", err)
+		}
+	})
+}

@@ -228,10 +228,40 @@ func NewFromCheckpoints(cfg Config, cps []*ckpt.Checkpoint) (*System, error) {
 	return assemble(cfg, boots)
 }
 
+// Validate reports a configuration assemble cannot build — a core that
+// can never commit, a cache geometry (L1D, L2, or the LLC at this core
+// count) that is not a power of two, a branch table of the wrong size — so
+// a bad configuration fails with a message naming the part instead of a
+// panic deep inside a constructor.
+func (cfg Config) Validate() error {
+	if cfg.Cores < 1 {
+		return fmt.Errorf("sim: Cores must be at least 1, got %d", cfg.Cores)
+	}
+	for _, part := range []interface{ Validate() error }{cfg.CPU, cfg.Hier, cfg.llc(), cfg.Branch, cfg.Confidence} {
+		if err := part.Validate(); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	return nil
+}
+
+// llc returns the shared LLC's configuration at the configured core count.
+func (cfg Config) llc() cache.Config {
+	return cache.Config{
+		Name:     "L3",
+		Bytes:    cfg.LLCPerCore * cfg.Cores,
+		Ways:     cfg.LLCWays,
+		Latency:  cfg.LLCLatency,
+		Banks:    cfg.LLCBanks,
+		BankBusy: cfg.LLCBankBusy,
+		MSHRs:    cfg.LLCMSHRs,
+	}
+}
+
 // assemble wires cores, hierarchies, prefetchers, shared LLC and DRAM.
 func assemble(cfg Config, boots []boot) (*System, error) {
-	if err := cfg.CPU.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	dram := cache.NewDRAM()
 	if cfg.DRAMCyclesPerFill > 0 {
@@ -240,18 +270,7 @@ func assemble(cfg Config, boots []boot) (*System, error) {
 	if err := dram.SetChannels(cfg.DRAMChannels, cfg.DRAMChanInflight); err != nil {
 		return nil, err
 	}
-	if cfg.LLCBanks > 1 && cfg.LLCBanks&(cfg.LLCBanks-1) != 0 {
-		return nil, fmt.Errorf("sim: LLCBanks must be a power of two, got %d", cfg.LLCBanks)
-	}
-	llc := cache.New(cache.Config{
-		Name:     "L3",
-		Bytes:    cfg.LLCPerCore * cfg.Cores,
-		Ways:     cfg.LLCWays,
-		Latency:  cfg.LLCLatency,
-		Banks:    cfg.LLCBanks,
-		BankBusy: cfg.LLCBankBusy,
-		MSHRs:    cfg.LLCMSHRs,
-	}, dram)
+	llc := cache.New(cfg.llc(), dram)
 
 	reg := obs.NewRegistry()
 	llc.RegisterObs(reg, "llc.")
@@ -723,6 +742,9 @@ func NewForRun(cfg Config, appNames []string, opts RunOpts) (*System, error) {
 		apps[i] = w
 	}
 	cfg.Cores = len(apps)
+	if err := cfg.Validate(); err != nil {
+		return nil, err // before the inline fast-forward, not after it
+	}
 
 	if opts.FastForwardInsts == 0 {
 		return New(cfg, apps)
