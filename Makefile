@@ -93,19 +93,25 @@ store-smoke:
 	./scripts/store_smoke.sh
 
 # Experiment smoke test: every experiment (-exp all) over four kernels at a
-# reduced protocol, once with -j 1 and once with -j 8; the two table outputs
-# must match byte for byte. This is the only CI step that runs cpistack,
-# ext-isb, ext-bw, ext-depth, fig10, mix8, fig15 and ablation.
+# reduced protocol, once with -j 1 and once with -j 8; both table outputs
+# must match the committed golden (EXP_SMOKE_GOLDEN) byte for byte. This is
+# the only CI step that runs cpistack, ext-isb, ext-bw, ext-depth, fig10,
+# mix8, fig15 and ablation. After an intended change to the model or to a
+# table's layout, regenerate the golden (on linux/amd64) with
+#   go run ./cmd/bfetch-bench <EXP_SMOKE_ARGS> > <EXP_SMOKE_GOLDEN>
+# and review its diff with the change.
 EXP_SMOKE_ARGS = -exp all -workloads mcf,lbm,gamess,libquantum -mixes 2 \
 	-scalecores 2,4 -ff 20000 -warmup 5000 -measure 20000 -q
+EXP_SMOKE_GOLDEN = cmd/bfetch-bench/testdata/exp_smoke.golden
 
 exp-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/bfetch-bench" ./cmd/bfetch-bench && \
 	"$$tmp/bfetch-bench" $(EXP_SMOKE_ARGS) -j 1 > "$$tmp/j1.txt" && \
 	"$$tmp/bfetch-bench" $(EXP_SMOKE_ARGS) -j 8 > "$$tmp/j8.txt" && \
-	diff -u "$$tmp/j1.txt" "$$tmp/j8.txt" && \
-	echo "exp-smoke: -j 1 and -j 8 print identical tables ($$(wc -l < "$$tmp/j1.txt") lines)"
+	diff -u "$(EXP_SMOKE_GOLDEN)" "$$tmp/j1.txt" && \
+	diff -u "$(EXP_SMOKE_GOLDEN)" "$$tmp/j8.txt" && \
+	echo "exp-smoke: -j 1 and -j 8 print the golden tables ($$(wc -l < "$$tmp/j1.txt") lines)"
 
 # Fuzz smoke test: each fuzz target fuzzes for FUZZTIME (its seed corpus
 # already runs in `go test`). One `go test -fuzz` per target, since the flag

@@ -29,6 +29,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/branch"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -68,6 +70,20 @@ type Config struct {
 	// where sharing the port is deemed prohibitive. Costs the predictor's
 	// storage again (reported by StorageBits).
 	PrivatePredictor bool
+}
+
+// Validate reports table sizes New cannot build: the BrTC, the MHT and each
+// filter table must be a positive power of two.
+func (c Config) Validate() error {
+	for _, t := range []struct {
+		name string
+		n    int
+	}{{"BrTC", c.BrTCEntries}, {"MHT", c.MHTEntries}, {"filter", c.FilterEntries}} {
+		if t.n <= 0 || t.n&(t.n-1) != 0 {
+			return fmt.Errorf("core: %s entries %d is not a positive power of two", t.name, t.n)
+		}
+	}
+	return nil
 }
 
 // DefaultConfig is the paper's 12.94 KB configuration.
@@ -173,8 +189,12 @@ type BFetch struct {
 
 // New builds a B-Fetch engine sharing the main pipeline's branch predictor
 // and confidence estimator (the paper's borrowed-port design, §IV-C), or —
-// with Config.PrivatePredictor — its own commit-trained copies.
+// with Config.PrivatePredictor — its own commit-trained copies. It panics on
+// a configuration Validate rejects.
 func New(cfg Config, bp *branch.Predictor, conf *branch.Confidence) *BFetch {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	if cfg.PrivatePredictor {
 		bp = branch.New(bp.Config())
 		conf = branch.NewConfidence(branch.DefaultConfidenceConfig())

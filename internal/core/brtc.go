@@ -48,10 +48,8 @@ type brtc struct {
 	mask    uint64
 }
 
+// newBrTC builds an n-entry table; n is a power of two (Config.Validate).
 func newBrTC(n int) *brtc {
-	if n <= 0 || n&(n-1) != 0 {
-		panic("core: BrTC entries must be a power of two")
-	}
 	return &brtc{entries: make([]brtcEntry, n), mask: uint64(n - 1)}
 }
 

@@ -24,10 +24,9 @@ type loadFilter struct {
 
 const filterCounterMax = 7
 
+// newLoadFilter builds the three tables; entriesPerTable is a power of two
+// (Config.Validate).
 func newLoadFilter(entriesPerTable, threshold int) *loadFilter {
-	if entriesPerTable <= 0 || entriesPerTable&(entriesPerTable-1) != 0 {
-		panic("core: filter entries must be a power of two")
-	}
 	f := &loadFilter{mask: uint64(entriesPerTable - 1), threshold: threshold}
 	for t := range f.tables {
 		f.tables[t] = make([]uint8, entriesPerTable)

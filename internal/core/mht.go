@@ -65,10 +65,8 @@ type mht struct {
 	mask    uint64
 }
 
+// newMHT builds an n-entry table; n is a power of two (Config.Validate).
 func newMHT(n int) *mht {
-	if n <= 0 || n&(n-1) != 0 {
-		panic("core: MHT entries must be a power of two")
-	}
 	return &mht{entries: make([]mhtEntry, n), mask: uint64(n - 1)}
 }
 

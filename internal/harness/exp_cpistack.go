@@ -38,36 +38,6 @@ var cpiEngines = []sim.PrefetcherKind{
 }
 
 func runCPIStack(p Params) ([]*stats.Table, error) {
-	ws := p.workloads()
-
-	// Solo sweep: each engine on every workload alone, attribution enabled.
-	var jobs []runner.Job
-	for _, kind := range cpiEngines {
-		cfg := sim.Default(kind)
-		cfg.CPU.CPIStack = true
-		for _, name := range ws {
-			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
-		}
-	}
-	outs := p.Runner.RunAll(jobs)
-	solo := stats.NewTable(
-		"CPI stack, solo (fraction of core cycles per bucket, summed over workloads)",
-		cpiCols()...)
-	for ki, kind := range cpiEngines {
-		var cpi obs.CPIStack
-		for wi, name := range ws {
-			o := outs[ki*len(ws)+wi]
-			if o.Err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", kind, name, o.Err)
-			}
-			for _, cs := range o.Result.Core {
-				cpi.AddStack(&cs.CPI)
-			}
-		}
-		solo.AddRow(cpiRow(string(kind), cpi)...)
-		p.logf("  cpistack solo %s done", kind)
-	}
-
 	// 16-core mix: the highest-FOA 16-application mix on the scale-out
 	// memory system (banked LLC, channeled DRAM), so the queueing buckets —
 	// llc_bank_queue, dram_chan_queue — have real contention to attribute.
@@ -80,23 +50,47 @@ func runCPIStack(p Params) ([]*stats.Table, error) {
 		return nil, fmt.Errorf("harness: no 16-app mix from %d workloads", len(foa))
 	}
 	mix := mixes[0]
-	jobs = jobs[:0]
+
+	// One batch, attribution enabled: the solo sweep (each engine on every
+	// workload alone), then each engine on the mix.
+	ws := p.workloads()
+	var jobs []runner.Job
+	for _, kind := range cpiEngines {
+		cfg := sim.Default(kind)
+		cfg.CPU.CPIStack = true
+		for _, name := range ws {
+			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
+		}
+	}
 	for _, kind := range cpiEngines {
 		cfg := sim.DefaultScale(kind, 16)
 		cfg.CPU.CPIStack = true
 		jobs = append(jobs, runner.Multi(cfg, mix.Apps, p.Opts))
 	}
-	outs = p.Runner.RunAll(jobs)
+	res, err := p.runBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
+
+	solo := stats.NewTable(
+		"CPI stack, solo (fraction of core cycles per bucket, summed over workloads)",
+		cpiCols()...)
+	for ki, kind := range cpiEngines {
+		var cpi obs.CPIStack
+		for _, r := range res[ki*len(ws) : (ki+1)*len(ws)] {
+			for _, cs := range r.Core {
+				cpi.AddStack(&cs.CPI)
+			}
+		}
+		solo.AddRow(cpiRow(string(kind), cpi)...)
+		p.logf("  cpistack solo %s done", kind)
+	}
 	mixT := stats.NewTable(
 		fmt.Sprintf("CPI stack, 16-core mix %s (fraction of core cycles per bucket, summed over cores)", mix.Name),
 		cpiCols()...)
 	for ki, kind := range cpiEngines {
-		o := outs[ki]
-		if o.Err != nil {
-			return nil, fmt.Errorf("%s on mix %s: %w", kind, mix.Name, o.Err)
-		}
 		var cpi obs.CPIStack
-		for _, cs := range o.Result.Core {
+		for _, cs := range res[len(cpiEngines)*len(ws)+ki].Core {
 			cpi.AddStack(&cs.CPI)
 		}
 		mixT.AddRow(cpiRow(string(kind), cpi)...)

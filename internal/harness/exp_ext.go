@@ -37,14 +37,19 @@ func init() {
 }
 
 func runExtISB(p Params) ([]*stats.Table, error) {
-	base := sim.Default(sim.PFNone)
 	configs := []sim.Config{
 		sim.Default(sim.PFSMS),
 		sim.Default(sim.PFBFetch),
 		sim.Default(sim.PFISB),
 		sim.Default(sim.PFSTeMS),
 	}
-	data, lcs, err := speedups(p, base, configs)
+	// Meta-data growth: ISB's and STeMS's state after their measured mcf
+	// window (repeats of speedup points when mcf is in the workload set),
+	// against B-Fetch's fixed budget.
+	heavy := []sim.PrefetcherKind{sim.PFISB, sim.PFSTeMS}
+	data, lcs, res, err := speedups(p, configs,
+		runner.Solo(sim.Default(heavy[0]), "mcf", p.Opts),
+		runner.Solo(sim.Default(heavy[1]), "mcf", p.Opts))
 	if err != nil {
 		return nil, err
 	}
@@ -53,23 +58,12 @@ func runExtISB(p Params) ([]*stats.Table, error) {
 	lt := lifecycleTable("Extension (obs): prefetch lifecycle by engine",
 		[]string{"SMS", "Bfetch", "ISB", "STeMS"}, lcs)
 
-	// Meta-data growth: ISB's and STeMS's state after their measured mcf
-	// window (run-cache hits when mcf is in the workload set), against
-	// B-Fetch's fixed budget.
-	heavy := []sim.PrefetcherKind{sim.PFISB, sim.PFSTeMS}
-	outs := p.Runner.RunAll([]runner.Job{
-		runner.Solo(sim.Default(heavy[0]), "mcf", p.Opts),
-		runner.Solo(sim.Default(heavy[1]), "mcf", p.Opts),
-	})
 	var kb [2]float64
-	for i, o := range outs {
-		if o.Err != nil {
-			return nil, fmt.Errorf("%s on mcf: %w", heavy[i], o.Err)
-		}
+	for i, r := range res[len(res)-len(heavy):] {
 		// A store filled before the metric existed answers with a result
 		// that lacks it: its key covers the config and the Result shape,
 		// not the metric set.
-		v, ok := o.Result.Metrics.Get("c0.pf.meta_bytes")
+		v, ok := r.Metrics.Get("c0.pf.meta_bytes")
 		if !ok {
 			return nil, fmt.Errorf("harness: %s result on mcf has no c0.pf.meta_bytes", heavy[i])
 		}
@@ -105,22 +99,18 @@ func runExtBandwidth(p Params) ([]*stats.Table, error) {
 			}
 		}
 	}
-	outs := p.Runner.RunAll(jobs)
+	res, err := p.runBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
 	k := 0
 	for _, cpf := range cpfs {
 		var smsSp, bfSp []float64
-		for _, name := range ws {
-			ipc := map[sim.PrefetcherKind]float64{}
-			for _, kind := range kinds {
-				o := outs[k]
-				k++
-				if o.Err != nil {
-					return nil, fmt.Errorf("%s on %s at %d cycles/fill: %w", kind, name, cpf, o.Err)
-				}
-				ipc[kind] = o.Result.IPC[0]
-			}
-			smsSp = append(smsSp, ipc[sim.PFSMS]/ipc[sim.PFNone])
-			bfSp = append(bfSp, ipc[sim.PFBFetch]/ipc[sim.PFNone])
+		for range ws {
+			none, sms, bf := res[k], res[k+1], res[k+2]
+			smsSp = append(smsSp, sms.IPC[0]/none.IPC[0])
+			bfSp = append(bfSp, bf.IPC[0]/none.IPC[0])
+			k += len(kinds)
 		}
 		p.logf("  %d cycles/fill done", cpf)
 		t.AddRow(fmt.Sprint(cpf), fmt.Sprintf("%.1f", 64.0/float64(cpf)*3.2),
@@ -133,33 +123,21 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 	t := stats.NewTable("Extension: B-Fetch lookahead behaviour vs confidence threshold",
 		"threshold", "avg_depth_BB", "stops_conf", "stops_brtc", "geomean_speedup")
 	thresholds := []float64{0.45, 0.60, 0.75, 0.90, 0.97}
-	ws := p.workloads()
-	base, err := p.baselineResults(sim.Default(sim.PFNone), ws)
-	if err != nil {
-		return nil, err
-	}
-
-	var jobs []runner.Job
+	var configs []sim.Config
 	for _, th := range thresholds {
 		cfg := sim.Default(sim.PFBFetch)
 		cfg.BFetch.PathThreshold = th
-		for _, name := range ws {
-			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
-		}
+		configs = append(configs, cfg)
 	}
-	outs := p.Runner.RunAll(jobs)
+	data, _, res, err := speedups(p, configs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(p.workloads())
 	for ti, th := range thresholds {
-		var (
-			steps, starts, stopsConf, stopsBrtc uint64
-			speedup                             []float64
-		)
-		for wi, name := range ws {
-			o := outs[ti*len(ws)+wi]
-			if o.Err != nil {
-				return nil, fmt.Errorf("threshold %.2f on %s: %w", th, name, o.Err)
-			}
-			speedup = append(speedup, o.Result.IPC[0]/base[wi].IPC[0])
-			m := o.Result.Metrics
+		var steps, starts, stopsConf, stopsBrtc uint64
+		for _, r := range res[(ti+1)*n : (ti+2)*n] {
+			m := r.Metrics
 			steps += metric(m, "c0.pf.lookahead_steps")
 			starts += metric(m, "c0.pf.lookahead_starts")
 			stopsConf += metric(m, "c0.pf.lookahead_stops")
@@ -170,7 +148,7 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 			avg = float64(steps) / float64(starts)
 		}
 		p.logf("  threshold %.2f: depth %.1f", th, avg)
-		t.AddRow(fmt.Sprintf("%.2f", th), avg, stopsConf, stopsBrtc, stats.Geomean(speedup))
+		t.AddRow(fmt.Sprintf("%.2f", th), avg, stopsConf, stopsBrtc, stats.Geomean(data[ti]))
 	}
 	return []*stats.Table{t}, nil
 }

@@ -45,7 +45,8 @@ func init() {
 const foaProfileInsts = 100_000
 
 // foaProfiles returns the FOA contention estimate of each requested
-// workload: the pool every mix experiment selects its mixes from.
+// workload: the pool every mix experiment selects its mixes from. A name
+// with no profile is an unknown workload, and an error.
 func (p Params) foaProfiles() (map[string]float64, error) {
 	foa, err := workload.FOAProfiles(foaProfileInsts)
 	if err != nil {
@@ -53,34 +54,41 @@ func (p Params) foaProfiles() (map[string]float64, error) {
 	}
 	pool := make(map[string]float64, len(foa))
 	for _, name := range p.workloads() {
-		if v, ok := foa[name]; ok {
-			pool[name] = v
+		v, ok := foa[name]
+		if !ok {
+			return nil, fmt.Errorf("harness: unknown workload %q", name)
 		}
+		pool[name] = v
 	}
 	return pool, nil
 }
 
-// soloIPCs returns each pool application's IPC alone on the no-prefetch
-// baseline: the weighted-speedup denominators, common to every prefetcher.
-// The paper's normalization puts the baseline system at 1.0 and reports
-// each prefetcher's multiprogrammed gain over it (§V-A, §V-B2). These are
-// the same solo points every speedup figure divides by.
-func (p Params) soloIPCs(foa map[string]float64) (map[string]float64, error) {
+// runWithSolo runs jobs as one batch behind each pool application's solo
+// point on the no-prefetch baseline, and returns those solo IPCs by
+// application with jobs' results in order. The solo IPCs are the
+// weighted-speedup denominators, common to every prefetcher: the paper's
+// normalization puts the baseline system at 1.0 and reports each
+// prefetcher's multiprogrammed gain over it (§V-A, §V-B2). They are the
+// same solo points every speedup figure divides by.
+func (p Params) runWithSolo(foa map[string]float64, jobs []runner.Job) (map[string]float64, []sim.Result, error) {
 	apps := make([]string, 0, len(foa))
 	for name := range foa {
 		apps = append(apps, name)
 	}
 	sort.Strings(apps)
-	res, err := p.baselineResults(sim.Default(sim.PFNone), apps)
+	all := make([]runner.Job, 0, len(apps)+len(jobs))
+	for _, name := range apps {
+		all = append(all, runner.Solo(sim.Default(sim.PFNone), name, p.Opts))
+	}
+	res, err := p.runBatch(append(all, jobs...))
 	if err != nil {
-		return nil, fmt.Errorf("solo baseline: %w", err)
+		return nil, nil, err
 	}
 	solo := make(map[string]float64, len(apps))
 	for i, name := range apps {
 		solo[name] = res[i].IPC[0]
 	}
-	p.logf("  baseline solo IPCs done")
-	return solo, nil
+	return solo, res[len(apps):], nil
 }
 
 // soloOf returns one mix's weighted-speedup denominators.
@@ -101,10 +109,6 @@ func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
 	if len(mixes) == 0 {
 		return nil, fmt.Errorf("harness: no %d-app mixes from %d workloads", n, len(foa))
 	}
-	solo, err := p.soloIPCs(foa)
-	if err != nil {
-		return nil, err
-	}
 
 	kinds := sim.Kinds
 	// Weighted speedup per mix per kind, as one batch over the whole grid.
@@ -114,15 +118,14 @@ func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Multi(sim.Default(kind), mix.Apps, p.Opts))
 		}
 	}
-	outs := p.Runner.RunAll(jobs)
+	solo, res, err := p.runWithSolo(foa, jobs)
+	if err != nil {
+		return nil, err
+	}
 	ws := map[sim.PrefetcherKind][]float64{}
 	for ki, kind := range kinds {
 		for mi, mix := range mixes {
-			o := outs[ki*len(mixes)+mi]
-			if o.Err != nil {
-				return nil, fmt.Errorf("%s on %s (%v): %w", kind, mix.Name, mix.Apps, o.Err)
-			}
-			ws[kind] = append(ws[kind], stats.WeightedSpeedup(o.Result.IPC, soloOf(solo, mix.Apps)))
+			ws[kind] = append(ws[kind], stats.WeightedSpeedup(res[ki*len(mixes)+mi].IPC, soloOf(solo, mix.Apps)))
 		}
 		p.logf("  %s mixes for %s done", figure, kind)
 	}

@@ -50,11 +50,6 @@ func runScale(p Params) ([]*stats.Table, error) {
 		mixes[i] = ms[0]
 	}
 
-	solo, err := p.soloIPCs(foa)
-	if err != nil {
-		return nil, err
-	}
-
 	kinds := sim.Kinds
 	var jobs []runner.Job
 	for _, kind := range kinds {
@@ -62,16 +57,13 @@ func runScale(p Params) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Multi(sim.DefaultScale(kind, n), mixes[i].Apps, p.Opts))
 		}
 	}
-	outs := p.Runner.RunAll(jobs)
+	solo, out, err := p.runWithSolo(foa, jobs)
+	if err != nil {
+		return nil, err
+	}
 	res := map[sim.PrefetcherKind][]sim.Result{}
 	for ki, kind := range kinds {
-		for i := range counts {
-			o := outs[ki*len(counts)+i]
-			if o.Err != nil {
-				return nil, fmt.Errorf("%s on %s (%d cores): %w", kind, mixes[i].Name, counts[i], o.Err)
-			}
-			res[kind] = append(res[kind], o.Result)
-		}
+		res[kind] = out[ki*len(counts) : (ki+1)*len(counts)]
 		p.logf("  scale sweep for %s done", kind)
 	}
 

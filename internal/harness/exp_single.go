@@ -63,13 +63,12 @@ func init() {
 }
 
 func runFig1(p Params) ([]*stats.Table, error) {
-	base := sim.Default(sim.PFNone)
 	configs := []sim.Config{
 		sim.Default(sim.PFStride),
 		sim.Default(sim.PFSMS),
 		sim.Default(sim.PFPerfect),
 	}
-	data, lcs, err := speedups(p, base, configs)
+	data, lcs, _, err := speedups(p, configs)
 	if err != nil {
 		return nil, err
 	}
@@ -89,13 +88,12 @@ func runFig1(p Params) ([]*stats.Table, error) {
 }
 
 func runFig8(p Params) ([]*stats.Table, error) {
-	base := sim.Default(sim.PFNone)
 	configs := []sim.Config{
 		sim.Default(sim.PFStride),
 		sim.Default(sim.PFSMS),
 		sim.Default(sim.PFBFetch),
 	}
-	data, lcs, err := speedups(p, base, configs)
+	data, lcs, _, err := speedups(p, configs)
 	if err != nil {
 		return nil, err
 	}
@@ -117,18 +115,17 @@ func runFig11(p Params) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Solo(sim.Default(kind), name, p.Opts))
 		}
 	}
-	outs := p.Runner.RunAll(jobs)
+	res, err := p.runBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
 	var totals [4]uint64
 	for wi, name := range ws {
 		var row [4]uint64
 		for i := range kinds {
-			o := outs[wi*len(kinds)+i]
-			if o.Err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", kinds[i], name, o.Err)
-			}
 			// Sourced from the lifecycle classifier (useful = timely + late),
 			// which TestLifecycleMatchesCacheStats pins to the L1D counters.
-			lc := o.Result.Lifecycle[0]
+			lc := res[wi*len(kinds)+i].Lifecycle[0]
 			row[2*i] = lc.Useful()
 			row[2*i+1] = lc.UselessEvicted
 		}
@@ -143,7 +140,6 @@ func runFig11(p Params) ([]*stats.Table, error) {
 }
 
 func runFig12(p Params) ([]*stats.Table, error) {
-	base := sim.Default(sim.PFNone)
 	var configs []sim.Config
 	thresholds := []float64{0.45, 0.75, 0.90}
 	for _, th := range thresholds {
@@ -151,7 +147,7 @@ func runFig12(p Params) ([]*stats.Table, error) {
 		cfg.BFetch.PathThreshold = th
 		configs = append(configs, cfg)
 	}
-	data, lcs, err := speedups(p, base, configs)
+	data, lcs, _, err := speedups(p, configs)
 	if err != nil {
 		return nil, err
 	}
@@ -168,50 +164,29 @@ func runFig13(p Params) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 13: branch predictor size sensitivity",
 		"predictor", "baseline_speedup", "bfetch_speedup", "branch_miss_rate")
 
-	// Reference baseline: default predictor, no prefetcher — the same point
-	// set every speedup figure shares, so it comes from the baseline store.
-	ws := p.workloads()
-	refRes, err := p.baselineResults(sim.Default(sim.PFNone), ws)
+	// Per scale, a scaled-predictor baseline and B-Fetch, both over the
+	// default no-prefetch baseline (the point set every speedup figure
+	// shares).
+	var configs []sim.Config
+	for _, scale := range scales {
+		for _, kind := range []sim.PrefetcherKind{sim.PFNone, sim.PFBFetch} {
+			cfg := sim.Default(kind)
+			cfg.Branch = cfg.Branch.Scaled(scale)
+			configs = append(configs, cfg)
+		}
+	}
+	data, _, res, err := speedups(p, configs)
 	if err != nil {
 		return nil, err
 	}
-	ref := make(map[string]float64, len(ws))
-	for i, name := range ws {
-		ref[name] = refRes[i].IPC[0]
-	}
-
-	// One batch over the whole grid: per scale, a scaled-predictor baseline
-	// and B-Fetch run per workload.
-	var jobs []runner.Job
-	for _, scale := range scales {
-		baseCfg := sim.Default(sim.PFNone)
-		baseCfg.Branch = baseCfg.Branch.Scaled(scale)
-		bfCfg := sim.Default(sim.PFBFetch)
-		bfCfg.Branch = bfCfg.Branch.Scaled(scale)
-		for _, name := range ws {
-			jobs = append(jobs,
-				runner.Solo(baseCfg, name, p.Opts),
-				runner.Solo(bfCfg, name, p.Opts))
-		}
-	}
-	outs := p.Runner.RunAll(jobs)
+	n := len(p.workloads())
 	for si := range scales {
-		var baseSp, bfSp, missRates []float64
-		for wi, name := range ws {
-			ob := outs[(si*len(ws)+wi)*2]
-			of := outs[(si*len(ws)+wi)*2+1]
-			if ob.Err != nil {
-				return nil, fmt.Errorf("scaled baseline on %s: %w", name, ob.Err)
-			}
-			if of.Err != nil {
-				return nil, fmt.Errorf("scaled bfetch on %s: %w", name, of.Err)
-			}
-			baseSp = append(baseSp, ob.Result.IPC[0]/ref[name])
-			bfSp = append(bfSp, of.Result.IPC[0]/ref[name])
-			missRates = append(missRates, ob.Result.Core[0].BranchMissRate())
+		var missRates []float64
+		for _, r := range res[(2*si+1)*n : (2*si+2)*n] {
+			missRates = append(missRates, r.Core[0].BranchMissRate())
 		}
 		p.logf("  scale %s done", names[si])
-		t.AddRow(names[si], stats.Geomean(baseSp), stats.Geomean(bfSp),
+		t.AddRow(names[si], stats.Geomean(data[2*si]), stats.Geomean(data[2*si+1]),
 			fmt.Sprintf("%.2f%%", 100*stats.Mean(missRates)))
 	}
 	return []*stats.Table{t}, nil
@@ -219,41 +194,30 @@ func runFig13(p Params) ([]*stats.Table, error) {
 
 func runFig14(p Params) ([]*stats.Table, error) {
 	widths := []int{2, 4, 8}
-	var configs []sim.Config
-	var bases []sim.Config
-	for _, w := range widths {
-		bf := sim.Default(sim.PFBFetch)
-		bf.CPU = bf.CPU.WithWidth(w)
-		configs = append(configs, bf)
-		nb := sim.Default(sim.PFNone)
-		nb.CPU = nb.CPU.WithWidth(w)
-		bases = append(bases, nb)
-	}
 	ws := p.workloads()
+	// Per workload and width, the same-width baseline then B-Fetch.
 	var jobs []runner.Job
 	for _, name := range ws {
-		for ci := range configs {
-			jobs = append(jobs,
-				runner.Solo(bases[ci], name, p.Opts),
-				runner.Solo(configs[ci], name, p.Opts))
+		for _, w := range widths {
+			for _, kind := range []sim.PrefetcherKind{sim.PFNone, sim.PFBFetch} {
+				cfg := sim.Default(kind)
+				cfg.CPU = cfg.CPU.WithWidth(w)
+				jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
+			}
 		}
 	}
-	outs := p.Runner.RunAll(jobs)
+	res, err := p.runBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
 	data := make([][]float64, len(widths))
 	for i := range data {
 		data[i] = make([]float64, len(ws))
 	}
 	for wi, name := range ws {
-		for ci := range configs {
-			ob := outs[(wi*len(configs)+ci)*2]
-			of := outs[(wi*len(configs)+ci)*2+1]
-			if ob.Err != nil {
-				return nil, fmt.Errorf("%d-wide baseline on %s: %w", widths[ci], name, ob.Err)
-			}
-			if of.Err != nil {
-				return nil, fmt.Errorf("%d-wide bfetch on %s: %w", widths[ci], name, of.Err)
-			}
-			data[ci][wi] = of.Result.IPC[0] / ob.Result.IPC[0]
+		for ci := range widths {
+			k := (wi*len(widths) + ci) * 2
+			data[ci][wi] = res[k+1].IPC[0] / res[k].IPC[0]
 		}
 		p.logf("  %-12s widths done", name)
 	}
@@ -263,7 +227,6 @@ func runFig14(p Params) ([]*stats.Table, error) {
 }
 
 func runFig15(p Params) ([]*stats.Table, error) {
-	base := sim.Default(sim.PFNone)
 	// The paper sweeps 64–512 BrTC entries (≈8–19.5 KB). The synthetic
 	// kernels have far smaller static code footprints than SPEC, so table
 	// pressure only appears at smaller scales; the sweep extends down to
@@ -278,7 +241,7 @@ func runFig15(p Params) ([]*stats.Table, error) {
 		kb := float64(storageOf(cfg)) / 8 / 1024
 		names = append(names, fmt.Sprintf("%.2fKB", kb))
 	}
-	data, lcs, err := speedups(p, base, configs)
+	data, lcs, _, err := speedups(p, configs)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +251,6 @@ func runFig15(p Params) ([]*stats.Table, error) {
 }
 
 func runAblation(p Params) ([]*stats.Table, error) {
-	base := sim.Default(sim.PFNone)
 	full := sim.Default(sim.PFBFetch)
 
 	noFilter := full
@@ -303,7 +265,7 @@ func runAblation(p Params) ([]*stats.Table, error) {
 	privateBP.BFetch.PrivatePredictor = true
 
 	configs := []sim.Config{full, noFilter, noLoop, noPatt, commitARF, privateBP}
-	data, lcs, err := speedups(p, base, configs)
+	data, lcs, _, err := speedups(p, configs)
 	if err != nil {
 		return nil, err
 	}

@@ -3,17 +3,18 @@
 // Each experiment runs the simulator and renders the same rows or series
 // the paper reports, as text tables with CSV export.
 //
-// Experiments submit their simulation points as batches to a runner.Engine
-// (see internal/runner), so independent points execute across a worker pool
-// and repeated points — above all the shared no-prefetch baseline — are
-// memoized. Tables are assembled in submission order, making output
-// byte-identical whatever the worker count.
+// Each experiment submits its simulation points as one batch to a
+// runner.Engine (see internal/runner), so independent points execute across
+// a worker pool and repeated points — above all the shared no-prefetch
+// baseline — are memoized. Tables are assembled in submission order, making
+// output byte-identical whatever the worker count.
 package harness
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -42,12 +43,13 @@ type Params struct {
 	// cmd/bfetch-bench does) to also share its memoized results, so e.g.
 	// fig1 and fig8 simulate their common Stride/SMS points once.
 	Runner *runner.Engine
-	// Baselines shares no-prefetch baseline results across experiments at
-	// the API level — independent of the runner cache, so even experiments
-	// that each get their own engine (Runner nil) compute each baseline
-	// point once. nil disables
-	// cross-experiment sharing (each speedups call still runs its baseline
-	// only once).
+	// Baselines shares the default no-prefetch solo results across
+	// experiments at the API level, independent of the runner cache: an
+	// experiment's batch takes the baseline points the store holds from it
+	// and stores back the ones it ran, so even experiments that each get
+	// their own engine (Runner nil) simulate each baseline point once. nil
+	// disables the sharing; within one experiment the engine still runs a
+	// repeated point once.
 	Baselines *BaselineStore
 }
 
@@ -129,11 +131,11 @@ func ByID(id string) (Experiment, error) {
 
 // ----------------------------------------------------------------- shared --
 
-// BaselineStore memoizes baseline simulation results per (config, workload,
-// protocol) point across experiments. Figures 1, 8, 12, 14 and 15 and the
-// mix experiments all normalize to the same no-prefetch baseline; one store
-// per bfetch-bench invocation makes them share a single result set even
-// when each experiment runs on its own engine.
+// BaselineStore memoizes default no-prefetch solo results per (config,
+// workload, protocol) point across experiments. Figures 1, 8, 12, 13 and
+// 15, the extensions and the mix experiments all normalize to that
+// baseline; one store per bfetch-bench invocation makes them share a single
+// result set even when each experiment runs on its own engine.
 type BaselineStore struct {
 	mu sync.Mutex
 	m  map[string]sim.Result
@@ -164,71 +166,81 @@ func (s *BaselineStore) Len() int {
 	return len(s.m)
 }
 
-// baselineResults returns cfg's solo result for each named workload,
-// consulting the shared store first and batching only the missing points
-// through the engine.
-func (p Params) baselineResults(cfg sim.Config, names []string) ([]sim.Result, error) {
-	out := make([]sim.Result, len(names))
-	keys := make([]string, len(names))
+// runBatch runs an experiment's jobs as one batch. Each default
+// no-prefetch solo point the baseline store holds is answered from it; the
+// rest run as a single Runner.RunAll, and the default baselines among them
+// are stored back. Results come back in job order, or the first failed
+// job's error as "<engine> on <apps>: <err>".
+func (p Params) runBatch(jobs []runner.Job) ([]sim.Result, error) {
+	out := make([]sim.Result, len(jobs))
+	keys := make([]string, len(jobs))
 	var missing []int
-	var jobs []runner.Job
-	for i, name := range names {
-		if p.Baselines != nil {
-			if key, ok := runner.Fingerprint(cfg, []string{name}, p.Opts); ok {
-				keys[i] = key
-				if r, hit := p.Baselines.get(key); hit {
-					out[i] = r
-					continue
-				}
+	var batch []runner.Job
+	for i, j := range jobs {
+		if keys[i] = p.baselineKey(j); keys[i] != "" {
+			if r, hit := p.Baselines.get(keys[i]); hit {
+				out[i] = r
+				continue
 			}
 		}
 		missing = append(missing, i)
-		jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
+		batch = append(batch, j)
 	}
-	outs := p.Runner.RunAll(jobs)
-	for k, i := range missing {
-		if err := outs[k].Err; err != nil {
-			return nil, fmt.Errorf("baseline on %s: %w", names[i], err)
+	for k, o := range p.Runner.RunAll(batch) {
+		i := missing[k]
+		if o.Err != nil {
+			return nil, fmt.Errorf("%s on %s: %w", jobs[i].Cfg.Prefetcher, strings.Join(jobs[i].Apps, "+"), o.Err)
 		}
-		out[i] = outs[k].Result
-		if p.Baselines != nil && keys[i] != "" {
-			p.Baselines.put(keys[i], outs[k].Result)
+		out[i] = o.Result
+		if keys[i] != "" {
+			p.Baselines.put(keys[i], o.Result)
 		}
 	}
 	return out, nil
 }
 
-// speedups measures per-workload speedups of each configuration over the
-// baseline configuration. All points are submitted as one batch — baseline
-// results come from the shared store — and the result is assembled in
-// submission order, indexed [config][workload order]. The second return is
-// each configuration's prefetch lifecycle breakdown summed over workloads,
-// for the accuracy/coverage/timeliness table every speedup figure emits.
-func speedups(p Params, baseline sim.Config, configs []sim.Config) ([][]float64, []obs.LifecycleStats, error) {
-	ws := p.workloads()
-	base, err := p.baselineResults(baseline, ws)
-	if err != nil {
-		return nil, nil, err
+// baselineKey returns j's baseline-store key when a store is shared and j
+// is a default no-prefetch solo point, else "".
+func (p Params) baselineKey(j runner.Job) string {
+	if p.Baselines == nil || len(j.Apps) != 1 || j.Cfg.Prefetcher != sim.PFNone {
+		return ""
 	}
-	jobs := make([]runner.Job, 0, len(configs)*len(ws))
-	for _, cfg := range configs {
+	key, _ := runner.Fingerprint(j.Cfg, j.Apps, j.Opts)
+	if want, _ := runner.Fingerprint(sim.Default(sim.PFNone), j.Apps, j.Opts); key != want {
+		return ""
+	}
+	return key
+}
+
+// speedups measures per-workload speedups of each configuration over the
+// default no-prefetch baseline, indexed [config][workload order]. The
+// baseline points, every configuration's points and the extra jobs are one
+// batch (see runBatch). The second return is each configuration's prefetch
+// lifecycle breakdown summed over workloads, for the
+// accuracy/coverage/timeliness table every speedup figure emits; the third
+// is the batch's results in job order: the baseline on each workload, then
+// each configuration on each workload, then extra.
+func speedups(p Params, configs []sim.Config, extra ...runner.Job) ([][]float64, []obs.LifecycleStats, []sim.Result, error) {
+	ws := p.workloads()
+	var jobs []runner.Job
+	for _, cfg := range append([]sim.Config{sim.Default(sim.PFNone)}, configs...) {
 		for _, name := range ws {
 			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 		}
 	}
-	outs := p.Runner.RunAll(jobs)
-
+	res, err := p.runBatch(append(jobs, extra...))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	base := res[:len(ws)]
 	out := make([][]float64, len(configs))
 	lcs := make([]obs.LifecycleStats, len(configs))
-	for ci, cfg := range configs {
+	for ci := range configs {
 		out[ci] = make([]float64, len(ws))
-		for wi, name := range ws {
-			o := outs[ci*len(ws)+wi]
-			if o.Err != nil {
-				return nil, nil, fmt.Errorf("%s on %s: %w", label(cfg, ci), name, o.Err)
-			}
-			out[ci][wi] = o.Result.IPC[0] / base[wi].IPC[0]
-			for _, lc := range o.Result.Lifecycle {
+		for wi := range ws {
+			r := res[(ci+1)*len(ws)+wi]
+			out[ci][wi] = r.IPC[0] / base[wi].IPC[0]
+			for _, lc := range r.Lifecycle {
 				lcs[ci].Add(lc)
 			}
 		}
@@ -238,7 +250,7 @@ func speedups(p Params, baseline sim.Config, configs []sim.Config) ([][]float64,
 			p.logf("  %-12s %-8s speedup %.3f", name, label(cfg, ci), out[ci][wi])
 		}
 	}
-	return out, lcs, nil
+	return out, lcs, res, nil
 }
 
 // lifecycleTable renders the per-engine prefetch lifecycle report: raw

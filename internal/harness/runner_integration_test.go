@@ -127,3 +127,33 @@ func TestBaselineStoreSharesAcrossExperimentsWithoutCache(t *testing.T) {
 		t.Errorf("fig12 ran %d sims on its own engine, want 6 (baselines from the store)", got)
 	}
 }
+
+func TestUnknownWorkloadFailsEveryExperiment(t *testing.T) {
+	// Each experiment that submits simulations, given a workload that does
+	// not exist, returns an error naming it and no tables. The solo
+	// experiments fail in their batch ("<engine> on nosuch: ..."); the mix
+	// experiments reject the name while building their application pool.
+	p := Params{
+		Opts:      sim.RunOpts{WarmupInsts: 1_000, MeasureInsts: 1_000},
+		Workloads: []string{"nosuch"},
+		Mixes:     2,
+		Baselines: NewBaselineStore(),
+	}
+	for _, id := range []string{"fig1", "fig8", "fig9", "fig10", "mix8", "fig11", "fig12",
+		"fig13", "fig14", "fig15", "ablation", "cpistack", "ext-isb", "ext-bw",
+		"ext-depth", "scale"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables, err := e.Run(p)
+			if err == nil || !strings.Contains(err.Error(), "nosuch") {
+				t.Errorf("got %v, want an error naming nosuch", err)
+			}
+			if tables != nil {
+				t.Errorf("returned %d tables alongside the error", len(tables))
+			}
+		})
+	}
+}

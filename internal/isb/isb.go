@@ -21,6 +21,8 @@
 package isb
 
 import (
+	"fmt"
+
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 )
@@ -30,6 +32,15 @@ type Config struct {
 	Degree      int // structural-space prefetch degree
 	StreamLen   int // structural stream granularity
 	MaxMappings int // meta-data cap, modelling the off-chip budget
+}
+
+// Validate reports sizes New cannot build: the degree must be positive and
+// a structural stream longer than one block.
+func (c Config) Validate() error {
+	if c.Degree <= 0 || c.StreamLen <= 1 {
+		return fmt.Errorf("isb: degree %d must be positive and stream length %d above 1", c.Degree, c.StreamLen)
+	}
+	return nil
 }
 
 // DefaultConfig follows the MICRO 2013 evaluation scale: degree 4, 256-block
@@ -56,10 +67,11 @@ type ISB struct {
 	MetaOverflows uint64
 }
 
-// New builds an ISB prefetcher.
+// New builds an ISB prefetcher; it panics on a configuration Validate
+// rejects.
 func New(cfg Config) *ISB {
-	if cfg.Degree <= 0 || cfg.StreamLen <= 1 {
-		panic("isb: invalid configuration")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &ISB{
 		cfg:       cfg,

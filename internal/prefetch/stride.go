@@ -1,6 +1,10 @@
 package prefetch
 
-import "repro/internal/obs"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // Stride is the reference-prediction-table prefetcher of Chen & Baer,
 // "Effective Hardware-Based Data Prefetching for High-Performance
@@ -42,10 +46,20 @@ type StrideConfig struct {
 // DefaultStrideConfig matches the paper's configuration.
 func DefaultStrideConfig() StrideConfig { return StrideConfig{Entries: 256, Degree: 8} }
 
-// NewStride builds the prefetcher.
+// Validate reports a table size NewStride cannot build: the reference
+// prediction table must be a positive power of two.
+func (c StrideConfig) Validate() error {
+	if c.Entries <= 0 || c.Entries&(c.Entries-1) != 0 {
+		return fmt.Errorf("prefetch: stride entries %d is not a positive power of two", c.Entries)
+	}
+	return nil
+}
+
+// NewStride builds the prefetcher; it panics on a configuration Validate
+// rejects.
 func NewStride(cfg StrideConfig) *Stride {
-	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
-		panic("prefetch: stride entries must be a power of two")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &Stride{
 		entries: make([]strideEntry, cfg.Entries),

@@ -17,20 +17,47 @@ func TestThreeAppRunNamesLLC(t *testing.T) {
 	}
 }
 
+// TestBadEngineTableFailsRun: a prefetch engine table of the wrong size
+// must fail the run with an error naming the engine's table instead of
+// panicking in the engine's constructor.
+func TestBadEngineTableFailsRun(t *testing.T) {
+	for _, tc := range []struct {
+		kind PrefetcherKind
+		edit func(*Config)
+		want string
+	}{
+		{PFSMS, func(c *Config) { c.SMS.PHTEntries = 1000 }, "sms: PHT"},
+		{PFSTeMS, func(c *Config) { c.STeMS.RegionBytes = 8192 }, "stems: region"},
+		{PFISB, func(c *Config) { c.ISB.StreamLen = 1 }, "isb: "},
+		{PFStride, func(c *Config) { c.Stride.Entries = 100 }, "stride entries"},
+		{PFBFetch, func(c *Config) { c.BFetch.BrTCEntries = 100 }, "BrTC"},
+		{PFBFetch, func(c *Config) { c.BFetch.MHTEntries = 0 }, "MHT"},
+		{PFBFetch, func(c *Config) { c.BFetch.FilterEntries = 3 }, "filter"},
+	} {
+		cfg := Default(tc.kind)
+		tc.edit(&cfg)
+		_, err := Run(cfg, []string{"gamess"}, RunOpts{MeasureInsts: 1_000})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.kind, err, tc.want)
+		}
+	}
+}
+
 // geom decodes one fuzz byte into a size: unit × 2^(b&7) × (1 + b>>6), so
 // one value in four has a factor of three and fails a power-of-two check.
 func geom(b uint8, unit int) int { return unit << (b & 7) * (1 + int(b>>6)) }
 
-// FuzzConfigValidate: over cache geometries, branch table sizes, core
-// counts and core widths, Validate either rejects the configuration or the
+// FuzzConfigValidate: over cache geometries, branch and prefetch engine
+// table sizes, core counts and core widths, Validate either rejects the configuration or the
 // system assembles and runs — never a panic. Sizes stay small so a valid
 // configuration allocates little.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(4))
-	f.Add(uint8(1), uint8(6), uint8(4), uint8(0x47), uint8(2), uint8(5), uint8(8), uint8(4), uint8(0x47), uint8(6), uint8(2), uint8(6))
-	f.Add(uint8(2), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(1))
+	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(4), uint8(0x1a))
+	f.Add(uint8(1), uint8(6), uint8(4), uint8(0x47), uint8(2), uint8(5), uint8(8), uint8(4), uint8(0x47), uint8(6), uint8(2), uint8(6), uint8(0x5a))
+	f.Add(uint8(2), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(1), uint8(0x23))
+	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(3), uint8(0x3c))
 	kinds := []PrefetcherKind{PFNone, PFStride, PFNextN, PFSMS, PFBFetch, PFISB, PFSTeMS, PFPerfect}
-	f.Fuzz(func(t *testing.T, cores, l1, l1w, l2, l2w, llc, llcw, banks, bp, conf, width, kind uint8) {
+	f.Fuzz(func(t *testing.T, cores, l1, l1w, l2, l2w, llc, llcw, banks, bp, conf, width, kind, pf uint8) {
 		cfg := Default(kinds[int(kind)%len(kinds)])
 		cfg.Cores = int(cores%4) + 1
 		cfg.Hier.L1Bytes, cfg.Hier.L1Ways = geom(l1, 64), int(l1w%17)
@@ -41,6 +68,16 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.Branch.LocalHistBits = int(bp % 30)
 		cfg.Confidence.Entries = geom(conf, 16)
 		cfg.CPU = cfg.CPU.WithWidth(int(width % 9))
+		// One byte sizes every engine's tables; only the selected engine's
+		// are built. Bits 3..5 pick a region of 64 B..8 KB, of which only
+		// 128 B..4 KB is valid.
+		n := geom(pf, 4)
+		cfg.Stride.Entries = n
+		cfg.SMS.PHTEntries, cfg.STeMS.PHTEntries = n, n
+		cfg.SMS.RegionBytes = 64 << (pf >> 3 & 7)
+		cfg.STeMS.RegionBytes = cfg.SMS.RegionBytes
+		cfg.ISB.StreamLen = int(pf % 4)
+		cfg.BFetch.BrTCEntries, cfg.BFetch.MHTEntries, cfg.BFetch.FilterEntries = n, n/2, n
 		if err := cfg.Validate(); err != nil {
 			t.Log(err)
 			return

@@ -230,14 +230,28 @@ func NewFromCheckpoints(cfg Config, cps []*ckpt.Checkpoint) (*System, error) {
 
 // Validate reports a configuration assemble cannot build — a core that
 // can never commit, a cache geometry (L1D, L2, or the LLC at this core
-// count) that is not a power of two, a branch table of the wrong size — so
-// a bad configuration fails with a message naming the part instead of a
-// panic deep inside a constructor.
+// count) that is not a power of two, a branch table or a table of the
+// selected prefetch engine of the wrong size — so a bad configuration fails
+// with a message naming the part instead of a panic deep inside a
+// constructor.
 func (cfg Config) Validate() error {
 	if cfg.Cores < 1 {
 		return fmt.Errorf("sim: Cores must be at least 1, got %d", cfg.Cores)
 	}
-	for _, part := range []interface{ Validate() error }{cfg.CPU, cfg.Hier, cfg.llc(), cfg.Branch, cfg.Confidence} {
+	parts := []interface{ Validate() error }{cfg.CPU, cfg.Hier, cfg.llc(), cfg.Branch, cfg.Confidence}
+	switch cfg.Prefetcher {
+	case PFStride:
+		parts = append(parts, cfg.Stride)
+	case PFSMS:
+		parts = append(parts, cfg.SMS)
+	case PFISB:
+		parts = append(parts, cfg.ISB)
+	case PFSTeMS:
+		parts = append(parts, cfg.STeMS)
+	case PFBFetch:
+		parts = append(parts, cfg.BFetch)
+	}
+	for _, part := range parts {
 		if err := part.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}

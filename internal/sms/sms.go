@@ -18,6 +18,8 @@
 package sms
 
 import (
+	"fmt"
+
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 )
@@ -27,6 +29,22 @@ type Config struct {
 	RegionBytes int // spatial region size (power of two, ≥ 128)
 	AGTEntries  int
 	PHTEntries  int // power of two, tagless direct-mapped
+}
+
+// Validate reports sizes New cannot build: a region that is not a power of
+// two from 128 bytes to 4 KB (one pattern bit per 64-byte block), an empty
+// AGT, or a PHT that is not a positive power of two.
+func (c Config) Validate() error {
+	if c.RegionBytes < 128 || c.RegionBytes > 64*64 || c.RegionBytes&(c.RegionBytes-1) != 0 {
+		return fmt.Errorf("sms: region bytes %d is not a power of two in [128, 4096]", c.RegionBytes)
+	}
+	if c.AGTEntries <= 0 {
+		return fmt.Errorf("sms: AGT entries %d is not positive", c.AGTEntries)
+	}
+	if c.PHTEntries <= 0 || c.PHTEntries&(c.PHTEntries-1) != 0 {
+		return fmt.Errorf("sms: PHT entries %d is not a positive power of two", c.PHTEntries)
+	}
+	return nil
 }
 
 // DefaultConfig is the paper's practical SMS configuration.
@@ -59,26 +77,20 @@ type SMS struct {
 	PHTHits     uint64
 }
 
-// New builds an SMS prefetcher.
+// New builds an SMS prefetcher; it panics on a configuration Validate
+// rejects.
 func New(cfg Config) *SMS {
-	if cfg.RegionBytes < 128 || cfg.RegionBytes&(cfg.RegionBytes-1) != 0 {
-		panic("sms: region bytes must be a power of two ≥ 128")
-	}
-	if cfg.PHTEntries <= 0 || cfg.PHTEntries&(cfg.PHTEntries-1) != 0 {
-		panic("sms: PHT entries must be a power of two")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	shift := uint(0)
 	for 1<<shift != cfg.RegionBytes {
 		shift++
 	}
-	blocks := cfg.RegionBytes / 64
-	if blocks > 64 {
-		panic("sms: region too large for a 64-bit pattern")
-	}
 	return &SMS{
 		cfg:         cfg,
 		regionShift: shift,
-		blocksPer:   blocks,
+		blocksPer:   cfg.RegionBytes / 64,
 		agt:         make([]agtEntry, cfg.AGTEntries),
 		pht:         make([]uint64, cfg.PHTEntries),
 		queue:       prefetch.NewQueue(100, 2),

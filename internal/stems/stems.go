@@ -24,6 +24,8 @@
 package stems
 
 import (
+	"fmt"
+
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 )
@@ -35,6 +37,26 @@ type Config struct {
 	PHTEntries  int // power of two, tagless
 	RMOBEntries int // temporal log capacity (off-chip in the original)
 	Depth       int // regions replayed per temporal hit
+}
+
+// Validate reports sizes New cannot build: a region that is not a power of
+// two from 128 bytes to 4 KB (one pattern bit per 64-byte block), an empty
+// AGT, a PHT that is not a positive power of two, or an empty temporal log
+// or replay depth.
+func (c Config) Validate() error {
+	if c.RegionBytes < 128 || c.RegionBytes > 64*64 || c.RegionBytes&(c.RegionBytes-1) != 0 {
+		return fmt.Errorf("stems: region bytes %d is not a power of two in [128, 4096]", c.RegionBytes)
+	}
+	if c.AGTEntries <= 0 {
+		return fmt.Errorf("stems: AGT entries %d is not positive", c.AGTEntries)
+	}
+	if c.PHTEntries <= 0 || c.PHTEntries&(c.PHTEntries-1) != 0 {
+		return fmt.Errorf("stems: PHT entries %d is not a positive power of two", c.PHTEntries)
+	}
+	if c.RMOBEntries <= 0 || c.Depth <= 0 {
+		return fmt.Errorf("stems: RMOB entries %d and depth %d must be positive", c.RMOBEntries, c.Depth)
+	}
+	return nil
 }
 
 // DefaultConfig follows the paper's description: SMS's practical spatial
@@ -87,29 +109,20 @@ type STeMS struct {
 	Generations  uint64
 }
 
-// New builds a STeMS prefetcher.
+// New builds a STeMS prefetcher; it panics on a configuration Validate
+// rejects.
 func New(cfg Config) *STeMS {
-	if cfg.RegionBytes < 128 || cfg.RegionBytes&(cfg.RegionBytes-1) != 0 {
-		panic("stems: region bytes must be a power of two ≥ 128")
-	}
-	if cfg.PHTEntries <= 0 || cfg.PHTEntries&(cfg.PHTEntries-1) != 0 {
-		panic("stems: PHT entries must be a power of two")
-	}
-	if cfg.Depth <= 0 || cfg.RMOBEntries <= 0 {
-		panic("stems: invalid temporal configuration")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	shift := uint(0)
 	for 1<<shift != cfg.RegionBytes {
 		shift++
 	}
-	blocks := cfg.RegionBytes / 64
-	if blocks > 64 {
-		panic("stems: region too large for a 64-bit pattern")
-	}
 	return &STeMS{
 		cfg:         cfg,
 		regionShift: shift,
-		blocksPer:   blocks,
+		blocksPer:   cfg.RegionBytes / 64,
 		agt:         make([]generation, cfg.AGTEntries),
 		pht:         make([]uint64, cfg.PHTEntries),
 		rmob:        make([]rmobEntry, cfg.RMOBEntries),

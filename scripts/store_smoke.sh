@@ -31,8 +31,8 @@ grep -q 'store:.*misses' "$workdir/cold.err" || {
     exit 1
 }
 # Each of the 3 checkpoints is emulated once and never read back: fig8 runs
-# its baselines and its engines as two batches on one engine, and the second
-# batch must find the emulated checkpoints still in memory.
+# its baselines and its engines as one batch, and every job after the first
+# on a workload must find the emulated checkpoint still in memory.
 grep -Eq '^fig8 finished in .*; ckpt: [0-9]+ hits, 3 misses\); store: 0 hits,' "$workdir/cold.err" || {
     echo "cold run emulated a checkpoint twice or read one back from disk:" >&2
     cat "$workdir/cold.err" >&2
@@ -61,7 +61,8 @@ rm -rf "$workdir/store/run"
 "$workdir/bfetch-bench" "${proto[@]}" -store "$workdir/store" \
     -out "$workdir/ckwarm" >/dev/null 2>"$workdir/ckwarm.err"
 # Nothing is emulated, and each of the 3 stored checkpoints is read once:
-# a checkpoint read from the store stays in memory for the second batch.
+# a checkpoint read from the store stays in memory for the workload's other
+# jobs.
 grep -q '^fig8 finished in .*; ckpt: 9 hits, 0 misses); store: 3 hits, 12 misses$' "$workdir/ckwarm.err" || {
     echo "checkpoint-warm run emulated a checkpoint or read one twice:" >&2
     cat "$workdir/ckwarm.err" >&2
