@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint verify verify-full verify-race race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke fuzz-smoke clean
+.PHONY: all build test vet fmt-check lint verify verify-full race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke fuzz-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -48,8 +48,6 @@ verify-full: fmt-check build vet
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-
-verify-race: race
 
 # Hot-path microbenchmarks (BenchmarkCoreCycle must report 0 allocs/op;
 # MemReadWrite/MemFork/Checkpoint guard the fast-forward machinery;

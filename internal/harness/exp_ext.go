@@ -47,16 +47,15 @@ func runExtISB(p Params) ([]*stats.Table, error) {
 	// window (repeats of speedup points when mcf is in the workload set),
 	// against B-Fetch's fixed budget.
 	heavy := []sim.PrefetcherKind{sim.PFISB, sim.PFSTeMS}
-	data, lcs, res, err := speedups(p, configs,
+	series := []string{"SMS", "Bfetch", "ISB", "STeMS"}
+	data, lcs, res, err := speedups(p, configs, series,
 		runner.Solo(sim.Default(heavy[0]), "mcf", p.Opts),
 		runner.Solo(sim.Default(heavy[1]), "mcf", p.Opts))
 	if err != nil {
 		return nil, err
 	}
-	t := speedupTable("Extension: SMS vs B-Fetch vs ISB vs STeMS speedups", p.workloads(),
-		[]string{"SMS", "Bfetch", "ISB", "STeMS"}, data)
-	lt := lifecycleTable("Extension (obs): prefetch lifecycle by engine",
-		[]string{"SMS", "Bfetch", "ISB", "STeMS"}, lcs)
+	t := speedupTable("Extension: SMS vs B-Fetch vs ISB vs STeMS speedups", p.workloads(), series, data)
+	lt := lifecycleTable("Extension (obs): prefetch lifecycle by engine", series, lcs)
 
 	var kb [2]float64
 	for i, r := range res[len(res)-len(heavy):] {
@@ -124,12 +123,14 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 		"threshold", "avg_depth_BB", "stops_conf", "stops_brtc", "geomean_speedup")
 	thresholds := []float64{0.45, 0.60, 0.75, 0.90, 0.97}
 	var configs []sim.Config
+	var series []string
 	for _, th := range thresholds {
 		cfg := sim.Default(sim.PFBFetch)
 		cfg.BFetch.PathThreshold = th
 		configs = append(configs, cfg)
+		series = append(series, fmt.Sprintf("Conf=%.2f", th))
 	}
-	data, _, res, err := speedups(p, configs)
+	data, _, res, err := speedups(p, configs, series)
 	if err != nil {
 		return nil, err
 	}

@@ -68,13 +68,13 @@ func runFig1(p Params) ([]*stats.Table, error) {
 		sim.Default(sim.PFSMS),
 		sim.Default(sim.PFPerfect),
 	}
-	data, lcs, _, err := speedups(p, configs)
+	series := []string{"Stride", "SMS", "Perfect"}
+	data, lcs, _, err := speedups(p, configs, series)
 	if err != nil {
 		return nil, err
 	}
 	ws := p.workloads()
-	t := speedupTable("Figure 1: speedup vs no-prefetch baseline", ws,
-		[]string{"Stride", "SMS", "Perfect"}, data)
+	t := speedupTable("Figure 1: speedup vs no-prefetch baseline", ws, series, data)
 
 	// The dynamic prefetch-sensitive set: perfect speedup > 5%.
 	sens := stats.NewTable("Figure 1 (aux): dynamically prefetch-sensitive benchmarks",
@@ -82,8 +82,7 @@ func runFig1(p Params) ([]*stats.Table, error) {
 	for wi, name := range ws {
 		sens.AddRow(name, data[2][wi], fmt.Sprint(data[2][wi] > 1.05))
 	}
-	lt := lifecycleTable("Figure 1 (obs): prefetch lifecycle by engine",
-		[]string{"Stride", "SMS", "Perfect"}, lcs)
+	lt := lifecycleTable("Figure 1 (obs): prefetch lifecycle by engine", series, lcs)
 	return []*stats.Table{t, sens, lt}, nil
 }
 
@@ -93,14 +92,13 @@ func runFig8(p Params) ([]*stats.Table, error) {
 		sim.Default(sim.PFSMS),
 		sim.Default(sim.PFBFetch),
 	}
-	data, lcs, _, err := speedups(p, configs)
+	series := []string{"Stride", "SMS", "Bfetch"}
+	data, lcs, _, err := speedups(p, configs, series)
 	if err != nil {
 		return nil, err
 	}
-	t := speedupTable("Figure 8: single-threaded speedups", p.workloads(),
-		[]string{"Stride", "SMS", "Bfetch"}, data)
-	lt := lifecycleTable("Figure 8 (obs): prefetch lifecycle by engine",
-		[]string{"Stride", "SMS", "Bfetch"}, lcs)
+	t := speedupTable("Figure 8: single-threaded speedups", p.workloads(), series, data)
+	lt := lifecycleTable("Figure 8 (obs): prefetch lifecycle by engine", series, lcs)
 	return []*stats.Table{t, lt}, nil
 }
 
@@ -141,20 +139,19 @@ func runFig11(p Params) ([]*stats.Table, error) {
 
 func runFig12(p Params) ([]*stats.Table, error) {
 	var configs []sim.Config
-	thresholds := []float64{0.45, 0.75, 0.90}
-	for _, th := range thresholds {
+	var series []string
+	for _, th := range []float64{0.45, 0.75, 0.90} {
 		cfg := sim.Default(sim.PFBFetch)
 		cfg.BFetch.PathThreshold = th
 		configs = append(configs, cfg)
+		series = append(series, fmt.Sprintf("Conf=%.2f", th))
 	}
-	data, lcs, _, err := speedups(p, configs)
+	data, lcs, _, err := speedups(p, configs, series)
 	if err != nil {
 		return nil, err
 	}
-	t := speedupTable("Figure 12: branch confidence threshold sensitivity", p.workloads(),
-		[]string{"Conf=0.45", "Conf=0.75", "Conf=0.90"}, data)
-	lt := lifecycleTable("Figure 12 (obs): prefetch lifecycle by threshold",
-		[]string{"Conf=0.45", "Conf=0.75", "Conf=0.90"}, lcs)
+	t := speedupTable("Figure 12: branch confidence threshold sensitivity", p.workloads(), series, data)
+	lt := lifecycleTable("Figure 12 (obs): prefetch lifecycle by threshold", series, lcs)
 	return []*stats.Table{t, lt}, nil
 }
 
@@ -168,14 +165,16 @@ func runFig13(p Params) ([]*stats.Table, error) {
 	// default no-prefetch baseline (the point set every speedup figure
 	// shares).
 	var configs []sim.Config
-	for _, scale := range scales {
+	var series []string
+	for si, scale := range scales {
 		for _, kind := range []sim.PrefetcherKind{sim.PFNone, sim.PFBFetch} {
 			cfg := sim.Default(kind)
 			cfg.Branch = cfg.Branch.Scaled(scale)
 			configs = append(configs, cfg)
+			series = append(series, names[si]+"/"+string(kind))
 		}
 	}
-	data, _, res, err := speedups(p, configs)
+	data, _, res, err := speedups(p, configs, series)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +240,7 @@ func runFig15(p Params) ([]*stats.Table, error) {
 		kb := float64(storageOf(cfg)) / 8 / 1024
 		names = append(names, fmt.Sprintf("%.2fKB", kb))
 	}
-	data, lcs, _, err := speedups(p, configs)
+	data, lcs, _, err := speedups(p, configs, names)
 	if err != nil {
 		return nil, err
 	}
@@ -265,11 +264,11 @@ func runAblation(p Params) ([]*stats.Table, error) {
 	privateBP.BFetch.PrivatePredictor = true
 
 	configs := []sim.Config{full, noFilter, noLoop, noPatt, commitARF, privateBP}
-	data, lcs, _, err := speedups(p, configs)
+	series := []string{"full", "no-filter", "no-loop", "no-patterns", "commit-ARF", "private-bp"}
+	data, lcs, _, err := speedups(p, configs, series)
 	if err != nil {
 		return nil, err
 	}
-	series := []string{"full", "no-filter", "no-loop", "no-patterns", "commit-ARF", "private-bp"}
 	t := speedupTable("Ablations: B-Fetch design choices", p.workloads(), series, data)
 	lt := lifecycleTable("Ablations (obs): prefetch lifecycle by variant", series, lcs)
 	return []*stats.Table{t, lt}, nil

@@ -213,14 +213,15 @@ func (p Params) baselineKey(j runner.Job) string {
 }
 
 // speedups measures per-workload speedups of each configuration over the
-// default no-prefetch baseline, indexed [config][workload order]. The
-// baseline points, every configuration's points and the extra jobs are one
-// batch (see runBatch). The second return is each configuration's prefetch
-// lifecycle breakdown summed over workloads, for the
-// accuracy/coverage/timeliness table every speedup figure emits; the third
-// is the batch's results in job order: the baseline on each workload, then
-// each configuration on each workload, then extra.
-func speedups(p Params, configs []sim.Config, extra ...runner.Job) ([][]float64, []obs.LifecycleStats, []sim.Result, error) {
+// default no-prefetch baseline, indexed [config][workload order], and logs
+// each one under the configuration's series name. The baseline points,
+// every configuration's points and the extra jobs are one batch (see
+// runBatch). The second return is each configuration's prefetch lifecycle
+// breakdown summed over workloads, for the accuracy/coverage/timeliness
+// table every speedup figure emits; the third is the batch's results in job
+// order: the baseline on each workload, then each configuration on each
+// workload, then extra.
+func speedups(p Params, configs []sim.Config, series []string, extra ...runner.Job) ([][]float64, []obs.LifecycleStats, []sim.Result, error) {
 	ws := p.workloads()
 	var jobs []runner.Job
 	for _, cfg := range append([]sim.Config{sim.Default(sim.PFNone)}, configs...) {
@@ -246,8 +247,8 @@ func speedups(p Params, configs []sim.Config, extra ...runner.Job) ([][]float64,
 		}
 	}
 	for wi, name := range ws {
-		for ci, cfg := range configs {
-			p.logf("  %-12s %-8s speedup %.3f", name, label(cfg, ci), out[ci][wi])
+		for ci := range configs {
+			p.logf("  %-12s %-8s speedup %.3f", name, series[ci], out[ci][wi])
 		}
 	}
 	return out, lcs, res, nil
@@ -267,13 +268,6 @@ func lifecycleTable(title string, series []string, lcs []obs.LifecycleStats) *st
 			lc.Polluting, lc.Accuracy(), lc.Coverage(), lc.Timeliness())
 	}
 	return t
-}
-
-func label(cfg sim.Config, i int) string {
-	if cfg.Prefetcher != "" {
-		return string(cfg.Prefetcher)
-	}
-	return fmt.Sprintf("cfg%d", i)
 }
 
 // sensitiveSet returns which of the given workloads are memory-intensive —

@@ -52,7 +52,7 @@ func DefaultConfig() Config {
 
 // ISB is the prefetcher.
 type ISB struct {
-	prefetch.Base
+	prefetch.Drain
 	cfg Config //bfetch:noreset configuration
 
 	ps        map[uint64]uint64 //bfetch:noreset physical block → structural address
@@ -60,7 +60,6 @@ type ISB struct {
 	lastBlock map[uint64]uint64 //bfetch:noreset load PC → previous block (training unit)
 
 	nextStream uint64 //bfetch:noreset structural address allocator, learned
-	queue      *prefetch.Queue
 
 	// Stats.
 	TrainedPairs  uint64
@@ -74,11 +73,11 @@ func New(cfg Config) *ISB {
 		panic(err)
 	}
 	return &ISB{
+		Drain:     prefetch.NewDrain(100, 2),
 		cfg:       cfg,
 		ps:        make(map[uint64]uint64),
 		sp:        make(map[uint64]uint64),
 		lastBlock: make(map[uint64]uint64),
-		queue:     prefetch.NewQueue(100, 2),
 	}
 }
 
@@ -97,7 +96,7 @@ func (p *ISB) OnAccess(a prefetch.AccessInfo) {
 		for i := uint64(1); i <= uint64(p.cfg.Degree); i++ {
 			if sameStream(s, s+i, p.cfg.StreamLen) {
 				if phys, ok := p.sp[s+i]; ok {
-					p.queue.Push(prefetch.Request{Addr: phys << 6, LoadPC: a.PC})
+					p.Push(prefetch.Request{Addr: phys << 6, LoadPC: a.PC})
 				}
 			}
 		}
@@ -144,20 +143,10 @@ func sameStream(a, b uint64, streamLen int) bool {
 	return a/uint64(streamLen) == b/uint64(streamLen)
 }
 
-// AppendTick drains the prefetch queue.
-//
-//bfetch:hotpath
-func (p *ISB) AppendTick(dst []prefetch.Request, now uint64) []prefetch.Request {
-	return p.queue.AppendPop(dst)
-}
-
-// Idle reports whether the queue is drained.
-func (p *ISB) Idle() bool { return p.queue.Len() == 0 }
-
 // ResetStats zeroes the measurement counters.
 func (p *ISB) ResetStats() {
 	p.TrainedPairs, p.MetaOverflows = 0, 0
-	p.queue.ResetStats()
+	p.Drain.ResetStats()
 }
 
 // RegisterObs exports the engine's counters into the metrics registry.
@@ -165,7 +154,7 @@ func (p *ISB) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Func(prefix+"trained_pairs", func() uint64 { return p.TrainedPairs })
 	reg.Func(prefix+"meta_overflows", func() uint64 { return p.MetaOverflows })
 	reg.Func(prefix+"meta_bytes", func() uint64 { return uint64(p.MetaBytes()) })
-	p.queue.RegisterObs(reg, prefix)
+	p.Drain.RegisterObs(reg, prefix)
 }
 
 // StorageBits reports the meta-data footprint: each mapping costs a
@@ -174,7 +163,7 @@ func (p *ISB) RegisterObs(reg *obs.Registry, prefix string) {
 // ~13 KB — it is orders of magnitude larger and lives off-chip in the
 // original design.
 func (p *ISB) StorageBits() int {
-	return (len(p.ps)+len(p.sp))*42 + p.queue.StorageBits()
+	return (len(p.ps)+len(p.sp))*42 + p.Drain.StorageBits()
 }
 
 // MetaBytes reports the current meta-data size in bytes.

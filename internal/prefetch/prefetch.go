@@ -1,5 +1,6 @@
 // Package prefetch defines the prefetcher interface the simulated cores
-// drive, a bounded prefetch queue shared by all implementations, and the two
+// drive, a bounded prefetch queue shared by all implementations, the drain
+// skeleton of the engines that issue only through that queue, and the two
 // classic light-weight prefetchers the paper compares against: Next-N lines
 // (Smith, 1978) and the stride/reference-prediction-table prefetcher
 // (Chen & Baer, 1995), configured at degree 8 as in §V-A.
@@ -128,6 +129,45 @@ func (None) Name() string { return "none" }
 //bfetch:hotpath
 func (None) Idle() bool { return true }
 
+// Drain is the issue side of an engine that prefetches only through a
+// Queue: the engine embeds it and Pushes from its hooks, AppendTick pops the
+// queue, the engine is idle exactly when the queue is empty, and the queue's
+// counters, obs names and storage bits are the engine's. Engines with
+// counters or tables of their own extend ResetStats, RegisterObs and
+// StorageBits and call Drain's.
+type Drain struct {
+	Base
+	q *Queue
+}
+
+// NewDrain returns a drain over a queue with the given capacity and
+// per-cycle issue limit.
+func NewDrain(capacity, perCycle int) Drain { return Drain{q: NewQueue(capacity, perCycle)} }
+
+// Push enqueues a request (see Queue.Push).
+//
+//bfetch:hotpath
+func (d *Drain) Push(r Request) { d.q.Push(r) }
+
+// AppendTick issues this cycle's share of the queue.
+//
+//bfetch:hotpath
+func (d *Drain) AppendTick(dst []Request, _ uint64) []Request { return d.q.AppendPop(dst) }
+
+// Idle reports whether the queue is drained.
+//
+//bfetch:hotpath
+func (d *Drain) Idle() bool { return d.q.Len() == 0 }
+
+// ResetStats zeroes the queue counters.
+func (d *Drain) ResetStats() { d.q.ResetStats() }
+
+// RegisterObs exports the queue counters into the metrics registry.
+func (d *Drain) RegisterObs(reg *obs.Registry, prefix string) { d.q.RegisterObs(reg, prefix) }
+
+// StorageBits sizes the queue.
+func (d *Drain) StorageBits() int { return d.q.StorageBits() }
+
 // Queue is the bounded prefetch request queue every engine drains through.
 // It deduplicates by block address against its own contents and issues a
 // fixed number of requests per cycle, oldest first. Table I sizes B-Fetch's
@@ -197,18 +237,14 @@ func (q *Queue) AppendPop(dst []Request) []Request {
 	return dst
 }
 
-// PopCycle removes and returns up to the per-cycle issue limit. Allocating
-// convenience over AppendPop (tests and diagnostics); hot paths use
-// AppendPop with a reused buffer.
-func (q *Queue) PopCycle() []Request { return q.AppendPop(nil) }
-
 // ResetStats zeroes the queue's traffic counters without touching pending
 // requests.
 func (q *Queue) ResetStats() { q.Enqueued, q.DroppedFull, q.DroppedDup = 0, 0, 0 }
 
 // RegisterObs exports the queue's traffic counters into the metrics
-// registry under prefix; every engine's RegisterObs delegates here, so the
-// queue counters carry the same names for all of them.
+// registry under prefix; every engine's RegisterObs delegates here, through
+// Drain or directly, so the queue counters carry the same names for all of
+// them.
 func (q *Queue) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Func(prefix+"q_enqueued", func() uint64 { return q.Enqueued })
 	reg.Func(prefix+"q_dropped_full", func() uint64 { return q.DroppedFull })

@@ -35,16 +35,16 @@ func TestQueuePerCycleLimit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Push(Request{Addr: uint64(i * 64)})
 	}
-	if got := len(q.PopCycle()); got != 2 {
+	if got := len(q.AppendPop(nil)); got != 2 {
 		t.Errorf("first pop = %d", got)
 	}
-	if got := len(q.PopCycle()); got != 2 {
+	if got := len(q.AppendPop(nil)); got != 2 {
 		t.Errorf("second pop = %d", got)
 	}
-	if got := len(q.PopCycle()); got != 1 {
+	if got := len(q.AppendPop(nil)); got != 1 {
 		t.Errorf("third pop = %d", got)
 	}
-	if q.PopCycle() != nil {
+	if q.AppendPop(nil) != nil {
 		t.Error("empty queue returned requests")
 	}
 }
@@ -52,7 +52,7 @@ func TestQueuePerCycleLimit(t *testing.T) {
 func TestQueueDedupClearsAfterPop(t *testing.T) {
 	q := NewQueue(4, 4)
 	q.Push(Request{Addr: 0x40})
-	q.PopCycle()
+	q.AppendPop(nil)
 	q.Push(Request{Addr: 0x40})
 	if q.Len() != 1 {
 		t.Error("block re-pushed after pop was treated as duplicate")
@@ -191,7 +191,7 @@ func TestQuickQueueInvariants(t *testing.T) {
 		q := NewQueue(8, 3)
 		for _, op := range ops {
 			if op%5 == 0 {
-				q.PopCycle()
+				q.AppendPop(nil)
 				continue
 			}
 			q.Push(Request{Addr: uint64(op) * 8})
@@ -256,7 +256,7 @@ func TestQuickQueueMatchesMapModel(t *testing.T) {
 		m := &mapQueue{inQ: map[uint64]bool{}, capacity: cp, perCycle: pc}
 		for _, op := range ops {
 			if op%4 == 0 {
-				if !reflect.DeepEqual(q.PopCycle(), m.pop()) {
+				if !reflect.DeepEqual(q.AppendPop(nil), m.pop()) {
 					return false
 				}
 				continue

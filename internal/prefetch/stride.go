@@ -1,10 +1,6 @@
 package prefetch
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // Stride is the reference-prediction-table prefetcher of Chen & Baer,
 // "Effective Hardware-Based Data Prefetching for High-Performance
@@ -13,11 +9,10 @@ import (
 // confirmed, the next Degree strided blocks are prefetched. The paper's
 // evaluation found degree 8 best (§V-A) and uses that as the default.
 type Stride struct {
-	Base
+	Drain
 	entries []strideEntry //bfetch:noreset learned reference-prediction table
 	mask    uint64        //bfetch:noreset configuration
 	degree  int           //bfetch:noreset configuration
-	queue   *Queue
 }
 
 type strideState uint8
@@ -62,10 +57,10 @@ func NewStride(cfg StrideConfig) *Stride {
 		panic(err)
 	}
 	return &Stride{
+		Drain:   NewDrain(100, 2),
 		entries: make([]strideEntry, cfg.Entries),
 		mask:    uint64(cfg.Entries - 1),
 		degree:  cfg.Degree,
-		queue:   NewQueue(100, 2),
 	}
 }
 
@@ -117,33 +112,15 @@ func (s *Stride) OnAccess(a AccessInfo) {
 	if e.state == strideSteady {
 		for i := 1; i <= s.degree; i++ {
 			addr := uint64(int64(a.Addr) + int64(i)*e.stride)
-			s.queue.Push(Request{Addr: addr, LoadPC: a.PC})
+			s.Push(Request{Addr: addr, LoadPC: a.PC})
 		}
 	}
-}
-
-// AppendTick drains the queue.
-//
-//bfetch:hotpath
-func (s *Stride) AppendTick(dst []Request, now uint64) []Request { return s.queue.AppendPop(dst) }
-
-// Idle reports whether the queue is drained.
-//
-//bfetch:hotpath
-func (s *Stride) Idle() bool { return s.queue.Len() == 0 }
-
-// ResetStats zeroes the queue counters.
-func (s *Stride) ResetStats() { s.queue.ResetStats() }
-
-// RegisterObs exports the engine's counters into the metrics registry.
-func (s *Stride) RegisterObs(reg *obs.Registry, prefix string) {
-	s.queue.RegisterObs(reg, prefix)
 }
 
 // StorageBits: each entry holds a tag (32 bits of PC), last address
 // (42-bit block-aligned + offset ⇒ 48), stride (16) and 2-bit state.
 func (s *Stride) StorageBits() int {
-	return len(s.entries)*(32+48+16+2) + s.queue.StorageBits()
+	return len(s.entries)*(32+48+16+2) + s.Drain.StorageBits()
 }
 
 // NextN prefetches the N sequentially following blocks on every demand miss
@@ -151,14 +128,13 @@ func (s *Stride) StorageBits() int {
 // the canonical lower bound on light-weight prefetching and is exercised by
 // the examples and ablations.
 type NextN struct {
-	Base
-	n     int //bfetch:noreset configuration
-	queue *Queue
+	Drain
+	n int //bfetch:noreset configuration
 }
 
 // NewNextN builds a next-N-lines prefetcher.
 func NewNextN(n int) *NextN {
-	return &NextN{n: n, queue: NewQueue(100, 2)}
+	return &NextN{n: n, Drain: NewDrain(100, 2)}
 }
 
 func (p *NextN) Name() string { return "next-n" }
@@ -170,24 +146,6 @@ func (p *NextN) OnAccess(a AccessInfo) {
 	}
 	base := a.Addr &^ uint64(63)
 	for i := 1; i <= p.n; i++ {
-		p.queue.Push(Request{Addr: base + uint64(i*64), LoadPC: a.PC})
+		p.Push(Request{Addr: base + uint64(i*64), LoadPC: a.PC})
 	}
 }
-
-//bfetch:hotpath
-func (p *NextN) AppendTick(dst []Request, now uint64) []Request { return p.queue.AppendPop(dst) }
-
-// Idle reports whether the queue is drained.
-//
-//bfetch:hotpath
-func (p *NextN) Idle() bool { return p.queue.Len() == 0 }
-
-// ResetStats zeroes the queue counters.
-func (p *NextN) ResetStats() { p.queue.ResetStats() }
-
-// RegisterObs exports the engine's counters into the metrics registry.
-func (p *NextN) RegisterObs(reg *obs.Registry, prefix string) {
-	p.queue.RegisterObs(reg, prefix)
-}
-
-func (p *NextN) StorageBits() int { return p.queue.StorageBits() }

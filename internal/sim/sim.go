@@ -326,7 +326,7 @@ func assemble(cfg Config, boots []boot) (*System, error) {
 		if cfg.Prefetcher == PFPerfect {
 			hier.L1D.Perfect = true
 		}
-		hier.L1D.SetFeedback(feedbackAdapter{pf})
+		hier.L1D.SetFeedback(pf)
 
 		c := cpu.New(cfg.CPU, prog, image, hier, bp, conf, pf)
 		if bt.arch != nil {
@@ -369,16 +369,6 @@ func (s *System) SetTrace(tr *obs.Trace) {
 
 // Trace returns the attached lifecycle trace, if any.
 func (s *System) Trace() *obs.Trace { return s.tr }
-
-// feedbackAdapter routes L1D prefetch feedback into the prefetcher.
-type feedbackAdapter struct{ pf prefetch.Prefetcher }
-
-func (f feedbackAdapter) PrefetchUseful(loadPC, blockAddr uint64) {
-	f.pf.PrefetchUseful(loadPC, blockAddr)
-}
-func (f feedbackAdapter) PrefetchUseless(loadPC, blockAddr uint64) {
-	f.pf.PrefetchUseless(loadPC, blockAddr)
-}
 
 // Run advances the shared clock until every core has committed instsPerCore
 // instructions (or halted), erroring out at the cycle bound or on an

@@ -15,34 +15,43 @@
 // omitted, as in the JILP 2011 follow-up the paper cites — accumulation
 // handles filtering. Generations end on AGT replacement, the practical proxy
 // for region eviction.
+//
+// The spatial side — region geometry, AGT and PHT — is the exported Spatial
+// core, which STeMS runs on as well.
 package sms
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 )
 
-// Config sizes the prefetcher.
+// Config sizes the prefetcher. Its three sizes are also the sizes of the
+// Spatial core, which STeMS builds from its own configuration.
 type Config struct {
 	RegionBytes int // spatial region size (power of two, ≥ 128)
 	AGTEntries  int
 	PHTEntries  int // power of two, tagless direct-mapped
 }
 
-// Validate reports sizes New cannot build: a region that is not a power of
-// two from 128 bytes to 4 KB (one pattern bit per 64-byte block), an empty
-// AGT, or a PHT that is not a positive power of two.
-func (c Config) Validate() error {
+// Validate reports sizes New cannot build (see Check).
+func (c Config) Validate() error { return c.Check("sms") }
+
+// Check reports sizes NewSpatial cannot build, naming pkg in the error: a
+// region that is not a power of two from 128 bytes to 4 KB (one pattern bit
+// per 64-byte block), an empty AGT, or a PHT that is not a positive power of
+// two.
+func (c Config) Check(pkg string) error {
 	if c.RegionBytes < 128 || c.RegionBytes > 64*64 || c.RegionBytes&(c.RegionBytes-1) != 0 {
-		return fmt.Errorf("sms: region bytes %d is not a power of two in [128, 4096]", c.RegionBytes)
+		return fmt.Errorf("%s: region bytes %d is not a power of two in [128, 4096]", pkg, c.RegionBytes)
 	}
 	if c.AGTEntries <= 0 {
-		return fmt.Errorf("sms: AGT entries %d is not positive", c.AGTEntries)
+		return fmt.Errorf("%s: AGT entries %d is not positive", pkg, c.AGTEntries)
 	}
 	if c.PHTEntries <= 0 || c.PHTEntries&(c.PHTEntries-1) != 0 {
-		return fmt.Errorf("sms: PHT entries %d is not a positive power of two", c.PHTEntries)
+		return fmt.Errorf("%s: PHT entries %d is not a positive power of two", pkg, c.PHTEntries)
 	}
 	return nil
 }
@@ -61,54 +70,36 @@ type agtEntry struct {
 	lastUse    uint64
 }
 
-// SMS is the prefetcher.
-type SMS struct {
-	prefetch.Base
-	cfg         Config     //bfetch:noreset configuration
-	regionShift uint       //bfetch:noreset configuration
-	blocksPer   int        //bfetch:noreset configuration
-	agt         []agtEntry //bfetch:noreset learned active generations
-	pht         []uint64   //bfetch:noreset learned patterns
-	queue       *prefetch.Queue
-	clock       uint64 //bfetch:noreset internal LRU clock, monotonic
-
-	// Stats.
-	Generations uint64
-	PHTHits     uint64
+// Spatial is SMS's spatial engine: memory split into regions, an AGT whose
+// live generations accumulate the blocks touched in their region, and a
+// tagless PHT of the patterns closed generations leave behind, indexed by
+// their trigger's (PC, region offset).
+type Spatial struct {
+	shift     uint       // log2 of the region size
+	blocksPer int        // 64-byte blocks per region, one pattern bit each
+	agt       []agtEntry // active generations
+	pht       []uint64   // learned patterns
+	clock     uint64     // AGT LRU clock, monotonic
 }
 
-// New builds an SMS prefetcher; it panics on a configuration Validate
-// rejects.
-func New(cfg Config) *SMS {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	shift := uint(0)
-	for 1<<shift != cfg.RegionBytes {
-		shift++
-	}
-	return &SMS{
-		cfg:         cfg,
-		regionShift: shift,
-		blocksPer:   cfg.RegionBytes / 64,
-		agt:         make([]agtEntry, cfg.AGTEntries),
-		pht:         make([]uint64, cfg.PHTEntries),
-		queue:       prefetch.NewQueue(100, 2),
+// NewSpatial builds the spatial core; cfg must pass Check.
+func NewSpatial(cfg Config) Spatial {
+	return Spatial{
+		shift:     uint(bits.TrailingZeros(uint(cfg.RegionBytes))),
+		blocksPer: cfg.RegionBytes / 64,
+		agt:       make([]agtEntry, cfg.AGTEntries),
+		pht:       make([]uint64, cfg.PHTEntries),
 	}
 }
 
-func (s *SMS) Name() string { return "sms" }
-
-func (s *SMS) phtIdx(pc uint64, off int) int {
-	h := (pc >> 2) ^ (pc >> 13) ^ uint64(off)*0x9E37
-	return int(h & uint64(s.cfg.PHTEntries-1))
-}
-
-// OnAccess accumulates patterns and replays stored ones on region triggers.
-func (s *SMS) OnAccess(a prefetch.AccessInfo) {
+// Access records a demand access by pc to addr and locates it as a region
+// and a block offset within it. Inside a live generation it only
+// accumulates the block. Otherwise the access is a trigger: the LRU
+// generation is trained into the PHT and recycled to start the new one.
+func (s *Spatial) Access(pc, addr uint64) (region uint64, off int, trigger bool) {
 	s.clock++
-	region := a.Addr >> s.regionShift
-	off := int((a.Addr >> 6) & uint64(s.blocksPer-1))
+	region = addr >> s.shift
+	off = int((addr >> 6) & uint64(s.blocksPer-1))
 
 	// Accumulate into an active generation.
 	for i := range s.agt {
@@ -116,7 +107,7 @@ func (s *SMS) OnAccess(a prefetch.AccessInfo) {
 		if e.valid && e.regionTag == region {
 			e.pattern |= 1 << off
 			e.lastUse = s.clock
-			return
+			return region, off, false
 		}
 	}
 
@@ -136,27 +127,18 @@ func (s *SMS) OnAccess(a prefetch.AccessInfo) {
 		s.train(victim)
 	}
 	*victim = agtEntry{
-		valid: true, regionTag: region, triggerPC: a.PC,
+		valid: true, regionTag: region, triggerPC: pc,
 		triggerOff: off, pattern: 1 << off, lastUse: s.clock,
 	}
-	s.Generations++
-
-	// Replay the stored pattern for this trigger, if any.
-	pattern := s.pht[s.phtIdx(a.PC, off)]
-	if pattern == 0 {
-		return
-	}
-	s.PHTHits++
-	base := region << s.regionShift
-	for b := 0; b < s.blocksPer; b++ {
-		if b == off || pattern&(1<<b) == 0 {
-			continue
-		}
-		s.queue.Push(prefetch.Request{Addr: base + uint64(b*64), LoadPC: a.PC})
-	}
+	return region, off, true
 }
 
-func (s *SMS) train(e *agtEntry) {
+func (s *Spatial) phtIdx(pc uint64, off int) int {
+	h := (pc >> 2) ^ (pc >> 13) ^ uint64(off)*0x9E37
+	return int(h & uint64(len(s.pht)-1))
+}
+
+func (s *Spatial) train(e *agtEntry) {
 	// Patterns with a single touched block predict nothing; storing them
 	// only pollutes the PHT.
 	if e.pattern&(e.pattern-1) == 0 {
@@ -165,38 +147,79 @@ func (s *SMS) train(e *agtEntry) {
 	s.pht[s.phtIdx(e.triggerPC, e.triggerOff)] = e.pattern
 }
 
-// AppendTick drains the prefetch queue.
-//
-//bfetch:hotpath
-func (s *SMS) AppendTick(dst []prefetch.Request, now uint64) []prefetch.Request {
-	return s.queue.AppendPop(dst)
+// Pattern returns the PHT's pattern for a trigger by pc at block offset
+// off, 0 if it holds none.
+func (s *Spatial) Pattern(pc uint64, off int) uint64 { return s.pht[s.phtIdx(pc, off)] }
+
+// PushBlocks queues one prefetch, attributed to pc, for every block of
+// region set in pattern, lowest block first.
+func (s *Spatial) PushBlocks(d *prefetch.Drain, region, pattern, pc uint64) {
+	base := region << s.shift
+	for ; pattern != 0; pattern &= pattern - 1 {
+		d.Push(prefetch.Request{Addr: base + uint64(bits.TrailingZeros64(pattern)*64), LoadPC: pc})
+	}
 }
 
-// Idle reports whether the queue is drained.
-func (s *SMS) Idle() bool { return s.queue.Len() == 0 }
+// OffBits is the width of a block offset within a region.
+func (s *Spatial) OffBits() int { return int(s.shift) - 6 }
+
+// StorageBits sizes the AGT and PHT: AGT entries hold a region tag (34
+// bits), trigger PC (32), trigger offset and the pattern; the tagless PHT
+// holds one pattern per entry.
+func (s *Spatial) StorageBits() int {
+	return len(s.agt)*(34+32+s.OffBits()+s.blocksPer) + len(s.pht)*s.blocksPer
+}
+
+// SMS is the prefetcher.
+type SMS struct {
+	prefetch.Drain
+	sp Spatial //bfetch:noreset learned generations and patterns
+
+	// Stats.
+	Generations uint64
+	PHTHits     uint64
+}
+
+// New builds an SMS prefetcher; it panics on a configuration Validate
+// rejects.
+func New(cfg Config) *SMS {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	return &SMS{Drain: prefetch.NewDrain(100, 2), sp: NewSpatial(cfg)}
+}
+
+func (s *SMS) Name() string { return "sms" }
+
+// OnAccess accumulates patterns and replays stored ones on region triggers.
+func (s *SMS) OnAccess(a prefetch.AccessInfo) {
+	region, off, trigger := s.sp.Access(a.PC, a.Addr)
+	if !trigger {
+		return
+	}
+	s.Generations++
+
+	// Replay the stored pattern for this trigger, if any.
+	pattern := s.sp.Pattern(a.PC, off)
+	if pattern == 0 {
+		return
+	}
+	s.PHTHits++
+	s.sp.PushBlocks(&s.Drain, region, pattern&^(1<<off), a.PC)
+}
 
 // ResetStats zeroes the measurement counters.
 func (s *SMS) ResetStats() {
 	s.Generations, s.PHTHits = 0, 0
-	s.queue.ResetStats()
+	s.Drain.ResetStats()
 }
 
 // RegisterObs exports the engine's counters into the metrics registry.
 func (s *SMS) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Func(prefix+"generations", func() uint64 { return s.Generations })
 	reg.Func(prefix+"pht_hits", func() uint64 { return s.PHTHits })
-	s.queue.RegisterObs(reg, prefix)
+	s.Drain.RegisterObs(reg, prefix)
 }
 
-// StorageBits reports SMS hardware state: AGT entries hold a region tag
-// (34 bits), trigger PC (32), trigger offset (log2 blocks) and the pattern;
-// the tagless PHT holds one pattern per entry.
-func (s *SMS) StorageBits() int {
-	offBits := 0
-	for 1<<offBits < s.blocksPer {
-		offBits++
-	}
-	agtBits := s.cfg.AGTEntries * (34 + 32 + offBits + s.blocksPer)
-	phtBits := s.cfg.PHTEntries * s.blocksPer
-	return agtBits + phtBits + s.queue.StorageBits()
-}
+// StorageBits reports SMS hardware state: the spatial core and the queue.
+func (s *SMS) StorageBits() int { return s.sp.StorageBits() + s.Drain.StorageBits() }

@@ -24,8 +24,8 @@ func touchRegion(s *SMS, pc, base uint64, offsets []int) {
 
 // closeGenerations floods the AGT so all active generations get trained.
 func closeGenerations(s *SMS) {
-	for i := 0; i < s.cfg.AGTEntries+1; i++ {
-		s.OnAccess(prefetch.AccessInfo{PC: 0xDEAD, Addr: 0x4000_0000 + uint64(i)*uint64(s.cfg.RegionBytes)})
+	for i := 0; i < len(s.sp.agt)+1; i++ {
+		s.OnAccess(prefetch.AccessInfo{PC: 0xDEAD, Addr: 0x4000_0000 + uint64(i)<<s.sp.shift})
 	}
 }
 
