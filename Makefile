@@ -74,10 +74,19 @@ bench-smoke:
 # Scale-out smoke: the mix-8/16 slice of the scale experiment at a reduced
 # protocol — exercises wide-mix generation, the banked LLC / channeled DRAM
 # models and their per-bank metrics end to end without the cost of the full
-# 2..64-core sweep.
+# 2..64-core sweep. Most of those cores share a bank or a channel within a
+# cycle, so the tables pin the shared-level arbitration order; they must
+# match the committed golden (BENCH_SCALE_GOLDEN) byte for byte. Regenerate
+# it like EXP_SMOKE_GOLDEN, with
+#   go run ./cmd/bfetch-bench <BENCH_SCALE_ARGS> > <BENCH_SCALE_GOLDEN>
+BENCH_SCALE_ARGS = -exp scale -scalecores 8,16 -ff 20000 -warmup 5000 -measure 20000 -q
+BENCH_SCALE_GOLDEN = cmd/bfetch-bench/testdata/scale_smoke.golden
+
 bench-scale:
-	$(GO) run ./cmd/bfetch-bench -exp scale -scalecores 8,16 \
-		-ff 20000 -warmup 5000 -measure 20000 -q
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/bfetch-bench $(BENCH_SCALE_ARGS) > "$$tmp/scale.txt" && \
+	diff -u "$(BENCH_SCALE_GOLDEN)" "$$tmp/scale.txt" && \
+	echo "bench-scale: the scale tables match the golden ($$(wc -l < "$$tmp/scale.txt") lines)"
 
 # Observability smoke test: tiny batch with the live -http endpoint up,
 # scrape it, and validate every obs JSON document against its schema.

@@ -13,14 +13,14 @@ func BenchmarkCacheAccess(b *testing.B) {
 	const mask = 1<<20 - 1
 	var addr, now uint64
 	for i := 0; i < 1<<14; i++ { // warm the stack
-		hier.Load(addr&mask, now)
+		hier.Load(addr&mask, now, nil)
 		addr += 64
 		now++
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hier.Load(addr&mask, now)
+		hier.Load(addr&mask, now, nil)
 		addr += 64
 		now++
 	}

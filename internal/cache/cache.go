@@ -46,7 +46,7 @@ type Request struct {
 	LoadPC uint64
 	// Class, when non-nil on a demand Read, collects CPI attribution for
 	// the load as the request walks the hierarchy (see loadclass.go). It
-	// rides down miss recursion and through deferred shared-port replay.
+	// rides down miss recursion into the shared levels.
 	Class *LoadClass
 }
 
@@ -170,11 +170,6 @@ type Cache struct {
 	// read complete at the hit latency: the paper's Perfect L1-D prefetcher
 	// upper bound (Figure 1).
 	Perfect bool //bfetch:noreset configuration
-
-	// port, when set on a private cache, receives patch registrations for
-	// blocks installed with a pending (sentinel) readyAt; the simulator
-	// services it at end of cycle. See SharedPort.
-	port *SharedPort //bfetch:noreset wiring
 
 	banks    []llcBank
 	bankMask uint64 //bfetch:noreset configuration
@@ -390,7 +385,7 @@ func (c *Cache) writeback(req Request, now uint64) {
 		nc.WritebackInstall(req, now)
 		return
 	}
-	// DRAM or SharedPort: posted write, charge bandwidth only.
+	// DRAM: posted write, charge bandwidth only.
 	c.next.Access(req, now)
 }
 
@@ -413,7 +408,7 @@ func (c *Cache) WritebackInstall(req Request, now uint64) {
 
 // bankArb claims blockAddr's bank port at or after now, returning the grant
 // cycle. Within a cycle, grant order is arrival order — which the simulator
-// makes deterministic by servicing per-core ports in core-index order.
+// makes deterministic by ticking cores in index order.
 //
 //bfetch:hotpath
 func (c *Cache) bankArb(blockAddr, now uint64) (uint64, *llcBank) {
@@ -527,8 +522,7 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 	return c.install(req, now, fillDone)
 }
 
-// install places the missed block, registering a port patch when the fill's
-// completion is still pending (deferred shared-level access).
+// install places the missed block, ready when its fill completes.
 //
 //bfetch:hotpath
 func (c *Cache) install(req Request, now, fillDone uint64) uint64 {
@@ -542,9 +536,6 @@ func (c *Cache) install(req Request, now, fillDone uint64) uint64 {
 		v.prefetched = true
 		v.pfLoadPC = req.LoadPC
 		v.pfWasPf = true
-	}
-	if IsPending(fillDone) {
-		c.port.Defer(&v.readyAt, fillDone)
 	}
 	return fillDone
 }

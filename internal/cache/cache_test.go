@@ -187,12 +187,12 @@ func TestHierarchyASIDIsolation(t *testing.T) {
 	llc := New(Config{Name: "L3", Bytes: 1 << 20, Ways: 16, Latency: 20}, dram)
 	h0 := NewHierarchy(DefaultHierarchyConfig(), llc, 0)
 	h1 := NewHierarchy(DefaultHierarchyConfig(), llc, 1)
-	h0.Load(0x1000, 0)
+	h0.Load(0x1000, 0, nil)
 	if h1.InL1(0x1000) {
 		t.Error("cross-ASID aliasing in private caches")
 	}
 	// Same address, different ASIDs, must occupy distinct LLC blocks.
-	h1.Load(0x1000, 100)
+	h1.Load(0x1000, 100, nil)
 	if llc.Stats.Misses != 2 {
 		t.Errorf("LLC misses = %d, want 2 (no cross-ASID sharing)", llc.Stats.Misses)
 	}
@@ -215,7 +215,7 @@ func TestHierarchyPrefetchDedup(t *testing.T) {
 		t.Error("prefetched block not resident")
 	}
 	// A demand load to the prefetched block is a hit and marks it useful.
-	h.Load(0x2008, 10)
+	h.Load(0x2008, 10, nil)
 	if h.L1D.Stats.PrefetchUseful != 1 {
 		t.Errorf("useful = %d", h.L1D.Stats.PrefetchUseful)
 	}

@@ -6,8 +6,9 @@ package cache
 // one another changes no grant or latency — and (2) requests to the SAME
 // bank/channel are served FCFS in arrival order, with occupancy (bank busy
 // time, MSHRs, channel in-flight slots) applied exactly. The simulator
-// pins arrival order by servicing per-core ports in core-index order; these
-// tests pin the models' side of the contract.
+// pins arrival order by ticking cores in index order, each reaching the
+// shared levels synchronously; these tests pin the models' side of the
+// contract.
 
 import (
 	"testing"

@@ -22,7 +22,7 @@ import (
 // transfers may be in flight at once (command queued until the
 // earliest-completing slot drains). Requests are granted FCFS in arrival
 // order; arrival order itself is made deterministic by the simulator, which
-// services per-core ports in core-index order within a cycle.
+// ticks cores in index order within a cycle.
 type DRAM struct {
 	Latency       uint64 //bfetch:noreset configuration
 	CyclesPerFill uint64 //bfetch:noreset configuration
@@ -245,10 +245,6 @@ type Hierarchy struct {
 	// ASID tags every address so multiprogrammed address spaces do not
 	// alias in the shared LLC.
 	ASID uint64
-	// Port, when non-nil, is the core's deferred gateway to the shared
-	// levels; completion times carrying the pending bit are resolved when
-	// the simulator services it at end of cycle.
-	Port *SharedPort
 }
 
 // levels returns the L1D and L2 cache configurations.
@@ -274,27 +270,6 @@ func NewHierarchy(cfg HierarchyConfig, shared Level, asid int) *Hierarchy {
 	return &Hierarchy{L1D: l1, L2: l2, ASID: uint64(asid)}
 }
 
-// NewHierarchyPorted builds a private stack whose shared-level traffic is
-// deferred through the given per-core port (see SharedPort). The private
-// caches register their pending block fills with the port so sentinel
-// readyAt values are patched when the port is serviced.
-func NewHierarchyPorted(cfg HierarchyConfig, port *SharedPort, asid int) *Hierarchy {
-	h := NewHierarchy(cfg, port, asid)
-	h.Port = port
-	h.L1D.port = port
-	h.L2.port = port
-	return h
-}
-
-// DeferDone registers target (which currently holds the pending-tagged
-// completion time sentinel) to be patched with the real completion cycle
-// when the core's port is serviced.
-//
-//bfetch:hotpath
-func (h *Hierarchy) DeferDone(target *uint64, sentinel uint64) {
-	h.Port.Defer(target, sentinel)
-}
-
 // extend tags a virtual byte address with the hierarchy's address-space ID.
 // Workload addresses stay far below 2^48, so the tag bits are free.
 //
@@ -304,23 +279,13 @@ func (h *Hierarchy) extend(addr uint64) uint64 {
 }
 
 // Load issues a demand read for the block containing addr, returning its
-// completion cycle and whether it hit in the L1D.
+// completion cycle and whether it hit in the L1D. A non-nil cl (a reused
+// per-ROB-entry record, zeroed by the caller) is annotated with the serving
+// level and queue waits as the request walks the hierarchy; nil means no
+// CPI attribution.
 //
 //bfetch:hotpath
-func (h *Hierarchy) Load(addr uint64, now uint64) (uint64, bool) {
-	ba := h.extend(addr)
-	hit := h.L1D.Perfect || h.L1D.Contains(ba)
-	return h.L1D.Access(Request{BlockAddr: ba, Kind: Read}, now), hit
-}
-
-// LoadClassified is Load with CPI attribution: cl (a reused per-ROB-entry
-// record, zeroed by the caller) is annotated with the serving level and
-// queue waits as the request walks the hierarchy. For deferred shared-level
-// accesses the annotation completes at end-of-cycle port service, before
-// any later cycle reads it.
-//
-//bfetch:hotpath
-func (h *Hierarchy) LoadClassified(addr uint64, now uint64, cl *LoadClass) (uint64, bool) {
+func (h *Hierarchy) Load(addr uint64, now uint64, cl *LoadClass) (uint64, bool) {
 	ba := h.extend(addr)
 	hit := h.L1D.Perfect || h.L1D.Contains(ba)
 	return h.L1D.Access(Request{BlockAddr: ba, Kind: Read, Class: cl}, now), hit

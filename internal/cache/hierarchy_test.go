@@ -16,7 +16,7 @@ func TestLatencyLadder(t *testing.T) {
 	const addr = 0x4_0000
 
 	// Cold: L1(2) + L2(10) + L3(20) + DRAM(200) = 232.
-	done, hit := h.Load(addr, 0)
+	done, hit := h.Load(addr, 0, nil)
 	if hit {
 		t.Fatal("cold load hit")
 	}
@@ -25,7 +25,7 @@ func TestLatencyLadder(t *testing.T) {
 	}
 
 	// Warm L1: 2 cycles.
-	done, hit = h.Load(addr, 1000)
+	done, hit = h.Load(addr, 1000, nil)
 	if !hit || done != 1002 {
 		t.Errorf("L1 hit = %v, completes at %d, want 1002", hit, done)
 	}
@@ -34,12 +34,12 @@ func TestLatencyLadder(t *testing.T) {
 	// block should come from L2 at 2+10.
 	sets := h.L1D.Sets()
 	for i := 1; i <= h.L1D.Ways(); i++ {
-		h.Load(addr+uint64(i*sets*64), 2000+uint64(i))
+		h.Load(addr+uint64(i*sets*64), 2000+uint64(i), nil)
 	}
 	if h.InL1(addr) {
 		t.Fatal("victim block still in L1")
 	}
-	done, hit = h.Load(addr, 3000)
+	done, hit = h.Load(addr, 3000, nil)
 	if hit {
 		t.Error("post-evict load reported as L1 hit")
 	}
@@ -58,7 +58,7 @@ func TestStoreWriteAllocate(t *testing.T) {
 		t.Errorf("store miss fills = %d, want 1", dram.DemandFills)
 	}
 	// A subsequent load hits the dirty block.
-	if _, hit := h.Load(0x8000, 100); !hit {
+	if _, hit := h.Load(0x8000, 100, nil); !hit {
 		t.Error("load after store missed")
 	}
 }
@@ -74,7 +74,7 @@ func TestPrefetchFillsWholeLadder(t *testing.T) {
 	}
 	// Demand load merges with the in-flight prefetch rather than
 	// re-walking the hierarchy.
-	done, hit := h.Load(0xC000, 10)
+	done, hit := h.Load(0xC000, 10, nil)
 	if !hit {
 		t.Error("demand on prefetched block missed")
 	}
@@ -82,7 +82,7 @@ func TestPrefetchFillsWholeLadder(t *testing.T) {
 		t.Errorf("merged completion %d, want 232", done)
 	}
 	// Well after the fill, it's a plain 2-cycle hit.
-	if done, _ := h.Load(0xC000, 5000); done != 5002 {
+	if done, _ := h.Load(0xC000, 5000, nil); done != 5002 {
 		t.Errorf("late hit completes at %d", done)
 	}
 }
@@ -94,14 +94,14 @@ func TestSharedLLCConflict(t *testing.T) {
 	llc := New(Config{Name: "L3", Bytes: 1 << 20, Ways: 2, Latency: 20}, dram)
 	h0 := NewHierarchy(DefaultHierarchyConfig(), llc, 0)
 	h1 := NewHierarchy(DefaultHierarchyConfig(), llc, 1)
-	h0.Load(0x10000, 0)
-	h1.Load(0x10000, 1)
+	h0.Load(0x10000, 0, nil)
+	h1.Load(0x10000, 1, nil)
 	before := dram.DemandFills
 	if before != 2 {
 		t.Fatalf("fills = %d, want 2 (no cross-ASID sharing)", before)
 	}
 	// Same ASID re-access: no new fill.
-	h0.Load(0x10000, 10)
+	h0.Load(0x10000, 10, nil)
 	if dram.DemandFills != before {
 		t.Error("re-access refilled from DRAM")
 	}

@@ -7,12 +7,9 @@ package cache
 // stack (internal/obs CPIStack, charged from internal/cpu) replays those
 // annotations as a piecewise walk over the load's head-of-ROB stall.
 //
-// Annotation timing. For a synchronous hierarchy the class is complete when
-// Access returns. For a ported hierarchy (SharedPort) the shared-level legs
-// run at end-of-cycle Service, so the class is complete once the issuing
-// cycle's ports have been serviced — the same argument that makes deferred
-// readyAt patching exact (see port.go) covers it: attribution only reads the
-// class at cycles strictly after the issuing one.
+// Annotation timing. Every level, shared ones included, is accessed
+// synchronously, so the class is complete when Access returns; attribution
+// reads it only at cycles after the issuing one.
 
 // Load serving levels, deepest level that supplied the block.
 const (

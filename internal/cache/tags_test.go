@@ -25,13 +25,13 @@ func TestBlockZeroAtASIDZero(t *testing.T) {
 	if h.InL1(0) {
 		t.Fatal("empty cache claims block 0")
 	}
-	h.Load(0, 0)
+	h.Load(0, 0, nil)
 	if !h.InL1(0) || !h.L2.Contains(0) || !llc.Contains(0) {
 		t.Fatalf("block 0 not found after install: L1D %v, L2 %v, LLC %v",
 			h.InL1(0), h.L2.Contains(0), llc.Contains(0))
 	}
 	misses := h.L1D.Stats.Misses
-	if _, hit := h.Load(8, 1000); !hit || h.L1D.Stats.Misses != misses {
+	if _, hit := h.Load(8, 1000, nil); !hit || h.L1D.Stats.Misses != misses {
 		t.Error("second load to block 0 missed")
 	}
 }

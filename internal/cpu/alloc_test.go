@@ -161,7 +161,7 @@ func TestCycleZeroAlloc(t *testing.T) {
 
 // TestCycleZeroAllocCPIStack is TestCycleZeroAlloc with cycle attribution
 // enabled: the per-cycle charge — head-of-ROB classification, the
-// LoadClassified cache path, and the gap-charging arithmetic behind it —
+// classified cache load, and the gap-charging arithmetic behind it —
 // must add no heap allocation for any engine, or the CPI stack could never
 // ship config-gated on the measurement path.
 func TestCycleZeroAllocCPIStack(t *testing.T) {

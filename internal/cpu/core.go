@@ -131,9 +131,7 @@ type Core struct {
 	// while it is in flight (inflightBM) or done. It lives beside the ROB so
 	// complete() and NextEvent scan 8 bytes per slot, not the entry. doneMin
 	// is a lower bound on doneAt over the in-flight entries: complete()
-	// returns at once while now < doneMin. A load whose completion is still
-	// pending on the shared port holds a sentinel here until end of cycle,
-	// so it pulls doneMin down to the next cycle, when the real value is in.
+	// returns at once while now < doneMin.
 	doneAt  []uint64
 	doneMin uint64
 
@@ -817,24 +815,15 @@ func (c *Core) tryLoad(e *robEntry, now uint64) bool {
 		c.Stats.StoreForwards++
 	} else {
 		e.destVal = c.mem.ReadInt64(e.ea)
-		var done uint64
-		var hit bool
+		var cl *cache.LoadClass
 		if c.cfg.CPIStack {
 			e.cl = cache.LoadClass{}
 			e.memStart = now
 			e.memClass = true
-			done, hit = c.hier.LoadClassified(e.ea, now, &e.cl)
-		} else {
-			done, hit = c.hier.Load(e.ea, now)
+			cl = &e.cl
 		}
+		done, hit := c.hier.Load(e.ea, now, cl)
 		c.schedule(e.slot, done)
-		if cache.IsPending(done) {
-			// Shared-level access deferred through the core's port: the real
-			// completion cycle is patched in at the end-of-cycle service, so
-			// the next cycle's complete() must look at it.
-			c.doneMin = min(c.doneMin, now+1)
-			c.hier.DeferDone(&c.doneAt[e.slot], done)
-		}
 		if hit {
 			c.Stats.LoadL1Hits++
 		} else {

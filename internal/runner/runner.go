@@ -345,8 +345,15 @@ func (e *Engine) execute(j Job) Outcome {
 	var res sim.Result
 	var err error
 	if ff := j.Opts.FastForwardInsts; ff > 0 {
+		// A configuration the system cannot be built with fails here, not
+		// after its fast-forwards have been emulated and stored.
+		cfg := j.Cfg
+		cfg.Cores = len(j.Apps)
 		var cps []*ckpt.Checkpoint
-		if cps, err = e.checkpoints(j.Apps, ff); err == nil {
+		if err = cfg.Validate(); err == nil {
+			cps, err = e.checkpoints(j.Apps, ff)
+		}
+		if err == nil {
 			res, err = sim.RunCheckpointed(j.Cfg, cps, j.Opts)
 		}
 	} else {

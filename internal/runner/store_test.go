@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -93,6 +94,29 @@ func TestStoreTwoTierLookup(t *testing.T) {
 		}
 		sameObservable(t, "warm vs cold", warmOut[i].Result, coldOut[i].Result)
 		sameObservable(t, "warm vs storeless", warmOut[i].Result, ref[i].Result)
+	}
+}
+
+// TestBadConfigEmulatesNothing: a store-backed job whose configuration the
+// system cannot be built with fails with the configuration's error before
+// any fast-forward is emulated or read from the store.
+func TestBadConfigEmulatesNothing(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(1)
+	e.SetStore(st)
+	cfg := sim.Default(sim.PFSMS)
+	cfg.SMS.PHTEntries = 1000
+	opts := tinyOpts()
+	opts.FastForwardInsts = 20_000
+	if _, err := e.Run(Solo(cfg, "mcf", opts)); err == nil || !strings.Contains(err.Error(), "sms: PHT") {
+		t.Fatalf("got %v, want an error naming the SMS PHT", err)
+	}
+	if s := e.Stats(); s.EmuInsts != 0 || s.StoreCkptMisses != 0 {
+		t.Errorf("bad configuration reached the fast-forward: %d insts emulated, %d store checkpoint misses",
+			s.EmuInsts, s.StoreCkptMisses)
 	}
 }
 

@@ -2,9 +2,9 @@ package sim
 
 // The per-cycle kernel's zero-allocation contract, asserted at system scale:
 // internal/cpu's TestCycleZeroAlloc covers one core over an unbanked
-// hierarchy; this is the scale-out configuration — 16 cores, deferred
-// shared-level ports, banked LLC with MSHRs, channeled DRAM — stepped
-// exactly as the cycle loops step it (tick phase, then port service).
+// hierarchy; this is the scale-out configuration — 16 cores reaching a
+// banked LLC with MSHRs and a channeled DRAM — stepped exactly as the cycle
+// loops step it (every core ticked in index order).
 //
 // The tests count every heap allocation over a whole window of system cycles
 // (runtime.MemStats deltas, not testing.AllocsPerRun's per-run quotient,
@@ -47,8 +47,8 @@ func budgetedMallocs(t *testing.T, cfg Config, budget uint64) (*System, uint64) 
 }
 
 // windowMallocs builds the 16-core mix on cfg, steps it allocWarmup system
-// cycles — core ticks, per-core port service, and the interval sampler when
-// cfg enables it — and returns the heap allocations of the next allocWindow
+// cycles — core ticks and the interval sampler when cfg enables it — and
+// returns the heap allocations of the next allocWindow
 // cycles.
 func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
 	t.Helper()
@@ -66,7 +66,6 @@ func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
 			}
 		}
 		s.tickCores(due, now)
-		s.servicePorts(due)
 		now++
 		for s.ts != nil && s.ts.NextAt() <= now {
 			s.ts.Sample()
@@ -94,8 +93,8 @@ func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
 }
 
 // TestBankedCMPCycleZeroAlloc drives a full 16-core scale-out system — core
-// ticks, per-core port service through bank arbitration, MSHR claim and DRAM
-// channel slots — and holds the window to mix16Budget.
+// ticks reaching bank arbitration, MSHR claim and DRAM channel slots — and
+// holds the window to mix16Budget.
 func TestBankedCMPCycleZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")

@@ -33,6 +33,8 @@ func TestBadEngineTableFailsRun(t *testing.T) {
 		{PFBFetch, func(c *Config) { c.BFetch.BrTCEntries = 100 }, "BrTC"},
 		{PFBFetch, func(c *Config) { c.BFetch.MHTEntries = 0 }, "MHT"},
 		{PFBFetch, func(c *Config) { c.BFetch.FilterEntries = 3 }, "filter"},
+		{"x", func(*Config) {}, `sim: unknown prefetcher "x"`},
+		{PFCustom, func(*Config) {}, "sim: custom prefetcher without a Factory"},
 	} {
 		cfg := Default(tc.kind)
 		tc.edit(&cfg)

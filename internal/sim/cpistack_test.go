@@ -27,7 +27,7 @@ var mix16 = []string{
 }
 
 // mixOpts is small enough to sweep seven engines on both loops but long
-// enough to fill the port queues, bank MSHRs and DRAM channel slots.
+// enough to fill the bank ports, bank MSHRs and DRAM channel slots.
 var mixOpts = RunOpts{WarmupInsts: 2_000, MeasureInsts: 6_000}
 
 // checkPartition asserts the exact-partition invariant on every core of a

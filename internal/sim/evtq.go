@@ -5,7 +5,7 @@ package sim
 // keyed by the cycle of its next scheduled work; ties break toward the lower
 // core index, so popping all entries at the minimum cycle yields the cores
 // in ascending index order — the same order the naive loop ticks them, and
-// the order the shared-memory ports are serviced in.
+// so the order in which same-cycle requests reach the shared LLC and DRAM.
 //
 // A core's cached key is invalidated only when the core itself is ticked
 // (its next event depends exclusively on core-local state: ROB completion

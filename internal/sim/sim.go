@@ -150,12 +150,6 @@ type System struct {
 	LLC   *cache.Cache
 	DRAM  *cache.DRAM
 
-	// Ports hold each core's deferred gateway to the shared levels; the run
-	// loops service them in core-index order at the end of every cycle in
-	// which the owning core ticked (cache.SharedPort documents why that is
-	// bit-identical to synchronous access).
-	Ports []*cache.SharedPort //bfetch:noreset wiring; drained every cycle
-
 	// Reg is the system's unified metrics registry: every component —
 	// cores, caches, DRAM, prefetch engines, lifecycle classifiers —
 	// registers into it at assembly, and Snapshot/ResetStats cover it.
@@ -231,15 +225,20 @@ func NewFromCheckpoints(cfg Config, cps []*ckpt.Checkpoint) (*System, error) {
 // Validate reports a configuration assemble cannot build — a core that
 // can never commit, a cache geometry (L1D, L2, or the LLC at this core
 // count) that is not a power of two, a branch table or a table of the
-// selected prefetch engine of the wrong size — so a bad configuration fails
-// with a message naming the part instead of a panic deep inside a
-// constructor.
+// selected prefetch engine of the wrong size, an unknown prefetcher, or a
+// custom one without a Factory — so a bad configuration fails with a
+// message naming the part instead of a panic deep inside a constructor.
 func (cfg Config) Validate() error {
 	if cfg.Cores < 1 {
 		return fmt.Errorf("sim: Cores must be at least 1, got %d", cfg.Cores)
 	}
 	parts := []interface{ Validate() error }{cfg.CPU, cfg.Hier, cfg.llc(), cfg.Branch, cfg.Confidence}
 	switch cfg.Prefetcher {
+	case PFNone, PFPerfect, PFNextN:
+	case PFCustom:
+		if cfg.Factory == nil {
+			return fmt.Errorf("sim: custom prefetcher without a Factory")
+		}
 	case PFStride:
 		parts = append(parts, cfg.Stride)
 	case PFSMS:
@@ -250,6 +249,8 @@ func (cfg Config) Validate() error {
 		parts = append(parts, cfg.STeMS)
 	case PFBFetch:
 		parts = append(parts, cfg.BFetch)
+	default:
+		return fmt.Errorf("sim: unknown prefetcher %q", cfg.Prefetcher)
 	}
 	for _, part := range parts {
 		if err := part.Validate(); err != nil {
@@ -293,9 +294,7 @@ func assemble(cfg Config, boots []boot) (*System, error) {
 	s := &System{Cfg: cfg, LLC: llc, DRAM: dram, Reg: reg}
 	for i, bt := range boots {
 		prog, image := bt.prog, bt.mem
-		port := cache.NewSharedPort(llc)
-		hier := cache.NewHierarchyPorted(cfg.Hier, port, i)
-		s.Ports = append(s.Ports, port)
+		hier := cache.NewHierarchy(cfg.Hier, llc, i)
 		bp := branch.New(cfg.Branch)
 		conf := branch.NewConfidence(cfg.Confidence)
 
@@ -316,12 +315,7 @@ func assemble(cfg Config, boots []boot) (*System, error) {
 		case PFBFetch:
 			pf = core.New(cfg.BFetch, bp, conf)
 		case PFCustom:
-			if cfg.Factory == nil {
-				return nil, fmt.Errorf("sim: custom prefetcher without a Factory")
-			}
 			pf = cfg.Factory(bp, conf)
-		default:
-			return nil, fmt.Errorf("sim: unknown prefetcher %q", cfg.Prefetcher)
 		}
 		if cfg.Prefetcher == PFPerfect {
 			hier.L1D.Perfect = true
@@ -390,21 +384,14 @@ func (s *System) Run(instsPerCore, maxCycles uint64) error {
 	return s.runEvent(target, limit, instsPerCore, maxCycles)
 }
 
-// tickCores runs Cycle(now) on every core in due, in index order. During the
-// tick cores touch private state only — shared-level traffic queues on their
-// ports until servicePorts — so no core observes another's tick.
+// tickCores runs Cycle(now) on every core in due, in index order (due is
+// always ascending). Each core reaches the shared LLC and DRAM synchronously
+// during its tick, so the tick order is the arbitration rule: within a
+// cycle, a lower-indexed core's request claims an LLC bank, MSHR or DRAM
+// channel slot first.
 func (s *System) tickCores(due []int32, now uint64) {
 	for _, i := range due {
 		s.Cores[i].Cycle(now)
-	}
-}
-
-// servicePorts replays the cycle's queued shared-level traffic in core-index
-// order (due is always ascending) — the deterministic tie-break for LLC bank
-// and DRAM channel contention within a cycle.
-func (s *System) servicePorts(due []int32) {
-	for _, i := range due {
-		s.Ports[i].Service()
 	}
 }
 
@@ -436,8 +423,7 @@ func (s *System) boundErr(target []uint64, instsPerCore, maxCycles uint64) error
 }
 
 // runNaive is the reference loop: every still-running core is ticked every
-// cycle, whether or not it can make progress, and the cycle's shared-memory
-// traffic is serviced at its end in core-index order.
+// cycle, in index order, whether or not it can make progress.
 func (s *System) runNaive(target []uint64, limit, instsPerCore, maxCycles uint64) error {
 	for {
 		// Interval sampling: a boundary is recorded when the clock reaches
@@ -465,7 +451,6 @@ func (s *System) runNaive(target []uint64, limit, instsPerCore, maxCycles uint64
 			return nil
 		}
 		s.tickCores(due, s.clock)
-		s.servicePorts(due)
 		s.clock++
 		if s.clock >= limit {
 			return s.boundErr(target, instsPerCore, maxCycles)
@@ -546,7 +531,6 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 			s.nextUncounted[i] = now + 1
 		}
 		s.tickCores(due, now)
-		s.servicePorts(due)
 		faulted := -1
 		for _, i := range due {
 			c := s.Cores[i]
