@@ -13,9 +13,11 @@
 // changed, frozen at capture (mem.Memory.Freeze): it shares every unchanged
 // page with the workload's image, and Restore is an O(1) copy-on-write fork,
 // so concurrent simulations restored from one checkpoint share its footprint
-// and privately copy only the pages they write. A checkpoint rebuilt from
-// its changed pages (FromParts) has the same shape. Restore is safe to call
-// from many goroutines at once.
+// and privately copy only the pages they write. Along a chain, a checkpoint
+// also shares every page its own segment left unchanged with the checkpoint
+// it was resumed from (Resume) or rebuilt against (FromParts with a base):
+// it owns only the pages whose contents its segment changed. Restore is
+// safe to call from many goroutines at once.
 //
 // What a checkpoint deliberately does NOT capture: any microarchitectural
 // state. Caches, branch predictor, confidence estimator and prefetcher all
@@ -67,7 +69,9 @@ func New(w workload.Workload, ffInsts uint64) (*Checkpoint, error) {
 // Resume continues base's fast-forward to ffInsts instructions from the
 // program entry: it emulates only the ffInsts − base.FFInsts instructions
 // past base, on a copy-on-write fork of base's frozen image, and captures a
-// checkpoint of the same shape New builds. The emulator is deterministic
+// checkpoint of the same shape New builds. The result owns only the pages
+// whose contents the segment changed (mem.Memory.Freeze); it shares every
+// other page with base. The emulator is deterministic
 // and resumable, so Resume(New(w, a), b) equals New(w, b) for every a ≤ b —
 // the same Arch, the same changed pages — and a fault reports the same
 // error, since the retired count runs from the program entry. A halted base
@@ -107,13 +111,20 @@ func ByName(name string, ffInsts uint64) (*Checkpoint, error) {
 // copy-on-write fork of the built image, so the result shares the
 // unchanged pages exactly as a checkpoint made by New does.
 //
+// base, when non-nil, is a checkpoint of the same workload the caller
+// already holds — in a chain, the next-shorter point. A written page whose
+// contents equal base's frozen page at the same number shares that page
+// instead of holding a copy, as Resume from base would. A base of another
+// workload is ignored, so the result never depends on which base is given,
+// only how much it shares.
+//
 // FromParts trusts its inputs only as far as cheap validation can carry:
 // the workload must exist and the PC must be a valid resume point for the
 // rebuilt program. Content integrity (the pages and Arch actually being
 // the prefix's output) is the storage layer's job — internal/store keys
 // checkpoint entries by the workload's built content, so a changed workload
 // generator can never pair stale state with a fresh program.
-func FromParts(name string, ffInsts uint64, arch emu.Arch, written []mem.PageImage) (*Checkpoint, error) {
+func FromParts(name string, ffInsts uint64, arch emu.Arch, written []mem.PageImage, base *Checkpoint) (*Checkpoint, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
 		return nil, err
@@ -124,7 +135,11 @@ func FromParts(name string, ffInsts uint64, arch emu.Arch, written []mem.PageIma
 			arch.PC, name, len(prog.Insts))
 	}
 	image.Overlay(written)
-	image.Freeze()
+	var peer *mem.Memory
+	if base != nil && base.Workload == name {
+		peer = base.image
+	}
+	image.FreezeWith(peer)
 	return &Checkpoint{
 		Workload: name,
 		FFInsts:  ffInsts,

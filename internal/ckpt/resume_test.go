@@ -145,3 +145,80 @@ func loop(end isa.Op) *isa.Program {
 	}
 	return b.MustProgram()
 }
+
+// TestFromPartsSharesWithBase: a checkpoint rebuilt against its chain
+// predecessor holds the same contents as one rebuilt alone and as the
+// emulated one, and shares with the predecessor exactly the pages Resume
+// shares — every page the segment left unchanged. Writes through a restore
+// of either side never reach the other.
+func TestFromPartsSharesWithBase(t *testing.T) {
+	for _, name := range []string{"zeusmp", "mcf"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := ckpt.New(w, 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emulated, err := ckpt.Resume(base, 400_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := emulated.Written()
+		alone, err := ckpt.FromParts(name, 400_000, emulated.Arch, written, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chained, err := ckpt.FromParts(name, 400_000, emulated.Arch, written, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chained.Arch != emulated.Arch || !mem.Equal(chained.Image(), alone.Image()) ||
+			!mem.Equal(chained.Image(), emulated.Image()) {
+			t.Fatalf("%s: a checkpoint rebuilt against its base differs from the others", name)
+		}
+
+		// Written pages whose contents the segment 200k→400k left alone.
+		unchanged := 0
+		for _, pi := range written {
+			if pageEquals(base.Image(), pi) {
+				unchanged++
+			}
+		}
+		if unchanged == 0 {
+			t.Fatalf("%s: no written page is unchanged since the base; the test shows nothing", name)
+		}
+		t.Logf("%s: %d of %d written pages unchanged since ff=200k", name, unchanged, len(written))
+		b := base.Image()
+		if got, want := mem.SharedBytes(chained.Image(), b), mem.SharedBytes(emulated.Image(), b); got != want {
+			t.Errorf("%s: rebuilt checkpoint shares %d bytes with its base, the resumed one %d", name, got, want)
+		}
+		if got, want := mem.SharedBytes(chained.Image(), b)-mem.SharedBytes(alone.Image(), b),
+			unchanged*mem.PageBytes; got != want {
+			t.Errorf("%s: the base adds %d shared bytes, want the %d unchanged written pages' bytes", name, got, want)
+		}
+
+		// A write through either restore leaves the other side unchanged.
+		before, beforeBase := alone.Image().Clone(), b.Clone()
+		_, fromChained, _ := chained.Restore()
+		_, fromBase, _ := base.Restore()
+		for _, pi := range written {
+			fromChained.Write64(pi.PN*mem.PageBytes, ^uint64(0))
+			fromBase.Write64(pi.PN*mem.PageBytes+8, ^uint64(1))
+		}
+		if !mem.Equal(b, beforeBase) || !mem.Equal(chained.Image(), before) {
+			t.Errorf("%s: a write through one restore reached the other checkpoint", name)
+		}
+	}
+}
+
+// pageEquals reports whether m's page at pi.PN holds pi's contents.
+func pageEquals(m *mem.Memory, pi mem.PageImage) bool {
+	for i, w := range pi.Words {
+		if m.Read64(pi.PN*mem.PageBytes+uint64(i)*8) != w {
+			return false
+		}
+	}
+	return true
+}

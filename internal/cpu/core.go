@@ -43,16 +43,12 @@ const (
 )
 
 // ref names a ROB entry robustly: sequence numbers are never reused, so a
-// stale ref (to a squashed entry whose slot was reallocated) fails the
-// seq-match check instead of aliasing the new occupant.
+// stale ref (to a squashed entry whose slot was reallocated, or to one that
+// committed) fails the seq-match check instead of aliasing the new
+// occupant. Sequence numbers start at 1, so the zero ref names no entry.
 type ref struct {
 	slot int
 	seq  uint64
-}
-
-type ratEntry struct {
-	ref
-	valid bool
 }
 
 type robEntry struct {
@@ -62,9 +58,9 @@ type robEntry struct {
 	pc   uint64
 	inst isa.Inst
 
-	nsrc   int
-	srcVal [2]int64
-	srcSeq [2]uint64 // seq of the producer source i waits on; 0 = not waiting
+	undoSeq uint64 // with undoSlot: the rename mapping the destination displaced
+	srcVal  [2]int64
+	srcSeq  [2]uint64 // seq of the producer source i waits on; 0 = not waiting
 
 	destVal int64
 	ea      uint64
@@ -73,6 +69,12 @@ type robEntry struct {
 	state   entryState
 	eaValid bool
 	faulted bool
+	nsrc    uint8 // sources still waiting on a producer
+	// undoSlot and undoSeq are the rename mapping this entry's destination
+	// displaced at dispatch (the zero ref if none), which recover puts back
+	// when it squashes the entry. undoSlot sits in the padding after the
+	// byte-sized fields.
+	undoSlot int32
 
 	// CPI attribution (cfg.CPIStack): set when the load issued to the
 	// memory hierarchy; zeroed with the rest of the entry at dispatch.
@@ -120,7 +122,7 @@ type Core struct {
 	pfEx ExecObserver // non-nil if pf wants execute samples
 
 	cregs [isa.NumRegs]int64
-	rat   [isa.NumRegs]ratEntry
+	rat   [isa.NumRegs]ref // the in-flight producer of each register; zero = committed value
 
 	rob      []robEntry
 	headSlot int
@@ -155,13 +157,6 @@ type Core struct {
 	readyBM    []uint64
 	inflightBM []uint64
 	pendBM     []uint64
-
-	// snaps[s] is the rename-table snapshot of the control instruction in
-	// ROB slot s, written at dispatch and read by recover. It lives beside
-	// the ROB rather than in robEntry so the hot entry stays small: the
-	// snapshot is 768 bytes, most entries never take one, and every
-	// dispatch zero-fills its entry.
-	snaps [][isa.NumRegs]ratEntry
 
 	// storeQ is a ring of uncommitted stores, oldest first (disambiguation).
 	// Capacity is the ROB size — a store occupies a ROB slot while queued —
@@ -250,7 +245,6 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, hier *cache.Hierarchy,
 		readyBM:    make([]uint64, words),
 		inflightBM: make([]uint64, words),
 		pendBM:     make([]uint64, words),
-		snaps:      make([][isa.NumRegs]ratEntry, cfg.ROBEntries),
 		storeQ:     make([]sqEntry, max(1, cfg.ROBEntries)),
 		fq:         make([]fqEntry, max(1, cfg.FetchQueue)),
 		pfReqs:     make([]prefetch.Request, 0, pfReqsCap),
@@ -478,8 +472,8 @@ func (c *Core) commit(now uint64) {
 		// Rename table release.
 		if in.HasDest() {
 			r := in.DestReg()
-			if c.rat[r].valid && c.rat[r].seq == e.seq {
-				c.rat[r].valid = false
+			if c.rat[r].seq == e.seq {
+				c.rat[r] = ref{}
 			}
 		}
 
@@ -639,6 +633,11 @@ func (c *Core) recover(e *robEntry, now uint64) {
 				c.sqUnknown--
 			}
 		}
+		if t.inst.HasDest() {
+			// Undo the entry's rename; youngest first, so the table ends as
+			// it stood right after e dispatched.
+			c.rat[t.inst.DestReg()] = ref{slot: int(t.undoSlot), seq: t.undoSeq}
+		}
 		t.seq = 0
 		bmClear(c.readyBM, ts)
 		bmClear(c.inflightBM, ts)
@@ -656,15 +655,12 @@ func (c *Core) recover(e *robEntry, now uint64) {
 	c.sqN = int(e.sqNum - c.sqBase)
 	c.sqAdvance()
 
-	// Restore the rename table from the branch's snapshot, dropping
-	// mappings to entries that committed while the branch was in flight.
-	snap := &c.snaps[e.slot]
+	// Drop the restored mappings to entries that committed while the
+	// branch was in flight.
 	for r := range c.rat {
-		s := snap[r]
-		if s.valid && c.entry(s.ref) == nil {
-			s.valid = false
+		if c.entry(c.rat[r]) == nil {
+			c.rat[r] = ref{}
 		}
-		c.rat[r] = s
 	}
 
 	// Redirect fetch.
@@ -950,11 +946,7 @@ func (c *Core) dispatch(now uint64) {
 				continue
 			}
 			m := c.rat[reg]
-			if !m.valid {
-				e.srcVal[i] = c.cregs[reg]
-				continue
-			}
-			p := c.entry(m.ref)
+			p := c.entry(m)
 			if p == nil {
 				e.srcVal[i] = c.cregs[reg]
 				continue
@@ -970,7 +962,9 @@ func (c *Core) dispatch(now uint64) {
 
 		// Rename destination.
 		if in.HasDest() {
-			c.rat[in.DestReg()] = ratEntry{ref: ref{slot: slot, seq: seq}, valid: true}
+			d := in.DestReg()
+			e.undoSlot, e.undoSeq = int32(c.rat[d].slot), c.rat[d].seq
+			c.rat[d] = ref{slot: slot, seq: seq}
 		}
 
 		if in.IsStore() {
@@ -979,10 +973,9 @@ func (c *Core) dispatch(now uint64) {
 			c.sqUnknown++ // address unknown until the store executes
 		}
 
-		// Control instructions snapshot the RAT for recovery and feed the
-		// prefetcher's decoded-branch register.
+		// Control instructions feed the prefetcher's decoded-branch
+		// register.
 		if in.IsControl() {
-			c.snaps[slot] = c.rat
 			var target uint64
 			if in.IsDirect() {
 				target = c.prog.PC(in.Target)

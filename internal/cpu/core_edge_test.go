@@ -336,9 +336,10 @@ func TestParkedLoadDoesNotPinClock(t *testing.T) {
 
 func TestROBEntrySize(t *testing.T) {
 	// Every dispatch zero-fills its ROB entry and the schedulers touch
-	// entries every cycle. The RAT snapshot (Core.snaps), the completion
-	// times (Core.doneAt), the wakeup lists (Core.wake) and store data
-	// (Core.storeQ) live beside the ROB, so the entry stays small.
+	// entries every cycle. The completion times (Core.doneAt), the wakeup
+	// lists (Core.wake) and store data (Core.storeQ) live beside the ROB,
+	// and the rename undo record fills the entry's padding, so the entry
+	// stays small.
 	if n := unsafe.Sizeof(robEntry{}); n > 216 {
 		t.Errorf("robEntry is %d bytes, want at most 216", n)
 	}

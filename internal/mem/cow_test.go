@@ -76,6 +76,71 @@ func TestFreezeIdempotentAndCloneEqual(t *testing.T) {
 	}
 }
 
+// TestFreezeKeepsUnchangedBasePages pins page sharing at Freeze: a fork
+// that rewrites page A with its old value and page B with a new one keeps
+// the frozen base page for A and its private copy for B.
+func TestFreezeKeepsUnchangedBasePages(t *testing.T) {
+	m := New()
+	m.Write64(0x1000, 7)
+	m.Write64(0x2000, 9)
+	m.Freeze()
+	baseA, baseB := m.ro[1], m.ro[2]
+
+	f := m.Fork()
+	f.Write64(0x1000, 7)
+	f.Write64(0x2000, 10)
+	c := f.Clone()
+	if f.PrivateBytes() != 2*PageBytes {
+		t.Fatalf("fork holds %d private bytes before Freeze, want two pages", f.PrivateBytes())
+	}
+	f.Freeze()
+	if f.ro[1] != baseA {
+		t.Error("page A was rewritten unchanged but Freeze kept a private copy")
+	}
+	if f.ro[2] == baseB {
+		t.Error("page B changed but Freeze kept the base page")
+	}
+	if !Equal(f, c) {
+		t.Error("frozen fork differs from its pre-freeze clone")
+	}
+	// The shared page stays copy-on-write on both sides.
+	f.Write64(0x1000, 8)
+	if m.Read64(0x1000) != 7 {
+		t.Error("a write through the fork reached the shared base page")
+	}
+}
+
+// TestFreezeWithSharesPeerPages: FreezeWith shares a private page equal to
+// the peer's frozen page at the same number, keeps a differing one, and
+// never takes the peer's unfrozen pages.
+func TestFreezeWithSharesPeerPages(t *testing.T) {
+	peer := New()
+	peer.Write64(0x1000, 7)
+	peer.Write64(0x2000, 9)
+	peer.Freeze()
+	peer.Write64(0x3000, 5) // private to peer: never shared
+
+	m := New()
+	m.Write64(0x1000, 7)
+	m.Write64(0x2000, 10)
+	m.Write64(0x3000, 5)
+	c := m.Clone()
+	m.FreezeWith(peer)
+	if m.ro[1] != peer.ro[1] {
+		t.Error("an identical page was not shared with the peer")
+	}
+	if m.ro[2] == peer.ro[2] || m.ro[3] == peer.pages[3] {
+		t.Error("a differing or unfrozen peer page was shared")
+	}
+	if !Equal(m, c) {
+		t.Error("FreezeWith changed contents")
+	}
+	m.Write64(0x1000, 8)
+	if peer.Read64(0x1000) != 7 {
+		t.Error("a write through m reached the peer's page")
+	}
+}
+
 // TestConcurrentForks is the checkpoint-restore pattern: one frozen image,
 // many goroutines forking and mutating their forks in parallel. Run under
 // -race this pins the claim that a frozen base is safely shared.

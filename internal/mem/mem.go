@@ -230,6 +230,19 @@ func (m *Memory) FootprintBytes() int { return m.distinctPages() * PageBytes }
 // is the true incremental memory cost over the shared base.
 func (m *Memory) PrivateBytes() int { return len(m.pages) * PageBytes }
 
+// SharedBytes reports the bytes a and b share physically: pages whose
+// visible contents in both are one frozen page. It measures how much of a
+// copy-on-write chain is stored once.
+func SharedBytes(a, b *Memory) int {
+	n := 0
+	for pn, p := range a.ro {
+		if a.pages[pn] == nil && b.pages[pn] == nil && b.ro[pn] == p {
+			n++
+		}
+	}
+	return n * PageBytes
+}
+
 func (m *Memory) distinctPages() int {
 	n := len(m.pages)
 	for pn := range m.ro {
@@ -243,21 +256,41 @@ func (m *Memory) distinctPages() int {
 // Freeze seals the current contents into a shared read-only base: private
 // pages merge over any existing base into a new frozen page table, and the
 // private layer restarts empty. Subsequent writes copy pages back out
-// (copy-on-write), so the frozen base is immutable from then on.
+// (copy-on-write), so the frozen base is immutable from then on. A private
+// page byte-identical to the base page it shadows is dropped in favour of
+// that base page, so a page rewritten with its old contents stays shared.
 //
 // Freeze is idempotent, and on an already-frozen Memory with no private
 // pages it is read-only — which makes Fork safe to call concurrently on
 // such a Memory (the checkpoint-restore pattern: freeze once at capture,
 // fork many times in parallel).
-func (m *Memory) Freeze() {
+func (m *Memory) Freeze() { m.FreezeWith(nil) }
+
+// FreezeWith is Freeze that also shares with peer's frozen base: a private
+// page byte-identical to peer's frozen page at the same number becomes that
+// page. Only frozen pages are ever shared, so neither side can write
+// through the other. peer is only read (its frozen base is immutable), so
+// many FreezeWith calls may name one peer concurrently; a nil peer is
+// plain Freeze.
+func (m *Memory) FreezeWith(peer *Memory) {
 	if len(m.pages) == 0 && m.ro != nil {
 		return
+	}
+	var shared map[uint64]*page
+	if peer != nil {
+		shared = peer.ro
 	}
 	base := make(map[uint64]*page, len(m.pages)+len(m.ro))
 	for pn, p := range m.ro {
 		base[pn] = p
 	}
 	for pn, p := range m.pages {
+		if q := m.ro[pn]; q != nil && *q == *p {
+			continue
+		}
+		if q := shared[pn]; q != nil && *q == *p {
+			p = q
+		}
 		base[pn] = p
 	}
 	m.ro = base

@@ -22,13 +22,16 @@
 // (ckpt.Resume), so an Engine emulates each workload's longest prefix once
 // rather than every prefix from the program entry. Every checkpoint stays in
 // memory for the Engine's lifetime, whether emulated or read from the
-// store: either way it holds only the pages its prefix changed and shares
-// the rest with the workload's built image copy-on-write.
+// store, and either way it owns only the pages whose contents its own
+// segment changed: the rest it shares copy-on-write with the next-shorter
+// checkpoint (resumed from it, or rebuilt against it from the store) and,
+// through it, with the workload's built image.
 // Restored runs are bit-identical to inline fast-forwarding (pinned by
 // TestCheckpointedRunEquivalence).
 package runner
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -226,6 +229,8 @@ func (e *Engine) Run(job Job) (sim.Result, error) {
 
 // RunAll executes the batch and returns one Outcome per job, in job order.
 // Identical jobs — within the batch or vs. earlier batches — simulate once.
+// The workers take the longest jobs first (longestFirst), so a large job
+// listed late does not run alone at the end of the batch.
 func (e *Engine) RunAll(jobs []Job) []Outcome {
 	e.jobsTotal.Add(uint64(len(jobs)))
 	e.recordPoints(jobs)
@@ -235,9 +240,26 @@ func (e *Engine) RunAll(jobs []Job) []Outcome {
 			out[i] = e.runJob(j)
 		}
 	} else {
-		e.fanOut(len(jobs), func(i int) { out[i] = e.runJob(jobs[i]) })
+		order := longestFirst(jobs)
+		e.fanOut(len(jobs), func(k int) {
+			i := order[k]
+			out[i] = e.runJob(jobs[i])
+		})
 	}
 	return out
+}
+
+// longestFirst returns the job indices stably sorted by descending cost,
+// estimated from the job alone as cores × simulated instructions per core,
+// so the order never depends on the host.
+func longestFirst(jobs []Job) []int {
+	cost := func(j Job) uint64 { return uint64(len(j.Apps)) * (j.Opts.WarmupInsts + j.Opts.MeasureInsts) }
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cost(jobs[b]), cost(jobs[a])) })
+	return order
 }
 
 // Map runs fn(0..n-1) across the pool and returns the lowest-index error.
@@ -494,19 +516,31 @@ func (e *Engine) ckptEntry(name string, ff uint64, claim bool) (ent *ckptEntry, 
 	return ent, first
 }
 
-// fill computes a new entry. Second tier: a durable checkpoint replaces
-// the prefix emulation with one disk read. The key is content-addressed
-// over the workload's built program and initial image, so a changed kernel
-// generator can never resurrect stale state. On a store miss the point
-// resumes from its predecessor's entry (itself memory, store or emulation),
-// and a predecessor's error is the point's error unchanged: the emulator
-// would fault at the same instruction on the way to the longer point.
+// fill computes a new entry. It resolves the predecessor's entry first
+// (itself memory, store or emulation); the predecessor is a submitted
+// point, so this only moves work that its own job would do. Second tier: a
+// durable checkpoint replaces the prefix emulation with one disk read, and
+// shares each page its segment left unchanged with the predecessor. The
+// key is content-addressed over the workload's built program and initial
+// image, so a changed kernel generator can never resurrect stale state. On
+// a store miss the point resumes from its predecessor, and a predecessor's
+// error is the point's error unchanged: the emulator would fault at the
+// same instruction on the way to the longer point.
 func (e *Engine) fill(ent *ckptEntry, name string, ff, pred uint64) {
+	var base *ckptEntry
+	if pred != 0 {
+		base, _ = e.ckptEntry(name, pred, false)
+		<-base.done
+	}
 	var storeKey string
 	if e.store != nil {
 		if k, err := store.CheckpointKey(name, ff); err == nil {
 			storeKey = k
-			if cp, ok := e.store.GetCheckpoint(storeKey, name, ff); ok {
+			var shared *ckpt.Checkpoint
+			if base != nil {
+				shared = base.cp // nil if the predecessor failed
+			}
+			if cp, ok := e.store.GetCheckpoint(storeKey, name, ff, shared); ok {
 				ent.cp, ent.stored = cp, true
 				close(ent.done)
 				e.stCkHits.Add(1)
@@ -516,15 +550,11 @@ func (e *Engine) fill(ent *ckptEntry, name string, ff, pred uint64) {
 		}
 	}
 	var from uint64 // retired count the emulation starts at
-	if pred == 0 {
+	if base == nil {
 		ent.cp, ent.err = ckpt.ByName(name, ff)
-	} else {
-		base, _ := e.ckptEntry(name, pred, false)
-		<-base.done
-		if ent.err = base.err; ent.err == nil {
-			ent.cp, ent.err = ckpt.Resume(base.cp, ff)
-			from = base.cp.Arch.Retired
-		}
+	} else if ent.err = base.err; ent.err == nil {
+		ent.cp, ent.err = ckpt.Resume(base.cp, ff)
+		from = base.cp.Arch.Retired
 	}
 	close(ent.done)
 	if ent.err != nil {

@@ -49,6 +49,39 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestLongestJobsStartFirst: workers take a batch's jobs by descending
+// cores × instructions, stably, so a 64-core job listed among solo jobs is
+// the first one started; results still come back in job order.
+func TestLongestJobsStartFirst(t *testing.T) {
+	opts := tinyOpts()
+	long := opts
+	long.MeasureInsts *= 2
+	apps64 := make([]string, 64)
+	for i := range apps64 {
+		apps64[i] = "gamess"
+	}
+	jobs := []Job{
+		Solo(sim.Default(sim.PFNone), "gamess", opts),
+		Solo(sim.Default(sim.PFNone), "mcf", long),
+		Solo(sim.Default(sim.PFStride), "gamess", opts),
+		Multi(sim.Default(sim.PFNone), apps64, opts),
+		Multi(sim.Default(sim.PFNone), []string{"mcf", "milc"}, opts),
+		Solo(sim.Default(sim.PFStride), "mcf", opts),
+	}
+	if got, want := longestFirst(jobs), []int{3, 4, 1, 0, 2, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("start order %v, want %v", got, want)
+	}
+
+	small := append(jobs[:3:3], jobs[4:]...) // the same mix without the 64-core job
+	seq := New(1).RunAll(small)
+	par := New(2).RunAll(small)
+	for i := range small {
+		if seq[i].Err != nil || par[i].Err != nil || !reflect.DeepEqual(seq[i].Result, par[i].Result) {
+			t.Errorf("job %d (%v): parallel outcome is not the sequential one in job order", i, small[i].Apps)
+		}
+	}
+}
+
 func TestEngineMatchesDirectRun(t *testing.T) {
 	cfg := sim.Default(sim.PFBFetch)
 	want, err := sim.RunSolo(cfg, "mcf", tinyOpts())

@@ -1,12 +1,14 @@
 package runner
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -152,6 +154,68 @@ func TestStoreCheckpointTier(t *testing.T) {
 	if ws.StoreCkptHits != 1 || ws.CkptMisses != 0 || ws.EmuInsts != 0 {
 		t.Errorf("checkpoint not restored from store: %+v", ws)
 	}
+}
+
+// TestStoreChainSharesWithPredecessor: a warm engine over a two-point chain
+// reads each checkpoint from the store once, counts exactly what an engine
+// that restores them independently counts, and rebuilds the longer point
+// against the shorter one, so the two share every page the segment between
+// them left unchanged — as much as the cold engine's emulated chain.
+func TestStoreChainSharesWithPredecessor(t *testing.T) {
+	dir := t.TempDir()
+	var jobs []Job
+	for _, ff := range []uint64{200_000, 400_000} {
+		opts := tinyOpts()
+		opts.FastForwardInsts = ff
+		jobs = append(jobs, Solo(sim.Default(sim.PFNone), "mcf", opts), Solo(sim.Default(sim.PFStride), "mcf", opts))
+	}
+	shared := func(e *Engine) int {
+		e.ckMu.Lock()
+		defer e.ckMu.Unlock()
+		return mem.SharedBytes(e.ckEntries["mcf|400000"].cp.Image(), e.ckEntries["mcf|200000"].cp.Image())
+	}
+
+	st, _ := store.Open(dir)
+	cold := New(2)
+	cold.SetStore(st)
+	coldOut := runBatch(t, cold, jobs)
+	if err := os.RemoveAll(filepath.Join(dir, store.KindRun)); err != nil {
+		t.Fatal(err)
+	}
+
+	st, _ = store.Open(dir)
+	warm := New(2)
+	warm.SetStore(st)
+	warmOut := runBatch(t, warm, jobs)
+	ws := warm.Stats()
+	if ws.StoreCkptHits != 2 || ws.StoreCkptMisses != 0 || ws.CkptMisses != 0 || ws.CkptHits != 2 || ws.EmuInsts != 0 {
+		t.Errorf("warm chain: store ckpt hits %d misses %d, ckpt hits %d misses %d, emulated %d; want 2 0, 2 0, 0",
+			ws.StoreCkptHits, ws.StoreCkptMisses, ws.CkptHits, ws.CkptMisses, ws.EmuInsts)
+	}
+	for i := range jobs {
+		sameObservable(t, fmt.Sprintf("job %d warm vs cold", i), coldOut[i].Result, warmOut[i].Result)
+	}
+	got, want := shared(warm), shared(cold)
+	if got != want || got == 0 {
+		t.Errorf("store-read chain shares %d bytes between its points, the emulated chain %d", got, want)
+	}
+	base, ok := st.GetCheckpoint(mustCkptKey(t, "mcf", 200_000), "mcf", 200_000, nil)
+	long, ok2 := st.GetCheckpoint(mustCkptKey(t, "mcf", 400_000), "mcf", 400_000, nil)
+	if !ok || !ok2 {
+		t.Fatal("a chain point is missing from the store")
+	}
+	if n := mem.SharedBytes(long.Image(), base.Image()); n >= got {
+		t.Errorf("points read without a base share %d bytes, with one %d", n, got)
+	}
+}
+
+func mustCkptKey(t *testing.T, name string, ff uint64) string {
+	t.Helper()
+	k, err := store.CheckpointKey(name, ff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 // TestStoreWorkerCountInvariant shares one store directory between a

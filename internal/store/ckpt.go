@@ -58,9 +58,12 @@ func CheckpointKey(name string, ffInsts uint64) (string, error) {
 // reconstitutes it: the changed pages are overlaid on the rebuilt
 // workload's image, and the result is indistinguishable from an in-process
 // ckpt.New of the same prefix (pinned bit-identical by the round-trip
-// golden test). Any defect — including a payload that names a different
-// workload than expected — is a miss.
-func (s *Store) GetCheckpoint(key, name string, ffInsts uint64) (*ckpt.Checkpoint, bool) {
+// golden test). base, when non-nil, is a resident checkpoint of the same
+// workload (the chain's next-shorter point) that each restored page equal
+// to its own shares instead of copying (ckpt.FromParts); it changes what
+// the checkpoint shares, never what it holds. Any defect — including a
+// payload that names a different workload than expected — is a miss.
+func (s *Store) GetCheckpoint(key, name string, ffInsts uint64, base *ckpt.Checkpoint) (*ckpt.Checkpoint, bool) {
 	var cp *ckpt.Checkpoint
 	ok := s.load(KindCkpt, key, func(payload []byte) error {
 		var img ckptImage
@@ -71,7 +74,7 @@ func (s *Store) GetCheckpoint(key, name string, ffInsts uint64) (*ckpt.Checkpoin
 			return errWrongIdentity
 		}
 		var err error
-		cp, err = ckpt.FromParts(img.Workload, img.FFInsts, img.Arch, img.Written)
+		cp, err = ckpt.FromParts(img.Workload, img.FFInsts, img.Arch, img.Written, base)
 		return err
 	})
 	return cp, ok

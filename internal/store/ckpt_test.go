@@ -37,13 +37,13 @@ func TestCheckpointRoundTripAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := s.GetCheckpoint(key, name, ffInsts); ok {
+			if _, ok := s.GetCheckpoint(key, name, ffInsts, nil); ok {
 				t.Fatal("hit before put")
 			}
 			if err := s.PutCheckpoint(key, orig); err != nil {
 				t.Fatal(err)
 			}
-			back, ok := s.GetCheckpoint(key, name, ffInsts)
+			back, ok := s.GetCheckpoint(key, name, ffInsts, nil)
 			if !ok {
 				t.Fatal("stored checkpoint not found")
 			}
@@ -126,7 +126,7 @@ func TestCheckpointRestoredSimBitIdentical(t *testing.T) {
 	if err := s.PutCheckpoint(key, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, ok := s.GetCheckpoint(key, "mcf", ffInsts)
+	back, ok := s.GetCheckpoint(key, "mcf", ffInsts, nil)
 	if !ok {
 		t.Fatal("stored checkpoint not found")
 	}
@@ -192,10 +192,10 @@ func TestCheckpointWrongIdentityIsAMiss(t *testing.T) {
 	if err := s.PutCheckpoint(key, cp); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetCheckpoint(key, "lbm", ffInsts); ok {
+	if _, ok := s.GetCheckpoint(key, "lbm", ffInsts, nil); ok {
 		t.Error("payload for mcf answered a lookup for lbm")
 	}
-	if _, ok := s.GetCheckpoint(key, "mcf", ffInsts+1); ok {
+	if _, ok := s.GetCheckpoint(key, "mcf", ffInsts+1, nil); ok {
 		t.Error("payload for ff=20000 answered a lookup for ff=20001")
 	}
 }

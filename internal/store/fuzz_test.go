@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/mem"
 )
 
 // The disk-tier fuzz targets seed from a real checkpoint of the workload
@@ -77,10 +78,13 @@ func FuzzStoreGet(f *testing.F) {
 }
 
 // FuzzGetCheckpoint wraps an arbitrary payload in a valid entry under a
-// checkpoint's key. GetCheckpoint must answer a miss, or a checkpoint of
-// exactly the requested (workload, ff) — never a panic. Each lookup counts
-// as exactly one hit or one miss, matching its answer, and corrupt misses
-// stay a subset of misses.
+// checkpoint's key and looks it up with no base, a resident base of the
+// same workload (the chain's shorter point) or one of another workload.
+// GetCheckpoint must answer a miss, or a checkpoint of exactly the
+// requested (workload, ff) — never a panic — that shares no page with a
+// base of another workload. Each lookup counts as exactly one hit or one
+// miss, matching its answer, and since the entry's file exists every miss
+// is a corrupt one — with a resident base as without.
 func FuzzGetCheckpoint(f *testing.F) {
 	s, err := Open(f.TempDir())
 	if err != nil {
@@ -88,25 +92,40 @@ func FuzzGetCheckpoint(f *testing.F) {
 	}
 	key, payload := realCkptPayload(f, s, fuzzName, fuzzFF)
 	_, other := realCkptPayload(f, s, "sjeng", fuzzFF)
-	f.Add(payload)
-	f.Add(other) // a valid checkpoint of another workload
-	f.Add(payload[:len(payload)/2])
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	bases := []*ckpt.Checkpoint{nil}
+	for _, name := range []string{fuzzName, "sjeng"} {
+		cp, err := ckpt.ByName(name, fuzzFF/2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bases = append(bases, cp)
+	}
+	for base := range bases {
+		f.Add(payload, uint8(base))
+		f.Add(other, uint8(base)) // a valid checkpoint of another workload
+		f.Add(payload[:len(payload)/2], uint8(base))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, which uint8) {
+		base := bases[int(which)%len(bases)]
 		if err := s.Put(KindCkpt, key, payload); err != nil {
 			t.Fatal(err)
 		}
 		before := s.Metrics()
-		cp, ok := s.GetCheckpoint(key, fuzzName, fuzzFF)
+		cp, ok := s.GetCheckpoint(key, fuzzName, fuzzFF, base)
 		if ok && (cp.Workload != fuzzName || cp.FFInsts != fuzzFF) {
 			t.Fatalf("lookup for %s ff=%d answered %s ff=%d", fuzzName, fuzzFF, cp.Workload, cp.FFInsts)
+		}
+		if ok && base != nil && base.Workload != fuzzName && mem.SharedBytes(cp.Image(), base.Image()) != 0 {
+			t.Fatalf("checkpoint of %s shares pages with a base of %s", fuzzName, base.Workload)
 		}
 		m := s.Metrics()
 		hits, misses := m.Hits-before.Hits, m.Misses-before.Misses
 		if ok && (hits != 1 || misses != 0) || !ok && (hits != 0 || misses != 1) {
 			t.Fatalf("lookup answered ok=%v but counted %d hits, %d misses", ok, hits, misses)
 		}
-		if m.CorruptMisses > m.Misses {
-			t.Fatalf("%d corrupt misses exceed %d misses", m.CorruptMisses, m.Misses)
+		// The entry file exists, so every miss is a corrupt one.
+		if corrupt := m.CorruptMisses - before.CorruptMisses; corrupt != misses {
+			t.Fatalf("%d corrupt misses for %d misses of a present entry", corrupt, misses)
 		}
 	})
 }
