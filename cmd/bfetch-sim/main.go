@@ -5,10 +5,9 @@
 //
 //	bfetch-sim -workloads mcf -pf bfetch
 //	bfetch-sim -workloads mcf,lbm,milc,astar -pf sms -measure 500000
-//	bfetch-sim -workloads mcf -obs report.json           # observability report
-//	bfetch-sim -workloads mcf -obs - -obstrace pf.trace  # + sampled event trace
-//	bfetch-sim -validate-obs report.json                 # schema-check any obs JSON
-//	bfetch-sim -workloads mcf -store results/store       # reuse/populate the artifact store
+//	bfetch-sim -workloads mcf -obs report.json      # observability report
+//	bfetch-sim -validate-obs report.json            # schema-check any obs JSON
+//	bfetch-sim -workloads mcf -store results/store  # reuse/populate the artifact store
 //	bfetch-sim -list
 package main
 
@@ -30,7 +29,7 @@ import (
 func main() {
 	var (
 		apps     = flag.String("workloads", "mcf", "comma-separated workloads, one per core")
-		pf       = flag.String("pf", "bfetch", "prefetcher: none|stride|sms|bfetch|perfect|nextn")
+		pf       = flag.String("pf", "bfetch", "prefetcher: none|stride|sms|bfetch|perfect|nextn|isb|stems")
 		width    = flag.Int("width", 4, "pipeline width")
 		ff       = flag.Uint64("ff", 0, "fast-forward instructions per core, emulated functionally before the cycle core boots")
 		warmup   = flag.Uint64("warmup", 100_000, "warmup instructions per core")
@@ -39,14 +38,10 @@ func main() {
 		scale    = flag.Bool("scale", false, "use the scale-out memory system (banked LLC, channeled DRAM) sized for the core count")
 		cpistack = flag.Bool("cpistack", false, "attribute every core cycle to a CPI-stack bucket and print the breakdown")
 		tsEvery  = flag.Uint64("ts", 0, "sample the metrics registry every N cycles into the obs report's time series (0 disables)")
-		storeDir = flag.String("store", "", "durable artifact store directory: answer this run from disk if cached there, write it back otherwise (ignored when tracing)")
+		storeDir = flag.String("store", "", "durable artifact store directory: answer this run from disk if cached there, write it back otherwise")
 		list     = flag.Bool("list", false, "list workloads and exit")
 
-		obsOut     = flag.String("obs", "", "write this run's observability report (bfetch-obs-run/v1 JSON) to this file, '-' for stdout")
-		obsTrace   = flag.String("obstrace", "", "dump the sampled prefetch lifecycle trace (binary internal/trace encoding) to this file")
-		traceEvery = flag.Uint64("obstrace-every", 64, "keep 1 in N lifecycle events in the trace ring")
-		traceCap   = flag.Int("obstrace-cap", 1<<16, "trace ring-buffer capacity in events")
-
+		obsOut   = flag.String("obs", "", "write this run's observability report (bfetch-obs-run/v1 JSON) to this file, '-' for stdout")
 		validate = flag.String("validate-obs", "", "validate an obs JSON document (run report, runs file, or status) and exit")
 	)
 	flag.Parse()
@@ -54,13 +49,11 @@ func main() {
 	if *validate != "" {
 		data, err := os.ReadFile(*validate)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		schema, err := obs.ValidateReport(data)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfetch-sim: validate:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("validate: %w", err))
 		}
 		fmt.Printf("%s: valid %s\n", *validate, schema)
 		return
@@ -88,48 +81,31 @@ func main() {
 	cfg.TSInterval = *tsEvery
 	cfg.Cores = len(names)
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
-	var tr *obs.Trace
-	if *obsTrace != "" {
-		tr = obs.NewTrace(*traceCap, *traceEvery)
-	}
 	opts := sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure}
 	job := runner.Multi(cfg, names, opts)
-	var res sim.Result
-	start := time.Now()
-	if *storeDir != "" && tr == nil {
-		// Route through the runner so the durable store's two-tier lookup
-		// applies: a repeated invocation is answered from disk.
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-			os.Exit(1)
-		}
-		eng := runner.New(1)
-		eng.SetStore(st)
-		res, err = eng.Run(job)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-			os.Exit(1)
-		}
-		if m := st.Metrics(); m.Hits > 0 {
-			fmt.Fprintf(os.Stderr, "store: answered from %s (no simulation run)\n", *storeDir)
-		}
-	} else {
-		if *storeDir != "" {
-			fmt.Fprintln(os.Stderr, "store: -obstrace requested, bypassing the store (traces record live execution)")
-		}
+	eng := runner.New(1)
+	var st *store.Store
+	if *storeDir != "" {
+		// With a durable store attached, a repeated invocation is answered
+		// from disk by the runner's two-tier lookup.
 		var err error
-		res, err = sim.RunTraced(cfg, names, opts, tr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-			os.Exit(1)
+		if st, err = store.Open(*storeDir); err != nil {
+			fatal(err)
 		}
+		eng.SetStore(st)
+	}
+	start := time.Now()
+	res, err := eng.Run(job)
+	if err != nil {
+		fatal(err)
 	}
 	wall := time.Since(start)
+	if st != nil && st.Metrics().Hits > 0 {
+		fmt.Fprintf(os.Stderr, "store: answered from %s (no simulation run)\n", *storeDir)
+	}
 
 	fmt.Printf("prefetcher=%s width=%d cores=%d ff=%d warmup=%d measure=%d\n\n",
 		*pf, *width, len(names), *ff, *warmup, *measure)
@@ -172,17 +148,14 @@ func main() {
 
 	if *obsOut != "" {
 		if err := writeObsReport(*obsOut, runner.Report(job, res, wall)); err != nil {
-			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
-	if tr != nil {
-		if err := dumpTrace(*obsTrace, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d of %d lifecycle events kept)\n", *obsTrace, tr.Kept(), tr.Seen())
-	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
+	os.Exit(1)
 }
 
 // writeObsReport writes the run's bfetch-obs-run/v1 document to path ('-'
@@ -202,18 +175,4 @@ func writeObsReport(path string, r obs.RunReport) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
-}
-
-// dumpTrace writes the sampled ring-buffer trace in the internal/trace
-// binary encoding (readable with trace.NewReader).
-func dumpTrace(path string, tr *obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.Dump(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

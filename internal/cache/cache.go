@@ -367,7 +367,7 @@ func (c *Cache) evict(b *block, blockAddr uint64, now uint64) {
 	c.Stats.Evictions++
 	if b.prefetched {
 		c.Stats.PrefetchUseless++
-		c.lc.Evicted(b.pfLoadPC, blockAddr, now, b.readyAt)
+		c.lc.Evicted(now, b.readyAt)
 		if c.feedback != nil {
 			c.feedback.PrefetchUseless(b.pfLoadPC, blockAddr)
 		}
@@ -461,7 +461,7 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 			// late if the demand still had to wait on the in-flight fill.
 			b.prefetched = false
 			c.Stats.PrefetchUseful++
-			c.lc.Used(b.pfLoadPC, req.BlockAddr, now, b.readyAt, b.readyAt > done)
+			c.lc.Used(now, b.readyAt, b.readyAt > done)
 			if c.feedback != nil {
 				c.feedback.PrefetchUseful(b.pfLoadPC, req.BlockAddr)
 			}
@@ -493,9 +493,9 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 	}
 	if req.Kind == PrefetchFill {
 		c.Stats.PrefetchFills++
-		c.lc.Issued(req.LoadPC, req.BlockAddr, now)
+		c.lc.Issued()
 	} else {
-		c.lc.DemandMiss(0, req.BlockAddr, now)
+		c.lc.DemandMiss(req.BlockAddr)
 	}
 	if bank != nil && bank.mshr != nil {
 		// Claim the earliest-draining MSHR; a miss that finds every slot

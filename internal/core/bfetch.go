@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/branch"
 	"repro/internal/isa"
@@ -72,8 +73,11 @@ type Config struct {
 	PrivatePredictor bool
 }
 
-// Validate reports table sizes New cannot build: the BrTC, the MHT and each
-// filter table must be a positive power of two.
+// Validate reports a configuration New cannot build or that could never
+// prefetch: the BrTC, the MHT and each filter table must be a positive power
+// of two, the queue must hold and drain at least one request, the lookahead
+// must reach at least one branch, and the path threshold is a confidence in
+// [0, 1].
 func (c Config) Validate() error {
 	for _, t := range []struct {
 		name string
@@ -82,6 +86,17 @@ func (c Config) Validate() error {
 		if t.n <= 0 || t.n&(t.n-1) != 0 {
 			return fmt.Errorf("core: %s entries %d is not a positive power of two", t.name, t.n)
 		}
+	}
+	for _, t := range []struct {
+		name string
+		n    int
+	}{{"QueueEntries", c.QueueEntries}, {"QueuePerCycle", c.QueuePerCycle}, {"MaxDepth", c.MaxDepth}} {
+		if t.n < 1 {
+			return fmt.Errorf("core: %s %d is below 1", t.name, t.n)
+		}
+	}
+	if math.IsNaN(c.PathThreshold) || c.PathThreshold < 0 || c.PathThreshold > 1 {
+		return fmt.Errorf("core: PathThreshold %v is outside [0, 1]", c.PathThreshold)
 	}
 	return nil
 }

@@ -60,9 +60,8 @@ var allocEngines = []struct {
 // with the prefetch engine and wires L1D feedback, matching the sim
 // package's full configuration so feedback callbacks run inside the
 // measured window. The observability layer is attached exactly as sim
-// assembles it — registry collectors, lifecycle classifier, and a sampled
-// tracer in its default-off configuration — so the zero-alloc claim covers
-// the instrumented hot path.
+// assembles it — registry collectors and lifecycle classifier — so the
+// zero-alloc claim covers the instrumented hot path.
 func newAllocCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, mk mkPrefetcher) *Core {
 	dram := cache.NewDRAM()
 	llc := cache.New(cache.Config{Name: "L3", Bytes: 2 << 20, Ways: 16, Latency: 20}, dram)
@@ -80,8 +79,6 @@ func newAllocCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, mk mkPrefetch
 		r.RegisterObs(reg, "c0.pf.")
 	}
 	lc := obs.NewLifecycle(reg, "c0.pf.")
-	// Sampling off (keep 1 in 2^62): the Record path still runs per event.
-	lc.SetTrace(obs.NewTrace(256, 1<<62))
 	hier.L1D.SetLifecycle(lc)
 
 	c := New(cfg, prog, m, hier, bp, conf, pf)

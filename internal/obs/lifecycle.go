@@ -94,8 +94,6 @@ type Lifecycle struct {
 	resident       Histogram // cycles from fill completion to first use / eviction
 
 	victims [1 << victimBits]uint64 // victim blockAddr+1, or 0
-
-	tr *Trace // optional sampled event sink; nil-safe
 }
 
 // NewLifecycle registers the lifecycle metrics under prefix (e.g. "c0.pf.")
@@ -111,9 +109,6 @@ func NewLifecycle(reg *Registry, prefix string) *Lifecycle {
 		resident:       reg.Histogram(prefix + "resident_cycles"),
 	}
 }
-
-// SetTrace attaches a sampled event sink (nil detaches).
-func (lc *Lifecycle) SetTrace(tr *Trace) { lc.tr = tr }
 
 // CarryIn credits n prefetches to the issued count. Called after a stats
 // reset with the number of still-resident untouched prefetched blocks, so a
@@ -146,12 +141,11 @@ func (lc *Lifecycle) Stats() LifecycleStats {
 // Issued records a prefetch fill installing a block.
 //
 //bfetch:hotpath
-func (lc *Lifecycle) Issued(pc, blockAddr, now uint64) {
+func (lc *Lifecycle) Issued() {
 	if lc == nil {
 		return
 	}
 	lc.issued.Inc()
-	lc.tr.Record(KindPrefIssue, pc, blockAddr, now)
 }
 
 // Used records the first demand touch of a prefetched block. readyAt is the
@@ -159,13 +153,12 @@ func (lc *Lifecycle) Issued(pc, blockAddr, now uint64) {
 // wait on the in-flight fill beyond the hit latency.
 //
 //bfetch:hotpath
-func (lc *Lifecycle) Used(pc, blockAddr, now, readyAt uint64, late bool) {
+func (lc *Lifecycle) Used(now, readyAt uint64, late bool) {
 	if lc == nil {
 		return
 	}
 	if late {
 		lc.usefulLate.Inc()
-		lc.tr.Record(KindPrefLate, pc, blockAddr, now)
 		return
 	}
 	lc.usefulTimely.Inc()
@@ -174,13 +167,12 @@ func (lc *Lifecycle) Used(pc, blockAddr, now, readyAt uint64, late bool) {
 	} else {
 		lc.resident.Observe(0)
 	}
-	lc.tr.Record(KindPrefUse, pc, blockAddr, now)
 }
 
 // Evicted records a prefetched block leaving the cache untouched.
 //
 //bfetch:hotpath
-func (lc *Lifecycle) Evicted(pc, blockAddr, now, readyAt uint64) {
+func (lc *Lifecycle) Evicted(now, readyAt uint64) {
 	if lc == nil {
 		return
 	}
@@ -188,7 +180,6 @@ func (lc *Lifecycle) Evicted(pc, blockAddr, now, readyAt uint64) {
 	if now > readyAt {
 		lc.resident.Observe(now - readyAt)
 	}
-	lc.tr.Record(KindPrefEvict, pc, blockAddr, now)
 }
 
 // FillVictim records that a prefetch fill evicted a valid block, arming the
@@ -207,7 +198,7 @@ func (lc *Lifecycle) FillVictim(victimBlockAddr uint64) {
 // the entry is consumed.
 //
 //bfetch:hotpath
-func (lc *Lifecycle) DemandMiss(pc, blockAddr, now uint64) {
+func (lc *Lifecycle) DemandMiss(blockAddr uint64) {
 	if lc == nil {
 		return
 	}
@@ -216,6 +207,5 @@ func (lc *Lifecycle) DemandMiss(pc, blockAddr, now uint64) {
 	if lc.victims[h] == blockAddr+1 {
 		lc.victims[h] = 0
 		lc.polluting.Inc()
-		lc.tr.Record(KindPrefPollute, pc, blockAddr, now)
 	}
 }

@@ -15,12 +15,12 @@ func TestLifecycleTimelyVsLate(t *testing.T) {
 	lc, _ := newTestLifecycle(t)
 
 	// Timely: filled at cycle 10, ready at 210, first touch at 500.
-	lc.Issued(0x100, 0xA0, 10)
-	lc.Used(0x100, 0xA0, 500, 210, false)
+	lc.Issued()
+	lc.Used(500, 210, false)
 
 	// Late: filled at cycle 20, ready at 220, demand arrived at 30.
-	lc.Issued(0x104, 0xB0, 20)
-	lc.Used(0x104, 0xB0, 30, 220, true)
+	lc.Issued()
+	lc.Used(30, 220, true)
 
 	st := lc.Stats()
 	want := LifecycleStats{Issued: 2, UsefulTimely: 1, UsefulLate: 1}
@@ -45,18 +45,18 @@ func TestLifecycleUselessVsPolluting(t *testing.T) {
 	lc, _ := newTestLifecycle(t)
 
 	// Useless: issued, never touched, evicted.
-	lc.Issued(0x100, 0xA0, 10)
-	lc.Evicted(0x100, 0xA0, 900, 210)
+	lc.Issued()
+	lc.Evicted(900, 210)
 
 	// Polluting: the fill of 0xB0 evicts victim 0xC0; the demand re-miss of
 	// 0xC0 is attributed to pollution and consumes the armed entry.
-	lc.Issued(0x104, 0xB0, 20)
+	lc.Issued()
 	lc.FillVictim(0xC0)
-	lc.DemandMiss(0x200, 0xC0, 400)
-	lc.DemandMiss(0x200, 0xC0, 800) // second miss: entry consumed, not pollution
+	lc.DemandMiss(0xC0)
+	lc.DemandMiss(0xC0) // second miss: entry consumed, not pollution
 
 	// An unrelated demand miss never counts as pollution.
-	lc.DemandMiss(0x300, 0xD0, 500)
+	lc.DemandMiss(0xD0)
 
 	st := lc.Stats()
 	want := LifecycleStats{Issued: 2, UselessEvicted: 1, Polluting: 1, DemandMisses: 3}
@@ -72,11 +72,11 @@ func TestLifecycleCoverage(t *testing.T) {
 	lc, _ := newTestLifecycle(t)
 	// 3 timely prefetches against 9 remaining demand misses: coverage 0.25.
 	for i := uint64(0); i < 3; i++ {
-		lc.Issued(0x100, 0xA0+i, i)
-		lc.Used(0x100, 0xA0+i, 100+i, 50, false)
+		lc.Issued()
+		lc.Used(100+i, 50, false)
 	}
 	for i := uint64(0); i < 9; i++ {
-		lc.DemandMiss(0x200, 0xF000+i*64, 200+i)
+		lc.DemandMiss(0xF000 + i*64)
 	}
 	if cov := lc.Stats().Coverage(); cov != 0.25 {
 		t.Errorf("Coverage = %v, want 0.25", cov)
@@ -88,11 +88,11 @@ func TestLifecycleCoverage(t *testing.T) {
 func TestLifecycleCarryIn(t *testing.T) {
 	reg := NewRegistry()
 	lc := NewLifecycle(reg, "pf.")
-	lc.Issued(0x100, 0xA0, 10)
+	lc.Issued()
 
 	reg.Reset() // window boundary: issued count zeroed
 	lc.CarryIn(1)
-	lc.Used(0x100, 0xA0, 500, 210, false)
+	lc.Used(500, 210, false)
 
 	st := lc.Stats()
 	if st.Issued != 1 || st.UsefulTimely != 1 {
@@ -105,11 +105,11 @@ func TestLifecycleCarryIn(t *testing.T) {
 	// A nil classifier accepts every hook, including CarryIn.
 	var nilLC *Lifecycle
 	nilLC.CarryIn(3)
-	nilLC.Issued(0, 0, 0)
-	nilLC.Used(0, 0, 0, 0, false)
-	nilLC.Evicted(0, 0, 0, 0)
+	nilLC.Issued()
+	nilLC.Used(0, 0, false)
+	nilLC.Evicted(0, 0)
 	nilLC.FillVictim(0)
-	nilLC.DemandMiss(0, 0, 0)
+	nilLC.DemandMiss(0)
 	if got := nilLC.Stats(); got != (LifecycleStats{}) {
 		t.Errorf("nil lifecycle stats = %+v", got)
 	}
@@ -124,7 +124,7 @@ func TestLifecycleVictimSurvivesReset(t *testing.T) {
 	lc := NewLifecycle(reg, "pf.")
 	lc.FillVictim(0xC0)
 	reg.Reset()
-	lc.DemandMiss(0x200, 0xC0, 400)
+	lc.DemandMiss(0xC0)
 	if st := lc.Stats(); st.Polluting != 1 {
 		t.Errorf("polluting = %d, want 1 (victim table must survive reset)", st.Polluting)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -17,9 +18,10 @@ func TestThreeAppRunNamesLLC(t *testing.T) {
 	}
 }
 
-// TestBadEngineTableFailsRun: a prefetch engine table of the wrong size
-// must fail the run with an error naming the engine's table instead of
-// panicking in the engine's constructor.
+// TestBadEngineTableFailsRun: a prefetch engine table of the wrong size, or
+// a B-Fetch setting under which the engine could never prefetch, must fail
+// the run with an error naming the engine's table or setting instead of
+// panicking in the engine's constructor or running silently.
 func TestBadEngineTableFailsRun(t *testing.T) {
 	for _, tc := range []struct {
 		kind PrefetcherKind
@@ -33,6 +35,13 @@ func TestBadEngineTableFailsRun(t *testing.T) {
 		{PFBFetch, func(c *Config) { c.BFetch.BrTCEntries = 100 }, "BrTC"},
 		{PFBFetch, func(c *Config) { c.BFetch.MHTEntries = 0 }, "MHT"},
 		{PFBFetch, func(c *Config) { c.BFetch.FilterEntries = 3 }, "filter"},
+		{PFBFetch, func(c *Config) { c.BFetch.PathThreshold = math.NaN() }, "PathThreshold"},
+		{PFBFetch, func(c *Config) { c.BFetch.PathThreshold = 1.5 }, "PathThreshold"},
+		{PFBFetch, func(c *Config) { c.BFetch.PathThreshold = -1 }, "PathThreshold"},
+		{PFBFetch, func(c *Config) { c.BFetch.QueueEntries = 0 }, "QueueEntries"},
+		{PFBFetch, func(c *Config) { c.BFetch.QueuePerCycle = 0 }, "QueuePerCycle"},
+		{PFBFetch, func(c *Config) { c.BFetch.MaxDepth = 0 }, "MaxDepth"},
+		{PFBFetch, func(c *Config) { c.BFetch.MaxDepth = -1 }, "MaxDepth"},
 		{"x", func(*Config) {}, `sim: unknown prefetcher "x"`},
 		{PFCustom, func(*Config) {}, "sim: custom prefetcher without a Factory"},
 	} {
@@ -50,16 +59,18 @@ func TestBadEngineTableFailsRun(t *testing.T) {
 func geom(b uint8, unit int) int { return unit << (b & 7) * (1 + int(b>>6)) }
 
 // FuzzConfigValidate: over cache geometries, branch and prefetch engine
-// table sizes, core counts and core widths, Validate either rejects the configuration or the
-// system assembles and runs — never a panic. Sizes stay small so a valid
-// configuration allocates little.
+// table sizes, B-Fetch path thresholds, core counts and core widths,
+// Validate either rejects the configuration or the system assembles and
+// runs — never a panic. Sizes stay small so a valid configuration allocates
+// little.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(4), uint8(0x1a))
-	f.Add(uint8(1), uint8(6), uint8(4), uint8(0x47), uint8(2), uint8(5), uint8(8), uint8(4), uint8(0x47), uint8(6), uint8(2), uint8(6), uint8(0x5a))
-	f.Add(uint8(2), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(1), uint8(0x23))
-	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(3), uint8(0x3c))
+	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(4), uint8(0x1a), uint8(170))
+	f.Add(uint8(1), uint8(6), uint8(4), uint8(0x47), uint8(2), uint8(5), uint8(8), uint8(4), uint8(0x47), uint8(6), uint8(2), uint8(6), uint8(0x5a), uint8(255))
+	f.Add(uint8(2), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(1), uint8(0x23), uint8(10))
+	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(3), uint8(0x3c), uint8(240))
+	f.Add(uint8(0), uint8(7), uint8(8), uint8(7), uint8(8), uint8(7), uint8(16), uint8(0), uint8(7), uint8(7), uint8(4), uint8(4), uint8(0x1a), uint8(255))
 	kinds := []PrefetcherKind{PFNone, PFStride, PFNextN, PFSMS, PFBFetch, PFISB, PFSTeMS, PFPerfect}
-	f.Fuzz(func(t *testing.T, cores, l1, l1w, l2, l2w, llc, llcw, banks, bp, conf, width, kind, pf uint8) {
+	f.Fuzz(func(t *testing.T, cores, l1, l1w, l2, l2w, llc, llcw, banks, bp, conf, width, kind, pf, th uint8) {
 		cfg := Default(kinds[int(kind)%len(kinds)])
 		cfg.Cores = int(cores%4) + 1
 		cfg.Hier.L1Bytes, cfg.Hier.L1Ways = geom(l1, 64), int(l1w%17)
@@ -80,6 +91,11 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.STeMS.RegionBytes = cfg.SMS.RegionBytes
 		cfg.ISB.StreamLen = int(pf % 4)
 		cfg.BFetch.BrTCEntries, cfg.BFetch.MHTEntries, cfg.BFetch.FilterEntries = n, n/2, n
+		// -0.1..1.17 in steps of 1/200, of which 0..1 is valid; 255 is NaN.
+		cfg.BFetch.PathThreshold = float64(int(th)-20) / 200
+		if th == 255 {
+			cfg.BFetch.PathThreshold = math.NaN()
+		}
 		if err := cfg.Validate(); err != nil {
 			t.Log(err)
 			return

@@ -158,8 +158,6 @@ type System struct {
 	// that core's L1D.
 	LCs []*obs.Lifecycle //bfetch:noreset counters live in Reg (reset there); the pollution victim table survives by design, like the cache contents it mirrors
 
-	tr *obs.Trace // optional sampled lifecycle trace, attached via SetTrace
-
 	// ts is the interval time-series sampler (Config.TSInterval > 0); both
 	// run loops sample every boundary exactly once, so the recorded rows are
 	// independent of the loop.
@@ -350,19 +348,6 @@ func assemble(cfg Config, boots []boot) (*System, error) {
 	}
 	return s, nil
 }
-
-// SetTrace attaches a sampled lifecycle event trace to every core's
-// classifier (nil detaches). The trace is reset alongside the counters at
-// ResetStats so it covers the measurement window only.
-func (s *System) SetTrace(tr *obs.Trace) {
-	s.tr = tr
-	for _, lc := range s.LCs {
-		lc.SetTrace(tr)
-	}
-}
-
-// Trace returns the attached lifecycle trace, if any.
-func (s *System) Trace() *obs.Trace { return s.tr }
 
 // Run advances the shared clock until every core has committed instsPerCore
 // instructions (or halted), erroring out at the cycle bound or on an
@@ -609,9 +594,6 @@ func (s *System) ResetStats() {
 	s.LLC.ResetStats()
 	s.DRAM.ResetStats()
 	s.Reg.Reset()
-	if s.tr != nil {
-		s.tr.Reset()
-	}
 	// Prefetched blocks resident but untouched at the window boundary will
 	// emit their useful/useless event inside the new window; credit their
 	// issue to it too, so windowed lifecycle counts stay internally
@@ -703,18 +685,6 @@ func Run(cfg Config, appNames []string, opts RunOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runProtocol(s, opts)
-}
-
-// RunTraced is Run with a sampled prefetch lifecycle trace attached for the
-// measurement window; the counters are bit-identical to Run (the tracer
-// only observes).
-func RunTraced(cfg Config, appNames []string, opts RunOpts, tr *obs.Trace) (Result, error) {
-	s, err := NewForRun(cfg, appNames, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	s.SetTrace(tr)
 	return runProtocol(s, opts)
 }
 

@@ -1,12 +1,8 @@
-// Package trace records and replays execution traces: the committed
+// Package trace records and reads execution traces: the committed
 // instruction stream with memory effective addresses and branch outcomes.
-//
-// Traces serve two purposes in this repository. They let workload authors
-// inspect what a kernel actually does (cmd/bfetch-asm can dump them), and
-// they provide a compact interchange format so access patterns captured
-// from one simulator version can be replayed against another's cache stack
-// — the usual methodology for validating memory-system changes without
-// re-running the core model.
+// Traces let workload authors inspect what a kernel actually does; the only
+// users are cmd/bfetch-asm's -trace (record a program's trace) and -dump
+// (print one).
 //
 // The format is a little-endian binary stream with a small header followed
 // by one variable-length record per event; see the encoding constants
@@ -39,33 +35,16 @@ const (
 	KindStore
 	KindBranch // conditional branch
 	KindJump   // unconditional control (direct or indirect)
-
-	// Prefetch lifecycle kinds, emitted by the observability layer
-	// (internal/obs): one record per sampled lifecycle transition of a
-	// prefetched L1D block. Unlike the instruction kinds above they carry a
-	// cycle stamp; PC is the load the prefetch was issued on behalf of and
-	// Addr is the block address.
-	KindPrefIssue   // prefetch fill installed in the cache
-	KindPrefUse     // first demand touch of a prefetched block, fill complete
-	KindPrefLate    // first demand touch while the fill was still in flight
-	KindPrefEvict   // prefetched block evicted untouched
-	KindPrefPollute // demand re-miss of a block a prefetch fill evicted
 )
 
-// IsPrefetch reports whether the kind is a prefetch lifecycle record (cycle
-// stamped, block-addressed) rather than a committed-instruction record.
-func (k Kind) IsPrefetch() bool { return k >= KindPrefIssue && k <= KindPrefPollute }
-
-// Event is one committed instruction worth tracing, or one prefetch
-// lifecycle transition. Non-memory, non-control instructions are not
-// recorded (they carry no information the consumers use); PC gaps are
-// implicit in the records.
+// Event is one committed instruction worth tracing. Non-memory, non-control
+// instructions are not recorded (they carry no information the consumers
+// use); PC gaps are implicit in the records.
 type Event struct {
 	Kind  Kind
 	PC    uint64
-	Addr  uint64 // loads/stores: effective address; prefetch kinds: block address
+	Addr  uint64 // loads/stores: effective address
 	Taken bool   // branches: outcome
-	Cycle uint64 // prefetch kinds only: simulation cycle of the transition
 }
 
 // Writer encodes events to an underlying stream.
@@ -92,18 +71,14 @@ func (t *Writer) Write(e Event) error {
 	if t.err != nil {
 		return t.err
 	}
-	var buf [1 + binary.MaxVarintLen64*3]byte
+	var buf [1 + binary.MaxVarintLen64*2]byte
 	flags := byte(e.Kind) << 1
 	if e.Taken {
 		flags |= 1
 	}
 	buf[0] = flags
-	n := 1
-	if e.Kind.IsPrefetch() {
-		n += binary.PutUvarint(buf[n:], e.Cycle)
-	}
-	n += binary.PutUvarint(buf[n:], e.PC)
-	if e.Kind == KindLoad || e.Kind == KindStore || e.Kind.IsPrefetch() {
+	n := 1 + binary.PutUvarint(buf[1:], e.PC)
+	if e.Kind == KindLoad || e.Kind == KindStore {
 		n += binary.PutUvarint(buf[n:], e.Addr)
 	}
 	if _, err := t.w.Write(buf[:n]); err != nil {
@@ -154,7 +129,7 @@ func (t *Reader) Read() (Event, error) {
 		return Event{}, err // io.EOF on a record boundary is the clean end
 	}
 	e := Event{Kind: Kind(flags >> 1), Taken: flags&1 != 0}
-	if e.Kind < KindLoad || e.Kind > KindPrefPollute {
+	if e.Kind < KindLoad || e.Kind > KindJump {
 		return Event{}, fmt.Errorf("trace: invalid record kind %d", e.Kind)
 	}
 	field := func(v *uint64) {
@@ -162,11 +137,8 @@ func (t *Reader) Read() (Event, error) {
 			*v, err = binary.ReadUvarint(t.r)
 		}
 	}
-	if e.Kind.IsPrefetch() {
-		field(&e.Cycle)
-	}
 	field(&e.PC)
-	if e.Kind == KindLoad || e.Kind == KindStore || e.Kind.IsPrefetch() {
+	if e.Kind == KindLoad || e.Kind == KindStore {
 		field(&e.Addr)
 	}
 	if err == io.EOF {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -79,14 +80,19 @@ func TestTruncatedRecord(t *testing.T) {
 	}
 }
 
+// TestInvalidKind feeds records whose kind is outside KindLoad..KindJump:
+// kind 0, the kinds 5–9 just past KindJump, and the largest kind the flags
+// byte can hold.
 func TestInvalidKind(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Flush()
-	buf.WriteByte(0xFF) // kind 127
-	r, _ := NewReader(&buf)
-	if _, err := r.Read(); err == nil {
-		t.Error("invalid kind accepted")
+	header := encode(t, nil)
+	for _, k := range []byte{0, 5, 6, 7, 8, 9, 127} {
+		// Three one-byte varints: more fields than any record has, so the
+		// record is never cut short and only its kind can make it invalid.
+		stream := append(append([]byte{}, header...), k<<1, 0x10, 0x20, 0x30)
+		_, err := decode(stream)
+		if err == nil || !strings.Contains(err.Error(), "invalid record kind") {
+			t.Errorf("kind %d: err = %v, want an invalid record kind", k, err)
+		}
 	}
 }
 
@@ -260,7 +266,8 @@ func FuzzTraceReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	f.Add(encode(f, []Event{{Kind: KindPrefLate, PC: 0x10, Addr: 0x1c0, Cycle: 1 << 40}}))
+	// A complete record of an invalid kind (7).
+	f.Add(append(encode(f, nil), 7<<1, 0x10, 0x20, 0x30))
 	f.Add(buf.Bytes()[:buf.Len()-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := decode(data)

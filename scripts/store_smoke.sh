@@ -9,7 +9,9 @@
 # checkpoints, and requires each checkpoint to be read from disk once.
 # A last leg repeats the check across worker counts (-j 1 populates,
 # -j 8 reads) — the disk tier must be as scheduling-independent as the
-# in-memory one. Run via `make store-smoke`.
+# in-memory one. A bfetch-sim leg, with a fast-forward, checks that one run
+# prints the same whether it has no store, fills one, or is answered from
+# one. Run via `make store-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,6 +21,7 @@ trap 'rm -rf "$workdir"' EXIT
 
 echo "== build"
 go build -o "$workdir/bfetch-bench" ./cmd/bfetch-bench
+go build -o "$workdir/bfetch-sim" ./cmd/bfetch-sim
 
 proto=(-exp fig8 -workloads mcf,lbm,milc -ff 50000 -warmup 10000 -measure 20000 -q)
 
@@ -81,5 +84,25 @@ grep -q '^fig8 finished in .* (0 sims run' "$workdir/j8.err" || {
     exit 1
 }
 diff -r "$workdir/j1" "$workdir/j8"
+
+echo "== bfetch-sim: no store, cold store, warm store print the same"
+sim=(-workloads mcf,lbm -pf bfetch -ff 30000 -warmup 10000 -measure 20000)
+"$workdir/bfetch-sim" "${sim[@]}" >"$workdir/sim_nostore.out"
+"$workdir/bfetch-sim" "${sim[@]}" -store "$workdir/simstore" \
+    >"$workdir/sim_cold.out" 2>"$workdir/sim_cold.err"
+"$workdir/bfetch-sim" "${sim[@]}" -store "$workdir/simstore" \
+    >"$workdir/sim_warm.out" 2>"$workdir/sim_warm.err"
+if grep -q 'answered from' "$workdir/sim_cold.err"; then
+    echo "bfetch-sim cold run was answered from an empty store:" >&2
+    cat "$workdir/sim_cold.err" >&2
+    exit 1
+fi
+grep -q 'answered from' "$workdir/sim_warm.err" || {
+    echo "bfetch-sim warm run was not answered from the store:" >&2
+    cat "$workdir/sim_warm.err" >&2
+    exit 1
+}
+diff "$workdir/sim_nostore.out" "$workdir/sim_cold.out"
+diff "$workdir/sim_nostore.out" "$workdir/sim_warm.out"
 
 echo "store-smoke: OK"
