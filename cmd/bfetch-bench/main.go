@@ -14,7 +14,8 @@
 // written alongside. Simulation points fan out over -j workers (default
 // GOMAXPROCS) and repeated points — e.g. the no-prefetch baseline shared by
 // every speedup figure — are simulated once per invocation; the cache
-// hit/miss counts are reported per experiment on stderr.
+// hit/miss counts are reported per experiment on stderr, followed (where
+// /proc/self/status exists) by the process's peak resident set so far.
 package main
 
 import (
@@ -174,6 +175,9 @@ func run() error {
 			line += storeSummary(st, prev)
 		}
 		fmt.Fprintln(os.Stderr, line)
+		if kib, ok := peakRSS(); ok {
+			fmt.Fprintf(os.Stderr, "%s peak RSS %.1f MiB (process VmHWM so far)\n", e.ID, float64(kib)/1024)
+		}
 		prev = st
 		for i, t := range tables {
 			fmt.Println(t)
@@ -264,4 +268,25 @@ func parseCores(list string) ([]int, error) {
 		cores = append(cores, n)
 	}
 	return cores, nil
+}
+
+// peakRSS returns the process's peak resident set in KiB, the VmHWM line of
+// /proc/self/status; false where that file is unavailable.
+func peakRSS() (uint64, bool) {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	return parseVmHWM(string(data))
+}
+
+// parseVmHWM reads the "VmHWM:  <n> kB" line of a /proc/<pid>/status file.
+func parseVmHWM(status string) (uint64, bool) {
+	for _, line := range strings.Split(status, "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "VmHWM:" && f[2] == "kB" {
+			kib, err := strconv.ParseUint(f[1], 10, 64)
+			return kib, err == nil
+		}
+	}
+	return 0, false
 }

@@ -37,3 +37,25 @@ func TestParseCores(t *testing.T) {
 		}
 	}
 }
+
+// TestParseVmHWM pins the peak-RSS line's source: the VmHWM entry of a
+// /proc/<pid>/status file, in KiB, and nothing when it is absent or garbled.
+func TestParseVmHWM(t *testing.T) {
+	for _, tc := range []struct {
+		status string
+		kib    uint64
+		ok     bool
+	}{
+		{"Name:\tbfetch-bench\nVmPeak:\t  812344 kB\nVmHWM:\t  458240 kB\nVmRSS:\t  401232 kB\n", 458240, true},
+		{"VmHWM: 12 kB", 12, true},
+		{"Name:\tbfetch-bench\nVmRSS:\t  401232 kB\n", 0, false},
+		{"VmHWM:\t  12x kB\n", 0, false},
+		{"VmHWM:\t  12 MB\n", 0, false},
+		{"", 0, false},
+	} {
+		kib, ok := parseVmHWM(tc.status)
+		if kib != tc.kib || ok != tc.ok {
+			t.Errorf("parseVmHWM(%q) = %d, %v; want %d, %v", tc.status, kib, ok, tc.kib, tc.ok)
+		}
+	}
+}

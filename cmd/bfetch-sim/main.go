@@ -26,28 +26,69 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		apps     = flag.String("workloads", "mcf", "comma-separated workloads, one per core")
-		pf       = flag.String("pf", "bfetch", "prefetcher: none|stride|sms|bfetch|perfect|nextn|isb|stems")
-		width    = flag.Int("width", 4, "pipeline width")
-		ff       = flag.Uint64("ff", 0, "fast-forward instructions per core, emulated functionally before the cycle core boots")
-		warmup   = flag.Uint64("warmup", 100_000, "warmup instructions per core")
-		measure  = flag.Uint64("measure", 300_000, "measured instructions per core")
-		conf     = flag.Float64("conf", 0.75, "B-Fetch path confidence threshold")
-		scale    = flag.Bool("scale", false, "use the scale-out memory system (banked LLC, channeled DRAM) sized for the core count")
-		cpistack = flag.Bool("cpistack", false, "attribute every core cycle to a CPI-stack bucket and print the breakdown")
-		tsEvery  = flag.Uint64("ts", 0, "sample the metrics registry every N cycles into the obs report's time series (0 disables)")
-		storeDir = flag.String("store", "", "durable artifact store directory: answer this run from disk if cached there, write it back otherwise")
-		list     = flag.Bool("list", false, "list workloads and exit")
+// options holds the command line's flag values.
+type options struct {
+	apps, pf            string
+	width               int
+	ff, warmup, measure uint64
+	conf                float64
+	scale, cpistack     bool
+	tsEvery             uint64
+	storeDir            string
+	list                bool
+	obsOut, validate    string
+}
 
-		obsOut   = flag.String("obs", "", "write this run's observability report (bfetch-obs-run/v1 JSON) to this file, '-' for stdout")
-		validate = flag.String("validate-obs", "", "validate an obs JSON document (run report, runs file, or status) and exit")
-	)
+// defineFlags registers bfetch-sim's flags on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.apps, "workloads", "mcf", "comma-separated workloads, one per core")
+	fs.StringVar(&o.pf, "pf", "bfetch", "prefetcher: none|stride|sms|bfetch|perfect|nextn|isb|stems")
+	fs.IntVar(&o.width, "width", 4, "pipeline width")
+	fs.Uint64Var(&o.ff, "ff", 0, "fast-forward instructions per core, emulated functionally before the cycle core boots")
+	fs.Uint64Var(&o.warmup, "warmup", 100_000, "warmup instructions per core")
+	fs.Uint64Var(&o.measure, "measure", 300_000, "measured instructions per core")
+	fs.Float64Var(&o.conf, "conf", 0.75, "B-Fetch path confidence threshold (with -pf bfetch only)")
+	fs.BoolVar(&o.scale, "scale", false, "use the scale-out memory system (banked LLC, channeled DRAM) sized for the core count")
+	fs.BoolVar(&o.cpistack, "cpistack", false, "attribute every core cycle to a CPI-stack bucket and print the breakdown")
+	fs.Uint64Var(&o.tsEvery, "ts", 0, "sample the metrics registry every N cycles into the obs report's time series (0 disables)")
+	fs.StringVar(&o.storeDir, "store", "", "durable artifact store directory: answer this run from disk if cached there, write it back otherwise")
+	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
+	fs.StringVar(&o.obsOut, "obs", "", "write this run's observability report (bfetch-obs-run/v1 JSON) to this file, '-' for stdout")
+	fs.StringVar(&o.validate, "validate-obs", "", "validate an obs JSON document (run report, runs file, or status) and exit")
+	return o
+}
+
+// simConfig builds the configuration the flags select; fs is the flag set
+// they were parsed from. It refuses an explicitly set -conf unless -pf is
+// bfetch: the threshold is B-Fetch's alone, and any other engine would run
+// with the value silently ignored. Validating the result is the caller's.
+func (o *options) simConfig(fs *flag.FlagSet) (sim.Config, error) {
+	pf := sim.PrefetcherKind(o.pf)
+	confSet := false
+	fs.Visit(func(f *flag.Flag) { confSet = confSet || f.Name == "conf" })
+	if confSet && pf != sim.PFBFetch {
+		return sim.Config{}, fmt.Errorf("-conf sets the B-Fetch path confidence threshold and needs -pf bfetch, not -pf %s", o.pf)
+	}
+	cores := len(strings.Split(o.apps, ","))
+	cfg := sim.Default(pf)
+	if o.scale {
+		cfg = sim.DefaultScale(pf, cores)
+	}
+	cfg.CPU = cfg.CPU.WithWidth(o.width)
+	cfg.BFetch.PathThreshold = o.conf
+	cfg.CPU.CPIStack = o.cpistack
+	cfg.TSInterval = o.tsEvery
+	cfg.Cores = cores
+	return cfg, nil
+}
+
+func main() {
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *validate != "" {
-		data, err := os.ReadFile(*validate)
+	if o.validate != "" {
+		data, err := os.ReadFile(o.validate)
 		if err != nil {
 			fatal(err)
 		}
@@ -55,11 +96,11 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("validate: %w", err))
 		}
-		fmt.Printf("%s: valid %s\n", *validate, schema)
+		fmt.Printf("%s: valid %s\n", o.validate, schema)
 		return
 	}
 
-	if *list {
+	if o.list {
 		for _, w := range workload.All() {
 			tag := "cache-resident"
 			if w.MemoryIntensive {
@@ -70,29 +111,26 @@ func main() {
 		return
 	}
 
-	names := strings.Split(*apps, ",")
-	cfg := sim.Default(sim.PrefetcherKind(*pf))
-	if *scale {
-		cfg = sim.DefaultScale(sim.PrefetcherKind(*pf), len(names))
+	names := strings.Split(o.apps, ",")
+	cfg, err := o.simConfig(flag.CommandLine)
+	if err != nil {
+		// A usage error, with the flag package's exit status.
+		fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
+		os.Exit(2)
 	}
-	cfg.CPU = cfg.CPU.WithWidth(*width)
-	cfg.BFetch.PathThreshold = *conf
-	cfg.CPU.CPIStack = *cpistack
-	cfg.TSInterval = *tsEvery
-	cfg.Cores = len(names)
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 
-	opts := sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure}
+	opts := sim.RunOpts{FastForwardInsts: o.ff, WarmupInsts: o.warmup, MeasureInsts: o.measure}
 	job := runner.Multi(cfg, names, opts)
 	eng := runner.New(1)
 	var st *store.Store
-	if *storeDir != "" {
+	if o.storeDir != "" {
 		// With a durable store attached, a repeated invocation is answered
 		// from disk by the runner's two-tier lookup.
 		var err error
-		if st, err = store.Open(*storeDir); err != nil {
+		if st, err = store.Open(o.storeDir); err != nil {
 			fatal(err)
 		}
 		eng.SetStore(st)
@@ -104,11 +142,11 @@ func main() {
 	}
 	wall := time.Since(start)
 	if st != nil && st.Metrics().Hits > 0 {
-		fmt.Fprintf(os.Stderr, "store: answered from %s (no simulation run)\n", *storeDir)
+		fmt.Fprintf(os.Stderr, "store: answered from %s (no simulation run)\n", o.storeDir)
 	}
 
 	fmt.Printf("prefetcher=%s width=%d cores=%d ff=%d warmup=%d measure=%d\n\n",
-		*pf, *width, len(names), *ff, *warmup, *measure)
+		o.pf, o.width, len(names), o.ff, o.warmup, o.measure)
 	for i, name := range names {
 		cs := res.Core[i]
 		l1 := res.L1D[i]
@@ -127,7 +165,7 @@ func main() {
 				lc.UsefulTimely, lc.UsefulLate, lc.UselessEvicted, lc.Polluting,
 				lc.Accuracy(), lc.Coverage(), lc.Timeliness())
 		}
-		if *cpistack && cs.Cycles > 0 {
+		if o.cpistack && cs.Cycles > 0 {
 			fmt.Printf("  cpi stack     ")
 			for b := obs.CPIBucket(0); b < obs.NumCPIBuckets; b++ {
 				if v := cs.CPI[b]; v > 0 {
@@ -146,8 +184,8 @@ func main() {
 			len(ts.Rows), len(ts.Names), ts.Interval, ts.Base)
 	}
 
-	if *obsOut != "" {
-		if err := writeObsReport(*obsOut, runner.Report(job, res, wall)); err != nil {
+	if o.obsOut != "" {
+		if err := writeObsReport(o.obsOut, runner.Report(job, res, wall)); err != nil {
 			fatal(err)
 		}
 	}

@@ -64,17 +64,12 @@ type FeedbackHandler interface {
 	PrefetchUseless(loadPC uint64, blockAddr uint64)
 }
 
-// block is one way's state. Which block a way holds is not here: the
-// cache's tag array is the only record of that (see Cache.tags).
-type block struct {
-	readyAt  uint64
-	lastUse  uint64
-	pfLoadPC uint64
-
-	dirty      bool
-	prefetched bool // filled by a prefetch and not yet touched by demand
-	pfWasPf    bool // filled by prefetch at some point (for useful counting)
-}
+// Bits of a way's Cache.flags entry.
+const (
+	flagDirty      uint8 = 1 << iota
+	flagPrefetched       // filled by a prefetch and not yet touched by demand
+	flagPfWasPf          // filled by a prefetch at some point (for late-prefetch attribution)
+)
 
 // validBit marks a tag-array entry as holding a block. Block addresses
 // (byte address >> BlockBits, ASID in bits 50 and up) never reach bit 63,
@@ -105,11 +100,10 @@ func (s Stats) MissRate() float64 {
 
 // Config sizes one cache.
 type Config struct {
-	Name     string
-	Bytes    int    // total capacity
-	Ways     int    // associativity
-	Latency  uint64 // access latency in cycles
-	Feedback bool   // deliver prefetch feedback from this level (L1D only)
+	Name    string
+	Bytes   int    // total capacity
+	Ways    int    // associativity
+	Latency uint64 // access latency in cycles
 
 	// Banks > 1 slices the cache into address-interleaved banks (power of
 	// two; bank = low block-address bits) whose single read/write port
@@ -148,15 +142,26 @@ type BankStats struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg  Config  //bfetch:noreset configuration
-	sets int     //bfetch:noreset configuration
-	ways int     //bfetch:noreset configuration
-	data []block //bfetch:noreset cache contents persist across the window boundary
-	// tags[i] is blockAddr|validBit for the block way i holds, 0 when the
-	// way is empty; data[i] is its state. A lookup compares 8 bytes per
-	// way, 128 B for a 16-way set.
-	tags  []uint64 //bfetch:noreset cache contents persist across the window boundary
-	next  Level    //bfetch:noreset wiring
+	cfg  Config //bfetch:noreset configuration
+	sets int    //bfetch:noreset configuration
+	ways int    //bfetch:noreset configuration
+
+	// Way i's state is entry i of the arrays below, one array per field.
+	// tags[i] is blockAddr|validBit for the block the way holds, 0 when it
+	// is empty, and the only record of which block that is; lastUse[i] is
+	// its LRU stamp, readyAt[i] the cycle its fill completes, flags[i] its
+	// flag* bits. loadPC[i] is the PC of the load a prefetch fill was
+	// issued for; it is allocated by SetFeedback, since only a feedback
+	// handler reads it. A way costs 25 bytes (33 with loadPC); a lookup
+	// scans 128 B of tags and a victim choice 128 B of lastUse per 16-way
+	// set. Cache contents persist across the window boundary.
+	tags    []uint64 //bfetch:noreset cache contents
+	lastUse []uint64 //bfetch:noreset cache contents
+	readyAt []uint64 //bfetch:noreset cache contents
+	flags   []uint8  //bfetch:noreset cache contents
+	loadPC  []uint64 //bfetch:noreset cache contents; nil without a feedback handler
+
+	next  Level //bfetch:noreset wiring
 	Stats Stats
 
 	feedback FeedbackHandler //bfetch:noreset wiring
@@ -205,12 +210,15 @@ func New(cfg Config, next Level) *Cache {
 		panic(err.Error())
 	}
 	sets := cfg.Bytes / BlockBytes / cfg.Ways
+	n := sets * cfg.Ways
 	c := &Cache{
 		cfg:        cfg,
 		sets:       sets,
 		ways:       cfg.Ways,
-		data:       make([]block, sets*cfg.Ways),
-		tags:       make([]uint64, sets*cfg.Ways),
+		tags:       make([]uint64, n),
+		lastUse:    make([]uint64, n),
+		readyAt:    make([]uint64, n),
+		flags:      make([]uint8, n),
 		next:       next,
 		classLevel: classLevelOf(cfg.Name),
 	}
@@ -262,8 +270,16 @@ func (c *Cache) ResetStats() {
 }
 
 // SetFeedback registers the prefetch feedback sink (normally the core's
-// prefetcher adapter); only meaningful on the L1D.
-func (c *Cache) SetFeedback(h FeedbackHandler) { c.feedback = h }
+// prefetcher adapter); only meaningful on the L1D. A non-nil handler
+// allocates the per-way load-PC array the feedback reports, 8 bytes per
+// way, so it must be called before the cache's first access, as
+// sim.assemble does: a prefetch filled earlier would report load PC 0.
+func (c *Cache) SetFeedback(h FeedbackHandler) {
+	c.feedback = h
+	if h != nil && c.loadPC == nil {
+		c.loadPC = make([]uint64, len(c.tags))
+	}
+}
 
 // SetLifecycle attaches the prefetch lifecycle classifier (nil detaches);
 // only meaningful on the L1D, where prefetches fill.
@@ -276,8 +292,8 @@ func (c *Cache) SetLifecycle(lc *obs.Lifecycle) { c.lc = lc }
 // Cold path: called only at reset, never per access.
 func (c *Cache) PendingPrefetched() uint64 {
 	var n uint64
-	for i := range c.data {
-		if c.tags[i] != 0 && c.data[i].prefetched {
+	for i, t := range c.tags {
+		if t != 0 && c.flags[i]&flagPrefetched != 0 {
 			n++
 		}
 	}
@@ -316,63 +332,63 @@ func (c *Cache) way(blockAddr uint64) int {
 	return -1
 }
 
-// lookup returns the state of the way holding blockAddr, or nil.
-//
-//bfetch:hotpath
-func (c *Cache) lookup(blockAddr uint64) *block {
-	if i := c.way(blockAddr); i >= 0 {
-		return &c.data[i]
-	}
-	return nil
-}
-
 // Contains reports whether the block is present (used by prefetch-queue
 // dedup and tests); it does not touch LRU state.
 //
 //bfetch:hotpath
 func (c *Cache) Contains(blockAddr uint64) bool { return c.way(blockAddr) >= 0 }
 
-// victim returns the LRU way of the set, evicting its current contents, and
-// tags it with blockAddr. pfFill marks evictions caused by a prefetch-fill
-// install, which arm the pollution detector for the displaced block.
+// victim picks the way of blockAddr's set to replace: the first empty way,
+// else the lowest-indexed way with the oldest lastUse. It evicts the way's
+// current block, retags it with blockAddr, stamps it used at now, ready at
+// readyAt and with flags, and returns its index. An install with
+// flagPrefetched is a prefetch fill, whose eviction arms the pollution
+// detector for the displaced block.
 //
 //bfetch:hotpath
-func (c *Cache) victim(blockAddr uint64, now uint64, pfFill bool) *block {
+func (c *Cache) victim(blockAddr, now, readyAt uint64, flags uint8) int {
 	s := c.setBase(blockAddr)
-	v := s
-	for i := s; i < s+c.ways; i++ {
-		if c.tags[i] == 0 {
+	tags := c.tags[s : s+c.ways]
+	lastUse := c.lastUse[s : s+len(tags)]
+	v, oldest := 0, lastUse[0]
+	for i, t := range tags {
+		if t == 0 {
 			v = i
 			break
 		}
-		if c.data[i].lastUse < c.data[v].lastUse {
-			v = i
+		if lastUse[i] < oldest {
+			v, oldest = i, lastUse[i]
 		}
 	}
+	v += s
 	if old := c.tags[v]; old != 0 {
-		if pfFill {
+		if flags&flagPrefetched != 0 {
 			c.lc.FillVictim(old &^ validBit)
 		}
-		c.evict(&c.data[v], old&^validBit, now)
+		c.evict(v, old&^validBit, now)
 	}
 	c.tags[v] = blockAddr | validBit
-	return &c.data[v]
+	c.lastUse[v] = now
+	c.readyAt[v] = readyAt
+	c.flags[v] = flags
+	return v
 }
 
-// evict retires the block at blockAddr held in b; the caller retags or
+// evict retires the block at blockAddr held in way i; the caller retags or
 // clears the way.
 //
 //bfetch:hotpath
-func (c *Cache) evict(b *block, blockAddr uint64, now uint64) {
+func (c *Cache) evict(i int, blockAddr uint64, now uint64) {
 	c.Stats.Evictions++
-	if b.prefetched {
+	f := c.flags[i]
+	if f&flagPrefetched != 0 {
 		c.Stats.PrefetchUseless++
-		c.lc.Evicted(now, b.readyAt)
+		c.lc.Evicted(now, c.readyAt[i])
 		if c.feedback != nil {
-			c.feedback.PrefetchUseless(b.pfLoadPC, blockAddr)
+			c.feedback.PrefetchUseless(c.loadPC[i], blockAddr)
 		}
 	}
-	if b.dirty {
+	if f&flagDirty != 0 {
 		c.writeback(Request{BlockAddr: blockAddr, Kind: Write}, now)
 	}
 }
@@ -398,12 +414,11 @@ func (c *Cache) WritebackInstall(req Request, now uint64) {
 	if c.banks != nil {
 		now, _ = c.bankArb(req.BlockAddr, now)
 	}
-	if b := c.lookup(req.BlockAddr); b != nil {
-		b.dirty = true
+	if i := c.way(req.BlockAddr); i >= 0 {
+		c.flags[i] |= flagDirty
 		return
 	}
-	v := c.victim(req.BlockAddr, now, false)
-	*v = block{dirty: true, readyAt: now, lastUse: now}
+	c.victim(req.BlockAddr, now, now, flagDirty)
 }
 
 // bankArb claims blockAddr's bank port at or after now, returning the grant
@@ -449,35 +464,36 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 		}
 	}
 
-	if b := c.lookup(req.BlockAddr); b != nil {
+	if i := c.way(req.BlockAddr); i >= 0 {
 		c.Stats.Hits++
-		b.lastUse = now
+		c.lastUse[i] = now
 		if req.Kind == Write {
-			b.dirty = true
+			c.flags[i] |= flagDirty
 		}
+		f, readyAt := c.flags[i], c.readyAt[i]
 		done := now + c.cfg.Latency
-		if req.Kind != PrefetchFill && b.prefetched {
+		if req.Kind != PrefetchFill && f&flagPrefetched != 0 {
 			// First demand touch of a prefetched block: it was useful — and
 			// late if the demand still had to wait on the in-flight fill.
-			b.prefetched = false
+			c.flags[i] &^= flagPrefetched
 			c.Stats.PrefetchUseful++
-			c.lc.Used(now, b.readyAt, b.readyAt > done)
+			c.lc.Used(now, readyAt, readyAt > done)
 			if c.feedback != nil {
-				c.feedback.PrefetchUseful(b.pfLoadPC, req.BlockAddr)
+				c.feedback.PrefetchUseful(c.loadPC[i], req.BlockAddr)
 			}
 		}
 		if req.Class != nil {
 			req.Class.Level = c.classLevel
-			if b.pfWasPf && b.readyAt > done {
+			if f&flagPfWasPf != 0 && readyAt > done {
 				// The demand merged with an in-flight prefetch fill: the
 				// prefetch was late, but it partially hid the miss.
 				req.Class.PFLate = true
 			}
 		}
-		if b.readyAt > done {
+		if readyAt > done {
 			// Block still in flight: merge with the outstanding fill.
 			c.Stats.MergedInFlight++
-			done = b.readyAt
+			done = readyAt
 		}
 		return done
 	}
@@ -526,16 +542,16 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 //
 //bfetch:hotpath
 func (c *Cache) install(req Request, now, fillDone uint64) uint64 {
-	v := c.victim(req.BlockAddr, now, req.Kind == PrefetchFill)
-	*v = block{
-		dirty:   req.Kind == Write,
-		readyAt: fillDone,
-		lastUse: now,
+	var flags uint8
+	switch req.Kind {
+	case Write:
+		flags = flagDirty
+	case PrefetchFill:
+		flags = flagPrefetched | flagPfWasPf
 	}
-	if req.Kind == PrefetchFill {
-		v.prefetched = true
-		v.pfLoadPC = req.LoadPC
-		v.pfWasPf = true
+	v := c.victim(req.BlockAddr, now, fillDone, flags)
+	if req.Kind == PrefetchFill && c.loadPC != nil {
+		c.loadPC[v] = req.LoadPC
 	}
 	return fillDone
 }

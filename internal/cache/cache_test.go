@@ -56,14 +56,29 @@ func TestInFlightMerge(t *testing.T) {
 }
 
 func TestLRUWithinSet(t *testing.T) {
-	c := smallCache(t, &fixedLevel{latency: 10})
-	// Blocks 0, 4, 8 map to set 0 (4 sets); 2 ways.
-	c.Access(Request{BlockAddr: 0}, 0)
-	c.Access(Request{BlockAddr: 4}, 1)
-	c.Access(Request{BlockAddr: 0}, 2) // touch 0; 4 is now LRU
-	c.Access(Request{BlockAddr: 8}, 3) // evicts 4
-	if !c.Contains(0) || c.Contains(4) || !c.Contains(8) {
-		t.Errorf("LRU eviction wrong: 0:%v 4:%v 8:%v", c.Contains(0), c.Contains(4), c.Contains(8))
+	// Blocks 0, 4, 8 map to set 0 (4 sets); 2 ways. Each case fills the set
+	// with its accesses, then installs 8 at cycle 10, which must evict the
+	// way with the oldest lastUse, the lowest-indexed one on a tie.
+	type access struct{ addr, now uint64 }
+	for _, tc := range []struct {
+		name     string
+		accesses []access
+		evicted  uint64
+	}{
+		{"least recently used", []access{{0, 0}, {4, 1}, {0, 2}}, 4},
+		{"tie evicts way 0", []access{{0, 5}, {4, 5}}, 0},
+		{"tie evicts way 0, not the lower address", []access{{4, 5}, {0, 5}}, 4},
+	} {
+		c := smallCache(t, &fixedLevel{latency: 10})
+		for _, a := range tc.accesses {
+			c.Access(Request{BlockAddr: a.addr}, a.now)
+		}
+		c.Access(Request{BlockAddr: 8}, 10)
+		for _, ba := range []uint64{0, 4, 8} {
+			if want := ba != tc.evicted; c.Contains(ba) != want {
+				t.Errorf("%s: Contains(%d) = %v, want %v", tc.name, ba, !want, want)
+			}
+		}
 	}
 }
 
@@ -92,34 +107,44 @@ func TestWritebackIntoNextCache(t *testing.T) {
 }
 
 func TestPrefetchUsefulUseless(t *testing.T) {
-	var fb recorder
-	c := smallCache(t, &fixedLevel{latency: 10})
-	c.SetFeedback(&fb)
+	// The counts do not depend on a feedback handler: an L2 has none, yet
+	// prefetch fills pass through it on their way to the L1D.
+	for _, withFeedback := range []bool{true, false} {
+		var fb recorder
+		c := smallCache(t, &fixedLevel{latency: 10})
+		if withFeedback {
+			c.SetFeedback(&fb)
+		}
 
-	c.Access(Request{BlockAddr: 1, Kind: PrefetchFill, LoadPC: 0xA0}, 0)
-	c.Access(Request{BlockAddr: 1, Kind: Read}, 5) // demand touch → useful
-	if c.Stats.PrefetchUseful != 1 {
-		t.Errorf("useful = %d", c.Stats.PrefetchUseful)
-	}
-	if len(fb.useful) != 1 || fb.useful[0] != 0xA0 {
-		t.Errorf("useful feedback = %v", fb.useful)
-	}
-	// A second demand touch must not double-count.
-	c.Access(Request{BlockAddr: 1, Kind: Read}, 6)
-	if c.Stats.PrefetchUseful != 1 {
-		t.Error("useful double-counted")
-	}
+		c.Access(Request{BlockAddr: 1, Kind: PrefetchFill, LoadPC: 0xA0}, 0)
+		c.Access(Request{BlockAddr: 1, Kind: Read}, 5) // demand touch → useful
+		if c.Stats.PrefetchUseful != 1 {
+			t.Errorf("feedback %v: useful = %d", withFeedback, c.Stats.PrefetchUseful)
+		}
+		// A second demand touch must not double-count.
+		c.Access(Request{BlockAddr: 1, Kind: Read}, 6)
+		if c.Stats.PrefetchUseful != 1 {
+			t.Errorf("feedback %v: useful double-counted", withFeedback)
+		}
 
-	// Prefetch into set 1 then evict untouched.
-	c.Access(Request{BlockAddr: 5, Kind: PrefetchFill, LoadPC: 0xB0}, 10)
-	c.Access(Request{BlockAddr: 9, Kind: Read}, 11)
-	c.Access(Request{BlockAddr: 13, Kind: Read}, 12) // set 1 full; next evicts
-	c.Access(Request{BlockAddr: 17, Kind: Read}, 13)
-	if c.Stats.PrefetchUseless != 1 {
-		t.Errorf("useless = %d (stats %+v)", c.Stats.PrefetchUseless, c.Stats)
-	}
-	if len(fb.useless) != 1 || fb.useless[0] != 0xB0 {
-		t.Errorf("useless feedback = %v", fb.useless)
+		// Prefetch into set 1 then evict untouched.
+		c.Access(Request{BlockAddr: 5, Kind: PrefetchFill, LoadPC: 0xB0}, 10)
+		c.Access(Request{BlockAddr: 9, Kind: Read}, 11)
+		c.Access(Request{BlockAddr: 13, Kind: Read}, 12) // set 1 full; next evicts
+		c.Access(Request{BlockAddr: 17, Kind: Read}, 13)
+		if c.Stats.PrefetchUseless != 1 {
+			t.Errorf("feedback %v: useless = %d (stats %+v)", withFeedback, c.Stats.PrefetchUseless, c.Stats)
+		}
+
+		if !withFeedback {
+			continue
+		}
+		if len(fb.useful) != 1 || fb.useful[0] != 0xA0 {
+			t.Errorf("useful feedback = %v", fb.useful)
+		}
+		if len(fb.useless) != 1 || fb.useless[0] != 0xB0 {
+			t.Errorf("useless feedback = %v", fb.useless)
+		}
 	}
 }
 

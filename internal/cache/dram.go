@@ -249,7 +249,7 @@ type Hierarchy struct {
 
 // levels returns the L1D and L2 cache configurations.
 func (c HierarchyConfig) levels() (l1, l2 Config) {
-	return Config{Name: "L1D", Bytes: c.L1Bytes, Ways: c.L1Ways, Latency: c.L1Latency, Feedback: true},
+	return Config{Name: "L1D", Bytes: c.L1Bytes, Ways: c.L1Ways, Latency: c.L1Latency},
 		Config{Name: "L2", Bytes: c.L2Bytes, Ways: c.L2Ways, Latency: c.L2Latency}
 }
 

@@ -131,4 +131,12 @@ func TestPendingPrefetchedCountsResidentWays(t *testing.T) {
 	if n := c.PendingPrefetched(); n != 1 {
 		t.Errorf("after invalidation: PendingPrefetched = %d, want 1", n)
 	}
+	c.Access(Request{BlockAddr: 2}, 4) // a demand fill is not prefetched
+	if n := c.PendingPrefetched(); n != 1 {
+		t.Errorf("after a demand fill: PendingPrefetched = %d, want 1", n)
+	}
+	c.Access(Request{BlockAddr: 1}, 5) // first demand touch of prefetched 1
+	if n := c.PendingPrefetched(); n != 0 {
+		t.Errorf("after a demand touch: PendingPrefetched = %d, want 0", n)
+	}
 }
