@@ -39,9 +39,12 @@ fmt-check:
 # Tier-1 verify (ROADMAP.md) plus the formatting gate.
 verify: fmt-check build vet test
 
-# Full pass: tier-1 plus the bfetch-lint gate and the race leg over the
-# concurrent packages.
+# Full pass: tier-1 plus the bfetch-lint gate, the race leg over the
+# concurrent packages, and a vet of the memory packages for windows, which
+# compiles the heap fallback of mem.Memory.Seal (seal_other.go) that the
+# linux and darwin builds leave out.
 verify-full: fmt-check build vet
+	GOOS=windows $(GO) vet ./internal/mem ./internal/workload
 	$(GO) run ./cmd/bfetch-lint
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)

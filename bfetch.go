@@ -104,7 +104,11 @@ func Workloads() []Workload { return workload.All() }
 // WorkloadByName looks up one kernel.
 func WorkloadByName(name string) (Workload, error) { return workload.ByName(name) }
 
-// NewWorkload wraps a custom program builder as a Workload.
+// NewWorkload wraps a custom program builder as a Workload. Its built
+// image stays on the Go heap, where the garbage collector can reclaim it
+// once the Workload is dropped; only the 18 built-in kernels, which live
+// until exit, are sealed outside the heap in a mapping that is never
+// unmapped.
 func NewWorkload(name, description, character string, memoryIntensive bool,
 	build func() (*Program, *Memory)) Workload {
 	return workload.New(name, description, character, memoryIntensive, build)

@@ -327,3 +327,28 @@ func TestRunAllTypeError(t *testing.T) {
 		t.Fatalf("RunAll = %v, want the type error naming b.Next", err)
 	}
 }
+
+// TestLoadModuleHonoursBuildConstraints pins that the loader type-checks
+// what the host build compiles: two platform variants of one function, on
+// opposite build constraints, must not read as a duplicate declaration.
+func TestLoadModuleHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"on.go":  "//go:build bfetch_variant\n\npackage p\n\nfunc F() int { return 1 }\n",
+		"off.go": "//go:build !bfetch_variant\n\npackage p\n\nfunc F() int { return 0 }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := LoadModule(dir)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
+		t.Fatalf("loaded %d package(s); want one package of one file", len(pkgs))
+	}
+	if got := filepath.Base(pkgs[0].Fset.Position(pkgs[0].Files[0].Pos()).Filename); got != "off.go" {
+		t.Errorf("loaded %s, want off.go", got)
+	}
+}

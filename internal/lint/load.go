@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -19,10 +20,13 @@ import (
 )
 
 // LoadModule parses every non-test Go file under root (the directory holding
-// go.mod) into one Package per directory and type-checks them. Test files
-// are excluded because the invariants guard shipped simulation code, not
-// test scaffolding; testdata, results and dot-directories are skipped
-// entirely. A package that fails to type-check is an error.
+// go.mod) that the host's build would compile into one Package per directory
+// and type-checks them. Build constraints and GOOS/GOARCH file suffixes are
+// honoured, so two platform variants of one function are not read as a
+// duplicate declaration. Test files are excluded because the invariants
+// guard shipped simulation code, not test scaffolding; testdata, results and
+// dot-directories are skipped entirely. A package that fails to type-check
+// is an error.
 func LoadModule(root string) ([]*Package, error) {
 	root = filepath.Clean(root)
 	modPath, err := readGoModModule(root)
@@ -46,6 +50,11 @@ func LoadModule(root string) ([]*Package, error) {
 			return nil
 		}
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, merr := build.Default.MatchFile(filepath.Dir(path), name); merr != nil {
+			return fmt.Errorf("lint: %w", merr)
+		} else if !ok {
 			return nil
 		}
 		f, perr := parser.ParseFile(fset, path, nil, parser.ParseComments)

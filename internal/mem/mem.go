@@ -5,7 +5,9 @@
 // An address space can be forked copy-on-write (Freeze/Fork): forks share
 // one frozen read-only page table and privately copy a page only on first
 // write. Checkpoint restore (internal/ckpt) leans on this so N concurrent
-// simulations booted from one fast-forward image share its footprint.
+// simulations booted from one fast-forward image share its footprint. An
+// image kept until exit can be sealed instead (Seal): frozen the same way,
+// with its pages moved into a read-only mapping outside the Go heap.
 package mem
 
 // PageBytes is the allocation granularity.
@@ -27,6 +29,10 @@ type page [PageBytes / 8]uint64
 type Memory struct {
 	pages map[uint64]*page // private, writable
 	ro    map[uint64]*page // frozen shared base (nil if never forked)
+
+	// sealed records that ro's pages live in a read-only mapping outside
+	// the Go heap (see Seal); any Freeze that rebuilds ro clears it.
+	sealed bool
 
 	// Direct-mapped software TLB for pageFor: Read64/Write64 sit on the
 	// simulator's hottest path, and map lookups (hash, probe) dominate them
@@ -293,7 +299,7 @@ func (m *Memory) FreezeWith(peer *Memory) {
 		}
 		base[pn] = p
 	}
-	m.ro = base
+	m.ro, m.sealed = base, false
 	m.pages = make(map[uint64]*page)
 	// The TLB may hold pages that just became shared; drop every claim of
 	// write ownership.
@@ -310,7 +316,7 @@ func (m *Memory) FreezeWith(peer *Memory) {
 // private writes; to fork one image from many goroutines, Freeze it first.
 func (m *Memory) Fork() *Memory {
 	m.Freeze()
-	return &Memory{pages: make(map[uint64]*page), ro: m.ro}
+	return &Memory{pages: make(map[uint64]*page), ro: m.ro, sealed: m.sealed}
 }
 
 // Clone returns a deep copy of the address space. Simulation runs that

@@ -47,6 +47,11 @@ type buildCache struct {
 	prog *isa.Program
 	img  *mem.Memory // frozen; handed out as copy-on-write forks
 
+	// seal marks a registry kernel, whose image lives until exit and is
+	// therefore sealed outside the Go heap (mem.Memory.Seal) rather than
+	// frozen on it.
+	seal bool
+
 	fpOnce sync.Once
 	fp     string
 }
@@ -74,7 +79,11 @@ func (w Workload) built() (*isa.Program, *mem.Memory) {
 	}
 	c.once.Do(func() {
 		c.prog, c.img = w.build()
-		c.img.Freeze()
+		if c.seal {
+			c.img.Seal()
+		} else {
+			c.img.Freeze()
+		}
 	})
 	return c.prog, c.img
 }
@@ -128,7 +137,10 @@ func fingerprint(prog *isa.Program, image *mem.Memory) string {
 
 // New wraps a user-supplied program builder as a Workload, so downstream
 // code can simulate its own kernels alongside the built-in suite. The
-// builder must be deterministic.
+// builder must be deterministic. The built image stays frozen on the Go
+// heap, unlike the suite's sealed ones: a custom Workload may be dropped,
+// and its image must then be collectable, while sealed memory is never
+// unmapped.
 func New(name, description, character string, memoryIntensive bool,
 	build func() (*isa.Program, *mem.Memory)) Workload {
 	if build == nil {
@@ -150,9 +162,7 @@ func register(w Workload) {
 	if w.build == nil {
 		panic("workload: nil build for " + w.Name)
 	}
-	if w.cache == nil {
-		w.cache = &buildCache{}
-	}
+	w.cache = &buildCache{seal: true}
 	registry = append(registry, w)
 }
 
