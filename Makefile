@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint verify verify-full race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke fuzz-smoke clean
+.PHONY: all build test vet vet-host vet-windows fmt-check lint verify verify-full race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke fuzz-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -18,17 +18,27 @@ build:
 test:
 	$(GO) test ./...
 
-vet:
+vet: vet-host vet-windows
+
+vet-host:
 	$(GO) vet ./...
+
+# mem.Memory.Seal maps kernel images read-only on linux and darwin; every
+# other platform builds its heap fallback (seal_other.go). Vetting the
+# memory packages for windows keeps that fallback compiling.
+vet-windows:
+	GOOS=windows $(GO) vet ./internal/mem ./internal/workload
 
 # Custom static analysis (internal/lint), over every package type-checked
 # with go/types: the compiler-witnessed hot-path allocation gate over every
 # function reachable from a //bfetch:hotpath root, no channel send under a
-# lock, determinism rules, stats-reset audit. The gate compiles with
-# `go list -export -gcflags='-m=2 ...'`, and Go's build cache replays the
-# facts of up-to-date packages: a cold run costs one build, a warm run under
-# a second. Exits non-zero on any finding, type error or unrecognized
-# compiler diagnostic format.
+# lock, determinism rules, stats-reset audit. One
+# `go list -e -export -deps -json -gcflags='-m=2 ...' ./...` run tells it
+# which files each package compiles, where its dependencies' export data
+# lies and what the compiler decided; Go's build cache replays the facts of
+# up-to-date packages, so a cold run costs one build and a warm run under a
+# second. Exits non-zero on any finding, build or type error, or
+# unrecognized compiler diagnostic format.
 lint:
 	$(GO) run ./cmd/bfetch-lint
 
@@ -39,15 +49,9 @@ fmt-check:
 # Tier-1 verify (ROADMAP.md) plus the formatting gate.
 verify: fmt-check build vet test
 
-# Full pass: tier-1 plus the bfetch-lint gate, the race leg over the
-# concurrent packages, and a vet of the memory packages for windows, which
-# compiles the heap fallback of mem.Memory.Seal (seal_other.go) that the
-# linux and darwin builds leave out.
-verify-full: fmt-check build vet
-	GOOS=windows $(GO) vet ./internal/mem ./internal/workload
-	$(GO) run ./cmd/bfetch-lint
-	$(GO) test ./...
-	$(GO) test -race $(RACE_PKGS)
+# Full pass: tier-1 plus the bfetch-lint gate and the race leg over the
+# concurrent packages. CI runs these same targets, one step each.
+verify-full: fmt-check build vet lint test race
 
 race:
 	$(GO) test -race $(RACE_PKGS)

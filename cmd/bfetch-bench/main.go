@@ -175,6 +175,9 @@ func run() error {
 			line += storeSummary(st, prev)
 		}
 		fmt.Fprintln(os.Stderr, line)
+		if tput := throughputLine(e.ID, st, prev, wall); tput != "" {
+			fmt.Fprintln(os.Stderr, tput)
+		}
 		if kib, ok := peakRSS(); ok {
 			fmt.Fprintf(os.Stderr, "%s peak RSS %.1f MiB (process VmHWM so far)\n", e.ID, float64(kib)/1024)
 		}
@@ -251,6 +254,20 @@ func storeSummary(st, prev obs.Status) string {
 		s += fmt.Sprintf(", %d write errors", n)
 	}
 	return s
+}
+
+// throughputLine formats the simulated throughput of the runs an experiment
+// executed between prev and st over its wall time, or "" when it simulated
+// nothing (every result came from the memo or the store). It is a line of
+// its own because scripts anchor the end of the "finished in" line.
+func throughputLine(id string, st, prev obs.Status, wall time.Duration) string {
+	cycles, insts := st.SimCycles-prev.SimCycles, st.SimInsts-prev.SimInsts
+	if cycles == 0 {
+		return ""
+	}
+	secs := wall.Seconds()
+	return fmt.Sprintf("%s simulated %.1f kcycles/s, %.1f kinst/s (%d sims)",
+		id, float64(cycles)/secs/1e3, float64(insts)/secs/1e3, st.Runs-prev.Runs)
 }
 
 // parseCores parses the -scalecores list: comma-separated positive core

@@ -3,6 +3,9 @@ package main
 import (
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // TestParseCores pins the -scalecores grammar: whole positive decimals only,
@@ -57,5 +60,20 @@ func TestParseVmHWM(t *testing.T) {
 		if kib != tc.kib || ok != tc.ok {
 			t.Errorf("parseVmHWM(%q) = %d, %v; want %d, %v", tc.status, kib, ok, tc.kib, tc.ok)
 		}
+	}
+}
+
+// TestThroughputLine pins the per-experiment throughput line: the deltas of
+// the executed runs' simulated cycles and instructions over the wall time,
+// and no line at all when the experiment simulated nothing.
+func TestThroughputLine(t *testing.T) {
+	prev := obs.Status{Runs: 4, SimCycles: 1_000_000, SimInsts: 500_000}
+	st := obs.Status{Runs: 7, SimCycles: 4_000_000, SimInsts: 2_000_000}
+	if got, want := throughputLine("fig8", st, prev, 2*time.Second),
+		"fig8 simulated 1500.0 kcycles/s, 750.0 kinst/s (3 sims)"; got != want {
+		t.Errorf("throughputLine = %q, want %q", got, want)
+	}
+	if got := throughputLine("fig8", prev, prev, time.Second); got != "" {
+		t.Errorf("experiment that simulated nothing printed %q", got)
 	}
 }

@@ -1,15 +1,16 @@
 // Command bfetch-lint runs the repository's custom static-analysis suite
 // (internal/lint) over the module: the compiler-witnessed hot-path
 // allocation gate (escape), the send-under-lock check (syncorder),
-// determinism rules and the stats-reset audit. It type-checks every package
-// with go/types, reading standard-library imports from the gc export data
-// `go list -export` reports, and fails on any type error. The allocation
-// gate compiles the module with `go list -export -gcflags='-m=2
-// -d=ssa/check_bce/debug=1'`; Go's build cache replays the diagnostics of
-// up-to-date packages, so a cold run costs one build and a warm run under a
-// second. A toolchain whose diagnostic format the parser does not recognize
-// fails the run. It prints findings compiler-style and exits non-zero when
-// any survive, so `make lint` and CI can gate on it.
+// determinism rules and the stats-reset audit. It starts one go command,
+// `go list -e -export -deps -json -gcflags='-m=2 -d=ssa/check_bce/debug=1'
+// ./...`, whose output names the files each package compiles, the gc export
+// data its standard-library imports are read from and the compiler's
+// diagnostics the allocation gate checks. It type-checks every package with
+// go/types and fails on any build or type error. Go's build cache replays
+// the diagnostics of up-to-date packages, so a cold run costs one build and
+// a warm run under a second. A toolchain whose diagnostic format the parser
+// does not recognize fails the run. It prints findings compiler-style and
+// exits non-zero when any survive, so `make lint` and CI can gate on it.
 //
 // Usage:
 //

@@ -131,15 +131,6 @@ type llcBank struct {
 	mshrCycles  uint64 // cycles those misses waited for a free MSHR
 }
 
-// BankStats is a read-only snapshot of one bank's counters.
-type BankStats struct {
-	Accesses    uint64
-	QueueCycles uint64
-	BusyCycles  uint64
-	MSHRStalls  uint64
-	MSHRCycles  uint64
-}
-
 // Cache is one level of the hierarchy.
 type Cache struct {
 	cfg  Config //bfetch:noreset configuration
@@ -232,26 +223,6 @@ func New(cfg Config, next Level) *Cache {
 		}
 	}
 	return c
-}
-
-// Banks returns the bank count (1 when unbanked).
-func (c *Cache) Banks() int {
-	if c.banks == nil {
-		return 1
-	}
-	return len(c.banks)
-}
-
-// BankSnapshot returns bank i's counters (zero value when unbanked).
-func (c *Cache) BankSnapshot(i int) BankStats {
-	if c.banks == nil {
-		return BankStats{}
-	}
-	b := &c.banks[i]
-	return BankStats{
-		Accesses: b.accesses, QueueCycles: b.queueCycles, BusyCycles: b.busyCycles,
-		MSHRStalls: b.mshrStalls, MSHRCycles: b.mshrCycles,
-	}
 }
 
 // ResetStats zeroes the traffic counters and bank occupancy at a

@@ -8,11 +8,33 @@ package cache
 // time, MSHRs, channel in-flight slots) applied exactly. The simulator
 // pins arrival order by ticking cores in index order, each reaching the
 // shared levels synchronously; these tests pin the models' side of the
-// contract.
+// contract. They read the per-bank and per-channel counters by the metric
+// names the experiments read (llc.bN.*, dram.chN.*).
 
 import (
+	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
+
+// metrics registers one level's counters under prefix in a fresh registry
+// and reads them back.
+func metrics(register func(*obs.Registry, string), prefix string) obs.Snapshot {
+	reg := obs.NewRegistry()
+	register(reg, prefix)
+	return reg.Snapshot()
+}
+
+// metric returns the named sample, failing the test if it is not exported.
+func metric(t *testing.T, s obs.Snapshot, name string) uint64 {
+	t.Helper()
+	v, ok := s.Get(name)
+	if !ok {
+		t.Fatalf("metric %s not exported", name)
+	}
+	return v
+}
 
 func newChanneledDRAM(t *testing.T, channels, inflight int) *DRAM {
 	t.Helper()
@@ -28,7 +50,8 @@ func newChanneledDRAM(t *testing.T, channels, inflight int) *DRAM {
 // TestDRAMChannelPermutationInvariance issues the same request set — two
 // reads to each of four channels, all arriving at cycle 0 — in several
 // cross-channel interleavings that preserve per-channel order, and requires
-// identical per-address completion times and per-channel counters.
+// identical per-address completion times and counters, per channel and in
+// aggregate.
 func TestDRAMChannelPermutationInvariance(t *testing.T) {
 	// Channel = block address & 3; addr and addr+8 share a channel.
 	orders := map[string][]uint64{
@@ -37,9 +60,8 @@ func TestDRAMChannelPermutationInvariance(t *testing.T) {
 		"reversed":      {3, 11, 2, 10, 1, 9, 0, 8},
 	}
 	type outcome struct {
-		done               map[uint64]uint64
-		stats              [4]ChannelStats
-		fills, stallCycles uint64
+		done    map[uint64]uint64
+		metrics obs.Snapshot
 	}
 	results := map[string]outcome{}
 	for name, order := range orders {
@@ -48,10 +70,7 @@ func TestDRAMChannelPermutationInvariance(t *testing.T) {
 		for _, addr := range order {
 			o.done[addr] = d.Access(Request{BlockAddr: addr, Kind: Read}, 0)
 		}
-		for c := 0; c < 4; c++ {
-			o.stats[c] = d.ChannelSnapshot(c)
-		}
-		o.fills, o.stallCycles = d.DemandFills, d.StallCycles
+		o.metrics = metrics(d.RegisterObs, "dram.")
 		results[name] = o
 	}
 	ref := results["channel-major"]
@@ -61,12 +80,8 @@ func TestDRAMChannelPermutationInvariance(t *testing.T) {
 				t.Errorf("%s: addr %d completes at %d, channel-major at %d", name, addr, o.done[addr], done)
 			}
 		}
-		if o.stats != ref.stats {
-			t.Errorf("%s: channel counters diverge: %+v vs %+v", name, o.stats, ref.stats)
-		}
-		if o.fills != ref.fills || o.stallCycles != ref.stallCycles {
-			t.Errorf("%s: aggregate counters diverge: fills %d/%d, stalls %d/%d",
-				name, o.fills, ref.fills, o.stallCycles, ref.stallCycles)
+		if !reflect.DeepEqual(o.metrics, ref.metrics) {
+			t.Errorf("%s: DRAM counters diverge: %+v vs %+v", name, o.metrics, ref.metrics)
 		}
 	}
 }
@@ -87,11 +102,11 @@ func TestDRAMChannelFCFSInflight(t *testing.T) {
 			t.Errorf("read %d: done at %d, want %d", i+1, got, w)
 		}
 	}
-	cs := d.ChannelSnapshot(0)
-	if cs.Transfers != 3 {
-		t.Errorf("channel 0 carried %d transfers, want 3", cs.Transfers)
+	m := metrics(d.RegisterObs, "dram.")
+	if n := metric(t, m, "dram.ch0.transfers"); n != 3 {
+		t.Errorf("channel 0 carried %d transfers, want 3", n)
 	}
-	if d.ChannelSnapshot(1).Transfers != 0 {
+	if metric(t, m, "dram.ch1.transfers") != 0 {
 		t.Errorf("channel 1 saw traffic for channel-0 addresses")
 	}
 	// Writebacks are posted: they claim the bus and a slot on their channel
@@ -102,11 +117,26 @@ func TestDRAMChannelFCFSInflight(t *testing.T) {
 	}
 }
 
+// TestDRAMOneChannelMetrics pins that the Table II controller exports only
+// the aggregate counters: its one channel's series would repeat them.
+func TestDRAMOneChannelMetrics(t *testing.T) {
+	for _, d := range []*DRAM{NewDRAM(), newChanneledDRAM(t, 1, 4)} {
+		d.Access(Request{BlockAddr: 3, Kind: Read}, 0)
+		m := metrics(d.RegisterObs, "dram.")
+		if _, ok := m.Get("dram.ch0.transfers"); ok || len(m.Samples) != 4 {
+			t.Errorf("one-channel DRAM exports %+v, want only the 4 aggregate counters", m.Samples)
+		}
+		if metric(t, m, "dram.demand_fills") != 1 {
+			t.Errorf("one-channel DRAM lost its demand fill: %+v", m.Samples)
+		}
+	}
+}
+
 // TestLLCBankPermutationInvariance runs the banked-LLC analogue over a
 // channeled DRAM with one channel per bank (so bank independence holds end
 // to end): two demand misses per bank, arriving at cycle 0 in different
 // cross-bank interleavings, must produce identical per-address latencies and
-// per-bank counters.
+// counters, per bank and in aggregate.
 func TestLLCBankPermutationInvariance(t *testing.T) {
 	// Bank = block address & 3 = channel; addr and addr+8 share a bank.
 	orders := map[string][]uint64{
@@ -115,9 +145,8 @@ func TestLLCBankPermutationInvariance(t *testing.T) {
 		"reversed":    {3, 11, 2, 10, 1, 9, 0, 8},
 	}
 	type outcome struct {
-		done  map[uint64]uint64
-		banks [4]BankStats
-		stats Stats
+		done    map[uint64]uint64
+		metrics obs.Snapshot
 	}
 	results := map[string]outcome{}
 	for name, order := range orders {
@@ -129,10 +158,7 @@ func TestLLCBankPermutationInvariance(t *testing.T) {
 		for _, addr := range order {
 			o.done[addr] = llc.Access(Request{BlockAddr: addr, Kind: Read}, 0)
 		}
-		for b := 0; b < 4; b++ {
-			o.banks[b] = llc.BankSnapshot(b)
-		}
-		o.stats = llc.Stats
+		o.metrics = metrics(llc.RegisterObs, "llc.")
 		results[name] = o
 	}
 	ref := results["bank-major"]
@@ -142,11 +168,8 @@ func TestLLCBankPermutationInvariance(t *testing.T) {
 				t.Errorf("%s: addr %d completes at %d, bank-major at %d", name, addr, o.done[addr], done)
 			}
 		}
-		if o.banks != ref.banks {
-			t.Errorf("%s: bank counters diverge: %+v vs %+v", name, o.banks, ref.banks)
-		}
-		if o.stats != ref.stats {
-			t.Errorf("%s: cache stats diverge: %+v vs %+v", name, o.stats, ref.stats)
+		if !reflect.DeepEqual(o.metrics, ref.metrics) {
+			t.Errorf("%s: LLC counters diverge: %+v vs %+v", name, o.metrics, ref.metrics)
 		}
 	}
 }
@@ -173,16 +196,18 @@ func TestLLCBankQueueingAndMSHR(t *testing.T) {
 			t.Errorf("miss %d: done at %d, want %d", i+1, got, w)
 		}
 	}
-	b := llc.BankSnapshot(0)
-	wantBank := BankStats{
-		Accesses: 3, QueueCycles: 9, BusyCycles: 9,
-		MSHRStalls: 1, MSHRCycles: 54,
+	m := metrics(llc.RegisterObs, "llc.")
+	wantBank := map[string]uint64{
+		"accesses": 3, "queue_cycles": 9, "busy_cycles": 9,
+		"mshr_stalls": 1, "mshr_cycles": 54,
 	}
-	if b != wantBank {
-		t.Errorf("bank 0 counters: %+v, want %+v", b, wantBank)
-	}
-	if other := llc.BankSnapshot(1); other != (BankStats{}) {
-		t.Errorf("bank 1 saw traffic for bank-0 addresses: %+v", other)
+	for field, want := range wantBank {
+		if got := metric(t, m, "llc.b0."+field); got != want {
+			t.Errorf("bank 0 %s = %d, want %d", field, got, want)
+		}
+		if got := metric(t, m, "llc.b1."+field); got != 0 {
+			t.Errorf("bank 1 %s = %d for bank-0 addresses, want 0", field, got)
+		}
 	}
 	// A hit pays only the bank port and the access latency.
 	if got := llc.Access(Request{BlockAddr: 0, Kind: Read}, 200); got != 210 {

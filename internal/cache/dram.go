@@ -15,19 +15,16 @@ import (
 // With a 3.2 GHz core clock, 12.8 GB/s is 64 bytes per 16 cycles, the
 // default.
 //
-// The default model has a single channel with unbounded in-flight transfers
-// — exactly the original Table II gate. SetChannels opts into a scale-out
-// controller: block addresses interleave across a power-of-two number of
-// independent channels, and each channel additionally caps how many
-// transfers may be in flight at once (command queued until the
-// earliest-completing slot drains). Requests are granted FCFS in arrival
-// order; arrival order itself is made deterministic by the simulator, which
-// ticks cores in index order within a cycle.
+// Block addresses interleave across a power-of-two number of independent
+// channels, each of which may also cap how many transfers are in flight at
+// once (command queued until the earliest-completing slot drains). The
+// Table II controller is the one-channel case with unbounded in-flight
+// transfers; SetChannels configures a scale-out controller. Requests are
+// granted FCFS in arrival order; arrival order itself is made deterministic
+// by the simulator, which ticks cores in index order within a cycle.
 type DRAM struct {
 	Latency       uint64 //bfetch:noreset configuration
 	CyclesPerFill uint64 //bfetch:noreset configuration
-
-	nextFree uint64 // single-channel fast path (chans == nil)
 
 	chans       []dramChannel
 	chanMask    uint64 //bfetch:noreset configuration
@@ -51,28 +48,20 @@ type dramChannel struct {
 	busyCycles  uint64 // data-bus occupancy (transfers × CyclesPerFill)
 }
 
-// ChannelStats is a read-only snapshot of one channel's counters.
-type ChannelStats struct {
-	Transfers   uint64
-	StallCycles uint64
-	SlotCycles  uint64
-	BusyCycles  uint64
-}
-
-// NewDRAM returns the Table II DRAM model.
+// NewDRAM returns the Table II DRAM model: one channel, unbounded in-flight
+// transfers.
 func NewDRAM() *DRAM {
-	return &DRAM{Latency: 200, CyclesPerFill: 16}
+	return &DRAM{Latency: 200, CyclesPerFill: 16, chans: make([]dramChannel, 1)}
 }
 
 // SetChannels reconfigures the controller with `channels` address-interleaved
 // channels (power of two) each capped at maxInflight concurrent transfers
-// (0 = unbounded). channels <= 1 restores the single-channel model.
+// (0 = unbounded). channels <= 1 restores the Table II single channel with
+// unbounded in-flight transfers.
 func (d *DRAM) SetChannels(channels, maxInflight int) error {
 	if channels <= 1 {
-		d.chans, d.chanMask, d.maxInflight = nil, 0, 0
-		return nil
-	}
-	if channels&(channels-1) != 0 {
+		channels, maxInflight = 1, 0
+	} else if channels&(channels-1) != 0 {
 		return fmt.Errorf("cache: DRAM channels must be a power of two, got %d", channels)
 	}
 	d.chans = make([]dramChannel, channels)
@@ -86,80 +75,46 @@ func (d *DRAM) SetChannels(channels, maxInflight int) error {
 	return nil
 }
 
-// Channels returns the number of independent channels (1 for the default
-// model).
-func (d *DRAM) Channels() int {
-	if d.chans == nil {
-		return 1
-	}
-	return len(d.chans)
-}
-
-// ChannelSnapshot returns channel i's counters. For the single-channel
-// default, channel 0 aliases the aggregate counters.
-func (d *DRAM) ChannelSnapshot(i int) ChannelStats {
-	if d.chans == nil {
-		return ChannelStats{
-			Transfers:   d.Transfers(),
-			StallCycles: d.StallCycles,
-			BusyCycles:  d.Transfers() * d.CyclesPerFill,
-		}
-	}
-	c := &d.chans[i]
-	return ChannelStats{Transfers: c.transfers, StallCycles: c.stallCycles, SlotCycles: c.slotCycles, BusyCycles: c.busyCycles}
-}
-
 // Access implements Level.
 //
 //bfetch:hotpath
 func (d *DRAM) Access(req Request, now uint64) uint64 {
 	start := now
-	if d.chans == nil {
-		if d.nextFree > start {
-			d.StallCycles += d.nextFree - start
-			if req.Class != nil {
-				req.Class.ChanQ += d.nextFree - start
-			}
-			start = d.nextFree
+	c := &d.chans[req.BlockAddr&d.chanMask]
+	if c.nextFree > start {
+		c.stallCycles += c.nextFree - start
+		d.StallCycles += c.nextFree - start
+		if req.Class != nil {
+			req.Class.ChanQ += c.nextFree - start
 		}
-		d.nextFree = start + d.CyclesPerFill
-	} else {
-		c := &d.chans[req.BlockAddr&d.chanMask]
-		if c.nextFree > start {
-			c.stallCycles += c.nextFree - start
-			d.StallCycles += c.nextFree - start
-			if req.Class != nil {
-				req.Class.ChanQ += c.nextFree - start
-			}
-			start = c.nextFree
-		}
-		if d.maxInflight > 0 {
-			// Claim the earliest-draining in-flight slot; if all are busy
-			// past start, the transfer waits for one to complete.
-			slot := 0
-			for i := 1; i < len(c.slots); i++ {
-				if c.slots[i] < c.slots[slot] {
-					slot = i
-				}
-			}
-			if c.slots[slot] > start {
-				c.slotCycles += c.slots[slot] - start
-				d.StallCycles += c.slots[slot] - start
-				if req.Class != nil {
-					req.Class.ChanQ += c.slots[slot] - start
-				}
-				start = c.slots[slot]
-			}
-			if req.Kind == Write {
-				c.slots[slot] = start + d.CyclesPerFill
-			} else {
-				c.slots[slot] = start + d.Latency
-			}
-		}
-		c.nextFree = start + d.CyclesPerFill
-		c.transfers++
-		c.busyCycles += d.CyclesPerFill
+		start = c.nextFree
 	}
+	if d.maxInflight > 0 {
+		// Claim the earliest-draining in-flight slot; if all are busy past
+		// start, the transfer waits for one to complete.
+		slot := 0
+		for i := 1; i < len(c.slots); i++ {
+			if c.slots[i] < c.slots[slot] {
+				slot = i
+			}
+		}
+		if c.slots[slot] > start {
+			c.slotCycles += c.slots[slot] - start
+			d.StallCycles += c.slots[slot] - start
+			if req.Class != nil {
+				req.Class.ChanQ += c.slots[slot] - start
+			}
+			start = c.slots[slot]
+		}
+		if req.Kind == Write {
+			c.slots[slot] = start + d.CyclesPerFill
+		} else {
+			c.slots[slot] = start + d.Latency
+		}
+	}
+	c.nextFree = start + d.CyclesPerFill
+	c.transfers++
+	c.busyCycles += d.CyclesPerFill
 	switch req.Kind {
 	case PrefetchFill:
 		d.PrefetchFills++
@@ -185,7 +140,6 @@ func (d *DRAM) Transfers() uint64 { return d.DemandFills + d.PrefetchFills + d.W
 // so clearing occupancy declares the bus idle at window start — the same
 // convention the caches use for block readyAt merging.
 func (d *DRAM) ResetStats() {
-	d.nextFree = 0
 	for i := range d.chans {
 		c := &d.chans[i]
 		c.nextFree = 0
@@ -202,12 +156,16 @@ func (d *DRAM) ResetStats() {
 
 // RegisterObs exports the controller's traffic counters into the metrics
 // registry under prefix (normally "dram."), plus per-channel occupancy and
-// queueing-delay series when multiple channels are configured.
+// queueing-delay series when two or more channels are configured (one
+// channel's series would repeat the aggregate).
 func (d *DRAM) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Func(prefix+"demand_fills", func() uint64 { return d.DemandFills })
 	reg.Func(prefix+"prefetch_fills", func() uint64 { return d.PrefetchFills })
 	reg.Func(prefix+"writebacks", func() uint64 { return d.Writebacks })
 	reg.Func(prefix+"stall_cycles", func() uint64 { return d.StallCycles })
+	if len(d.chans) < 2 {
+		return
+	}
 	for i := range d.chans {
 		c := &d.chans[i]
 		p := fmt.Sprintf("%sch%d.", prefix, i)

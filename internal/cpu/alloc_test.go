@@ -13,6 +13,7 @@ package cpu
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -89,6 +90,10 @@ func newAllocCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, mk mkPrefetch
 const (
 	allocWarmup = 50_000 // cycles before the window: buffers and tables reach size
 	allocWindow = 60_000 // cycles counted
+	// allocSettle is how long the window waits after its runtime.GC() for
+	// the goroutines that collection woke. 5 ms took the flake rate of
+	// TestCycleZeroAlloc from 8 in 100 runs of the test binary to 0.
+	allocSettle = 5 * time.Millisecond
 )
 
 // budgetedMallocs returns the heap allocations of windowMallocs, measured a
@@ -122,8 +127,12 @@ func windowMallocs(t *testing.T, cfg Config, mk mkPrefetcher) (*Core, uint64) {
 		c.Cycle(now)
 	}
 	// Finish any collection the set-up started, so runtime-internal
-	// allocations of a concurrent GC cycle do not land in the window.
+	// allocations of a concurrent GC cycle do not land in the window. The
+	// collection also wakes runtime goroutines that allocate once it ends
+	// (the unique package's map cleanup, a mark worker's sudog); the settle
+	// lets them run before the window opens rather than inside it.
 	runtime.GC()
+	time.Sleep(allocSettle)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for end := now + allocWindow; now < end; now++ {

@@ -14,7 +14,7 @@ var pureStdlib = map[string]bool{"math": true, "math/bits": true}
 
 // Escape is the hot-path allocation gate. Rather than guessing from the AST
 // what might allocate, it checks what the compiler decided (facts from
-// CollectFacts or ParseFacts), over the whole hot closure — every function
+// Load or ParseFacts), over the whole hot closure — every function
 // reachable from a //bfetch:hotpath root, annotated or not:
 //
 //	(a) a value the compiler moved or escaped to the heap fails. The

@@ -12,13 +12,9 @@ import (
 // longer recognizes fails the test, as it fails the CLI.
 func gateDir(t *testing.T, dir string) ([]*Package, []Diagnostic) {
 	t.Helper()
-	pkgs, err := LoadModule(dir)
+	pkgs, facts, err := Load(dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
-	}
-	facts, err := CollectFacts(dir, pkgs)
-	if err != nil {
-		t.Fatalf("collecting facts: %v", err)
 	}
 	return pkgs, Escape(pkgs, facts)
 }
@@ -46,6 +42,19 @@ func gateSource(t *testing.T, name, src string) []Diagnostic {
 	t.Helper()
 	_, diags := gateDir(t, writeModule(t, map[string]string{name: src}))
 	return diags
+}
+
+// loadSource loads a throwaway module holding one file as its one package.
+func loadSource(t *testing.T, name, src string) *Package {
+	t.Helper()
+	pkgs, _, err := Load(writeModule(t, map[string]string{name: src}))
+	if err != nil {
+		t.Fatalf("loading %s: %v", name, err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("%s: got %d packages, want 1", name, len(pkgs))
+	}
+	return pkgs[0]
 }
 
 // mutate applies one textual mutation, failing if the fixture drifted.
@@ -83,26 +92,12 @@ func leak(n int) *int {
 }
 `
 
-// escLikeFacts is the matching recorded compiler output: v is moved to the
-// heap at its declaration on line 5.
-const escLikeFacts = "esc.go:4:6: cannot inline leak: marked go:noinline\nesc.go:5:2: moved to heap: v\n"
-
 func TestEscapeHatchMutation(t *testing.T) {
-	p, err := ParseSource("esc.go", escLikeSrc)
-	if err != nil {
-		t.Fatalf("parsing clean source: %v", err)
-	}
-	facts := ParseFacts(".", []byte(escLikeFacts))
-	if diags := Escape([]*Package{p}, facts); len(diags) != 0 {
+	if diags := gateSource(t, "esc.go", escLikeSrc); len(diags) != 0 {
 		t.Fatalf("clean source produced findings: %v", diags)
 	}
-
 	mutated := mutate(t, escLikeSrc, " //bfetch:alloc-ok boot-time registration, called once", "")
-	p, err = ParseSource("esc.go", mutated)
-	if err != nil {
-		t.Fatalf("parsing mutated source: %v", err)
-	}
-	diags := Escape([]*Package{p}, facts)
+	diags := gateSource(t, "esc.go", mutated)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "v escapes to heap inside //bfetch:hotpath leak") {
 		t.Fatalf("mutated source: got %v, want exactly one escape finding for v", diags)
 	}

@@ -3,8 +3,6 @@ package lint
 import (
 	"bufio"
 	"errors"
-	"fmt"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -12,9 +10,9 @@ import (
 	"strings"
 )
 
-// This file is the compiler-witness layer: it compiles the module in
-// diagnostic mode with one `go list -export` run and parses the
-// escape-analysis, inlining and bounds-check-elimination output into a
+// This file is the compiler-witness layer: it parses the escape-analysis,
+// inlining and bounds-check-elimination output of the loader's one
+// `go list -export` run (Load compiles the module in diagnostic mode) into a
 // position-indexed fact table. Go's build cache is the only cache: it keys
 // each package on its sources, flags, toolchain and every dependency (whose
 // inlinable bodies shape the package's own facts) and replays the
@@ -32,8 +30,8 @@ import (
 //
 // Everything else (param-leak traces, indented explanation lines, stdlib
 // positions) is ignored. If the toolchain emits no recognizable fact for
-// the module, collection fails with ErrNoFacts rather than passing on an
-// empty table.
+// the module, Load fails with ErrNoFacts rather than passing on an empty
+// table.
 
 // factsGCFlags are the compiler flags the witness layer builds with: full
 // escape/inline diagnostics plus the bounds-check-elimination debug stream.
@@ -101,32 +99,6 @@ type FactTable struct {
 // recognizable diagnostics — a toolchain whose format this parser does not
 // understand. It fails the gate: an empty fact table would pass every check.
 var ErrNoFacts = errors.New("lint: compiler produced no recognizable -m=2/BCE diagnostics (toolchain format change?)")
-
-// CollectFacts compiles every package of pkgs (LoadModule(root)) with the
-// diagnostic flags in one `go list -export` run and returns the parsed fact
-// table. -export compiles without linking, so main packages build like any
-// other, and Go's build cache replays the diagnostics of packages that are
-// up to date.
-func CollectFacts(root string, pkgs []*Package) (*FactTable, error) {
-	args := []string{"list", "-export", "-gcflags=" + factsGCFlags}
-	for _, p := range pkgs {
-		args = append(args, "./"+p.Rel)
-	}
-	cmd := exec.Command("go", args...)
-	cmd.Dir = root
-	// Stdout carries only the import paths, which never parse as facts.
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		// A build error means the tree doesn't compile, which is a lint
-		// error too.
-		return nil, fmt.Errorf("lint: go list -export for compiler facts failed: %v\n%s", err, out)
-	}
-	table := ParseFacts(root, out)
-	if len(table.ByFile) == 0 {
-		return nil, ErrNoFacts
-	}
-	return table, nil
-}
 
 // ParseFacts parses a diagnostic stream (as emitted by
 // `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'`) into facts sorted by

@@ -22,8 +22,8 @@ func loadFactFixture(t *testing.T, name string) *FactTable {
 // TestParseFactsToolchainFormats pins the parser against the two recorded
 // diagnostic spellings (go1.22 module-relative paths, go1.24 "./"-prefixed
 // root-package paths). Both must yield the identical logical fact set; a
-// toolchain that drifts from both shapes yields nothing, which CollectFacts
-// turns into ErrNoFacts — a failed gate, never a false pass.
+// toolchain that drifts from both shapes yields nothing, which Load turns
+// into ErrNoFacts — a failed gate, never a false pass.
 func TestParseFactsToolchainFormats(t *testing.T) {
 	for _, name := range []string{"go1.22.txt", "go1.24.txt"} {
 		table := loadFactFixture(t, name)
@@ -62,7 +62,7 @@ func TestParseFactsToolchainFormats(t *testing.T) {
 }
 
 // TestParseFactsUnknownFormat is the failure trigger: a stream in an
-// unrecognized shape parses to zero facts, which CollectFacts converts to
+// unrecognized shape parses to zero facts, which Load converts to
 // ErrNoFacts.
 func TestParseFactsUnknownFormat(t *testing.T) {
 	out := []byte("mem.go(10): escape: v\ncompile: mem.go line 10 v escapes\nTOTAL 3 diagnostics\n")

@@ -1,9 +1,11 @@
 // Package lint is the repository's custom static-analysis suite: it
 // enforces the invariants the simulator's performance and reproducibility
 // rest on, using only the standard library (the module stays
-// dependency-free). Every loaded package is type-checked once with go/types,
-// its standard-library imports read from gc export data; a package that
-// fails to type-check fails the run. Four analyzers run on every invocation:
+// dependency-free). One `go list -e -export -deps -json` run (Load) says
+// which files each module package compiles, where its standard-library
+// imports' gc export data lies and, on stderr, what the compiler decided.
+// Every package is type-checked once with go/types; a package that fails to
+// build or type-check fails the run. Four analyzers run on every invocation:
 //
 //   - escape: the hot-path allocation gate. It builds the module with the
 //     compiler's -m=2 and bounds-check diagnostics (facts.go) and checks
@@ -12,7 +14,7 @@
 //     for heap escapes, calls to functions and methods outside the module
 //     other than math and math/bits, non-inlined calls out of annotated
 //     functions, and bounds checks left in //bfetch:bce loops. The facts
-//     come from one `go list -export` run, so Go's build cache replays
+//     come from the loader's `go list` run, so Go's build cache replays
 //     them for up-to-date packages and recompiles a package whenever it or
 //     anything it imports changes.
 //   - syncorder: no channel send while a mutex is held.
@@ -89,7 +91,7 @@ type RunResult struct {
 // diagnostic format the fact parser does not recognize (ErrNoFacts) is an
 // error.
 func RunAll(root string) (RunResult, error) {
-	pkgs, err := LoadModule(root)
+	pkgs, facts, err := Load(root)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -100,10 +102,6 @@ func RunAll(root string) (RunResult, error) {
 			res.Diags = append(res.Diags, Determinism(p)...)
 		}
 		res.Diags = append(res.Diags, StatsReset(p)...)
-	}
-	facts, err := CollectFacts(root, pkgs)
-	if err != nil {
-		return res, err
 	}
 	res.Diags = append(res.Diags, Escape(pkgs, facts)...)
 	sortDiags(res.Diags)

@@ -22,7 +22,7 @@ var wantRE = regexp.MustCompile(`"([^"]*)"`)
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkgs, err := LoadModule(dir)
+	pkgs, _, err := Load(dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
@@ -125,7 +125,7 @@ func TestLiveTreeClean(t *testing.T) {
 		t.Errorf("live tree finding: %s", d)
 	}
 	if res.Packages < 10 {
-		t.Errorf("loaded only %d packages from %s; module walk looks broken", res.Packages, root)
+		t.Errorf("loaded only %d packages from %s; the package list looks broken", res.Packages, root)
 	}
 }
 
@@ -153,10 +153,7 @@ func (s *System) ResetStats() {
 `
 
 func TestStatsResetMutation(t *testing.T) {
-	p, err := ParseSource("sim.go", simLikeSrc)
-	if err != nil {
-		t.Fatalf("parsing clean source: %v", err)
-	}
+	p := loadSource(t, "sim.go", simLikeSrc)
 	if diags := StatsReset(p); len(diags) != 0 {
 		t.Fatalf("clean source produced findings: %v", diags)
 	}
@@ -165,10 +162,7 @@ func TestStatsResetMutation(t *testing.T) {
 	if mutated == simLikeSrc {
 		t.Fatal("mutation did not apply; fixture drifted")
 	}
-	p, err = ParseSource("sim.go", mutated)
-	if err != nil {
-		t.Fatalf("parsing mutated source: %v", err)
-	}
+	p = loadSource(t, "sim.go", mutated)
 	diags := StatsReset(p)
 	if len(diags) != 1 {
 		t.Fatalf("mutated source: got %d findings, want exactly 1: %v", len(diags), diags)
@@ -209,10 +203,7 @@ func (s *timeSeries) Restart(now uint64) {
 `
 
 func TestTimeSeriesRestartMutation(t *testing.T) {
-	p, err := ParseSource("obs.go", tsLikeSrc)
-	if err != nil {
-		t.Fatalf("parsing clean source: %v", err)
-	}
+	p := loadSource(t, "obs.go", tsLikeSrc)
 	if diags := StatsReset(p); len(diags) != 0 {
 		t.Fatalf("clean source produced findings: %v", diags)
 	}
@@ -227,10 +218,7 @@ func TestTimeSeriesRestartMutation(t *testing.T) {
 		if mutated == tsLikeSrc {
 			t.Fatalf("mutation %q did not apply; fixture drifted", mut.drop)
 		}
-		p, err = ParseSource("obs.go", mutated)
-		if err != nil {
-			t.Fatalf("parsing mutated source: %v", err)
-		}
+		p = loadSource(t, "obs.go", mutated)
 		diags := StatsReset(p)
 		if len(diags) != 1 || !strings.Contains(diags[0].Message, mut.field) {
 			t.Fatalf("mutated source: got %v, want exactly one finding naming %s", diags, mut.field)
@@ -246,10 +234,7 @@ func TestNoresetMutationAlsoGuardsMarkers(t *testing.T) {
 	if mutated == simLikeSrc {
 		t.Fatal("mutation did not apply; fixture drifted")
 	}
-	p, err := ParseSource("sim.go", mutated)
-	if err != nil {
-		t.Fatalf("parsing mutated source: %v", err)
-	}
+	p := loadSource(t, "sim.go", mutated)
 	diags := StatsReset(p)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "System.table") {
 		t.Fatalf("got %v, want exactly one finding naming System.table", diags)
@@ -284,10 +269,7 @@ func (f *flight) complete(v int) {
 `
 
 func TestSyncOrderSendMutation(t *testing.T) {
-	p, err := ParseSource("runner.go", syncLikeSrc)
-	if err != nil {
-		t.Fatalf("parsing clean source: %v", err)
-	}
+	p := loadSource(t, "runner.go", syncLikeSrc)
 	if diags := SyncOrder(p); len(diags) != 0 {
 		t.Fatalf("clean source produced findings: %v", diags)
 	}
@@ -296,10 +278,7 @@ func TestSyncOrderSendMutation(t *testing.T) {
 	if mutated == syncLikeSrc {
 		t.Fatal("mutation did not apply; fixture drifted")
 	}
-	p, err = ParseSource("runner.go", mutated)
-	if err != nil {
-		t.Fatalf("parsing mutated source: %v", err)
-	}
+	p = loadSource(t, "runner.go", mutated)
 	diags := SyncOrder(p)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "channel send while holding f.mu") {
 		t.Fatalf("mutated source: got %v, want exactly one send-under-lock finding", diags)
@@ -328,22 +307,17 @@ func TestRunAllTypeError(t *testing.T) {
 	}
 }
 
-// TestLoadModuleHonoursBuildConstraints pins that the loader type-checks
-// what the host build compiles: two platform variants of one function, on
-// opposite build constraints, must not read as a duplicate declaration.
-func TestLoadModuleHonoursBuildConstraints(t *testing.T) {
-	dir := t.TempDir()
-	for name, src := range map[string]string{
+// TestLoadHonoursBuildConstraints pins that the loader type-checks what the
+// host build compiles: two platform variants of one function, on opposite
+// build constraints, must not read as a duplicate declaration.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	dir := writeModule(t, map[string]string{
 		"on.go":  "//go:build bfetch_variant\n\npackage p\n\nfunc F() int { return 1 }\n",
 		"off.go": "//go:build !bfetch_variant\n\npackage p\n\nfunc F() int { return 0 }\n",
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pkgs, err := LoadModule(dir)
+	})
+	pkgs, _, err := Load(dir)
 	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
 		t.Fatalf("loaded %d package(s); want one package of one file", len(pkgs))

@@ -15,11 +15,15 @@ package sim
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 const (
 	allocWarmup = 30_000 // system cycles before the window: buffers reach size
 	allocWindow = 20_000 // system cycles counted
+	// allocSettle is how long the window waits after its runtime.GC() for
+	// the goroutines that collection woke.
+	allocSettle = 5 * time.Millisecond
 )
 
 // mix16Budget is the mix's measured allocation count in the window, the same
@@ -78,8 +82,12 @@ func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
 		t.Fatalf("only %d of %d cores still active after warmup", len(due), len(s.Cores))
 	}
 	// Finish any collection the set-up started, so runtime-internal
-	// allocations of a concurrent GC cycle do not land in the window.
+	// allocations of a concurrent GC cycle do not land in the window. The
+	// collection also wakes runtime goroutines that allocate once it ends
+	// (the unique package's map cleanup, a mark worker's sudog); the settle
+	// lets them run before the window opens rather than inside it.
 	runtime.GC()
+	time.Sleep(allocSettle)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for end := now + allocWindow; now < end; {
