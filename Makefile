@@ -32,7 +32,7 @@ vet-windows:
 # Custom static analysis (internal/lint), over every package type-checked
 # with go/types: the compiler-witnessed hot-path allocation gate over every
 # function reachable from a //bfetch:hotpath root, no channel send under a
-# lock, determinism rules, stats-reset audit. One
+# lock, determinism rules, stats-reset audit, no net under internal/. One
 # `go list -e -export -deps -json -gcflags='-m=2 ...' ./...` run tells it
 # which files each package compiles, where its dependencies' export data
 # lies and what the compiler decided; Go's build cache replays the facts of
@@ -138,7 +138,6 @@ FUZZ_TARGETS = \
 	./internal/store:FuzzGetCheckpoint \
 	./internal/runner:FuzzValidateReport \
 	./internal/emu:FuzzCompiledMatchesInterp \
-	./internal/trace:FuzzTraceReader \
 	./internal/cpu:FuzzCoreMatchesEmu \
 	./internal/sim:FuzzConfigValidate
 

@@ -7,14 +7,11 @@
 //	bfetch-asm -run prog.s               # assemble and execute
 //	bfetch-asm -run prog.s -max 100000   # bounded execution
 //	bfetch-asm -dis prog.s               # assemble then disassemble (round-trip)
-//	bfetch-asm -run prog.s -trace t.bin  # record a memory/branch trace
-//	bfetch-asm -dump t.bin               # print a recorded trace
 //	echo 'movi r1, 42
 //	halt' | bfetch-asm -run -
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,40 +20,21 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		runFile   = flag.String("run", "", "assemble and execute FILE ('-' for stdin)")
-		disFile   = flag.String("dis", "", "assemble FILE and print its disassembly")
-		dumpFile  = flag.String("dump", "", "print the trace recorded in FILE")
-		traceFile = flag.String("trace", "", "with -run: record the memory/branch trace to FILE")
-		max       = flag.Uint64("max", 1_000_000, "maximum instructions to execute")
-		regs      = flag.Bool("regs", true, "print non-zero registers after the run")
+		runFile = flag.String("run", "", "assemble and execute FILE ('-' for stdin)")
+		disFile = flag.String("dis", "", "assemble FILE and print its disassembly")
+		max     = flag.Uint64("max", 1_000_000, "maximum instructions to execute")
+		regs    = flag.Bool("regs", true, "print non-zero registers after the run")
 	)
 	flag.Parse()
 
 	switch {
-	case *dumpFile != "":
-		dumpTrace(*dumpFile)
 	case *disFile != "":
 		prog := assemble(*disFile)
 		fmt.Print(isa.Disassemble(prog))
-	case *runFile != "" && *traceFile != "":
-		prog := assemble(*runFile)
-		out, err := os.Create(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := trace.Record(out, prog, mem.New(), *max)
-		if err != nil {
-			fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("executed %d instructions; trace written to %s\n", n, *traceFile)
 	case *runFile != "":
 		prog := assemble(*runFile)
 		cpu := emu.New(prog, mem.New())
@@ -75,37 +53,6 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
-	}
-}
-
-func dumpTrace(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		fatal(err)
-	}
-	kinds := map[trace.Kind]string{
-		trace.KindLoad: "LD", trace.KindStore: "ST",
-		trace.KindBranch: "BR", trace.KindJump: "JMP",
-	}
-	for {
-		e, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			return
-		}
-		if err != nil {
-			fatal(err)
-		}
-		switch e.Kind {
-		case trace.KindLoad, trace.KindStore:
-			fmt.Printf("%-3s pc=%#x addr=%#x\n", kinds[e.Kind], e.PC, e.Addr)
-		default:
-			fmt.Printf("%-3s pc=%#x taken=%v\n", kinds[e.Kind], e.PC, e.Taken)
-		}
 	}
 }
 

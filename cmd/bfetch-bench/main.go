@@ -9,6 +9,7 @@
 //	bfetch-bench -exp all -j 8            # 8 simulations in flight
 //	bfetch-bench -exp all -store results/store   # durable artifact cache
 //	bfetch-bench -exp all -cpuprofile cpu.pprof
+//	bfetch-bench -exp all -http 127.0.0.1:8080   # live /obs, /obs/stream, /debug/pprof/
 //
 // Each experiment prints its table(s) to stdout; with -out set, CSVs are
 // written alongside. Simulation points fan out over -j workers (default
@@ -61,7 +62,7 @@ func run() error {
 		storeDir   = flag.String("store", "", "durable artifact store directory: results and checkpoints are read from disk before computing, and written back after (shared across invocations and -j settings)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		httpAddr   = flag.String("http", "", "serve live introspection on this address (/obs status, /obs/runs, /debug/vars, /debug/pprof)")
+		httpAddr   = flag.String("http", "", "serve live introspection on this address (/obs status, /obs/stream NDJSON, /debug/pprof/)")
 		obsJSON    = flag.String("obsjson", "", "write per-run observability reports (bfetch-obs/v1 JSON) to this file")
 		linger     = flag.Duration("linger", 0, "keep the -http endpoint up this long after the last experiment")
 	)
@@ -89,7 +90,7 @@ func run() error {
 	}
 
 	eng := runner.New(*jobs)
-	if *obsJSON != "" || *httpAddr != "" {
+	if *obsJSON != "" {
 		eng.SetRunReports(true)
 	}
 	var dstore *store.Store
@@ -108,21 +109,18 @@ func run() error {
 	if *httpAddr != "" {
 		hub := obs.NewStreamHub()
 		eng.SetStream(hub)
-		srv, err := obs.Serve(*httpAddr,
+		srv, err := serve(*httpAddr,
 			func() obs.Status {
 				s := eng.Stats()
 				s.Experiment = curExp.Load().(string)
 				return s
 			},
-			func() obs.RunsFile {
-				return obs.RunsFile{Schema: obs.SchemaRuns, Runs: eng.RunReports()}
-			},
 			hub)
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "obs: serving http://%s/obs (stream at /obs/stream)\n", srv.Addr())
+		defer srv.close()
+		fmt.Fprintf(os.Stderr, "obs: serving http://%s/obs (stream at /obs/stream)\n", srv.addr())
 	}
 
 	params := harness.DefaultParams()

@@ -1,7 +1,8 @@
 // Command bfetch-lint runs the repository's custom static-analysis suite
 // (internal/lint) over the module: the compiler-witnessed hot-path
 // allocation gate (escape), the send-under-lock check (syncorder),
-// determinism rules and the stats-reset audit. It starts one go command,
+// determinism rules, the stats-reset audit and the rule that no package
+// under internal/ depends on net (nonet). It starts one go command,
 // `go list -e -export -deps -json -gcflags='-m=2 -d=ssa/check_bce/debug=1'
 // ./...`, whose output names the files each package compiles, the gc export
 // data its standard-library imports are read from and the compiler's

@@ -91,8 +91,8 @@ const (
 	allocWarmup = 50_000 // cycles before the window: buffers and tables reach size
 	allocWindow = 60_000 // cycles counted
 	// allocSettle is how long the window waits after its runtime.GC() for
-	// the goroutines that collection woke. 5 ms took the flake rate of
-	// TestCycleZeroAlloc from 8 in 100 runs of the test binary to 0.
+	// the goroutines that collection woke. Without it, 24 in 200 runs of
+	// the test binary fail TestCycleZeroAlloc; with 5 ms, 0 in 200.
 	allocSettle = 5 * time.Millisecond
 )
 
@@ -129,8 +129,8 @@ func windowMallocs(t *testing.T, cfg Config, mk mkPrefetcher) (*Core, uint64) {
 	// Finish any collection the set-up started, so runtime-internal
 	// allocations of a concurrent GC cycle do not land in the window. The
 	// collection also wakes runtime goroutines that allocate once it ends
-	// (the unique package's map cleanup, a mark worker's sudog); the settle
-	// lets them run before the window opens rather than inside it.
+	// (a mark worker's sudog, for one); the settle lets them run before the
+	// window opens rather than inside it.
 	runtime.GC()
 	time.Sleep(allocSettle)
 	var before, after runtime.MemStats

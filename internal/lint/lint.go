@@ -5,7 +5,7 @@
 // which files each module package compiles, where its standard-library
 // imports' gc export data lies and, on stderr, what the compiler decided.
 // Every package is type-checked once with go/types; a package that fails to
-// build or type-check fails the run. Four analyzers run on every invocation:
+// build or type-check fails the run. Five analyzers run on every invocation:
 //
 //   - escape: the hot-path allocation gate. It builds the module with the
 //     compiler's -m=2 and bounds-check diagnostics (facts.go) and checks
@@ -24,6 +24,9 @@
 //   - statsreset: every struct with a Reset/ResetStats method must account
 //     for all of its fields — each field is either assigned in the method or
 //     explicitly annotated //bfetch:noreset.
+//   - nonet: no package under internal/ may depend on net, so the
+//     simulator links no network stack. It reads go list's Deps and reports
+//     each import that brings net in.
 //
 // Escape hatches are deliberate and auditable: //bfetch:alloc-ok,
 // //bfetch:wallclock and //bfetch:sync-ok suppress a single finding on the
@@ -44,7 +47,7 @@ import (
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Position
-	Analyzer string // syncorder, determinism, statsreset or escape
+	Analyzer string // syncorder, determinism, statsreset, nonet or escape
 	Message  string
 }
 
@@ -62,6 +65,10 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
+	// netUsers holds every package the module's build lists that is net
+	// or depends on it (shared by all packages of one Load).
+	netUsers map[string]bool
+
 	// markers caches, per file, the line numbers carrying each //bfetch:
 	// suppression marker.
 	markers map[*ast.File]map[string]map[int]bool
@@ -77,7 +84,7 @@ var determinismPkgs = map[string]bool{
 }
 
 // Analyzers names the analyzers RunAll applies, in gate order.
-var Analyzers = []string{"syncorder", "determinism", "statsreset", "escape"}
+var Analyzers = []string{"syncorder", "determinism", "statsreset", "nonet", "escape"}
 
 // RunResult is the outcome of the gate.
 type RunResult struct {
@@ -102,6 +109,9 @@ func RunAll(root string) (RunResult, error) {
 			res.Diags = append(res.Diags, Determinism(p)...)
 		}
 		res.Diags = append(res.Diags, StatsReset(p)...)
+		if strings.HasPrefix(p.Rel, "internal/") {
+			res.Diags = append(res.Diags, NoNet(p)...)
+		}
 	}
 	res.Diags = append(res.Diags, Escape(pkgs, facts)...)
 	sortDiags(res.Diags)

@@ -106,7 +106,7 @@ func TestStatsResetGolden(t *testing.T) {
 // --------------------------------------------------------------- live tree --
 
 // TestLiveTreeClean is the shipped-tree gate: the module this test runs in
-// must produce zero findings under all four analyzers. It is the same check
+// must produce zero findings under every analyzer. It is the same check
 // `make lint` performs, so a regression — including deleting a
 // //bfetch:hotpath annotation from a non-inlined allocating helper — fails
 // `go test ./...` too. The compiler facts come through Go's build cache, so
@@ -324,5 +324,36 @@ func TestLoadHonoursBuildConstraints(t *testing.T) {
 	}
 	if got := filepath.Base(pkgs[0].Fset.Position(pkgs[0].Files[0].Pos()).Filename); got != "off.go" {
 		t.Errorf("loaded %s, want off.go", got)
+	}
+}
+
+// ------------------------------------------------------------------ nonet --
+
+// TestNoNetGate runs the gate over a module whose internal/cache imports
+// net/http, and whose internal/sim imports internal/cache and a module
+// package outside internal/ that imports net. Each finding lands on the
+// import that brings net in: cache's net/http and sim's fixture/wire, not
+// sim's import of internal/cache, which carries its own finding. A command
+// may import net/http.
+func TestNoNetGate(t *testing.T) {
+	res, err := RunAll(writeModule(t, map[string]string{
+		"internal/cache/cache.go": "package cache\n\nimport _ \"net/http\"\n\nfunc Size() int { return 64 }\n",
+		"internal/sim/sim.go":     "package sim\n\nimport (\n\t\"fixture/internal/cache\"\n\t\"fixture/wire\"\n)\n\nfunc Lines(n int) int { return n / cache.Size() * wire.Width() }\n",
+		"wire/wire.go":            "package wire\n\nimport \"net\"\n\nfunc Width() int { return net.IPv4len }\n",
+		"cmd/tool/main.go":        "package main\n\nimport \"net/http\"\n\nfunc main() { _ = http.StatusOK }\n",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range res.Diags {
+		got = append(got, fmt.Sprintf("%s:%d [%s] %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message))
+	}
+	want := []string{
+		`cache.go:3 [nonet] import "net/http" links net: no package under internal/ may depend on net`,
+		`sim.go:5 [nonet] import "fixture/wire" links net: no package under internal/ may depend on net`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -20,7 +21,7 @@ import (
 // listedPackage is the part of one `go list -json` entry the loader reads.
 type listedPackage struct {
 	Dir, ImportPath, Export string
-	GoFiles                 []string
+	GoFiles, Deps           []string
 	DepOnly                 bool
 	Error                   *struct{ Err string }
 }
@@ -36,7 +37,8 @@ type listedPackage struct {
 // build constraints, testdata and test files are its business, not the
 // loader's. Each dependency outside the module is type-checked from the
 // export data the same run reports, and the compiler's diagnostics on stderr
-// become the fact table. -export compiles without linking, so main packages
+// become the fact table. Each entry's Deps says which packages depend on
+// net, for the nonet rule. -export compiles without linking, so main packages
 // build like any other, and Go's build cache replays the diagnostics of
 // up-to-date packages. A tree that does not compile, a package that fails to
 // type-check, or a diagnostic stream with no recognizable fact (ErrNoFacts)
@@ -76,6 +78,9 @@ func Load(root string) ([]*Package, *FactTable, error) {
 		}
 		return gc.Import(path)
 	})}
+	// netUsers holds every listed package that is net or depends on it;
+	// NoNet reads it once Load has decoded every entry.
+	netUsers := make(map[string]bool)
 	var pkgs []*Package
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var lp listedPackage
@@ -84,6 +89,9 @@ func Load(root string) ([]*Package, *FactTable, error) {
 		}
 		if lp.Error != nil {
 			return nil, nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
+		}
+		if lp.ImportPath == "net" || slices.Contains(lp.Deps, "net") {
+			netUsers[lp.ImportPath] = true
 		}
 		if lp.DepOnly {
 			if lp.Export != "" {
@@ -95,7 +103,7 @@ func Load(root string) ([]*Package, *FactTable, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		p := &Package{Rel: filepath.ToSlash(rel), Path: lp.ImportPath, Fset: fset}
+		p := &Package{Rel: filepath.ToSlash(rel), Path: lp.ImportPath, Fset: fset, netUsers: netUsers}
 		if p.Rel == "." {
 			p.Rel = ""
 		}

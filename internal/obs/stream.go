@@ -1,7 +1,7 @@
 package obs
 
 // Live run streaming. A StreamHub fans NDJSON lines out to any number of
-// concurrent subscribers; the /obs/stream endpoint (http.go) attaches one
+// concurrent subscribers; bfetch-bench's /obs/stream endpoint attaches one
 // subscriber per connected client. The batch runner publishes the same two
 // records it emits everywhere else: a RunReport (time series included) per
 // executed simulation and a Status per finished job, so every line carries a
@@ -13,7 +13,7 @@ package obs
 // Publish never blocks — an event that finds a subscriber's buffer full is
 // dropped for that subscriber (and counted). A stalled curl therefore cannot
 // back-pressure the experiment batch; clients needing a complete record read
-// /obs/runs or the -obsjson file, which are lossless.
+// the -obsjson file, which is lossless.
 
 import (
 	"encoding/json"

@@ -84,8 +84,8 @@ func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
 	// Finish any collection the set-up started, so runtime-internal
 	// allocations of a concurrent GC cycle do not land in the window. The
 	// collection also wakes runtime goroutines that allocate once it ends
-	// (the unique package's map cleanup, a mark worker's sudog); the settle
-	// lets them run before the window opens rather than inside it.
+	// (a mark worker's sudog, for one); the settle lets them run before the
+	// window opens rather than inside it.
 	runtime.GC()
 	time.Sleep(allocSettle)
 	var before, after runtime.MemStats

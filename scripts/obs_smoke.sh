@@ -2,10 +2,11 @@
 # obs_smoke.sh — end-to-end smoke test of the observability layer.
 #
 # Builds the binaries, runs a tiny experiment batch with the live
-# introspection endpoint up, scrapes /obs, /obs/runs and /obs/stream while
-# the server lingers, and validates every JSON document (scraped, streamed
-# and written) against the obs schemas with `bfetch-sim -validate-obs`. Run
-# via `make obs-smoke`.
+# introspection endpoint up, scrapes /obs, /obs/stream and /debug/pprof/
+# while the server lingers (and checks that the retired /obs/runs answers
+# 404), and validates every JSON document (scraped, streamed and written)
+# against the obs schemas with `bfetch-sim -validate-obs`. Run via
+# `make obs-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -63,9 +64,11 @@ for _ in $(seq 1 150); do
 done
 [ -s "$workdir/obs.json" ] || { echo "obs.json never written" >&2; cat "$workdir/bench.err" >&2; exit 1; }
 
-# Scrape the runs endpoint while the server lingers, then shut it down.
-curl -sf "http://$addr/obs/runs" -o "$workdir/runs.json"
-curl -sf "http://$addr/debug/vars" -o /dev/null
+# Scrape the profiles while the server lingers, check that the endpoint
+# serves no runs route (obs.json is the complete record), then shut it down.
+curl -sf "http://$addr/debug/pprof/" -o /dev/null
+runs_code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/obs/runs")
+[ "$runs_code" = 404 ] || { echo "/obs/runs answered $runs_code, want 404" >&2; exit 1; }
 kill "$bench_pid" 2>/dev/null || true
 wait "$bench_pid" 2>/dev/null || true
 bench_pid=""
@@ -115,7 +118,6 @@ grep -q 'llc_bank_queue' "$workdir/cpistack.out" \
 
 echo "== validate schemas"
 "$workdir/bfetch-sim" -validate-obs "$workdir/status.json"
-"$workdir/bfetch-sim" -validate-obs "$workdir/runs.json"
 "$workdir/bfetch-sim" -validate-obs "$workdir/obs.json"
 "$workdir/bfetch-sim" -validate-obs "$workdir/run.json"
 "$workdir/bfetch-sim" -validate-obs "$workdir/run_cpi.json"
