@@ -77,6 +77,9 @@ func run() error {
 		return nil
 	}
 
+	if err := checkMixes(*mixes); err != nil {
+		return err
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -101,7 +104,7 @@ func run() error {
 			return err
 		}
 		eng.SetStore(dstore)
-		fmt.Fprintf(os.Stderr, "store: %s (result schema %s)\n", dstore.Dir(), store.ResultSchemaHash())
+		fmt.Fprintf(os.Stderr, "store: %s (entries of program %.12s)\n", dstore.Dir(), dstore.Program())
 	}
 
 	var curExp atomic.Value // string: experiment the batch loop is inside
@@ -283,6 +286,14 @@ func parseCores(list string) ([]int, error) {
 		cores = append(cores, n)
 	}
 	return cores, nil
+}
+
+// checkMixes rejects a -mixes count below 1, which would select no mix.
+func checkMixes(n int) error {
+	if n < 1 {
+		return fmt.Errorf("bad -mixes %d: want at least 1", n)
+	}
+	return nil
 }
 
 // peakRSS returns the process's peak resident set in KiB, the VmHWM line of

@@ -41,6 +41,20 @@ func TestParseCores(t *testing.T) {
 	}
 }
 
+// TestCheckMixes pins that -mixes takes a count of at least 1.
+func TestCheckMixes(t *testing.T) {
+	for _, n := range []int{1, 2, 29} {
+		if err := checkMixes(n); err != nil {
+			t.Errorf("checkMixes(%d) = %v, want nil", n, err)
+		}
+	}
+	for _, n := range []int{0, -1} {
+		if checkMixes(n) == nil {
+			t.Errorf("checkMixes(%d) accepted", n)
+		}
+	}
+}
+
 // TestParseVmHWM pins the peak-RSS line's source: the VmHWM entry of a
 // /proc/<pid>/status file, in KiB, and nothing when it is absent or garbled.
 func TestParseVmHWM(t *testing.T) {

@@ -505,7 +505,3 @@ func (b *BFetch) StorageBits() int {
 		b.queue.StorageBits() +
 		b.conf.StorageBits()
 }
-
-// FilterConfidence exposes the per-load filter confidence for a load PC
-// (tests and diagnostics).
-func (b *BFetch) FilterConfidence(loadPC uint64) int { return b.filter.confidence(loadPC) }

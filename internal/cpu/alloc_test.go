@@ -91,16 +91,22 @@ const (
 	allocWarmup = 50_000 // cycles before the window: buffers and tables reach size
 	allocWindow = 60_000 // cycles counted
 	// allocSettle is how long the window waits after its runtime.GC() for
-	// the goroutines that collection woke. Without it, 24 in 200 runs of
-	// the test binary fail TestCycleZeroAlloc; with 5 ms, 0 in 200.
+	// the runtime's background scavenger, which that collection wakes, to
+	// park. The first time the scavenger parks on a P, its sleep timer
+	// grows that P's empty timer heap: one 16-byte allocation
+	// (runtime.timers.addHeap), once per P per process, on another P
+	// while the window runs. Without the settle, 24 in 200 runs of the
+	// test binary fail TestCycleZeroAlloc; with 5 ms, 0 in 200.
 	allocSettle = 5 * time.Millisecond
 )
 
 // budgetedMallocs returns the heap allocations of windowMallocs, measured a
 // second time on a fresh core when the first count exceeds budget. The
 // simulation repeats exactly, so an allocation it makes recurs; a one-off
-// allocation by the Go runtime itself (seen as 6 objects in about one
-// window in a few hundred) does not.
+// allocation by the Go runtime itself does not. One the settle does not
+// prevent is a new OS thread (runtime.allocm: the m, its g0 and signal
+// goroutines and two profiling stacks, 5 objects), which started inside
+// a window in 1 of 60 runs of this test binary.
 func budgetedMallocs(t *testing.T, cfg Config, mk mkPrefetcher, budget uint64) (*Core, uint64) {
 	t.Helper()
 	c, n := windowMallocs(t, cfg, mk)
@@ -128,9 +134,9 @@ func windowMallocs(t *testing.T, cfg Config, mk mkPrefetcher) (*Core, uint64) {
 	}
 	// Finish any collection the set-up started, so runtime-internal
 	// allocations of a concurrent GC cycle do not land in the window. The
-	// collection also wakes runtime goroutines that allocate once it ends
-	// (a mark worker's sudog, for one); the settle lets them run before the
-	// window opens rather than inside it.
+	// collection also wakes the scavenger, which can allocate once it ends
+	// (allocSettle); the settle lets it run before the window opens rather
+	// than inside it.
 	runtime.GC()
 	time.Sleep(allocSettle)
 	var before, after runtime.MemStats

@@ -49,15 +49,6 @@ func New(p *isa.Program, m *mem.Memory) *CPU {
 // ErrHalted is returned by Step once the program has executed HALT.
 var ErrHalted = errors.New("emu: cpu halted")
 
-// Version identifies the emulator's architectural semantics. Durable
-// fast-forward checkpoints (internal/store) carry it in their cache key:
-// bump it whenever a change could alter the architectural state a prefix
-// execution produces — instruction semantics, retire accounting, memory
-// write behaviour — so stale on-disk checkpoints invalidate cleanly. Pure
-// performance work (the threaded-code engine, dispatch changes) that keeps
-// interpreter/compiled bit-identity does not require a bump.
-const Version = 1
-
 // Arch is the architectural state of a functional core: everything needed
 // to resume execution mid-program, and nothing microarchitectural. It is
 // the unit of state a fast-forward checkpoint captures (internal/ckpt); the

@@ -59,9 +59,9 @@ func runExtISB(p Params) ([]*stats.Table, error) {
 
 	var kb [2]float64
 	for i, r := range res[len(res)-len(heavy):] {
-		// A store filled before the metric existed answers with a result
-		// that lacks it: its key covers the config and the Result shape,
-		// not the metric set.
+		// The metric set is not part of Result's shape: an engine that
+		// stops reporting meta_bytes would leave the state table at 0.0 KB
+		// instead of failing.
 		v, ok := r.Metrics.Get("c0.pf.meta_bytes")
 		if !ok {
 			return nil, fmt.Errorf("harness: %s result on mcf has no c0.pf.meta_bytes", heavy[i])

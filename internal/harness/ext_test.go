@@ -100,8 +100,8 @@ func TestExtensionTablesReadEngineResults(t *testing.T) {
 		t.Errorf("re-submitted jobs simulated %d points, want 0 (all cache hits)", got-simulated)
 	}
 
-	// A store filled before meta_bytes existed answers with a result that
-	// lacks it; the state table must refuse it rather than print 0.0 KB.
+	// A result that lacks meta_bytes (stored here by hand) must make the
+	// state table fail rather than print 0.0 KB.
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -34,10 +34,10 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportCanonical pins the canonical-form property the workload content
-// fingerprint relies on: against empty memory, zero pages do not appear,
-// page order is sorted, and two architecturally equal spaces that
-// materialized different zero pages export identically.
+// TestExportCanonical pins the canonical form of an export: against empty
+// memory, zero pages do not appear, page order is sorted, and two
+// architecturally equal spaces that materialized different zero pages
+// export identically.
 func TestExportCanonical(t *testing.T) {
 	a := New()
 	a.Write64(0x2000, 5)

@@ -128,8 +128,10 @@ func (m *Memory) Write8(addr uint64, v byte) {
 
 // Read64 returns the little-endian 64-bit word at addr. The TLB-hit aligned
 // case — the only access the ISA's LD issues on every real workload — is a
-// single indexed load, small enough to inline into the emulator loops; TLB
-// misses, copy-on-write faults and misaligned accesses take the slow path.
+// single indexed load; TLB misses and misaligned accesses take the slow
+// path. Read64 itself is too costly to inline (the call to read64Slow puts
+// it over the inlining budget), so the emulator loops probe with the
+// inlinable Load64 and call Read64 only on a miss.
 //
 //bfetch:hotpath
 func (m *Memory) Read64(addr uint64) uint64 {
@@ -159,9 +161,9 @@ func (m *Memory) read64Slow(addr uint64) uint64 {
 	return v
 }
 
-// Write64 stores a little-endian 64-bit word at addr. Like Read64, the hit
-// path inlines; a hit requires write ownership (e.rw), so copy-on-write
-// faults always reach pageFor.
+// Write64 stores a little-endian 64-bit word at addr. A hit requires write
+// ownership (e.rw), so copy-on-write faults always reach pageFor. Like
+// Read64 it does not inline; the emulator loops probe with Store64 first.
 //
 //bfetch:hotpath
 func (m *Memory) Write64(addr uint64, v uint64) {

@@ -21,9 +21,8 @@ func sealImage() *Memory {
 }
 
 // TestSealPreservesContents pins that sealing moves pages, never changes
-// them: Diff(nil) — the canonical export the checkpoint store and the
-// workload fingerprint rest on — and Equal read the same before and after,
-// and a second Seal changes nothing.
+// them: Diff(nil) — the canonical export — and Equal read the same before
+// and after, and a second Seal changes nothing.
 func TestSealPreservesContents(t *testing.T) {
 	m := sealImage()
 	before := m.Clone()

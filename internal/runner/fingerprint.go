@@ -23,8 +23,9 @@ import (
 // The serialization uses %#v over the Factory-stripped Config, which is
 // deterministic here: Config and every nested config struct hold only
 // scalars and strings (no maps, whose iteration order would wobble). Keys
-// are only compared within one process, so Go-syntax stability across
-// versions is not required.
+// are only compared within one build of the program (the durable store
+// keys its entries by the running executable), so Go-syntax stability
+// across versions is not required.
 func Fingerprint(cfg sim.Config, apps []string, opts sim.RunOpts) (string, bool) {
 	if cfg.Factory != nil {
 		return "", false

@@ -326,7 +326,7 @@ func (e *Engine) runJob(j Job) Outcome {
 		e.mu.Unlock()
 		// Second tier: the durable store. A validated entry carries the
 		// byte-identical result this job would compute (same fingerprint,
-		// same schema), so it answers the job and seeds the memory tier
+		// same program), so it answers the job and seeds the memory tier
 		// without simulating anything.
 		if e.store != nil {
 			if res, ok := e.store.GetResult(key); ok {
@@ -521,8 +521,8 @@ func (e *Engine) ckptEntry(name string, ff uint64, claim bool) (ent *ckptEntry, 
 // point, so this only moves work that its own job would do. Second tier: a
 // durable checkpoint replaces the prefix emulation with one disk read, and
 // shares each page its segment left unchanged with the predecessor. The
-// key is content-addressed over the workload's built program and initial
-// image, so a changed kernel generator can never resurrect stale state. On
+// store keys it by the running program, so a changed kernel generator or
+// emulator can never resurrect another build's state. On
 // a store miss the point resumes from its predecessor, and a predecessor's
 // error is the point's error unchanged: the emulator would fault at the
 // same instruction on the way to the longer point.
@@ -532,22 +532,18 @@ func (e *Engine) fill(ent *ckptEntry, name string, ff, pred uint64) {
 		base, _ = e.ckptEntry(name, pred, false)
 		<-base.done
 	}
-	var storeKey string
 	if e.store != nil {
-		if k, err := store.CheckpointKey(name, ff); err == nil {
-			storeKey = k
-			var shared *ckpt.Checkpoint
-			if base != nil {
-				shared = base.cp // nil if the predecessor failed
-			}
-			if cp, ok := e.store.GetCheckpoint(storeKey, name, ff, shared); ok {
-				ent.cp, ent.stored = cp, true
-				close(ent.done)
-				e.stCkHits.Add(1)
-				return
-			}
-			e.stCkMiss.Add(1)
+		var shared *ckpt.Checkpoint
+		if base != nil {
+			shared = base.cp // nil if the predecessor failed
 		}
+		if cp, ok := e.store.GetCheckpoint(name, ff, shared); ok {
+			ent.cp, ent.stored = cp, true
+			close(ent.done)
+			e.stCkHits.Add(1)
+			return
+		}
+		e.stCkMiss.Add(1)
 	}
 	var from uint64 // retired count the emulation starts at
 	if base == nil {
@@ -561,7 +557,7 @@ func (e *Engine) fill(ent *ckptEntry, name string, ff, pred uint64) {
 		return
 	}
 	e.emuInsts.Add(ent.cp.Arch.Retired - from)
-	if storeKey != "" {
-		_ = e.store.PutCheckpoint(storeKey, ent.cp) // a failure counts in StoreWriteErrs
+	if e.store != nil {
+		_ = e.store.PutCheckpoint(ent.cp) // a failure counts in StoreWriteErrs
 	}
 }

@@ -199,23 +199,14 @@ func TestStoreChainSharesWithPredecessor(t *testing.T) {
 	if got != want || got == 0 {
 		t.Errorf("store-read chain shares %d bytes between its points, the emulated chain %d", got, want)
 	}
-	base, ok := st.GetCheckpoint(mustCkptKey(t, "mcf", 200_000), "mcf", 200_000, nil)
-	long, ok2 := st.GetCheckpoint(mustCkptKey(t, "mcf", 400_000), "mcf", 400_000, nil)
+	base, ok := st.GetCheckpoint("mcf", 200_000, nil)
+	long, ok2 := st.GetCheckpoint("mcf", 400_000, nil)
 	if !ok || !ok2 {
 		t.Fatal("a chain point is missing from the store")
 	}
 	if n := mem.SharedBytes(long.Image(), base.Image()); n >= got {
 		t.Errorf("points read without a base share %d bytes, with one %d", n, got)
 	}
-}
-
-func mustCkptKey(t *testing.T, name string, ff uint64) string {
-	t.Helper()
-	k, err := store.CheckpointKey(name, ff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
 }
 
 // TestStoreWorkerCountInvariant shares one store directory between a

@@ -22,7 +22,9 @@ const (
 	allocWarmup = 30_000 // system cycles before the window: buffers reach size
 	allocWindow = 20_000 // system cycles counted
 	// allocSettle is how long the window waits after its runtime.GC() for
-	// the goroutines that collection woke.
+	// the runtime's background scavenger, which that collection wakes, to
+	// park: the first time it parks on a P, its sleep timer grows that P's
+	// empty timer heap (one 16-byte allocation, runtime.timers.addHeap).
 	allocSettle = 5 * time.Millisecond
 )
 
@@ -40,7 +42,8 @@ const mix16Budget = 10
 // budgetedMallocs returns the heap allocations of windowMallocs, measured a
 // second time on a fresh system when the first count exceeds budget. The
 // simulation repeats exactly, so an allocation it makes recurs; a one-off
-// allocation by the Go runtime itself does not.
+// allocation by the Go runtime itself, such as a new OS thread
+// (runtime.allocm, 5 objects), does not.
 func budgetedMallocs(t *testing.T, cfg Config, budget uint64) (*System, uint64) {
 	t.Helper()
 	s, n := windowMallocs(t, cfg)
@@ -83,9 +86,9 @@ func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
 	}
 	// Finish any collection the set-up started, so runtime-internal
 	// allocations of a concurrent GC cycle do not land in the window. The
-	// collection also wakes runtime goroutines that allocate once it ends
-	// (a mark worker's sudog, for one); the settle lets them run before the
-	// window opens rather than inside it.
+	// collection also wakes the scavenger, which can allocate once it ends
+	// (allocSettle); the settle lets it run before the window opens rather
+	// than inside it.
 	runtime.GC()
 	time.Sleep(allocSettle)
 	var before, after runtime.MemStats

@@ -21,7 +21,7 @@ var eqOpts = RunOpts{WarmupInsts: 10_000, MeasureInsts: 40_000}
 // runLoop executes the protocol exactly as Run does, on the naive reference
 // loop when naive is set and on the event loop otherwise.
 func runLoop(cfg Config, apps []string, opts RunOpts, naive bool) (Result, error) {
-	s, err := NewForRun(cfg, apps, opts)
+	s, err := newForRun(cfg, apps, opts)
 	if err != nil {
 		return Result{}, err
 	}

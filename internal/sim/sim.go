@@ -681,16 +681,16 @@ func DefaultRunOpts() RunOpts {
 // through internal/runner, whose checkpoint cache emulates each prefix once
 // and restores copy-on-write (bit-identically to this inline path).
 func Run(cfg Config, appNames []string, opts RunOpts) (Result, error) {
-	s, err := NewForRun(cfg, appNames, opts)
+	s, err := newForRun(cfg, appNames, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	return runProtocol(s, opts)
 }
 
-// NewForRun assembles the system Run would execute the protocol on: the
+// newForRun assembles the system Run would execute the protocol on: the
 // named applications, fast-forwarded inline when the protocol asks for it.
-func NewForRun(cfg Config, appNames []string, opts RunOpts) (*System, error) {
+func newForRun(cfg Config, appNames []string, opts RunOpts) (*System, error) {
 	apps := make([]workload.Workload, len(appNames))
 	for i, name := range appNames {
 		w, err := workload.ByName(name)

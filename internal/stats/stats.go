@@ -1,13 +1,11 @@
 // Package stats provides the metrics and formatting used across the
 // evaluation: geometric means, the multiprogrammed weighted-speedup metric
-// of §V-A, cumulative distributions, and plain-text table rendering for the
-// experiment harness.
+// of §V-A, and plain-text table rendering for the experiment harness.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -147,28 +145,4 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return sb.String()
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	X float64
-	Y float64
-}
-
-// CDFOf computes the empirical CDF of samples at each distinct value.
-func CDFOf(samples []float64) []CDFPoint {
-	if len(samples) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	var out []CDFPoint
-	n := float64(len(s))
-	for i := 0; i < len(s); i++ {
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: s[i], Y: float64(i+1) / n})
-	}
-	return out
 }

@@ -94,22 +94,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestCDFOf(t *testing.T) {
-	pts := CDFOf([]float64{3, 1, 2, 2})
-	want := []CDFPoint{{1, 0.25}, {2, 0.75}, {3, 1.0}}
-	if len(pts) != len(want) {
-		t.Fatalf("points = %v", pts)
-	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Errorf("point %d = %v, want %v", i, pts[i], want[i])
-		}
-	}
-	if CDFOf(nil) != nil {
-		t.Error("empty CDF should be nil")
-	}
-}
-
 // Property: geomean lies between min and max; scaling inputs scales the
 // geomean.
 func TestQuickGeomeanBounds(t *testing.T) {

@@ -5,12 +5,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"reflect"
 
 	"repro/internal/ckpt"
 	"repro/internal/emu"
 	"repro/internal/mem"
-	"repro/internal/workload"
 )
 
 // KindCkpt is the artifact kind for fast-forward checkpoints.
@@ -27,34 +25,18 @@ type ckptImage struct {
 	Written  []mem.PageImage
 }
 
-// ckptSchema salts checkpoint keys with the serialized layout, exactly as
-// resultSchema does for run results.
-var ckptSchema = TypeHash(reflect.TypeOf(ckptImage{}))
-
 // errWrongIdentity marks a payload that decodes but names another
 // (workload, ffInsts) point than the one looked up.
 var errWrongIdentity = errors.New("store: checkpoint names another point")
 
-// CheckpointKey is the content address of one (workload, ffInsts) prefix:
-// the workload's built content fingerprint (program text plus initial
-// image, so a changed kernel generator invalidates its checkpoints), the
-// fast-forward length, the emulator's semantic version, and the entry
-// schema. The fingerprint is computed once per workload per process.
-func CheckpointKey(name string, ffInsts uint64) (string, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return "", err
-	}
-	return KeyOf(KindCkpt,
-		name,
-		w.Fingerprint(),
-		fmt.Sprintf("ff=%d", ffInsts),
-		fmt.Sprintf("emu=%d", emu.Version),
-		ckptSchema,
-	), nil
+// ckptKey is the content address of one (workload, ffInsts) prefix: the
+// program hash, which covers the kernel generators and the emulator, the
+// workload name and the fast-forward length.
+func (s *Store) ckptKey(name string, ffInsts uint64) string {
+	return KeyOf(KindCkpt, s.prog, name, fmt.Sprintf("ff=%d", ffInsts))
 }
 
-// GetCheckpoint looks up a serialized checkpoint by its key and
+// GetCheckpoint looks up the serialized checkpoint of (name, ffInsts) and
 // reconstitutes it: the changed pages are overlaid on the rebuilt
 // workload's image, and the result is indistinguishable from an in-process
 // ckpt.New of the same prefix (pinned bit-identical by the round-trip
@@ -63,9 +45,9 @@ func CheckpointKey(name string, ffInsts uint64) (string, error) {
 // to its own shares instead of copying (ckpt.FromParts); it changes what
 // the checkpoint shares, never what it holds. Any defect — including a
 // payload that names a different workload than expected — is a miss.
-func (s *Store) GetCheckpoint(key, name string, ffInsts uint64, base *ckpt.Checkpoint) (*ckpt.Checkpoint, bool) {
+func (s *Store) GetCheckpoint(name string, ffInsts uint64, base *ckpt.Checkpoint) (*ckpt.Checkpoint, bool) {
 	var cp *ckpt.Checkpoint
-	ok := s.load(KindCkpt, key, func(payload []byte) error {
+	ok := s.load(KindCkpt, s.ckptKey(name, ffInsts), func(payload []byte) error {
 		var img ckptImage
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
 			return err
@@ -80,8 +62,9 @@ func (s *Store) GetCheckpoint(key, name string, ffInsts uint64, base *ckpt.Check
 	return cp, ok
 }
 
-// PutCheckpoint writes a checkpoint back under its key.
-func (s *Store) PutCheckpoint(key string, cp *ckpt.Checkpoint) error {
+// PutCheckpoint writes a checkpoint back under its workload and
+// fast-forward length.
+func (s *Store) PutCheckpoint(cp *ckpt.Checkpoint) error {
 	img := ckptImage{
 		Workload: cp.Workload,
 		FFInsts:  cp.FFInsts,
@@ -93,5 +76,5 @@ func (s *Store) PutCheckpoint(key string, cp *ckpt.Checkpoint) error {
 		s.writeErrs.Add(1)
 		return err
 	}
-	return s.Put(KindCkpt, key, buf.Bytes())
+	return s.Put(KindCkpt, s.ckptKey(cp.Workload, cp.FFInsts), buf.Bytes())
 }

@@ -33,21 +33,17 @@ func TestCheckpointRoundTripAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			key, err := CheckpointKey(name, ffInsts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := s.GetCheckpoint(key, name, ffInsts, nil); ok {
+			if _, ok := s.GetCheckpoint(name, ffInsts, nil); ok {
 				t.Fatal("hit before put")
 			}
-			if err := s.PutCheckpoint(key, orig); err != nil {
+			if err := s.PutCheckpoint(orig); err != nil {
 				t.Fatal(err)
 			}
-			back, ok := s.GetCheckpoint(key, name, ffInsts, nil)
+			back, ok := s.GetCheckpoint(name, ffInsts, nil)
 			if !ok {
 				t.Fatal("stored checkpoint not found")
 			}
-			payload, _ := s.Get(KindCkpt, key)
+			payload, _ := s.Get(KindCkpt, s.ckptKey(name, ffInsts))
 			var img ckptImage
 			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
 				t.Fatal(err)
@@ -92,21 +88,23 @@ func changedPages(t *testing.T, name string, cp *ckpt.Checkpoint) int {
 	return n + len(before) // pages the prefix zeroed
 }
 
-// TestCheckpointKeyComputedOnce: a workload's content fingerprint is
-// computed on its first checkpoint key, so a second key for milc (2,048
-// image pages, 8 MiB) allocates almost nothing.
-func TestCheckpointKeyComputedOnce(t *testing.T) {
-	if _, err := CheckpointKey("milc", ffInsts); err != nil {
-		t.Fatal(err)
-	}
+// TestProgramHashedOnce: the executable is hashed on the first Open of
+// the process, so a later Open reads no part of it. Hashing streams the
+// file through a 32 KiB copy buffer; an Open must allocate far less.
+func TestProgramHashedOnce(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := CheckpointKey("milc", 2*ffInsts); err != nil {
+	if _, err := hashProgram(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
-		t.Errorf("second CheckpointKey allocated %d bytes, want < 64 KiB", n)
+	hashing := after.TotalAlloc - before.TotalAlloc
+	open(t)
+	runtime.ReadMemStats(&before)
+	open(t)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= hashing/4 {
+		t.Errorf("a second Open allocated %d bytes, hashing the program %d", n, hashing)
 	}
 }
 
@@ -119,14 +117,10 @@ func TestCheckpointRestoredSimBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := CheckpointKey("mcf", ffInsts)
-	if err != nil {
+	if err := s.PutCheckpoint(orig); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutCheckpoint(key, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, ok := s.GetCheckpoint(key, "mcf", ffInsts, nil)
+	back, ok := s.GetCheckpoint("mcf", ffInsts, nil)
 	if !ok {
 		t.Fatal("stored checkpoint not found")
 	}
@@ -146,33 +140,19 @@ func TestCheckpointRestoredSimBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointKeyInvalidation pins the key's sensitivity: the fast-forward
-// length must split keys, and an unknown workload must error rather than
-// fabricate one.
+// TestCheckpointKeyInvalidation pins the key's sensitivity: the workload
+// and the fast-forward length must split keys.
 func TestCheckpointKeyInvalidation(t *testing.T) {
-	a, err := CheckpointKey("mcf", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CheckpointKey("mcf", 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t)
+	a, b, c := s.ckptKey("mcf", 1000), s.ckptKey("mcf", 2000), s.ckptKey("lbm", 1000)
 	if a == b {
 		t.Error("different ff lengths share a key")
-	}
-	c, err := CheckpointKey("lbm", 1000)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if a == c {
 		t.Error("different workloads share a key")
 	}
-	if a2, _ := CheckpointKey("mcf", 1000); a2 != a {
+	if s.ckptKey("mcf", 1000) != a {
 		t.Error("checkpoint key unstable")
-	}
-	if _, err := CheckpointKey("no-such-kernel", 1000); err == nil {
-		t.Error("unknown workload produced a key")
 	}
 }
 
@@ -185,17 +165,20 @@ func TestCheckpointWrongIdentityIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := CheckpointKey("mcf", ffInsts)
-	if err != nil {
+	if err := s.PutCheckpoint(cp); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutCheckpoint(key, cp); err != nil {
+	payload, _ := s.Get(KindCkpt, s.ckptKey("mcf", ffInsts))
+	if err := s.Put(KindCkpt, s.ckptKey("lbm", ffInsts), payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetCheckpoint(key, "lbm", ffInsts, nil); ok {
+	if err := s.Put(KindCkpt, s.ckptKey("mcf", ffInsts+1), payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetCheckpoint("lbm", ffInsts, nil); ok {
 		t.Error("payload for mcf answered a lookup for lbm")
 	}
-	if _, ok := s.GetCheckpoint(key, "mcf", ffInsts+1, nil); ok {
+	if _, ok := s.GetCheckpoint("mcf", ffInsts+1, nil); ok {
 		t.Error("payload for ff=20000 answered a lookup for ff=20001")
 	}
 }

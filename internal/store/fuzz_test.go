@@ -25,13 +25,10 @@ func realCkptPayload(tb testing.TB, s *Store, name string, ff uint64) (string, [
 	if err != nil {
 		tb.Fatal(err)
 	}
-	key, err := CheckpointKey(name, ff)
-	if err != nil {
+	if err := s.PutCheckpoint(cp); err != nil {
 		tb.Fatal(err)
 	}
-	if err := s.PutCheckpoint(key, cp); err != nil {
-		tb.Fatal(err)
-	}
+	key := s.ckptKey(name, ff)
 	payload, ok := s.Get(KindCkpt, key)
 	if !ok {
 		tb.Fatal("stored checkpoint does not read back")
@@ -111,7 +108,7 @@ func FuzzGetCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		before := s.Metrics()
-		cp, ok := s.GetCheckpoint(key, fuzzName, fuzzFF, base)
+		cp, ok := s.GetCheckpoint(fuzzName, fuzzFF, base)
 		if ok && (cp.Workload != fuzzName || cp.FFInsts != fuzzFF) {
 			t.Fatalf("lookup for %s ff=%d answered %s ff=%d", fuzzName, fuzzFF, cp.Workload, cp.FFInsts)
 		}

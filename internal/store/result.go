@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/gob"
-	"reflect"
 
 	"repro/internal/sim"
 )
@@ -11,31 +10,20 @@ import (
 // KindRun is the artifact kind for full run results.
 const KindRun = "run"
 
-// resultSchema is the schema salt for run-result entries: a structural hash
-// of sim.Result computed once at init. Any layout change — a renamed field,
-// a new counter, a re-typed slice — changes the salt, so every existing
-// on-disk result becomes unreachable and is recomputed, never misdecoded.
-var resultSchema = TypeHash(reflect.TypeOf(sim.Result{}))
-
-// ResultSchemaHash exposes the current result-schema salt (for reports and
-// debugging; keys embed it automatically).
-func ResultSchemaHash() string { return resultSchema }
-
-// RunKey is the content address of one simulation point's result: the
-// runner's config fingerprint (which two jobs share iff they are guaranteed
-// byte-identical results) salted with the result-schema hash.
-func RunKey(fingerprint string) string {
-	return KeyOf(KindRun, fingerprint, resultSchema)
+// runKey is the content address of one simulation point's result: the
+// program hash and the runner's config fingerprint, which two jobs share
+// iff they are guaranteed byte-identical results.
+func (s *Store) runKey(fingerprint string) string {
+	return KeyOf(KindRun, s.prog, fingerprint)
 }
 
 // GetResult looks up the run result stored under the given runner
-// fingerprint. A decode failure — possible only if an entry passed the
-// integrity check but predates a schema change that somehow left the hash
-// unchanged, which the structural hash rules out short of a collision — is
-// a corrupt miss like every other defect.
+// fingerprint. A payload that fails to decode — possible only through
+// tampering or a collision, since only this program writes under its
+// keys — is a corrupt miss like every other defect.
 func (s *Store) GetResult(fingerprint string) (sim.Result, bool) {
 	var res sim.Result
-	ok := s.load(KindRun, RunKey(fingerprint), func(payload []byte) error {
+	ok := s.load(KindRun, s.runKey(fingerprint), func(payload []byte) error {
 		return gob.NewDecoder(bytes.NewReader(payload)).Decode(&res)
 	})
 	if !ok {
@@ -51,5 +39,5 @@ func (s *Store) PutResult(fingerprint string, res sim.Result) error {
 		s.writeErrs.Add(1)
 		return err
 	}
-	return s.Put(KindRun, RunKey(fingerprint), buf.Bytes())
+	return s.Put(KindRun, s.runKey(fingerprint), buf.Bytes())
 }

@@ -8,12 +8,15 @@
 // byte-identical answers. The store makes those caches durable: the runner
 // consults it as the second tier of a two-tier lookup (memory singleflight →
 // disk store → compute) and writes computed entries back, so a warm store
-// turns a repeat `bfetch-bench -exp all` into disk reads.
+// turns a repeat `bfetch-bench -exp all` of the same build into disk reads.
 //
 // Two artifact kinds live here: full run results (sim.Result, keyed by the
-// runner config fingerprint salted with a result-schema hash — see
-// result.go) and fast-forward checkpoints (architectural state plus memory
-// image, keyed by workload content — see ckpt.go).
+// runner config fingerprint — see result.go) and fast-forward checkpoints
+// (architectural state plus memory image, keyed by workload name and
+// fast-forward length — see ckpt.go). Every key also carries the hash of
+// the running executable, so an entry is only ever read by the build that
+// wrote it: bfetch-sim and bfetch-bench share no entries, and a rebuild
+// starts cold.
 //
 // Durability contract (DESIGN.md §8):
 //
@@ -29,10 +32,13 @@
 //     never as a wrong answer or a panic, and the subsequent compute
 //     writes a fresh entry over it (write-back repair).
 //   - Keys are content addresses: the SHA-256 of the artifact's identity
-//     material. Schema or semantics changes alter the identity material,
-//     so stale entries are simply never looked up again; they linger until
-//     the directory is wiped, which is always safe (the store is a cache,
-//     not a system of record).
+//     material, which starts with the program hash. The executable holds
+//     everything that decides an answer — the cycle model, the emulator,
+//     the kernel generators and the payload layouts — so any change to
+//     them is a new program whose lookups never reach an old entry. Stale
+//     entries linger until the directory is wiped, which is always safe
+//     (the store is a cache, not a system of record) and never needed for
+//     correctness.
 package store
 
 import (
@@ -41,8 +47,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -61,7 +70,8 @@ var magic = [4]byte{'B', 'F', 'S', 'T'}
 // Open. A Store is safe for concurrent use by any number of goroutines and
 // coexists with other processes sharing the directory.
 type Store struct {
-	dir string
+	dir  string
+	prog string // hex SHA-256 of the running executable; the first part of every key
 
 	hits, misses  atomic.Uint64
 	writes        atomic.Uint64
@@ -84,19 +94,57 @@ type Metrics struct {
 	ReadTime      time.Duration
 }
 
-// Open returns a Store over dir, creating the directory if needed.
+// Open returns a Store over dir, creating the directory if needed. It
+// fails if the running executable cannot be hashed: without the program
+// hash no key could tell this build's entries from another's.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
+	prog, err := program()
+	if err != nil {
+		return nil, fmt.Errorf("store: hashing the program: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, prog: prog}, nil
+}
+
+// program is the hash of the running executable, computed on the first
+// Open of the process.
+var program = sync.OnceValues(hashProgram)
+
+// hashProgram returns the hex SHA-256 of the running executable. On Linux
+// it reads /proc/self/exe, which stays the file this process runs even
+// after a rebuild has replaced it on disk.
+func hashProgram() (string, error) {
+	path := "/proc/self/exe"
+	if runtime.GOOS != "linux" {
+		exe, err := os.Executable()
+		if err != nil {
+			return "", err
+		}
+		path = exe
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
+
+// Program returns the hex hash of the running executable that every key
+// of this store carries.
+func (s *Store) Program() string { return s.prog }
 
 // Metrics returns a snapshot of the activity counters.
 func (s *Store) Metrics() Metrics {
@@ -196,7 +244,7 @@ func (s *Store) read(path, key string) (payload []byte, ok, corrupt bool) {
 		return nil, false, true // truncated (or padded) body
 	}
 	if string(rest[:keyLen]) != key {
-		return nil, false, true // entry for some other identity (stale schema, tampered file)
+		return nil, false, true // entry for some other identity (renamed or tampered file)
 	}
 	payload = rest[keyLen:]
 	if sha256.Sum256(payload) != digest {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/sim"
 )
 
@@ -138,20 +139,20 @@ func TestCorruptionIsAMiss(t *testing.T) {
 }
 
 // TestStaleSchemaIsAMiss pins the invalidation contract: entries written
-// under an older schema salt live at a different content address, so the
+// under other key material live at a different content address, so the
 // new code simply never finds them — and even a stale file renamed over the
 // new address (the worst-case collision a wiped-and-restored directory
 // could produce) is rejected by the embedded-key check.
 func TestStaleSchemaIsAMiss(t *testing.T) {
 	s := open(t)
 	fp := "cfg|apps|opts"
-	oldKey := KeyOf(KindRun, fp, "schema-v-old")
-	newKey := KeyOf(KindRun, fp, "schema-v-new")
+	oldKey := KeyOf(KindRun, "program-old", fp)
+	newKey := KeyOf(KindRun, "program-new", fp)
 	if err := s.Put(KindRun, oldKey, []byte("stale bytes")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(KindRun, newKey); ok {
-		t.Fatal("new schema key hit an old entry")
+		t.Fatal("new key hit an old entry")
 	}
 	// Rename the stale entry onto the new address: the header still names
 	// the old key, so validation must fail it.
@@ -255,18 +256,60 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTypeHash(t *testing.T) {
-	type a struct{ X, Y uint64 }
-	type b struct{ X, Z uint64 }
-	type c struct{ X uint32 }
-	ha, hb, hc := TypeHash(reflect.TypeOf(a{})), TypeHash(reflect.TypeOf(b{})), TypeHash(reflect.TypeOf(c{}))
-	if ha == hb || ha == hc || hb == hc {
-		t.Error("distinct layouts share a schema hash")
+// otherProgram returns a store over s's directory as another build of the
+// program would open it.
+func otherProgram(s *Store) *Store {
+	return &Store{dir: s.dir, prog: strings.Repeat("0", len(s.prog))}
+}
+
+// TestKeysCarryProgram: run and checkpoint keys carry the hash of the
+// running executable, so two builds never share an address.
+func TestKeysCarryProgram(t *testing.T) {
+	s := open(t)
+	if len(s.Program()) != 64 {
+		t.Fatalf("program hash %q, want 64 hex digits", s.Program())
 	}
-	if ha != TypeHash(reflect.TypeOf(a{})) {
-		t.Error("schema hash unstable")
+	if open(t).Program() != s.Program() {
+		t.Error("two stores of one process carry different program hashes")
 	}
-	if ResultSchemaHash() == "" {
-		t.Error("empty result schema hash")
+	o := otherProgram(s)
+	if s.runKey("cfg|apps|opts") == o.runKey("cfg|apps|opts") {
+		t.Error("run key ignores the program")
+	}
+	if s.ckptKey("mcf", 1000) == o.ckptKey("mcf", 1000) {
+		t.Error("checkpoint key ignores the program")
+	}
+}
+
+// TestOtherProgramMisses: an entry written under one program hash misses
+// under another, and still answers the program that wrote it.
+func TestOtherProgramMisses(t *testing.T) {
+	s := open(t)
+	o := otherProgram(s)
+	fp := "cfg|apps|opts"
+	if err := s.PutResult(fp, sim.Result{Cycles: 7}); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ckpt.ByName(fuzzName, fuzzFF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := o.GetResult(fp); ok {
+		t.Error("another program's lookup read a stored result")
+	}
+	if _, ok := o.GetCheckpoint(fuzzName, fuzzFF, nil); ok {
+		t.Error("another program's lookup read a stored checkpoint")
+	}
+	if m := o.Metrics(); m.Misses != 2 || m.CorruptMisses != 0 {
+		t.Errorf("another program's lookups: %+v, want 2 plain misses", m)
+	}
+	if res, ok := s.GetResult(fp); !ok || res.Cycles != 7 {
+		t.Error("the writing program no longer reads its result")
+	}
+	if _, ok := s.GetCheckpoint(fuzzName, fuzzFF, nil); !ok {
+		t.Error("the writing program no longer reads its checkpoint")
 	}
 }

@@ -74,8 +74,12 @@ func FOAProfiles(profileInsts uint64) (map[string]float64, error) {
 // SelectMixes returns the `count` n-application mixes with the highest
 // combined FOA, enumerated deterministically. Following the paper, 29 mixes
 // each of 2 and 4 applications. For n beyond the workload suite size
-// (scale-out 64-core mixes), applications repeat: see wideMixes.
+// (scale-out 64-core mixes), applications repeat: see wideMixes. An n or
+// count below 1 selects no mix.
 func SelectMixes(n, count int, foa map[string]float64) []Mix {
+	if n < 1 || count < 1 {
+		return nil
+	}
 	names := make([]string, 0, len(foa))
 	for name := range foa {
 		names = append(names, name)

@@ -13,9 +13,6 @@
 package workload
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -51,9 +48,6 @@ type buildCache struct {
 	// therefore sealed outside the Go heap (mem.Memory.Seal) rather than
 	// frozen on it.
 	seal bool
-
-	fpOnce sync.Once
-	fp     string
 }
 
 // Build materializes the program and its initial memory image. The builder
@@ -86,53 +80,6 @@ func (w Workload) built() (*isa.Program, *mem.Memory) {
 		}
 	})
 	return c.prog, c.img
-}
-
-// Fingerprint is the hex SHA-256 of the workload's built content: the text
-// base, every instruction field, the symbol table (sorted) and the initial
-// image's non-zero pages in page order, each number a little-endian 64-bit
-// word.
-// Equal fingerprints mean equal builds, so checkpoint keys (internal/store)
-// rest on it. It is computed on first call, once per workload.
-func (w Workload) Fingerprint() string {
-	c := w.cache
-	if c == nil {
-		return fingerprint(w.built())
-	}
-	c.fpOnce.Do(func() { c.fp = fingerprint(w.built()) })
-	return c.fp
-}
-
-func fingerprint(prog *isa.Program, image *mem.Memory) string {
-	h := sha256.New()
-	var buf []byte
-	put := func(vs ...uint64) {
-		for _, v := range vs {
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-		}
-	}
-	put(prog.TextBase, uint64(len(prog.Insts)))
-	for _, in := range prog.Insts {
-		put(uint64(in.Op), uint64(in.Rd), uint64(in.Rs), uint64(in.Rt), uint64(in.Imm), uint64(in.Target))
-	}
-	syms := make([]string, 0, len(prog.Symbols))
-	for sym := range prog.Symbols {
-		syms = append(syms, sym)
-	}
-	sort.Strings(syms)
-	for _, sym := range syms {
-		buf = append(buf, sym...)
-		put(uint64(prog.Symbols[sym]))
-	}
-	h.Write(buf)
-	for _, p := range image.Diff(nil) {
-		buf = binary.LittleEndian.AppendUint64(buf[:0], p.PN)
-		for _, v := range p.Words {
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-		}
-		h.Write(buf)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // New wraps a user-supplied program builder as a Workload, so downstream

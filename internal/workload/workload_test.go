@@ -191,4 +191,13 @@ func TestSelectMixes(t *testing.T) {
 			t.Error("selection not deterministic")
 		}
 	}
+	// A count or size below 1 selects nothing, for suite-sized and wide
+	// mixes alike.
+	for _, c := range []struct{ n, count int }{
+		{2, 0}, {2, -1}, {8, 0}, {8, -1}, {0, 3}, {-1, 3},
+	} {
+		if got := SelectMixes(c.n, c.count, foa); len(got) != 0 {
+			t.Errorf("SelectMixes(%d, %d) = %v, want no mix", c.n, c.count, got)
+		}
+	}
 }

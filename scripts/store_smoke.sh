@@ -11,7 +11,9 @@
 # -j 8 reads) — the disk tier must be as scheduling-independent as the
 # in-memory one. A bfetch-sim leg, with a fast-forward, checks that one run
 # prints the same whether it has no store, fills one, or is answered from
-# one. Run via `make store-smoke`.
+# one, and that a second build of the same source (-trimpath, so a
+# different executable) computes instead of reading the first build's
+# entries. Run via `make store-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -104,5 +106,16 @@ grep -q 'answered from' "$workdir/sim_warm.err" || {
 }
 diff "$workdir/sim_nostore.out" "$workdir/sim_cold.out"
 diff "$workdir/sim_nostore.out" "$workdir/sim_warm.out"
+
+echo "== bfetch-sim: another build does not read the first build's store"
+go build -trimpath -o "$workdir/bfetch-sim-trim" ./cmd/bfetch-sim
+"$workdir/bfetch-sim-trim" "${sim[@]}" -store "$workdir/simstore" \
+    >"$workdir/sim_other.out" 2>"$workdir/sim_other.err"
+if grep -q 'answered from' "$workdir/sim_other.err"; then
+    echo "a second bfetch-sim build was answered from the first build's store:" >&2
+    cat "$workdir/sim_other.err" >&2
+    exit 1
+fi
+diff "$workdir/sim_nostore.out" "$workdir/sim_other.out"
 
 echo "store-smoke: OK"
