@@ -33,7 +33,6 @@ type options struct {
 	ff, warmup, measure uint64
 	conf                float64
 	scale, cpistack     bool
-	tsEvery             uint64
 	storeDir            string
 	list                bool
 	obsOut, validate    string
@@ -51,7 +50,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.conf, "conf", 0.75, "B-Fetch path confidence threshold (with -pf bfetch only)")
 	fs.BoolVar(&o.scale, "scale", false, "use the scale-out memory system (banked LLC, channeled DRAM) sized for the core count")
 	fs.BoolVar(&o.cpistack, "cpistack", false, "attribute every core cycle to a CPI-stack bucket and print the breakdown")
-	fs.Uint64Var(&o.tsEvery, "ts", 0, "sample the metrics registry every N cycles into the obs report's time series (0 disables)")
 	fs.StringVar(&o.storeDir, "store", "", "durable artifact store directory: answer this run from disk if cached there, write it back otherwise")
 	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
 	fs.StringVar(&o.obsOut, "obs", "", "write this run's observability report (bfetch-obs-run/v1 JSON) to this file, '-' for stdout")
@@ -78,7 +76,6 @@ func (o *options) simConfig(fs *flag.FlagSet) (sim.Config, error) {
 	cfg.CPU = cfg.CPU.WithWidth(o.width)
 	cfg.BFetch.PathThreshold = o.conf
 	cfg.CPU.CPIStack = o.cpistack
-	cfg.TSInterval = o.tsEvery
 	cfg.Cores = cores
 	return cfg, nil
 }
@@ -125,12 +122,11 @@ func main() {
 	opts := sim.RunOpts{FastForwardInsts: o.ff, WarmupInsts: o.warmup, MeasureInsts: o.measure}
 	job := runner.Multi(cfg, names, opts)
 	eng := runner.New(1)
-	var st *store.Store
 	if o.storeDir != "" {
 		// With a durable store attached, a repeated invocation is answered
 		// from disk by the runner's two-tier lookup.
-		var err error
-		if st, err = store.Open(o.storeDir); err != nil {
+		st, err := store.Open(o.storeDir)
+		if err != nil {
 			fatal(err)
 		}
 		eng.SetStore(st)
@@ -141,7 +137,9 @@ func main() {
 		fatal(err)
 	}
 	wall := time.Since(start)
-	if st != nil && st.Metrics().Hits > 0 {
+	if eng.Stats().StoreHits > 0 {
+		// A result hit, not a checkpoint hit: a run resumed from a stored
+		// checkpoint still simulated.
 		fmt.Fprintf(os.Stderr, "store: answered from %s (no simulation run)\n", o.storeDir)
 	}
 
@@ -179,10 +177,6 @@ func main() {
 	fmt.Printf("LLC: %d accesses, %.2f%% miss\n", res.LLC.Accesses, 100*res.LLC.MissRate())
 	fmt.Printf("DRAM: %d demand fills, %d prefetch fills, %d writebacks, %d stall cycles\n",
 		res.DRAM.DemandFills, res.DRAM.PrefetchFills, res.DRAM.Writebacks, res.DRAM.StallCycles)
-	if ts := res.TS; ts != nil {
-		fmt.Printf("time series: %d rows × %d columns, every %d cycles from cycle %d\n",
-			len(ts.Rows), len(ts.Names), ts.Interval, ts.Base)
-	}
 
 	if o.obsOut != "" {
 		if err := writeObsReport(o.obsOut, runner.Report(job, res, wall)); err != nil {

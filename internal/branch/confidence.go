@@ -72,6 +72,9 @@ func NewConfidence(cfg ConfidenceConfig) *Confidence {
 	}
 }
 
+// Config returns the estimator's configuration.
+func (c *Confidence) Config() ConfidenceConfig { return c.cfg }
+
 // StorageBits reports the estimator's state budget.
 func (c *Confidence) StorageBits() int {
 	return c.cfg.Entries * (c.cfg.JRSBits + c.cfg.UDBits)

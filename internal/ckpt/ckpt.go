@@ -122,8 +122,9 @@ func ByName(name string, ffInsts uint64) (*Checkpoint, error) {
 // the workload must exist and the PC must be a valid resume point for the
 // rebuilt program. Content integrity (the pages and Arch actually being
 // the prefix's output) is the storage layer's job — internal/store keys
-// checkpoint entries by the workload's built content, so a changed workload
-// generator can never pair stale state with a fresh program.
+// checkpoint entries by the hash of the running program, which covers the
+// workload generators, so a changed generator can never pair stale state
+// with a fresh program.
 func FromParts(name string, ffInsts uint64, arch emu.Arch, written []mem.PageImage, base *Checkpoint) (*Checkpoint, error) {
 	w, err := workload.ByName(name)
 	if err != nil {

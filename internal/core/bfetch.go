@@ -212,7 +212,7 @@ func New(cfg Config, bp *branch.Predictor, conf *branch.Confidence) *BFetch {
 	}
 	if cfg.PrivatePredictor {
 		bp = branch.New(bp.Config())
-		conf = branch.NewConfidence(branch.DefaultConfidenceConfig())
+		conf = branch.NewConfidence(conf.Config())
 	}
 	b := &BFetch{
 		cfg:    cfg,

@@ -172,9 +172,8 @@ func TestStatsResetMutation(t *testing.T) {
 	}
 }
 
-// tsLikeSrc mirrors the observability interval sampler's window restart,
-// plus a CPI-stack array reset — the counters the attribution subsystem
-// added. The mutation test deletes one cursor assignment and requires the
+// tsLikeSrc is a fixture modelled on an interval sampler's window restart,
+// plus a CPI-stack array reset. The mutation test deletes one cursor assignment and requires the
 // statsreset analyzer (which audits Restart alongside Reset/ResetStats) to
 // re-detect it: a sampler that keeps its old nextAt across ResetStats
 // replays warmup-window boundaries into the measurement window, and a CPI

@@ -10,10 +10,9 @@ import "go/ast"
 // learned/configuration state the reset deliberately preserves. This is the
 // bug class PR 2's reset audit fixed by hand — a counter added to a struct
 // but forgotten in ResetStats silently bleeds warmup state into the
-// measurement window. Restart joined the audited family with the interval
-// time series: a sampler whose window restart forgets a cursor replays the
-// warmup rows into the measurement window, the same bug class at one
-// remove.
+// measurement window. Restart is audited alongside them: a window restart
+// that forgets a cursor replays warmup state into the measurement window,
+// the same bug class at one remove.
 //
 // Embedded (anonymous) fields are exempt: their own Reset methods are
 // audited separately.

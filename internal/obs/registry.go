@@ -121,14 +121,6 @@ type namedFunc struct {
 	fn   func() uint64
 }
 
-// scalarSrc is one sealed scalar source: a counter cell or a collector
-// function.
-type scalarSrc struct {
-	name string
-	v    *uint64
-	fn   func() uint64
-}
-
 // Registry holds the metrics of one simulated system. Construct with
 // NewRegistry; register everything at assembly time, before the first
 // cycle — registration is the cold path, increments are the hot path.
@@ -137,7 +129,6 @@ type Registry struct {
 	counters []namedCell     //bfetch:noreset registration table; the cells it points at are reset
 	hists    []namedHist     //bfetch:noreset registration table; the states it points at are reset
 	funcs    []namedFunc     //bfetch:noreset collectors read live component state, reset by its owner
-	sealed   []scalarSrc     //bfetch:noreset sealed registration table (see SealScalars)
 }
 
 // Registrant is implemented by components that export metrics: the system
@@ -153,9 +144,6 @@ func NewRegistry() *Registry {
 }
 
 func (r *Registry) claim(name string) {
-	if r.sealed != nil {
-		panic("obs: metric " + name + " registered after SealScalars")
-	}
 	if r.names[name] {
 		panic("obs: duplicate metric " + name)
 	}
@@ -188,43 +176,6 @@ func (r *Registry) Func(name string, fn func() uint64) {
 
 // Len reports the number of registered metrics.
 func (r *Registry) Len() int { return len(r.names) }
-
-// SealScalars freezes the scalar metric set (counters and Func collectors;
-// histograms are excluded) into a name-sorted read schedule and returns the
-// names in that order. After sealing, further registration panics — the
-// interval sampler's row layout must not shift mid-run. Idempotent: a second
-// call returns the same schedule.
-func (r *Registry) SealScalars() []string {
-	if r.sealed == nil {
-		r.sealed = make([]scalarSrc, 0, len(r.counters)+len(r.funcs))
-		for _, c := range r.counters {
-			r.sealed = append(r.sealed, scalarSrc{name: c.name, v: c.v})
-		}
-		for _, f := range r.funcs {
-			r.sealed = append(r.sealed, scalarSrc{name: f.name, fn: f.fn})
-		}
-		sort.Slice(r.sealed, func(i, j int) bool { return r.sealed[i].name < r.sealed[j].name })
-	}
-	names := make([]string, len(r.sealed))
-	for i, s := range r.sealed {
-		names[i] = s.name
-	}
-	return names
-}
-
-// ReadScalarsInto fills dst (length == len(SealScalars())) with the current
-// scalar values in sealed order. Allocation-free: the interval sampler calls
-// it at every cycle boundary.
-func (r *Registry) ReadScalarsInto(dst []uint64) {
-	for i := range r.sealed {
-		s := &r.sealed[i]
-		if s.v != nil {
-			dst[i] = *s.v
-		} else {
-			dst[i] = s.fn()
-		}
-	}
-}
 
 // Snapshot captures every metric, sorted by name.
 func (r *Registry) Snapshot() Snapshot {

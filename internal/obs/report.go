@@ -18,7 +18,6 @@ const (
 	SchemaRun    = "bfetch-obs-run/v1"
 	SchemaRuns   = "bfetch-obs/v1"
 	SchemaStatus = "bfetch-obs-status/v1"
-	SchemaTS     = "bfetch-obs-ts/v1"
 )
 
 // RunReport is one executed simulation's observability record.
@@ -39,12 +38,10 @@ type RunReport struct {
 
 	Metrics Snapshot `json:"metrics"` // full registry snapshot
 
-	// TS is the run's interval time series (nil unless sampling was
-	// configured); its rows are deterministic across the simulator's clock
-	// loops and the batch's worker count.
-	TS *TimeSeriesData `json:"ts,omitempty"`
-
-	WallSeconds   float64 `json:"wall_seconds"`        // inside sim.Run
+	// WallSeconds is the host time of the whole job: resolving its
+	// checkpoints (a cache or store lookup, or an emulated fast-forward)
+	// plus the simulation itself.
+	WallSeconds   float64 `json:"wall_seconds"`
 	KCyclesPerSec float64 `json:"sim_kcycles_per_sec"` // cycles / wall
 }
 
@@ -162,12 +159,6 @@ func ValidateReport(data []byte) (string, error) {
 			return probe.Schema, fmt.Errorf("obs: status jobs_done %d > jobs_total %d", s.JobsDone, s.JobsTotal)
 		}
 		return probe.Schema, nil
-	case SchemaTS:
-		var ts TimeSeriesData
-		if err := json.Unmarshal(data, &ts); err != nil {
-			return probe.Schema, fmt.Errorf("obs: malformed time series: %w", err)
-		}
-		return probe.Schema, validateTS(&ts)
 	case "":
 		return "", fmt.Errorf("obs: missing schema tag")
 	default:
@@ -206,15 +197,7 @@ func validateRun(r RunReport) error {
 			return fmt.Errorf("metrics snapshot not sorted/unique at %q", r.Metrics.Samples[i].Name)
 		}
 	}
-	if err := validateCPI(r.Metrics); err != nil {
-		return err
-	}
-	if r.TS != nil {
-		if err := validateTS(r.TS); err != nil {
-			return err
-		}
-	}
-	return nil
+	return validateCPI(r.Metrics)
 }
 
 // validateCPI enforces the exact-partition invariant on every core that
@@ -241,30 +224,6 @@ func validateCPI(m Snapshot) error {
 		}
 		if sum != cycles {
 			return fmt.Errorf("cpi stack %scpi.* sums to %d, want exactly %scycles = %d", owner, sum, owner, cycles)
-		}
-	}
-	return nil
-}
-
-// validateTS checks a time-series section's structural invariants.
-func validateTS(ts *TimeSeriesData) error {
-	if ts.Schema != SchemaTS {
-		return fmt.Errorf("time series schema is %q, want %q", ts.Schema, SchemaTS)
-	}
-	if ts.Interval == 0 {
-		return fmt.Errorf("time series has zero interval")
-	}
-	if len(ts.Names) == 0 {
-		return fmt.Errorf("time series has no columns")
-	}
-	for i := 1; i < len(ts.Names); i++ {
-		if ts.Names[i-1] >= ts.Names[i] {
-			return fmt.Errorf("time series columns not sorted/unique at %q", ts.Names[i])
-		}
-	}
-	for i, row := range ts.Rows {
-		if len(row) != len(ts.Names) {
-			return fmt.Errorf("time series row %d has %d columns, want %d", i, len(row), len(ts.Names))
 		}
 	}
 	return nil

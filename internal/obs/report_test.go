@@ -76,6 +76,17 @@ func TestValidateReportAccepts(t *testing.T) {
 	}
 }
 
+// TestValidateReportIgnoresUnknownSections pins that a run report carrying a
+// section this version does not model (an older writer's "ts" interval
+// series) still validates: unknown keys are skipped, not rejected.
+func TestValidateReportIgnoresUnknownSections(t *testing.T) {
+	doc := strings.Replace(string(mustJSON(t, validRun())), "{",
+		`{"ts":{"interval":256,"names":["a"],"rows":[[1]]},`, 1)
+	if schema, err := ValidateReport([]byte(doc)); err != nil || schema != SchemaRun {
+		t.Errorf("report with a ts section: schema %q, err %v", schema, err)
+	}
+}
+
 func TestValidateReportRejects(t *testing.T) {
 	overUseful := validRun()
 	overUseful.Lifecycle.UsefulTimely = 100 // useful > issued

@@ -3,9 +3,9 @@ package obs
 // Live run streaming. A StreamHub fans NDJSON lines out to any number of
 // concurrent subscribers; bfetch-bench's /obs/stream endpoint attaches one
 // subscriber per connected client. The batch runner publishes the same two
-// records it emits everywhere else: a RunReport (time series included) per
-// executed simulation and a Status per finished job, so every line carries a
-// schema tag and passes ValidateReport. Publishing happens outside the
+// records it emits everywhere else: a RunReport per executed simulation and
+// a Status per finished job, so every line carries a schema tag and passes
+// ValidateReport. Publishing happens outside the
 // simulation's per-cycle path, so the hot kernel stays allocation-free
 // regardless of how many clients watch.
 //

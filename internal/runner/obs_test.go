@@ -92,29 +92,22 @@ func TestRunReportsCollection(t *testing.T) {
 
 // FuzzValidateReport feeds the report validator arbitrary bytes, seeded with
 // every document kind a real batch produces: a run report of a tiny
-// time-series-sampled run, the batch status, a runs file and a bare time
-// series. Any input must give either a schema with a nil error or an error;
-// never a panic.
+// attributed run, the batch status and a runs file. Any input must give
+// either a schema with a nil error or an error; never a panic.
 func FuzzValidateReport(f *testing.F) {
 	cfg := sim.Default(sim.PFBFetch)
 	cfg.CPU.CPIStack = true
-	cfg.TSInterval = 256
-	cfg.TSMaxRows = 4 // small seeds mutate faster
 	job := Solo(cfg, "libquantum", tinyOpts())
 	e := New(1)
 	res, err := e.Run(job)
 	if err != nil {
 		f.Fatal(err)
 	}
-	if res.TS == nil {
-		f.Fatal("TSInterval set but the result has no time series")
-	}
 	rep := Report(job, res, time.Millisecond)
 	for _, doc := range []any{
 		rep,
 		e.Stats(),
 		obs.RunsFile{Schema: obs.SchemaRuns, Runs: []obs.RunReport{rep}},
-		res.TS,
 	} {
 		seed, err := json.Marshal(doc)
 		if err != nil {

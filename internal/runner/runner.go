@@ -411,8 +411,8 @@ func (e *Engine) record(j Job, res sim.Result, wall time.Duration) {
 	e.repMu.Unlock()
 }
 
-// Report builds the run record of one executed job from its result and the
-// wall time spent simulating it.
+// Report builds the run record of one executed job from its result and its
+// wall time (checkpoint resolution included).
 func Report(j Job, res sim.Result, wall time.Duration) obs.RunReport {
 	var insts uint64
 	for _, cs := range res.Core {
@@ -426,7 +426,6 @@ func Report(j Job, res sim.Result, wall time.Duration) obs.RunReport {
 		IPC:         append([]float64(nil), res.IPC...),
 		PerCore:     append([]obs.LifecycleStats(nil), res.Lifecycle...),
 		Metrics:     res.Metrics,
-		TS:          res.TS,
 		WallSeconds: wall.Seconds(),
 	}
 	r.Finalize()

@@ -218,21 +218,19 @@ func TestMap(t *testing.T) {
 	}
 }
 
-// TestTimeSeriesWorkerInvariance pins the tentpole's batch-level determinism
-// contract: an attributed, sampled 16-core job produces a bit-identical
-// interval time series whether the batch runs on one worker or eight.
-func TestTimeSeriesWorkerInvariance(t *testing.T) {
+// TestAttributedWorkerInvariance pins batch-level determinism for attributed
+// jobs: a CPI-attributed banked 16-core job and an attributed solo job each
+// produce a bit-identical Result whether the batch runs on one worker or
+// eight.
+func TestAttributedWorkerInvariance(t *testing.T) {
 	apps := []string{"mcf", "milc", "libquantum", "astar"}
 	cfg := sim.DefaultScale(sim.PFBFetch, len(apps))
 	cfg.CPU.CPIStack = true
-	cfg.TSInterval = 256
-	cfg.TSMaxRows = 16
 	jobs := []Job{
 		Multi(cfg, apps, tinyOpts()),
 		Solo(func() sim.Config {
 			c := sim.Default(sim.PFStride)
 			c.CPU.CPIStack = true
-			c.TSInterval = 256
 			return c
 		}(), "lbm", tinyOpts()),
 	}
@@ -243,19 +241,16 @@ func TestTimeSeriesWorkerInvariance(t *testing.T) {
 		if one[i].Err != nil || eight[i].Err != nil {
 			t.Fatalf("job %d errors: -j1 %v, -j8 %v", i, one[i].Err, eight[i].Err)
 		}
-		if one[i].Result.TS == nil || len(one[i].Result.TS.Rows) == 0 {
-			t.Fatalf("job %d: no time series emitted", i)
-		}
-		if !reflect.DeepEqual(one[i].Result.TS, eight[i].Result.TS) {
-			t.Errorf("job %d: time series diverges between -j 1 and -j 8", i)
+		if !reflect.DeepEqual(one[i].Result, eight[i].Result) {
+			t.Errorf("job %d: result diverges between -j 1 and -j 8", i)
 		}
 	}
 }
 
-// TestStreamPublishing subscribes a hub to an engine running one sampled
+// TestStreamPublishing subscribes a hub to an engine running one attributed
 // job and checks the two-record protocol end to end: every line is a valid
-// obs document, the run publishes one RunReport carrying its time series,
-// the finished job publishes one Status, and nothing is dropped.
+// obs document, the run publishes one RunReport, the finished job publishes
+// one Status, and nothing is dropped.
 func TestStreamPublishing(t *testing.T) {
 	hub := obs.NewStreamHub()
 	sub, cancel := hub.Subscribe()
@@ -263,16 +258,11 @@ func TestStreamPublishing(t *testing.T) {
 
 	cfg := sim.Default(sim.PFBFetch)
 	cfg.CPU.CPIStack = true
-	cfg.TSInterval = 512
-	cfg.TSMaxRows = 8
 	e := New(2)
 	e.SetStream(hub)
 	outs := e.RunAll([]Job{Solo(cfg, "mcf", tinyOpts())})
 	if outs[0].Err != nil {
 		t.Fatal(outs[0].Err)
-	}
-	if outs[0].Result.TS == nil {
-		t.Fatal("sampled job produced no time series")
 	}
 
 	var status, runs int
@@ -300,9 +290,6 @@ func TestStreamPublishing(t *testing.T) {
 			}
 			if r.Engine != string(sim.PFBFetch) {
 				t.Errorf("run engine %q, want %q", r.Engine, sim.PFBFetch)
-			}
-			if !reflect.DeepEqual(r.TS, outs[0].Result.TS) {
-				t.Error("streamed run's time series differs from Result.TS")
 			}
 		default:
 			t.Errorf("unexpected stream schema %q", schema)

@@ -54,9 +54,8 @@ func budgetedMallocs(t *testing.T, cfg Config, budget uint64) (*System, uint64) 
 }
 
 // windowMallocs builds the 16-core mix on cfg, steps it allocWarmup system
-// cycles — core ticks and the interval sampler when cfg enables it — and
-// returns the heap allocations of the next allocWindow
-// cycles.
+// cycles of core ticks and returns the heap allocations of the next
+// allocWindow cycles.
 func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
 	t.Helper()
 	s, err := buildSystem(cfg, mix16)
@@ -74,9 +73,6 @@ func windowMallocs(t *testing.T, cfg Config) (*System, uint64) {
 		}
 		s.tickCores(due, now)
 		now++
-		for s.ts != nil && s.ts.NextAt() <= now {
-			s.ts.Sample()
-		}
 	}
 	for now < allocWarmup {
 		step()
@@ -118,13 +114,10 @@ func TestBankedCMPCycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBankedCMPCycleZeroAllocAttributed is the same system cycle with the
-// full observability tentpole attached: CPI attribution charging every core
-// every cycle, and the interval time-series sampler firing — at an interval
-// small enough that ring compaction (merge-downsampling) happens repeatedly
-// inside the measured window. Neither may add an allocation to the plain
-// system's budget, or they could not ship config-gated on the measurement
-// path.
+// TestBankedCMPCycleZeroAllocAttributed is the same system cycle with CPI
+// attribution charging every core every cycle. It may not add an allocation
+// to the plain system's budget, or it could not ship config-gated on the
+// measurement path.
 func TestBankedCMPCycleZeroAllocAttributed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -134,14 +127,9 @@ func TestBankedCMPCycleZeroAllocAttributed(t *testing.T) {
 	}
 	cfg := DefaultScale(PFBFetch, len(mix16))
 	cfg.CPU.CPIStack = true
-	cfg.TSInterval = 64
-	cfg.TSMaxRows = 8
 	s, n := budgetedMallocs(t, cfg, mix16Budget)
 	if n > mix16Budget {
-		t.Errorf("attributed+sampled 16-core system, %d cycles: %d heap allocations, budget %d", allocWindow, n, mix16Budget)
-	}
-	if s.ts.Rows() == 0 {
-		t.Fatal("sampler took no rows")
+		t.Errorf("attributed 16-core system, %d cycles: %d heap allocations, budget %d", allocWindow, n, mix16Budget)
 	}
 	for i, c := range s.Cores {
 		if total := c.Stats.CPI.Total(); total != c.Stats.Cycles {

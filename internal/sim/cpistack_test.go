@@ -1,9 +1,8 @@
 package sim
 
-// CPI-stack and time-series contracts at system scale: the exact-partition
-// invariant (every counted cycle lands in exactly one bucket) for every
-// engine under both clock loops, solo and on the 16-core banked mix, and the
-// interval sampler's bit-identity across the two loops.
+// CPI-stack contracts at system scale: the exact-partition invariant (every
+// counted cycle lands in exactly one bucket) for every engine under both
+// clock loops, solo and on the 16-core banked mix.
 
 import (
 	"reflect"
@@ -161,75 +160,5 @@ func TestCPIStackParkedLoadGap(t *testing.T) {
 	if !reflect.DeepEqual(naive, event) {
 		t.Errorf("parked-load snapshots diverge across loops\nnaive: %+v\nevent: %+v",
 			naive.Core, event.Core)
-	}
-}
-
-// TestTimeSeriesDeterminism pins the sampler's contract: the emitted
-// TimeSeriesData — row values, row count, spacing after merge-downsampling —
-// is bit-identical across naive-vs-event loops, on the contended 16-core
-// system where the loops' idle-crediting and gap-skipping differ most.
-func TestTimeSeriesDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := DefaultScale(PFBFetch, len(mix16))
-	cfg.CPU.CPIStack = true
-	cfg.TSInterval = 256
-	cfg.TSMaxRows = 16
-
-	naive, event := runBothLoops(t, cfg, mix16, mixOpts)
-	if event.TS == nil || len(event.TS.Rows) == 0 {
-		t.Fatal("no time series emitted")
-	}
-	if event.TS.Schema != obs.SchemaTS {
-		t.Fatalf("time series schema %q, want %q", event.TS.Schema, obs.SchemaTS)
-	}
-	if event.TS.Interval == cfg.TSInterval {
-		t.Logf("note: run short enough that no downsampling occurred (interval still %d)", event.TS.Interval)
-	}
-	if !reflect.DeepEqual(naive.TS, event.TS) {
-		t.Errorf("time series diverges across loops\nnaive: %+v\nevent: %+v", naive.TS, event.TS)
-	}
-}
-
-// TestTimeSeriesWindowRestart checks the warmup/measure boundary: rows
-// sampled during warmup must not leak into the measured window's series
-// (the window-reset bug class the statsreset lint audit pins statically).
-func TestTimeSeriesWindowRestart(t *testing.T) {
-	cfg := Default(PFNone)
-	cfg.TSInterval = 128
-	s, err := buildSystem(cfg, []string{"libquantum"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(5_000, 20_000_000); err != nil {
-		t.Fatal(err)
-	}
-	warm := s.ts.Rows()
-	if warm == 0 {
-		t.Fatal("no rows sampled during warmup")
-	}
-	s.ResetStats()
-	if s.ts.Rows() != 0 {
-		t.Fatalf("%d warmup rows survive ResetStats", s.ts.Rows())
-	}
-	if err := s.Run(5_000, 20_000_000); err != nil {
-		t.Fatal(err)
-	}
-	res := s.Snapshot()
-	if res.TS == nil || len(res.TS.Rows) == 0 {
-		t.Fatal("no rows in the measured window")
-	}
-	if res.TS.Base == 0 {
-		t.Error("measured window's series still based at cycle 0: warmup window leaked")
-	}
-	// Rows are cumulative counters read after the reset: the first measured
-	// row must not contain warmup-scale cycle counts.
-	for i, name := range res.TS.Names {
-		if name == "c0.cpu.cycles" {
-			if got := res.TS.Rows[0][i]; got > res.Cycles {
-				t.Errorf("first measured row has c0.cpu.cycles = %d > window cycles %d", got, res.Cycles)
-			}
-		}
 	}
 }

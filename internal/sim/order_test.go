@@ -35,9 +35,9 @@ func TestSharedLevelOrderPinned(t *testing.T) {
 		digest string
 	}{
 		{"4-core banked B-Fetch", banked, []string{"mcf", "lbm", "milc", "libquantum"},
-			"28e8866ba1d6d91645c146aaf52a727106bb87d91ef462ac2f98d7a11fa24979"},
+			"dd6057104b1362d46b2afd5d4286eec0816e1ad0cde8291d284ffcc7b9b51f58"},
 		{"2-core Table II SMS", tableII, []string{"mcf", "lbm"},
-			"1d9c1e2bdb137d1e492e79ceb64c7b3e25ef2487b6fa4137a96d2ab180f5bfdc"},
+			"db84c2f5d6e92a1d5922c75eb4e52dfea87d05f637dc15c7526e3da7ebfe9e39"},
 	} {
 		res, err := Run(tc.cfg, tc.apps, RunOpts{WarmupInsts: 5_000, MeasureInsts: 20_000})
 		if err != nil {

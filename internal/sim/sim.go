@@ -85,14 +85,6 @@ type Config struct {
 	// called once per core with that core's branch predictor and
 	// confidence estimator (which B-Fetch-style engines may share).
 	Factory func(bp *branch.Predictor, conf *branch.Confidence) prefetch.Prefetcher
-
-	// TSInterval > 0 attaches a deterministic interval sampler: the metrics
-	// registry's scalars are recorded every TSInterval cycles into a bounded
-	// ring of at most TSMaxRows rows (0 picks the obs default) that doubles
-	// its spacing when full. The emitted series is bit-identical across the
-	// event and naive clock loops.
-	TSInterval uint64
-	TSMaxRows  int
 }
 
 // Default returns the Table II baseline with the given prefetcher.
@@ -157,11 +149,6 @@ type System struct {
 	// LCs holds one prefetch lifecycle classifier per core, attached to
 	// that core's L1D.
 	LCs []*obs.Lifecycle //bfetch:noreset counters live in Reg (reset there); the pollution victim table survives by design, like the cache contents it mirrors
-
-	// ts is the interval time-series sampler (Config.TSInterval > 0); both
-	// run loops sample every boundary exactly once, so the recorded rows are
-	// independent of the loop.
-	ts *obs.TimeSeries //bfetch:noreset restarted explicitly with the window (Restart)
 
 	// naive selects the reference clock loop (runNaive) over the event loop.
 	// Only the equivalence tests set it: the naive loop is their oracle.
@@ -342,10 +329,6 @@ func assemble(cfg Config, boots []boot) (*System, error) {
 		s.Cores = append(s.Cores, c)
 		s.PFs = append(s.PFs, pf)
 	}
-	if cfg.TSInterval > 0 {
-		// Seals the registry: every component above has registered by now.
-		s.ts = obs.NewTimeSeries(reg, cfg.TSInterval, cfg.TSMaxRows)
-	}
 	return s, nil
 }
 
@@ -411,13 +394,6 @@ func (s *System) boundErr(target []uint64, instsPerCore, maxCycles uint64) error
 // cycle, in index order, whether or not it can make progress.
 func (s *System) runNaive(target []uint64, limit, instsPerCore, maxCycles uint64) error {
 	for {
-		// Interval sampling: a boundary is recorded when the clock reaches
-		// it, before the cycle is processed — every running core's counters
-		// then reflect exactly the cycles below the boundary. (NextAt on an
-		// absent sampler never matches.)
-		for s.ts.NextAt() <= s.clock {
-			s.ts.Sample()
-		}
 		due := s.due[:0]
 		for i, c := range s.Cores {
 			if c.Halted() {
@@ -474,21 +450,13 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 	for {
 		t, ok := s.sched.min()
 		if !ok {
-			// Every core finished or halted cleanly; the naive loop's final
-			// iteration samples boundaries up to its last clock before its
-			// due list comes up empty.
-			s.sampleTS(s.clock, target)
+			// Every core finished or halted cleanly.
 			return nil
 		}
 		if t > s.clock {
 			// Idle gap (t == NoEvent: the remaining cores are deadlocked
 			// short of a halt — the naive loop would spin to the bound).
 			if t >= limit {
-				// The naive loop's last iteration starts at limit-1; it
-				// samples that boundary, then ticks past the bound.
-				if limit > 0 {
-					s.sampleTS(limit-1, target)
-				}
 				s.flushIdle(limit, target)
 				s.clock = limit
 				return s.boundErr(target, instsPerCore, maxCycles)
@@ -496,10 +464,6 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 			s.clock = t
 		}
 		now := s.clock
-		// Boundaries at or below now are sampled before the cycle is
-		// processed, exactly like the naive loop top; sampleTS flushes idle
-		// credit up to each boundary first, so the rows match bit for bit.
-		s.sampleTS(now, target)
 		due := s.due[:0]
 		for {
 			k, ok := s.sched.min()
@@ -540,9 +504,7 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 			return s.boundErr(target, instsPerCore, maxCycles)
 		}
 		if faulted >= 0 {
-			// The naive loop discovers the fault at its next loop top, after
-			// sampling any boundary the post-fault clock has reached.
-			s.sampleTS(s.clock, target)
+			// The naive loop discovers the fault at its next loop top.
 			s.flushIdle(s.clock, target)
 			return fmt.Errorf("sim: core %d: %w", faulted, s.Cores[faulted].Err())
 		}
@@ -561,18 +523,6 @@ func (s *System) flushIdle(upTo uint64, target []uint64) {
 			c.AddIdleCycles(nu, upTo-nu)
 			s.nextUncounted[i] = upTo
 		}
-	}
-}
-
-// sampleTS records every unsampled boundary at or below now, flushing idle
-// credit up to each boundary first so the recorded counters equal what the
-// naive loop would show at its corresponding loop top. Splitting a core's
-// idle gap at a boundary leaves its totals unchanged (the gap charges are
-// additive over adjacent ranges), so results remain loop-independent.
-func (s *System) sampleTS(now uint64, target []uint64) {
-	for b := s.ts.NextAt(); b <= now; b = s.ts.NextAt() {
-		s.flushIdle(b, target)
-		s.ts.Sample()
 	}
 }
 
@@ -601,9 +551,6 @@ func (s *System) ResetStats() {
 	for i, c := range s.Cores {
 		s.LCs[i].CarryIn(c.Hierarchy().L1D.PendingPrefetched())
 	}
-	if s.ts != nil {
-		s.ts.Restart(s.clock)
-	}
 	s.statsBase = s.clock
 }
 
@@ -622,10 +569,6 @@ type Result struct {
 	// since results are compared with reflect.DeepEqual in those tests.
 	Lifecycle []obs.LifecycleStats
 	Metrics   obs.Snapshot
-
-	// TS is the measured window's interval time series (nil unless
-	// Config.TSInterval was set), under the same bit-identity guarantees.
-	TS *obs.TimeSeriesData
 }
 
 // Snapshot collects the current counters. Cycles is relative to the last
@@ -641,7 +584,6 @@ func (s *System) Snapshot() Result {
 		res.Lifecycle = append(res.Lifecycle, lc.Stats())
 	}
 	res.Metrics = s.Reg.Snapshot()
-	res.TS = s.ts.Data()
 	return res
 }
 

@@ -58,19 +58,14 @@ type buildCache struct {
 // (emu.Compile's threaded code) hit across checkpoints and experiment runs.
 func (w Workload) Build() (*isa.Program, *mem.Memory) {
 	prog, img := w.built()
-	if w.cache == nil {
-		return prog, img
-	}
 	return prog, img.Fork()
 }
 
 // built returns the memoized program and frozen image, which callers must
-// not write; a Workload constructed without New builds afresh.
+// not write. Every Workload with a builder comes from register or New, both
+// of which attach the cache; a zero Workload has neither and panics.
 func (w Workload) built() (*isa.Program, *mem.Memory) {
 	c := w.cache
-	if c == nil {
-		return w.build()
-	}
 	c.once.Do(func() {
 		c.prog, c.img = w.build()
 		if c.seal {

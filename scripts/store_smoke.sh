@@ -11,9 +11,10 @@
 # -j 8 reads) — the disk tier must be as scheduling-independent as the
 # in-memory one. A bfetch-sim leg, with a fast-forward, checks that one run
 # prints the same whether it has no store, fills one, or is answered from
-# one, and that a second build of the same source (-trimpath, so a
-# different executable) computes instead of reading the first build's
-# entries. Run via `make store-smoke`.
+# one; that a run resuming from stored checkpoints alone is not reported as
+# answered from the store; and that a second build of the same source
+# (-trimpath, so a different executable) computes instead of reading the
+# first build's entries. Run via `make store-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -106,6 +107,20 @@ grep -q 'answered from' "$workdir/sim_warm.err" || {
 }
 diff "$workdir/sim_nostore.out" "$workdir/sim_cold.out"
 diff "$workdir/sim_nostore.out" "$workdir/sim_warm.out"
+
+echo "== bfetch-sim: a checkpoint hit alone is not an answer from the store"
+# Same fast-forward, other -measure: the stored checkpoints resume the run,
+# but no stored result answers it, so it simulates and must say nothing
+# about having been answered from disk.
+"$workdir/bfetch-sim" "${sim[@]}" -measure 25000 >"$workdir/sim_m_nostore.out"
+"$workdir/bfetch-sim" "${sim[@]}" -measure 25000 -store "$workdir/simstore" \
+    >"$workdir/sim_m_ckpt.out" 2>"$workdir/sim_m_ckpt.err"
+if grep -q 'answered from' "$workdir/sim_m_ckpt.err"; then
+    echo "bfetch-sim run that only hit stored checkpoints claimed to be answered from the store:" >&2
+    cat "$workdir/sim_m_ckpt.err" >&2
+    exit 1
+fi
+diff "$workdir/sim_m_nostore.out" "$workdir/sim_m_ckpt.out"
 
 echo "== bfetch-sim: another build does not read the first build's store"
 go build -trimpath -o "$workdir/bfetch-sim-trim" ./cmd/bfetch-sim
