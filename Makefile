@@ -32,7 +32,8 @@ vet-windows:
 # Custom static analysis (internal/lint), over every package type-checked
 # with go/types: the compiler-witnessed hot-path allocation gate over every
 # function reachable from a //bfetch:hotpath root, no channel send under a
-# lock, determinism rules, stats-reset audit, no net under internal/. One
+# lock, stats-reset audit, and over every package under internal/ the
+# determinism rules and no net. One
 # `go list -e -export -deps -json -gcflags='-m=2 ...' ./...` run tells it
 # which files each package compiles, where its dependencies' export data
 # lies and what the compiler decided; Go's build cache replays the facts of

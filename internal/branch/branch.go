@@ -129,10 +129,6 @@ type Predictor struct {
 	btbTag    []uint16
 	btbTarget []uint64
 	btbValid  []bool
-
-	// Statistics.
-	Lookups     uint64
-	Mispredicts uint64
 }
 
 // New builds a predictor; it panics on an invalid configuration (sizes are
@@ -206,8 +202,7 @@ func (p *Predictor) Lookup(pc uint64, ghr GHR) Pred {
 
 // Update trains the predictor with a resolved branch. ghr must be the global
 // history the prediction was made with; pred the value Lookup returned. The
-// caller is responsible for counting this branch via Resolve (which also
-// maintains the statistics).
+// predictor keeps no statistics: the caller counts branches and misses.
 //
 //bfetch:hotpath
 func (p *Predictor) Update(pc uint64, ghr GHR, taken bool, pred Pred) {
@@ -239,24 +234,6 @@ func (p *Predictor) Update(pc uint64, ghr GHR, taken bool, pred Pred) {
 	// Local history.
 	mask := uint32(1)<<p.cfg.LocalHistBits - 1
 	p.localHist[li] = ((lh << 1) | b2u32(taken)) & mask
-}
-
-// Resolve records prediction statistics; call once per resolved conditional
-// branch with the prediction used at fetch.
-func (p *Predictor) Resolve(predTaken, actualTaken bool) {
-	p.Lookups++
-	if predTaken != actualTaken {
-		p.Mispredicts++
-	}
-}
-
-// MissRate returns the fraction of resolved conditional branches that were
-// mispredicted.
-func (p *Predictor) MissRate() float64 {
-	if p.Lookups == 0 {
-		return 0
-	}
-	return float64(p.Mispredicts) / float64(p.Lookups)
 }
 
 // BTB: indirect target prediction.

@@ -128,24 +128,6 @@ func TestLookupIsPure(t *testing.T) {
 	}
 }
 
-func TestResolveStats(t *testing.T) {
-	p := New(DefaultConfig())
-	p.Resolve(true, true)
-	p.Resolve(true, false)
-	p.Resolve(false, false)
-	p.Resolve(false, true)
-	if p.Lookups != 4 || p.Mispredicts != 2 {
-		t.Errorf("lookups=%d mispredicts=%d", p.Lookups, p.Mispredicts)
-	}
-	if p.MissRate() != 0.5 {
-		t.Errorf("miss rate = %f", p.MissRate())
-	}
-	empty := New(DefaultConfig())
-	if empty.MissRate() != 0 {
-		t.Error("empty predictor miss rate should be 0")
-	}
-}
-
 func TestBTB(t *testing.T) {
 	p := New(DefaultConfig())
 	if _, ok := p.PredictIndirect(0x4000); ok {

@@ -160,7 +160,7 @@ type Cache struct {
 	// lc, when set (the L1D of an assembled system), classifies every
 	// prefetch's lifecycle: issue, first use (timely or late), untouched
 	// eviction, and pollution. All hooks are nil-safe no-ops when unset.
-	lc *obs.Lifecycle //bfetch:noreset wiring
+	lc *obs.Lifecycle
 
 	// Perfect, when set on a first-level data cache, makes every demand
 	// read complete at the hit latency: the paper's Perfect L1-D prefetcher
@@ -227,8 +227,13 @@ func New(cfg Config, next Level) *Cache {
 
 // ResetStats zeroes the traffic counters and bank occupancy at a
 // measurement-window boundary; cache contents are deliberately kept warm.
+// An attached lifecycle classifier restarts its window with the still
+// untouched prefetched blocks as already issued.
 func (c *Cache) ResetStats() {
 	c.Stats = Stats{}
+	if c.lc != nil {
+		c.lc.ResetStats(c.PendingPrefetched())
+	}
 	for i := range c.banks {
 		b := &c.banks[i]
 		b.nextFree = 0
@@ -257,10 +262,10 @@ func (c *Cache) SetFeedback(h FeedbackHandler) {
 func (c *Cache) SetLifecycle(lc *obs.Lifecycle) { c.lc = lc }
 
 // PendingPrefetched counts resident prefetch-filled blocks not yet touched
-// by demand. A stats reset credits these to the new window's issued count
-// (obs.Lifecycle.CarryIn) so that the useful/useless events they generate
-// later keep useful+useless <= issued within every measurement window.
-// Cold path: called only at reset, never per access.
+// by demand. ResetStats passes the count to the lifecycle classifier as the
+// new window's carried-in issues, so the useful and useless events these
+// blocks generate later keep useful+useless <= issued in every measurement
+// window. Cold path: called only at reset, never per access.
 func (c *Cache) PendingPrefetched() uint64 {
 	var n uint64
 	for i, t := range c.tags {
@@ -354,7 +359,7 @@ func (c *Cache) evict(i int, blockAddr uint64, now uint64) {
 	f := c.flags[i]
 	if f&flagPrefetched != 0 {
 		c.Stats.PrefetchUseless++
-		c.lc.Evicted(now, c.readyAt[i])
+		c.lc.Evicted()
 		if c.feedback != nil {
 			c.feedback.PrefetchUseless(c.loadPC[i], blockAddr)
 		}
@@ -448,7 +453,7 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 			// late if the demand still had to wait on the in-flight fill.
 			c.flags[i] &^= flagPrefetched
 			c.Stats.PrefetchUseful++
-			c.lc.Used(now, readyAt, readyAt > done)
+			c.lc.Used(readyAt > done)
 			if c.feedback != nil {
 				c.feedback.PrefetchUseful(c.loadPC[i], req.BlockAddr)
 			}

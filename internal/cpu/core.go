@@ -307,9 +307,6 @@ func (c *Core) Regs() [isa.NumRegs]int64 { return c.cregs }
 // Hierarchy returns the core's cache stack.
 func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
 
-// Predictor returns the core's branch predictor.
-func (c *Core) Predictor() *branch.Predictor { return c.bp }
-
 // Cycle advances the core by one clock. The caller owns the global clock so
 // multiple cores can share LLC and DRAM coherently.
 //
@@ -462,7 +459,6 @@ func (c *Core) commit(now uint64) {
 			if e.predTaken != e.actualTaken {
 				c.Stats.BranchMispredicts++
 			}
-			c.bp.Resolve(e.predTaken, e.actualTaken)
 			c.bp.Update(e.pc, e.ghr, e.actualTaken, e.pred)
 			c.conf.Update(e.pc, e.ghr, e.predTaken == e.actualTaken)
 		case in.Op == isa.JR:

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Builder assembles a Program in code, with forward-referenceable labels.
 // It is the programmatic twin of the text assembler and is what the workload
@@ -182,8 +185,16 @@ func (b *Builder) Program() (*Program, error) {
 		}
 		b.insts[p.inst].Target = idx
 	}
-	symbols := make(map[string]int, len(b.names))
-	for name, id := range b.names {
+	// Names are checked in sorted order, so the unbound name an error
+	// reports does not depend on map iteration.
+	names := make([]string, 0, len(b.names))
+	for name := range b.names {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	symbols := make(map[string]int, len(names))
+	for _, name := range names {
+		id := b.names[name]
 		if b.labels[id] == -1 {
 			return nil, fmt.Errorf("isa: unbound named label %q", name)
 		}

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -192,6 +193,22 @@ func TestBuilderUnboundLabel(t *testing.T) {
 	b.Jmp(l)
 	if _, err := b.Program(); err == nil {
 		t.Error("unbound label accepted")
+	}
+}
+
+// TestBuilderUnboundNamesSorted checks that with two unbound named labels
+// every build reports the same one, the first in sorted order, rather than
+// whichever map iteration reaches first.
+func TestBuilderUnboundNamesSorted(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		b := NewBuilder()
+		b.NamedLabel("beta")
+		b.NamedLabel("alpha")
+		b.Halt()
+		_, err := b.Program()
+		if err == nil || !strings.Contains(err.Error(), `"alpha"`) {
+			t.Fatalf("build %d: error %v, want the unbound name \"alpha\"", i, err)
+		}
 	}
 }
 

@@ -137,11 +137,19 @@ func ParseFacts(root string, output []byte) *FactTable {
 	return table
 }
 
+// index files each inlining fact under its callee, visiting files in
+// sorted order so that each callee's list, and the reason a finding quotes
+// from it, is the same on every run.
 func (t *FactTable) index() {
 	t.cannotInline = make(map[string][]Fact)
 	t.canInline = make(map[string][]Fact)
-	for _, facts := range t.ByFile {
-		for _, f := range facts {
+	files := make([]string, 0, len(t.ByFile))
+	for file := range t.ByFile {
+		files = append(files, file)
+	}
+	sort.Strings(files)
+	for _, file := range files {
+		for _, f := range t.ByFile[file] {
 			switch f.Kind {
 			case FactCannotInline:
 				t.cannotInline[factBaseName(f.Name)] = append(t.cannotInline[factBaseName(f.Name)], f)

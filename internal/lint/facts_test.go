@@ -116,3 +116,24 @@ func TestParseFactsRejectsBadPositions(t *testing.T) {
 		}
 	}
 }
+
+// TestFactIndexSortedByFile checks that a callee's cannot-inline facts are
+// listed in file order, whatever the map order of ByFile, so the reason an
+// escape finding quotes when no fact sits in the caller's file is the same
+// on every run.
+func TestFactIndexSortedByFile(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		table := &FactTable{ByFile: map[string][]Fact{}}
+		for _, file := range []string{"c.go", "a.go", "d.go", "b.go"} {
+			table.ByFile[file] = []Fact{{File: file, Line: 1, Kind: FactCannotInline, Name: "f", Detail: file}}
+		}
+		table.index()
+		var got []string
+		for _, f := range table.CannotInline("f") {
+			got = append(got, f.Detail)
+		}
+		if strings.Join(got, " ") != "a.go b.go c.go d.go" {
+			t.Fatalf("index %d: cannot-inline facts in order %v, want file order", i, got)
+		}
+	}
+}

@@ -18,9 +18,9 @@
 //     them for up-to-date packages and recompiles a package whenever it or
 //     anything it imports changes.
 //   - syncorder: no channel send while a mutex is held.
-//   - determinism: the simulation/experiment packages must not consult
-//     global randomness or wall clocks, and must not publish results from a
-//     map iteration without an explicit sort.
+//   - determinism: no package under internal/ may consult global
+//     randomness or wall clocks, or publish results from a map iteration
+//     without an explicit sort.
 //   - statsreset: every struct with a Reset/ResetStats method must account
 //     for all of its fields — each field is either assigned in the method or
 //     explicitly annotated //bfetch:noreset.
@@ -74,15 +74,6 @@ type Package struct {
 	markers map[*ast.File]map[string]map[int]bool
 }
 
-// determinismPkgs are the module-relative package directories whose output
-// feeds recorded experiment results; the determinism analyzer applies to
-// them only. The others run module-wide (they trigger only on annotations,
-// locks and method names).
-var determinismPkgs = map[string]bool{
-	"internal/sim": true, "internal/harness": true, "internal/runner": true,
-	"internal/workload": true, "internal/obs": true, "internal/store": true,
-}
-
 // Analyzers names the analyzers RunAll applies, in gate order.
 var Analyzers = []string{"syncorder", "determinism", "statsreset", "nonet", "escape"}
 
@@ -105,11 +96,9 @@ func RunAll(root string) (RunResult, error) {
 	res := RunResult{Packages: len(pkgs)}
 	for _, p := range pkgs {
 		res.Diags = append(res.Diags, SyncOrder(p)...)
-		if determinismPkgs[p.Rel] {
-			res.Diags = append(res.Diags, Determinism(p)...)
-		}
 		res.Diags = append(res.Diags, StatsReset(p)...)
 		if strings.HasPrefix(p.Rel, "internal/") {
+			res.Diags = append(res.Diags, Determinism(p)...)
 			res.Diags = append(res.Diags, NoNet(p)...)
 		}
 	}

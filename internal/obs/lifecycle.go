@@ -85,42 +85,36 @@ func (s *LifecycleStats) Add(o LifecycleStats) {
 // Lifecycle classifies one L1D's prefetches. Construct with NewLifecycle;
 // a nil *Lifecycle is a valid no-op sink for every hook.
 type Lifecycle struct {
-	issued         Counter
-	usefulTimely   Counter
-	usefulLate     Counter
-	uselessEvicted Counter
-	polluting      Counter
-	demandMisses   Counter
-	resident       Histogram // cycles from fill completion to first use / eviction
+	stats LifecycleStats
 
-	victims [1 << victimBits]uint64 // victim blockAddr+1, or 0
+	victims [1 << victimBits]uint64 //bfetch:noreset victim blockAddr+1, or 0; mirrors cache contents, which a stats reset keeps
 }
 
-// NewLifecycle registers the lifecycle metrics under prefix (e.g. "c0.pf.")
-// and returns the classifier.
+// NewLifecycle registers the lifecycle counters under prefix (e.g.
+// "c0.pf.") and returns the classifier.
 func NewLifecycle(reg *Registry, prefix string) *Lifecycle {
-	return &Lifecycle{
-		issued:         reg.Counter(prefix + "issued"),
-		usefulTimely:   reg.Counter(prefix + "useful_timely"),
-		usefulLate:     reg.Counter(prefix + "useful_late"),
-		uselessEvicted: reg.Counter(prefix + "useless_evicted"),
-		polluting:      reg.Counter(prefix + "polluting"),
-		demandMisses:   reg.Counter(prefix + "demand_misses"),
-		resident:       reg.Histogram(prefix + "resident_cycles"),
-	}
+	lc := &Lifecycle{}
+	st := &lc.stats
+	reg.Func(prefix+"issued", func() uint64 { return st.Issued })
+	reg.Func(prefix+"useful_timely", func() uint64 { return st.UsefulTimely })
+	reg.Func(prefix+"useful_late", func() uint64 { return st.UsefulLate })
+	reg.Func(prefix+"useless_evicted", func() uint64 { return st.UselessEvicted })
+	reg.Func(prefix+"polluting", func() uint64 { return st.Polluting })
+	reg.Func(prefix+"demand_misses", func() uint64 { return st.DemandMisses })
+	return lc
 }
 
-// CarryIn credits n prefetches to the issued count. Called after a stats
-// reset with the number of still-resident untouched prefetched blocks, so a
-// prefetch filled during warmup whose first touch (or eviction) lands in
-// the measurement window is attributed to a window that also counts its
-// issue — keeping useful+useless <= issued an invariant of every window,
-// which the run-report validator enforces.
-func (lc *Lifecycle) CarryIn(n uint64) {
-	if lc == nil || n == 0 {
+// ResetStats starts a measurement window: the counters restart with carry
+// prefetches already issued. The caller passes the number of resident
+// prefetched blocks no demand has touched yet, so a prefetch filled before
+// the boundary whose first touch (or eviction) lands after it is counted
+// in a window that also counts its issue. That keeps useful+useless <=
+// issued in every window, which the run-report validator enforces.
+func (lc *Lifecycle) ResetStats(carry uint64) {
+	if lc == nil {
 		return
 	}
-	lc.issued.Add(n)
+	lc.stats = LifecycleStats{Issued: carry}
 }
 
 // Stats returns the current breakdown.
@@ -128,14 +122,7 @@ func (lc *Lifecycle) Stats() LifecycleStats {
 	if lc == nil {
 		return LifecycleStats{}
 	}
-	return LifecycleStats{
-		Issued:         lc.issued.Value(),
-		UsefulTimely:   lc.usefulTimely.Value(),
-		UsefulLate:     lc.usefulLate.Value(),
-		UselessEvicted: lc.uselessEvicted.Value(),
-		Polluting:      lc.polluting.Value(),
-		DemandMisses:   lc.demandMisses.Value(),
-	}
+	return lc.stats
 }
 
 // Issued records a prefetch fill installing a block.
@@ -145,41 +132,33 @@ func (lc *Lifecycle) Issued() {
 	if lc == nil {
 		return
 	}
-	lc.issued.Inc()
+	lc.stats.Issued++
 }
 
-// Used records the first demand touch of a prefetched block. readyAt is the
-// block's fill-completion cycle; late reports whether the demand had to
-// wait on the in-flight fill beyond the hit latency.
+// Used records the first demand touch of a prefetched block; late reports
+// whether the demand had to wait on the in-flight fill beyond the hit
+// latency.
 //
 //bfetch:hotpath
-func (lc *Lifecycle) Used(now, readyAt uint64, late bool) {
+func (lc *Lifecycle) Used(late bool) {
 	if lc == nil {
 		return
 	}
 	if late {
-		lc.usefulLate.Inc()
-		return
-	}
-	lc.usefulTimely.Inc()
-	if now > readyAt {
-		lc.resident.Observe(now - readyAt)
+		lc.stats.UsefulLate++
 	} else {
-		lc.resident.Observe(0)
+		lc.stats.UsefulTimely++
 	}
 }
 
 // Evicted records a prefetched block leaving the cache untouched.
 //
 //bfetch:hotpath
-func (lc *Lifecycle) Evicted(now, readyAt uint64) {
+func (lc *Lifecycle) Evicted() {
 	if lc == nil {
 		return
 	}
-	lc.uselessEvicted.Inc()
-	if now > readyAt {
-		lc.resident.Observe(now - readyAt)
-	}
+	lc.stats.UselessEvicted++
 }
 
 // FillVictim records that a prefetch fill evicted a valid block, arming the
@@ -202,10 +181,10 @@ func (lc *Lifecycle) DemandMiss(blockAddr uint64) {
 	if lc == nil {
 		return
 	}
-	lc.demandMisses.Inc()
+	lc.stats.DemandMisses++
 	h := victimHash(blockAddr)
 	if lc.victims[h] == blockAddr+1 {
 		lc.victims[h] = 0
-		lc.polluting.Inc()
+		lc.stats.Polluting++
 	}
 }

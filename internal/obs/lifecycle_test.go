@@ -16,11 +16,11 @@ func TestLifecycleTimelyVsLate(t *testing.T) {
 
 	// Timely: filled at cycle 10, ready at 210, first touch at 500.
 	lc.Issued()
-	lc.Used(500, 210, false)
+	lc.Used(false)
 
 	// Late: filled at cycle 20, ready at 220, demand arrived at 30.
 	lc.Issued()
-	lc.Used(30, 220, true)
+	lc.Used(true)
 
 	st := lc.Stats()
 	want := LifecycleStats{Issued: 2, UsefulTimely: 1, UsefulLate: 1}
@@ -46,7 +46,7 @@ func TestLifecycleUselessVsPolluting(t *testing.T) {
 
 	// Useless: issued, never touched, evicted.
 	lc.Issued()
-	lc.Evicted(900, 210)
+	lc.Evicted()
 
 	// Polluting: the fill of 0xB0 evicts victim 0xC0; the demand re-miss of
 	// 0xC0 is attributed to pollution and consumes the armed entry.
@@ -73,7 +73,7 @@ func TestLifecycleCoverage(t *testing.T) {
 	// 3 timely prefetches against 9 remaining demand misses: coverage 0.25.
 	for i := uint64(0); i < 3; i++ {
 		lc.Issued()
-		lc.Used(100+i, 50, false)
+		lc.Used(false)
 	}
 	for i := uint64(0); i < 9; i++ {
 		lc.DemandMiss(0xF000 + i*64)
@@ -83,16 +83,20 @@ func TestLifecycleCoverage(t *testing.T) {
 	}
 }
 
-// TestLifecycleCarryIn checks the window-boundary rule: crediting carried-in
-// prefetches keeps useful+useless ≤ issued after a reset.
-func TestLifecycleCarryIn(t *testing.T) {
-	reg := NewRegistry()
-	lc := NewLifecycle(reg, "pf.")
+// TestLifecycleResetStats checks the window-boundary rule: a reset that
+// carries in the still-pending prefetches keeps useful+useless ≤ issued.
+func TestLifecycleResetStats(t *testing.T) {
+	lc, _ := newTestLifecycle(t)
 	lc.Issued()
+	lc.Issued()
+	lc.Used(false)
+	lc.DemandMiss(0x40)
 
-	reg.Reset() // window boundary: issued count zeroed
-	lc.CarryIn(1)
-	lc.Used(500, 210, false)
+	lc.ResetStats(1) // window boundary: one prefetch still untouched
+	if st := lc.Stats(); st != (LifecycleStats{Issued: 1}) {
+		t.Errorf("after reset: %+v, want only issued 1", st)
+	}
+	lc.Used(false)
 
 	st := lc.Stats()
 	if st.Issued != 1 || st.UsefulTimely != 1 {
@@ -102,12 +106,12 @@ func TestLifecycleCarryIn(t *testing.T) {
 		t.Errorf("useful %d exceeds issued %d despite carry-in", st.Useful(), st.Issued)
 	}
 
-	// A nil classifier accepts every hook, including CarryIn.
+	// A nil classifier accepts every hook, including ResetStats.
 	var nilLC *Lifecycle
-	nilLC.CarryIn(3)
+	nilLC.ResetStats(3)
 	nilLC.Issued()
-	nilLC.Used(0, 0, false)
-	nilLC.Evicted(0, 0)
+	nilLC.Used(false)
+	nilLC.Evicted()
 	nilLC.FillVictim(0)
 	nilLC.DemandMiss(0)
 	if got := nilLC.Stats(); got != (LifecycleStats{}) {
@@ -116,14 +120,13 @@ func TestLifecycleCarryIn(t *testing.T) {
 }
 
 // TestLifecycleVictimSurvivesReset pins the documented asymmetry: counters
-// reset with the registry, but the pollution victim table mirrors cache
-// contents and survives, so a warmup-era eviction still attributes a
-// measurement-window re-miss.
+// reset, but the pollution victim table mirrors cache contents and
+// survives, so a warmup-era eviction still attributes a measurement-window
+// re-miss.
 func TestLifecycleVictimSurvivesReset(t *testing.T) {
-	reg := NewRegistry()
-	lc := NewLifecycle(reg, "pf.")
+	lc, _ := newTestLifecycle(t)
 	lc.FillVictim(0xC0)
-	reg.Reset()
+	lc.ResetStats(0)
 	lc.DemandMiss(0xC0)
 	if st := lc.Stats(); st.Polluting != 1 {
 		t.Errorf("polluting = %d, want 1 (victim table must survive reset)", st.Polluting)

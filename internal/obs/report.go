@@ -66,8 +66,7 @@ func (r *RunReport) Finalize() {
 }
 
 // RunsFile is the batch-level sink: every executed run's report, in
-// completion order, with the batch's sampled-trace accounting if a tracer
-// was attached.
+// completion order.
 type RunsFile struct {
 	Schema    string      `json:"schema"` // SchemaRuns
 	Generated string      `json:"generated,omitempty"`

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isb"
+	"repro/internal/obs"
 	"repro/internal/sms"
 	"repro/internal/stems"
 	"repro/internal/workload"
@@ -155,8 +156,11 @@ func TestResetStatsZeroesEverything(t *testing.T) {
 			if d.DemandFills != 0 || d.PrefetchFills != 0 || d.Writebacks != 0 || d.StallCycles != 0 {
 				t.Errorf("DRAM traffic survives reset: %+v", d)
 			}
-			if bp := s.Cores[0].Predictor(); bp.Lookups != 0 || bp.Mispredicts != 0 {
-				t.Errorf("predictor counters survive reset: %d/%d", bp.Lookups, bp.Mispredicts)
+			// The lifecycle window restarts with the untouched prefetched
+			// blocks carried in as issued, and nothing else.
+			pending := s.Cores[0].Hierarchy().L1D.PendingPrefetched()
+			if lc := res.Lifecycle[0]; lc != (obs.LifecycleStats{Issued: pending}) {
+				t.Errorf("lifecycle after reset = %+v, want only issued %d", lc, pending)
 			}
 
 			// Prefetcher-internal counters must reset too — each kind keeps

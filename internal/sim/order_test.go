@@ -35,9 +35,9 @@ func TestSharedLevelOrderPinned(t *testing.T) {
 		digest string
 	}{
 		{"4-core banked B-Fetch", banked, []string{"mcf", "lbm", "milc", "libquantum"},
-			"dd6057104b1362d46b2afd5d4286eec0816e1ad0cde8291d284ffcc7b9b51f58"},
+			"615c0bca64977cae8bda03994302166edee05a82ed294ccd9cf7c0e621de0a5a"},
 		{"2-core Table II SMS", tableII, []string{"mcf", "lbm"},
-			"db84c2f5d6e92a1d5922c75eb4e52dfea87d05f637dc15c7526e3da7ebfe9e39"},
+			"7e3703e0126e0163a1988f17f9639ea3a4bf541293c5720a8cdf0afbb6df7bde"},
 	} {
 		res, err := Run(tc.cfg, tc.apps, RunOpts{WarmupInsts: 5_000, MeasureInsts: 20_000})
 		if err != nil {

@@ -142,13 +142,13 @@ type System struct {
 	LLC   *cache.Cache
 	DRAM  *cache.DRAM
 
-	// Reg is the system's unified metrics registry: every component —
-	// cores, caches, DRAM, prefetch engines, lifecycle classifiers —
-	// registers into it at assembly, and Snapshot/ResetStats cover it.
-	Reg *obs.Registry
+	// Reg is the system's metrics registry: every component — cores,
+	// caches, DRAM, prefetch engines, lifecycle classifiers — registers
+	// collectors into it at assembly, and Snapshot reads them.
+	Reg *obs.Registry //bfetch:noreset collectors only; each component resets its own counters
 	// LCs holds one prefetch lifecycle classifier per core, attached to
 	// that core's L1D.
-	LCs []*obs.Lifecycle //bfetch:noreset counters live in Reg (reset there); the pollution victim table survives by design, like the cache contents it mirrors
+	LCs []*obs.Lifecycle //bfetch:noreset reset by the L1D each is attached to
 
 	// naive selects the reference clock loop (runNaive) over the event loop.
 	// Only the equivalence tests set it: the naive loop is their oracle.
@@ -528,29 +528,19 @@ func (s *System) flushIdle(upTo uint64, target []uint64) {
 
 // ResetStats zeroes all measurement counters (after warmup) without touching
 // learned microarchitectural state. This includes each prefetcher's internal
-// counters (training/coverage stats), so post-warmup snapshots describe the
-// measurement window only.
+// counters (training/coverage stats) and each L1D's lifecycle classifier, so
+// post-warmup snapshots describe the measurement window only.
 func (s *System) ResetStats() {
 	for _, c := range s.Cores {
 		c.Stats = cpu.Stats{}
 		c.Hierarchy().L1D.ResetStats()
 		c.Hierarchy().L2.ResetStats()
-		bp := c.Predictor()
-		bp.Lookups, bp.Mispredicts = 0, 0
 	}
 	for _, pf := range s.PFs {
 		pf.ResetStats()
 	}
 	s.LLC.ResetStats()
 	s.DRAM.ResetStats()
-	s.Reg.Reset()
-	// Prefetched blocks resident but untouched at the window boundary will
-	// emit their useful/useless event inside the new window; credit their
-	// issue to it too, so windowed lifecycle counts stay internally
-	// consistent (useful+useless <= issued).
-	for i, c := range s.Cores {
-		s.LCs[i].CarryIn(c.Hierarchy().L1D.PendingPrefetched())
-	}
 	s.statsBase = s.clock
 }
 

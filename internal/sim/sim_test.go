@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/stats"
@@ -148,5 +149,49 @@ func TestWarmupResetsCounters(t *testing.T) {
 	// Measured committed must be ≈ MeasureInsts, not Warmup+Measure.
 	if res.Core[0].Committed > quickOpts.MeasureInsts+100 {
 		t.Errorf("committed %d includes warmup", res.Core[0].Committed)
+	}
+}
+
+// TestLifecycleSamplesMatchResult reads the c%d.pf.* lifecycle collectors
+// out of a 2-core B-Fetch run with warmup. Each must equal the matching
+// field of Result.Lifecycle; the window must keep useful+useless <= issued;
+// and on at least one core the carry-in at the warmup boundary must show:
+// issued exceeds c%d.l1d.pf_fills, which counts only the window's own
+// fills.
+func TestLifecycleSamplesMatchResult(t *testing.T) {
+	cfg := Default(PFBFetch)
+	cfg.Cores = 2
+	res, err := Run(cfg, []string{"libquantum", "lbm"}, quickOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried := false
+	for i, lc := range res.Lifecycle {
+		get := func(name string) uint64 {
+			t.Helper()
+			v, ok := res.Metrics.Get(fmt.Sprintf("c%d.%s", i, name))
+			if !ok {
+				t.Fatalf("core %d: no sample %s", i, name)
+			}
+			return v
+		}
+		for name, want := range map[string]uint64{
+			"pf.issued": lc.Issued, "pf.useful_timely": lc.UsefulTimely,
+			"pf.useful_late": lc.UsefulLate, "pf.useless_evicted": lc.UselessEvicted,
+			"pf.polluting": lc.Polluting, "pf.demand_misses": lc.DemandMisses,
+		} {
+			if got := get(name); got != want {
+				t.Errorf("core %d: %s = %d, Result.Lifecycle has %d", i, name, got, want)
+			}
+		}
+		if lc.Useful()+lc.UselessEvicted > lc.Issued {
+			t.Errorf("core %d: useful %d + useless %d > issued %d", i, lc.Useful(), lc.UselessEvicted, lc.Issued)
+		}
+		if lc.Issued > get("l1d.pf_fills") {
+			carried = true
+		}
+	}
+	if !carried {
+		t.Error("no core carried prefetches across the warmup boundary: issued never exceeds pf_fills")
 	}
 }
