@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet vet-host vet-windows fmt-check lint verify verify-full race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke fuzz-smoke clean
+.PHONY: all build test vet vet-host vet-windows fmt-check lint verify verify-full race bench bench-smoke bench-scale obs-smoke store-smoke exp-smoke examples-smoke fuzz-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -127,6 +127,23 @@ exp-smoke:
 	diff -u "$(EXP_SMOKE_GOLDEN)" "$$tmp/j1.txt" && \
 	diff -u "$(EXP_SMOKE_GOLDEN)" "$$tmp/j8.txt" && \
 	echo "exp-smoke: -j 1 and -j 8 print the golden tables ($$(wc -l < "$$tmp/j1.txt") lines)"
+
+# Examples smoke test: build and run each program under examples/ (about
+# 5 s in total); each stdout must match its golden under examples/testdata/
+# byte for byte. The examples drive the public facade (import bfetch
+# "repro") end to end, which no test does. After an intended change to the
+# model or to an example's output, regenerate a golden with
+#   go run ./examples/<name> > examples/testdata/<name>.golden
+EXAMPLES = quickstart custom-prefetcher multiprogram pointerchase
+
+examples-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for e in $(EXAMPLES); do \
+		$(GO) build -o "$$tmp/$$e" ./examples/$$e && \
+		"$$tmp/$$e" > "$$tmp/$$e.txt" && \
+		diff -u "examples/testdata/$$e.golden" "$$tmp/$$e.txt" || exit 1; \
+	done && \
+	echo "examples-smoke: $(words $(EXAMPLES)) examples print their goldens"
 
 # Fuzz smoke test: each fuzz target fuzzes for FUZZTIME (its seed corpus
 # already runs in `go test`). One `go test -fuzz` per target, since the flag

@@ -156,7 +156,7 @@ func main() {
 		fmt.Printf("  loads          %d (L1 hit %d / miss %d, forwards %d)\n",
 			cs.LoadsCommitted, cs.LoadL1Hits, cs.LoadL1Misses, cs.StoreForwards)
 		fmt.Printf("  prefetches     %d issued, %d dropped-resident, %d useful, %d useless\n",
-			cs.PrefetchIssued, cs.PrefetchDropped, l1.PrefetchUseful, l1.PrefetchUseless)
+			l1.PrefetchFills, cs.PrefetchDropped, l1.PrefetchUseful, l1.PrefetchUseless)
 		if i < len(res.Lifecycle) {
 			lc := res.Lifecycle[i]
 			fmt.Printf("  pf lifecycle   %d timely, %d late, %d useless-evicted, %d polluting (acc %.2f, cov %.2f, tml %.2f)\n",

@@ -56,3 +56,27 @@ func TestConfRequiresBFetch(t *testing.T) {
 		t.Error("-pf bfetch -conf 7 validates")
 	}
 }
+
+// TestWidthAboveROBRefused pins that a -width above the ROB size fails
+// validation, naming both, instead of building a core whose 4×width fetch
+// queue exhausts host memory. It builds configurations only: no core is
+// allocated and nothing is simulated.
+func TestWidthAboveROBRefused(t *testing.T) {
+	for _, w := range []string{"193", "100000000"} {
+		cfg, err := parse(t, "-width", w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "Width "+w) || !strings.Contains(err.Error(), "ROBEntries 192") {
+			t.Errorf("-width %s: Validate = %v, want an error naming Width and ROBEntries", w, err)
+		}
+	}
+	cfg, err := parse(t, "-width", "192")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("-width 192 (the ROB size): %v", err)
+	}
+}

@@ -72,8 +72,8 @@ func main() {
 	fmt.Printf("  baseline  IPC %.3f\n", base.IPC[0])
 	fmt.Printf("  next-two  IPC %.3f (%.2fx) — issued %d, useful %d\n",
 		custom.IPC[0], custom.IPC[0]/base.IPC[0],
-		custom.Core[0].PrefetchIssued, custom.L1D[0].PrefetchUseful)
+		custom.L1D[0].PrefetchFills, custom.L1D[0].PrefetchUseful)
 	fmt.Printf("  B-Fetch   IPC %.3f (%.2fx) — issued %d, useful %d\n",
 		bf.IPC[0], bf.IPC[0]/base.IPC[0],
-		bf.Core[0].PrefetchIssued, bf.L1D[0].PrefetchUseful)
+		bf.L1D[0].PrefetchFills, bf.L1D[0].PrefetchUseful)
 }

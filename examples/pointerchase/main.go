@@ -37,7 +37,7 @@ func main() {
 				log.Fatal(err)
 			}
 			speedup := res.IPC[0] / base.IPC[0]
-			issued := res.Core[0].PrefetchIssued
+			issued := res.L1D[0].PrefetchFills
 			acc := 0.0
 			if issued > 0 {
 				acc = float64(res.L1D[0].PrefetchUseful) / float64(issued)

@@ -54,7 +54,7 @@ func main() {
 
 		fmt.Printf("prefetcher=%-8s IPC=%.3f  L1D miss=%.2f%%  prefetches issued=%d useful=%d\n",
 			kind, res.IPC[0], 100*res.L1D[0].MissRate(),
-			res.Core[0].PrefetchIssued, res.L1D[0].PrefetchUseful)
+			res.L1D[0].PrefetchFills, res.L1D[0].PrefetchUseful)
 		if kind == bfetch.PFNone {
 			baselineIPC = res.IPC[0]
 		} else {

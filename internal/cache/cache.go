@@ -3,6 +3,17 @@
 // useful/useless accounting and B-Fetch's per-load filter feedback), and a
 // functional-with-latency timing model.
 //
+// Prefetch lifecycle. Each cache's Stats counts every prefetch fill once,
+// from issue to its terminal transition:
+//
+//	issued ──► first demand touch, fill complete ─────────► useful (timely)
+//	       ──► first demand touch, fill still in flight ──► useful (late)
+//	       ──► evicted untouched ─────────────────────────► useless
+//
+// and, on the L1D NewHierarchy builds, a demand re-miss of a block that a
+// prefetch fill evicted counts as pollution. Stats.Lifecycle derives the
+// report breakdown (obs.LifecycleStats) from those counts.
+//
 // Timing model. An access walks the hierarchy at the cycle it issues and
 // returns its completion cycle; blocks are installed immediately but carry a
 // readyAt timestamp. A later access that finds a block with readyAt still in
@@ -86,8 +97,26 @@ type Stats struct {
 
 	PrefetchFills   uint64 // prefetch fills installed at this level
 	PrefetchUseful  uint64 // prefetched blocks later touched by demand
+	PrefetchLate    uint64 // of those, first touches that waited on the in-flight fill
 	PrefetchUseless uint64 // prefetched blocks evicted untouched
+	PrefetchCarried uint64 // prefetched blocks untouched at the last ResetStats
+	Polluting       uint64 // demand re-misses of blocks a prefetch fill evicted (L1D only)
 	MergedInFlight  uint64 // accesses that hit a block still being filled
+}
+
+// Lifecycle derives the window's prefetch lifecycle breakdown. Blocks
+// carried across the last reset count as issued in this window, so the
+// useful and useless events they generate later keep useful+useless <=
+// issued, which the run-report validator enforces.
+func (s Stats) Lifecycle() obs.LifecycleStats {
+	return obs.LifecycleStats{
+		Issued:         s.PrefetchFills + s.PrefetchCarried,
+		UsefulTimely:   s.PrefetchUseful - s.PrefetchLate,
+		UsefulLate:     s.PrefetchLate,
+		UselessEvicted: s.PrefetchUseless,
+		Polluting:      s.Polluting,
+		DemandMisses:   s.Misses - s.PrefetchFills,
+	}
 }
 
 // MissRate returns misses per access.
@@ -157,10 +186,14 @@ type Cache struct {
 
 	feedback FeedbackHandler //bfetch:noreset wiring
 
-	// lc, when set (the L1D of an assembled system), classifies every
-	// prefetch's lifecycle: issue, first use (timely or late), untouched
-	// eviction, and pollution. All hooks are nil-safe no-ops when unset.
-	lc *obs.Lifecycle
+	// victims is the pollution detector, allocated only for the L1D that
+	// NewHierarchy builds: a prefetch fill that evicts a valid block records
+	// the victim's tag (blockAddr|validBit, never 0) at victimHash(blockAddr),
+	// and a later demand miss that matches consumes the entry and counts as
+	// Polluting. Like the cache contents it mirrors, it survives
+	// ResetStats, so a victim evicted during warmup whose re-miss lands in
+	// the measurement window is still attributed.
+	victims []uint64 //bfetch:noreset mirrors cache contents, which a stats reset keeps
 
 	// Perfect, when set on a first-level data cache, makes every demand
 	// read complete at the hit latency: the paper's Perfect L1-D prefetcher
@@ -227,13 +260,9 @@ func New(cfg Config, next Level) *Cache {
 
 // ResetStats zeroes the traffic counters and bank occupancy at a
 // measurement-window boundary; cache contents are deliberately kept warm.
-// An attached lifecycle classifier restarts its window with the still
-// untouched prefetched blocks as already issued.
+// The still untouched prefetched blocks are carried into the new window.
 func (c *Cache) ResetStats() {
-	c.Stats = Stats{}
-	if c.lc != nil {
-		c.lc.ResetStats(c.PendingPrefetched())
-	}
+	c.Stats = Stats{PrefetchCarried: c.PendingPrefetched()}
 	for i := range c.banks {
 		b := &c.banks[i]
 		b.nextFree = 0
@@ -257,15 +286,9 @@ func (c *Cache) SetFeedback(h FeedbackHandler) {
 	}
 }
 
-// SetLifecycle attaches the prefetch lifecycle classifier (nil detaches);
-// only meaningful on the L1D, where prefetches fill.
-func (c *Cache) SetLifecycle(lc *obs.Lifecycle) { c.lc = lc }
-
 // PendingPrefetched counts resident prefetch-filled blocks not yet touched
-// by demand. ResetStats passes the count to the lifecycle classifier as the
-// new window's carried-in issues, so the useful and useless events these
-// blocks generate later keep useful+useless <= issued in every measurement
-// window. Cold path: called only at reset, never per access.
+// by demand. ResetStats records the count as the new window's
+// PrefetchCarried. Cold path: called only at reset, never per access.
 func (c *Cache) PendingPrefetched() uint64 {
 	var n uint64
 	for i, t := range c.tags {
@@ -338,8 +361,8 @@ func (c *Cache) victim(blockAddr, now, readyAt uint64, flags uint8) int {
 	}
 	v += s
 	if old := c.tags[v]; old != 0 {
-		if flags&flagPrefetched != 0 {
-			c.lc.FillVictim(old &^ validBit)
+		if flags&flagPrefetched != 0 && c.victims != nil {
+			c.victims[victimHash(old&^validBit)] = old
 		}
 		c.evict(v, old&^validBit, now)
 	}
@@ -359,7 +382,6 @@ func (c *Cache) evict(i int, blockAddr uint64, now uint64) {
 	f := c.flags[i]
 	if f&flagPrefetched != 0 {
 		c.Stats.PrefetchUseless++
-		c.lc.Evicted()
 		if c.feedback != nil {
 			c.feedback.PrefetchUseless(c.loadPC[i], blockAddr)
 		}
@@ -453,7 +475,9 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 			// late if the demand still had to wait on the in-flight fill.
 			c.flags[i] &^= flagPrefetched
 			c.Stats.PrefetchUseful++
-			c.lc.Used(readyAt > done)
+			if readyAt > done {
+				c.Stats.PrefetchLate++
+			}
 			if c.feedback != nil {
 				c.feedback.PrefetchUseful(c.loadPC[i], req.BlockAddr)
 			}
@@ -485,9 +509,11 @@ func (c *Cache) Access(req Request, now uint64) uint64 {
 	}
 	if req.Kind == PrefetchFill {
 		c.Stats.PrefetchFills++
-		c.lc.Issued()
-	} else {
-		c.lc.DemandMiss(req.BlockAddr)
+	} else if c.victims != nil {
+		if h := victimHash(req.BlockAddr); c.victims[h] == req.BlockAddr|validBit {
+			c.victims[h] = 0
+			c.Stats.Polluting++
+		}
 	}
 	if bank != nil && bank.mshr != nil {
 		// Claim the earliest-draining MSHR; a miss that finds every slot
@@ -545,6 +571,11 @@ func (c *Cache) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Func(prefix+"pf_useful", func() uint64 { return c.Stats.PrefetchUseful })
 	reg.Func(prefix+"pf_useless", func() uint64 { return c.Stats.PrefetchUseless })
 	reg.Func(prefix+"merged_inflight", func() uint64 { return c.Stats.MergedInFlight })
+	if c.victims != nil {
+		reg.Func(prefix+"pf_late", func() uint64 { return c.Stats.PrefetchLate })
+		reg.Func(prefix+"pf_carried", func() uint64 { return c.Stats.PrefetchCarried })
+		reg.Func(prefix+"polluting", func() uint64 { return c.Stats.Polluting })
+	}
 	for i := range c.banks {
 		b := &c.banks[i]
 		p := fmt.Sprintf("%sb%d.", prefix, i)
@@ -554,6 +585,17 @@ func (c *Cache) RegisterObs(reg *obs.Registry, prefix string) {
 		reg.Func(p+"mshr_stalls", func() uint64 { return b.mshrStalls })
 		reg.Func(p+"mshr_cycles", func() uint64 { return b.mshrCycles })
 	}
+}
+
+// victimBits sizes the pollution victim table: 2^victimBits entries.
+const victimBits = 10
+
+// victimHash spreads block addresses over the victim table (Fibonacci
+// hashing).
+//
+//bfetch:hotpath
+func victimHash(blockAddr uint64) uint64 {
+	return (blockAddr * 0x9E3779B97F4A7C15) >> (64 - victimBits)
 }
 
 // Invalidate removes a block if present, without writeback (test support).

@@ -220,11 +220,13 @@ func (c HierarchyConfig) Validate() error {
 	return l2.Validate()
 }
 
-// NewHierarchy builds a private L1D+L2 in front of the shared LLC.
+// NewHierarchy builds a private L1D+L2 in front of the shared LLC. The L1D,
+// where prefetches fill, gets the pollution victim table.
 func NewHierarchy(cfg HierarchyConfig, shared Level, asid int) *Hierarchy {
 	l1cfg, l2cfg := cfg.levels()
 	l2 := New(l2cfg, shared)
 	l1 := New(l1cfg, l2)
+	l1.victims = make([]uint64, 1<<victimBits)
 	return &Hierarchy{L1D: l1, L2: l2, ASID: uint64(asid)}
 }
 

@@ -1,8 +1,9 @@
 package cache
 
-// End-to-end lifecycle classification through the real cache access path:
+// Prefetch lifecycle classification through the real cache access path:
 // hand-built prefetch-fill and demand sequences must classify as timely,
-// late, useless-evicted, and polluting exactly as the taxonomy defines.
+// late, useless-evicted, and polluting exactly as the taxonomy defines, and
+// Stats.Lifecycle must derive the report breakdown from those counts.
 
 import (
 	"testing"
@@ -12,19 +13,16 @@ import (
 
 // newLifecycleCache builds a tiny direct-mapped L1 over DRAM so eviction
 // targets are fully controlled: 4 sets × 1 way, 2-cycle hits, 200-cycle
-// fills.
-func newLifecycleCache(t *testing.T) (*Cache, *obs.Lifecycle, *obs.Registry) {
+// fills. Like the L1D NewHierarchy builds, it carries a victim table.
+func newLifecycleCache(t *testing.T) *Cache {
 	t.Helper()
-	dram := NewDRAM()
-	c := New(Config{Name: "L1D", Bytes: 4 * BlockBytes, Ways: 1, Latency: 2}, dram)
-	reg := obs.NewRegistry()
-	lc := obs.NewLifecycle(reg, "pf.")
-	c.SetLifecycle(lc)
-	return c, lc, reg
+	c := New(Config{Name: "L1D", Bytes: 4 * BlockBytes, Ways: 1, Latency: 2}, NewDRAM())
+	c.victims = make([]uint64, 1<<victimBits)
+	return c
 }
 
 func TestCacheClassifiesTimelyVsLate(t *testing.T) {
-	c, lc, _ := newLifecycleCache(t)
+	c := newLifecycleCache(t)
 
 	// Timely: fill block 0 at cycle 0 (ready ≈ 200+), first touch at 1000.
 	c.Access(Request{BlockAddr: 0, Kind: PrefetchFill, LoadPC: 0x100}, 0)
@@ -35,88 +33,138 @@ func TestCacheClassifiesTimelyVsLate(t *testing.T) {
 	c.Access(Request{BlockAddr: 1, Kind: PrefetchFill, LoadPC: 0x104}, 1000)
 	c.Access(Request{BlockAddr: 1, Kind: Read}, 1010)
 
-	st := lc.Stats()
-	if st.Issued != 2 || st.UsefulTimely != 1 || st.UsefulLate != 1 {
-		t.Errorf("stats = %+v, want issued 2, timely 1, late 1", st)
+	if c.Stats.PrefetchFills != 2 || c.Stats.PrefetchUseful != 2 || c.Stats.PrefetchLate != 1 {
+		t.Errorf("stats = %+v, want fills 2, useful 2, late 1", c.Stats)
 	}
+	st := c.Stats.Lifecycle()
+	if want := (obs.LifecycleStats{Issued: 2, UsefulTimely: 1, UsefulLate: 1}); st != want {
+		t.Errorf("lifecycle = %+v, want %+v", st, want)
+	}
+	if acc := st.Accuracy(); acc != 1.0 {
+		t.Errorf("Accuracy = %v, want 1", acc)
+	}
+	if tml := st.Timeliness(); tml != 0.5 {
+		t.Errorf("Timeliness = %v, want 0.5", tml)
+	}
+
 	// Only the first demand touch classifies: a re-read adds nothing.
 	c.Access(Request{BlockAddr: 0, Kind: Read}, 2000)
-	if got := lc.Stats(); got.Useful() != 2 {
+	if got := c.Stats.Lifecycle(); got.Useful() != 2 || got.UsefulLate != 1 {
 		t.Errorf("re-read reclassified: %+v", got)
 	}
 }
 
 func TestCacheClassifiesUselessEviction(t *testing.T) {
-	c, lc, _ := newLifecycleCache(t)
+	c := newLifecycleCache(t)
 
 	// Prefetch block 0 into set 0, then displace it untouched with a demand
 	// read of block 4 (same set in a 4-set direct-mapped cache).
 	c.Access(Request{BlockAddr: 0, Kind: PrefetchFill, LoadPC: 0x100}, 0)
 	c.Access(Request{BlockAddr: 4, Kind: Read}, 1000)
 
-	st := lc.Stats()
-	if st.UselessEvicted != 1 {
-		t.Errorf("useless = %d, want 1 (stats %+v)", st.UselessEvicted, st)
-	}
-	if st.Useful() != 0 {
-		t.Errorf("displaced untouched prefetch counted useful: %+v", st)
+	st := c.Stats.Lifecycle()
+	if want := (obs.LifecycleStats{Issued: 1, UselessEvicted: 1, DemandMisses: 1}); st != want {
+		t.Errorf("lifecycle = %+v, want %+v", st, want)
 	}
 }
 
+// TestCacheClassifiesPollution separates a useless prefetch (evicted
+// untouched) from a polluting one (its fill displaced a block the program
+// still needed), which here is the same prefetch.
 func TestCacheClassifiesPollution(t *testing.T) {
-	c, lc, _ := newLifecycleCache(t)
+	c := newLifecycleCache(t)
 
 	// The program is using block 4 (set 0); a prefetch fill of block 0
-	// displaces it; the demand re-miss of block 4 is pollution.
+	// displaces it; the demand re-miss of block 4 is pollution and evicts
+	// the untouched prefetch, which is useless.
 	c.Access(Request{BlockAddr: 4, Kind: Read}, 0)
 	c.Access(Request{BlockAddr: 0, Kind: PrefetchFill, LoadPC: 0x100}, 500)
 	c.Access(Request{BlockAddr: 4, Kind: Read}, 1000)
-
-	st := lc.Stats()
-	if st.Polluting != 1 {
-		t.Errorf("polluting = %d, want 1 (stats %+v)", st.Polluting, st)
+	want := obs.LifecycleStats{Issued: 1, UselessEvicted: 1, Polluting: 1, DemandMisses: 2}
+	if st := c.Stats.Lifecycle(); st != want {
+		t.Errorf("lifecycle = %+v, want %+v", st, want)
 	}
 
-	// A demand-caused eviction must NOT arm the pollution detector: block 0
-	// (prefetched, now evicted by demand block 8) re-missing is ordinary.
+	// The re-miss consumed the victim entry: evicting block 4 again by
+	// demand and re-missing it is ordinary. A demand-caused eviction never
+	// arms the detector either: block 0, evicted by demand block 8, is not
+	// pollution when it re-misses.
 	c.Access(Request{BlockAddr: 8, Kind: Read}, 2000)
-	c.Access(Request{BlockAddr: 0, Kind: Read}, 3000)
-	if got := lc.Stats(); got.Polluting != 1 {
-		t.Errorf("demand eviction armed pollution detector: %+v", got)
+	c.Access(Request{BlockAddr: 4, Kind: Read}, 3000)
+	c.Access(Request{BlockAddr: 0, Kind: Read}, 4000)
+	if got := c.Stats.Polluting; got != 1 {
+		t.Errorf("polluting = %d after demand-only traffic, want 1 (stats %+v)", got, c.Stats)
 	}
 }
 
-// TestLifecycleMatchesCacheStats pins the classifier to the cache's own
-// feedback counters: useful (timely+late) must equal PrefetchUseful and
-// useless-evicted must equal PrefetchUseless under a mixed workload, so the
-// harness tables sourced from either agree.
-func TestLifecycleMatchesCacheStats(t *testing.T) {
-	c, lc, _ := newLifecycleCache(t)
+// TestLifecycleResetStats checks the window-boundary rule: the reset zeroes
+// every counter but carries the still-untouched prefetches into the new
+// window as issued, which keeps useful+useless ≤ issued.
+func TestLifecycleResetStats(t *testing.T) {
+	c := newLifecycleCache(t)
+	c.Access(Request{BlockAddr: 0, Kind: PrefetchFill, LoadPC: 0x100}, 0)
+	c.Access(Request{BlockAddr: 1, Kind: PrefetchFill, LoadPC: 0x104}, 0)
+	c.Access(Request{BlockAddr: 0, Kind: Read}, 1000)
+	c.Access(Request{BlockAddr: 2, Kind: Read}, 1000)
 
-	now := uint64(0)
-	for i := 0; i < 200; i++ {
-		ba := uint64(i*3) % 16
-		kind := Read
-		if i%4 == 0 {
-			kind = PrefetchFill
+	c.ResetStats() // window boundary: block 1 is still untouched
+	if c.Stats != (Stats{PrefetchCarried: 1}) {
+		t.Errorf("after reset: %+v, want only carried 1", c.Stats)
+	}
+	if st := c.Stats.Lifecycle(); st != (obs.LifecycleStats{Issued: 1}) {
+		t.Errorf("after reset: lifecycle %+v, want only issued 1", st)
+	}
+
+	c.Access(Request{BlockAddr: 1, Kind: Read}, 2000)
+	st := c.Stats.Lifecycle()
+	if st != (obs.LifecycleStats{Issued: 1, UsefulTimely: 1}) {
+		t.Errorf("after carry-in: %+v, want issued 1, timely 1", st)
+	}
+	if st.Useful() > st.Issued {
+		t.Errorf("useful %d exceeds issued %d despite carry-in", st.Useful(), st.Issued)
+	}
+}
+
+// TestLifecycleVictimSurvivesReset pins the documented asymmetry: counters
+// reset, but the pollution victim table mirrors cache contents and
+// survives, so a warmup-era eviction still attributes a measurement-window
+// re-miss.
+func TestLifecycleVictimSurvivesReset(t *testing.T) {
+	c := newLifecycleCache(t)
+	c.Access(Request{BlockAddr: 4, Kind: Read}, 0)
+	c.Access(Request{BlockAddr: 0, Kind: PrefetchFill, LoadPC: 0x100}, 500)
+	c.ResetStats()
+	c.Access(Request{BlockAddr: 4, Kind: Read}, 1000)
+	if c.Stats.Polluting != 1 {
+		t.Errorf("polluting = %d, want 1 (victim table must survive reset)", c.Stats.Polluting)
+	}
+}
+
+// TestLifecycleNoVictimTable runs the pollution sequence on a cache built
+// by New, which has no victim table (an L2 or the LLC): it counts no
+// pollution, classifies everything else as the L1D does, and exports no
+// lifecycle collectors.
+func TestLifecycleNoVictimTable(t *testing.T) {
+	c := New(Config{Name: "L2", Bytes: 4 * BlockBytes, Ways: 1, Latency: 2}, NewDRAM())
+	c.Access(Request{BlockAddr: 4, Kind: Read}, 0)
+	c.Access(Request{BlockAddr: 0, Kind: PrefetchFill, LoadPC: 0x100}, 500)
+	c.Access(Request{BlockAddr: 4, Kind: Read}, 1000)
+	want := obs.LifecycleStats{Issued: 1, UselessEvicted: 1, DemandMisses: 2}
+	if st := c.Stats.Lifecycle(); st != want {
+		t.Errorf("lifecycle = %+v, want %+v", st, want)
+	}
+
+	reg := obs.NewRegistry()
+	c.RegisterObs(reg, "l2.")
+	for _, name := range []string{"l2.pf_late", "l2.pf_carried", "l2.polluting"} {
+		if _, ok := reg.Snapshot().Get(name); ok {
+			t.Errorf("cache without a victim table exports %s", name)
 		}
-		c.Access(Request{BlockAddr: ba, Kind: kind, LoadPC: 0x100}, now)
-		now += uint64(i%7) * 50
-	}
-
-	st := lc.Stats()
-	if st.Useful() != c.Stats.PrefetchUseful {
-		t.Errorf("lifecycle useful %d != cache PrefetchUseful %d",
-			st.Useful(), c.Stats.PrefetchUseful)
-	}
-	if st.UselessEvicted > c.Stats.PrefetchUseless {
-		t.Errorf("lifecycle useless %d > cache PrefetchUseless %d",
-			st.UselessEvicted, c.Stats.PrefetchUseless)
 	}
 }
 
 func TestPendingPrefetched(t *testing.T) {
-	c, _, _ := newLifecycleCache(t)
+	c := newLifecycleCache(t)
 	c.Access(Request{BlockAddr: 0, Kind: PrefetchFill, LoadPC: 0x100}, 0)
 	c.Access(Request{BlockAddr: 1, Kind: PrefetchFill, LoadPC: 0x104}, 0)
 	c.Access(Request{BlockAddr: 2, Kind: Read}, 0)

@@ -60,9 +60,9 @@ var allocEngines = []struct {
 // newAllocCoreCfg mirrors newTestCoreCfg but shares the branch machinery
 // with the prefetch engine and wires L1D feedback, matching the sim
 // package's full configuration so feedback callbacks run inside the
-// measured window. The observability layer is attached exactly as sim
-// assembles it — registry collectors and lifecycle classifier — so the
-// zero-alloc claim covers the instrumented hot path.
+// measured window. The registry collectors are attached exactly as sim
+// assembles them, and NewHierarchy gives the L1D its pollution victim
+// table, so the zero-alloc claim covers the instrumented hot path.
 func newAllocCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, mk mkPrefetcher) *Core {
 	dram := cache.NewDRAM()
 	llc := cache.New(cache.Config{Name: "L3", Bytes: 2 << 20, Ways: 16, Latency: 20}, dram)
@@ -79,8 +79,6 @@ func newAllocCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, mk mkPrefetch
 	if r, ok := pf.(obs.Registrant); ok {
 		r.RegisterObs(reg, "c0.pf.")
 	}
-	lc := obs.NewLifecycle(reg, "c0.pf.")
-	hier.L1D.SetLifecycle(lc)
 
 	c := New(cfg, prog, m, hier, bp, conf, pf)
 	c.RegisterObs(reg, "c0.cpu.")

@@ -47,7 +47,11 @@ func DefaultConfig() Config {
 
 // Validate rejects a geometry that can never commit an instruction: a core
 // with no fetch, dispatch or commit slot, no ROB entry, no fetch-queue entry
-// or no cache port would spin to the cycle bound instead of failing.
+// or no cache port would spin to the cycle bound instead of failing. It
+// also rejects a width above the ROB size: no cycle can dispatch or commit
+// more instructions than the ROB holds, so such a core runs exactly as the
+// ROB-wide one, while its fetch queue (4×width under WithWidth) can exhaust
+// host memory.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -61,6 +65,9 @@ func (c Config) Validate() error {
 		if f.v < 1 {
 			return fmt.Errorf("cpu: %s must be at least 1, got %d", f.name, f.v)
 		}
+	}
+	if c.Width > c.ROBEntries {
+		return fmt.Errorf("cpu: Width %d exceeds ROBEntries %d", c.Width, c.ROBEntries)
 	}
 	return nil
 }
@@ -92,8 +99,7 @@ type Stats struct {
 	StoreForwards   uint64
 	WrongPathLoads  uint64
 
-	PrefetchIssued  uint64 // requests accepted by the hierarchy
-	PrefetchDropped uint64 // requests dropped as already resident
+	PrefetchDropped uint64 // requests dropped as already resident; the L1D counts the rest as PrefetchFills
 
 	// CPI is the cycle-attribution stack (Config.CPIStack); with attribution
 	// enabled, CPI.Total() == Cycles exactly. Living inside Stats, it is
@@ -134,7 +140,6 @@ func (c *Core) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Func(prefix+"load_l1_misses", func() uint64 { return c.Stats.LoadL1Misses })
 	reg.Func(prefix+"store_forwards", func() uint64 { return c.Stats.StoreForwards })
 	reg.Func(prefix+"wrong_path_loads", func() uint64 { return c.Stats.WrongPathLoads })
-	reg.Func(prefix+"pf_requests", func() uint64 { return c.Stats.PrefetchIssued })
 	reg.Func(prefix+"pf_requests_dropped", func() uint64 { return c.Stats.PrefetchDropped })
 	if c.cfg.CPIStack {
 		for b := obs.CPIBucket(0); b < obs.NumCPIBuckets; b++ {

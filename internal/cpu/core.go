@@ -1081,9 +1081,7 @@ func (c *Core) fetch(now uint64) {
 func (c *Core) prefetchTick(now uint64) {
 	c.pfReqs = c.pf.AppendTick(c.pfReqs[:0], now)
 	for _, r := range c.pfReqs {
-		if c.hier.Prefetch(r.Addr, r.LoadPC, now) {
-			c.Stats.PrefetchIssued++
-		} else {
+		if !c.hier.Prefetch(r.Addr, r.LoadPC, now) {
 			c.Stats.PrefetchDropped++
 		}
 	}

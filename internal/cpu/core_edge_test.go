@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -111,8 +112,8 @@ func TestPrefetchIssueAndDropStats(t *testing.T) {
 	if _, err := core.Run(1<<20, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if core.Stats.PrefetchIssued != 2 {
-		t.Errorf("issued = %d, want 2", core.Stats.PrefetchIssued)
+	if fills := core.Hierarchy().L1D.Stats.PrefetchFills; fills != 2 {
+		t.Errorf("issued = %d, want 2", fills)
 	}
 	if core.Stats.PrefetchDropped == 0 {
 		t.Error("no drops despite repeated requests")
@@ -346,8 +347,9 @@ func TestROBEntrySize(t *testing.T) {
 }
 
 // TestConfigValidate rejects each geometry field that leaves the core unable
-// to commit, naming the field, and accepts the narrowest and widest machines
-// the sensitivity study builds.
+// to commit, naming the field, and a width above the ROB size, naming both;
+// it accepts the narrowest and widest machines the sensitivity study builds
+// and a width equal to the ROB size.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -360,6 +362,7 @@ func TestConfigValidate(t *testing.T) {
 		{"ports0", func(c Config) Config { c.CachePorts = 0; return c }, "CachePorts"},
 		{"width1", func(c Config) Config { return c.WithWidth(1) }, ""},
 		{"width8", func(c Config) Config { return c.WithWidth(8) }, ""},
+		{"width=rob", func(c Config) Config { return c.WithWidth(c.ROBEntries) }, ""},
 	}
 	for _, tc := range cases {
 		err := tc.cfg(DefaultConfig()).Validate()
@@ -368,6 +371,14 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field+" must be at least 1")):
 			t.Errorf("%s: got %v, want an error naming %s", tc.name, err, tc.field)
+		}
+	}
+
+	// Validate only reads the fields: a width of 10^8 allocates nothing.
+	for _, w := range []int{193, 100_000_000} {
+		err := DefaultConfig().WithWidth(w).Validate()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("Width %d exceeds ROBEntries 192", w)) {
+			t.Errorf("width %d: got %v, want an error naming Width and ROBEntries", w, err)
 		}
 	}
 }

@@ -121,8 +121,8 @@ func runFig11(p Params) ([]*stats.Table, error) {
 	for wi, name := range ws {
 		var row [4]uint64
 		for i := range kinds {
-			// Sourced from the lifecycle classifier (useful = timely + late),
-			// which TestLifecycleMatchesCacheStats pins to the L1D counters.
+			// Sourced from the lifecycle breakdown, which derives useful
+			// (timely + late) and useless from the L1D's own counters.
 			lc := res[wi*len(kinds)+i].Lifecycle[0]
 			row[2*i] = lc.Useful()
 			row[2*i+1] = lc.UselessEvicted

@@ -187,7 +187,9 @@ func assembleInst(b *Builder, line string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("jmp wants a target")
 		}
-		return emitTarget(b, Inst{Op: JMP}, args[0])
+		// Rs is unused; RZero, as Builder.Jmp sets it, so a built and an
+		// assembled jmp encode alike.
+		return emitTarget(b, Inst{Op: JMP, Rs: RZero}, args[0])
 	case JR:
 		if len(args) != 1 {
 			return fmt.Errorf("jr wants a register")

@@ -1,8 +1,7 @@
 // Package obs is the simulator's observability layer: a metrics registry
-// every simulated component exports through, a prefetch lifecycle
-// classifier that sorts each prefetch into useful (timely or late),
-// useless or polluting, CPI-stack attribution, and structured per-run JSON
-// reports.
+// every simulated component exports through, the prefetch lifecycle
+// breakdown (useful timely or late, useless, polluting) the L1D's counters
+// derive, CPI-stack attribution, and structured per-run JSON reports.
 //
 // The registry is a read-only view: components register named Func
 // collectors at assembly time, and Snapshot reads them all. Every counter

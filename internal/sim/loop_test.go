@@ -146,20 +146,20 @@ func TestResetStatsZeroesEverything(t *testing.T) {
 			if res.Core[0] != (cpu.Stats{}) {
 				t.Errorf("core stats survive reset: %+v", res.Core[0])
 			}
-			if res.L1D[0] != (cache.Stats{}) {
-				t.Errorf("L1D stats survive reset: %+v", res.L1D[0])
+			// Each cache's window restarts with its untouched prefetched
+			// blocks carried in, and nothing else.
+			l1 := s.Cores[0].Hierarchy().L1D
+			if want := (cache.Stats{PrefetchCarried: l1.PendingPrefetched()}); res.L1D[0] != want {
+				t.Errorf("L1D stats after reset = %+v, want %+v", res.L1D[0], want)
 			}
-			if res.LLC != (cache.Stats{}) {
-				t.Errorf("LLC stats survive reset: %+v", res.LLC)
+			if want := (cache.Stats{PrefetchCarried: s.LLC.PendingPrefetched()}); res.LLC != want {
+				t.Errorf("LLC stats after reset = %+v, want %+v", res.LLC, want)
 			}
 			d := res.DRAM
 			if d.DemandFills != 0 || d.PrefetchFills != 0 || d.Writebacks != 0 || d.StallCycles != 0 {
 				t.Errorf("DRAM traffic survives reset: %+v", d)
 			}
-			// The lifecycle window restarts with the untouched prefetched
-			// blocks carried in as issued, and nothing else.
-			pending := s.Cores[0].Hierarchy().L1D.PendingPrefetched()
-			if lc := res.Lifecycle[0]; lc != (obs.LifecycleStats{Issued: pending}) {
+			if lc, pending := res.Lifecycle[0], l1.PendingPrefetched(); lc != (obs.LifecycleStats{Issued: pending}) {
 				t.Errorf("lifecycle after reset = %+v, want only issued %d", lc, pending)
 			}
 

@@ -35,9 +35,9 @@ func TestSharedLevelOrderPinned(t *testing.T) {
 		digest string
 	}{
 		{"4-core banked B-Fetch", banked, []string{"mcf", "lbm", "milc", "libquantum"},
-			"615c0bca64977cae8bda03994302166edee05a82ed294ccd9cf7c0e621de0a5a"},
+			"6890a89f211fef63a333bccb3e0d978338db8bbef9f4c4b1cf33476c3a618a9e"},
 		{"2-core Table II SMS", tableII, []string{"mcf", "lbm"},
-			"7e3703e0126e0163a1988f17f9639ea3a4bf541293c5720a8cdf0afbb6df7bde"},
+			"a9c7b5ae40b233cb9c16ddd390de61536c7ccb599c9ea5451648ad546013ef0d"},
 	} {
 		res, err := Run(tc.cfg, tc.apps, RunOpts{WarmupInsts: 5_000, MeasureInsts: 20_000})
 		if err != nil {

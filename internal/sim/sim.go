@@ -143,12 +143,9 @@ type System struct {
 	DRAM  *cache.DRAM
 
 	// Reg is the system's metrics registry: every component — cores,
-	// caches, DRAM, prefetch engines, lifecycle classifiers — registers
-	// collectors into it at assembly, and Snapshot reads them.
+	// caches, DRAM, prefetch engines — registers collectors into it at
+	// assembly, and Snapshot reads them.
 	Reg *obs.Registry //bfetch:noreset collectors only; each component resets its own counters
-	// LCs holds one prefetch lifecycle classifier per core, attached to
-	// that core's L1D.
-	LCs []*obs.Lifecycle //bfetch:noreset reset by the L1D each is attached to
 
 	// naive selects the reference clock loop (runNaive) over the event loop.
 	// Only the equivalence tests set it: the naive loop is their oracle.
@@ -312,9 +309,9 @@ func assemble(cfg Config, boots []boot) (*System, error) {
 			c.BootArch(*bt.arch)
 		}
 
-		// Register the core's components and attach its lifecycle
-		// classifier. Every engine exports under the same "pf." namespace,
-		// so tables and JSON read one set of names regardless of engine.
+		// Register the core's components. Every engine exports under the
+		// same "pf." namespace, so tables and JSON read one set of names
+		// regardless of engine.
 		prefix := fmt.Sprintf("c%d.", i)
 		c.RegisterObs(reg, prefix+"cpu.")
 		hier.L1D.RegisterObs(reg, prefix+"l1d.")
@@ -322,9 +319,6 @@ func assemble(cfg Config, boots []boot) (*System, error) {
 		if r, ok := pf.(obs.Registrant); ok {
 			r.RegisterObs(reg, prefix+"pf.")
 		}
-		lc := obs.NewLifecycle(reg, prefix+"pf.")
-		hier.L1D.SetLifecycle(lc)
-		s.LCs = append(s.LCs, lc)
 
 		s.Cores = append(s.Cores, c)
 		s.PFs = append(s.PFs, pf)
@@ -528,8 +522,8 @@ func (s *System) flushIdle(upTo uint64, target []uint64) {
 
 // ResetStats zeroes all measurement counters (after warmup) without touching
 // learned microarchitectural state. This includes each prefetcher's internal
-// counters (training/coverage stats) and each L1D's lifecycle classifier, so
-// post-warmup snapshots describe the measurement window only.
+// counters (training/coverage stats) and each L1D's prefetch lifecycle
+// counts, so post-warmup snapshots describe the measurement window only.
 func (s *System) ResetStats() {
 	for _, c := range s.Cores {
 		c.Stats = cpu.Stats{}
@@ -553,10 +547,11 @@ type Result struct {
 	DRAM   cache.DRAM
 	Cycles uint64
 
-	// Lifecycle is the per-core prefetch lifecycle breakdown and Metrics
-	// the full registry snapshot — both covered by the same bit-identity
-	// guarantees (naive vs event loop, -j 1 vs -j N) as every other field,
-	// since results are compared with reflect.DeepEqual in those tests.
+	// Lifecycle is the per-core prefetch lifecycle breakdown, derived from
+	// L1D by cache.Stats.Lifecycle, and Metrics the full registry
+	// snapshot — both covered by the same bit-identity guarantees (naive
+	// vs event loop, -j 1 vs -j N) as every other field, since results are
+	// compared with reflect.DeepEqual in those tests.
 	Lifecycle []obs.LifecycleStats
 	Metrics   obs.Snapshot
 }
@@ -568,10 +563,9 @@ func (s *System) Snapshot() Result {
 	for _, c := range s.Cores {
 		res.IPC = append(res.IPC, c.Stats.IPC())
 		res.Core = append(res.Core, c.Stats)
-		res.L1D = append(res.L1D, c.Hierarchy().L1D.Stats)
-	}
-	for _, lc := range s.LCs {
-		res.Lifecycle = append(res.Lifecycle, lc.Stats())
+		l1 := c.Hierarchy().L1D.Stats
+		res.L1D = append(res.L1D, l1)
+		res.Lifecycle = append(res.Lifecycle, l1.Lifecycle())
 	}
 	res.Metrics = s.Reg.Snapshot()
 	return res

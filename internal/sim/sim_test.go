@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -49,7 +50,7 @@ func TestStrideHelpsStream(t *testing.T) {
 	if stride.IPC[0] <= base.IPC[0]*1.05 {
 		t.Errorf("stride IPC %.3f not > baseline %.3f", stride.IPC[0], base.IPC[0])
 	}
-	if stride.Core[0].PrefetchIssued == 0 {
+	if stride.L1D[0].PrefetchFills == 0 {
 		t.Error("stride issued no prefetches")
 	}
 	if stride.L1D[0].PrefetchUseful == 0 {
@@ -71,7 +72,7 @@ func TestBFetchHelpsAndIsAccurate(t *testing.T) {
 	if bf.IPC[0] <= base.IPC[0]*1.05 {
 		t.Errorf("B-Fetch IPC %.3f not > baseline %.3f", bf.IPC[0], base.IPC[0])
 	}
-	if bf.Core[0].PrefetchIssued == 0 {
+	if bf.L1D[0].PrefetchFills == 0 {
 		t.Fatal("B-Fetch issued no prefetches")
 	}
 	useful := bf.L1D[0].PrefetchUseful
@@ -80,7 +81,7 @@ func TestBFetchHelpsAndIsAccurate(t *testing.T) {
 		t.Error("no useful B-Fetch prefetches")
 	}
 	t.Logf("bfetch on libquantum: issued=%d useful=%d useless=%d ipc %.3f vs %.3f",
-		bf.Core[0].PrefetchIssued, useful, useless, bf.IPC[0], base.IPC[0])
+		bf.L1D[0].PrefetchFills, useful, useless, bf.IPC[0], base.IPC[0])
 }
 
 func TestAccountingIdentities(t *testing.T) {
@@ -89,9 +90,10 @@ func TestAccountingIdentities(t *testing.T) {
 	if l1.Hits+l1.Misses != l1.Accesses {
 		t.Errorf("hits %d + misses %d != accesses %d", l1.Hits, l1.Misses, l1.Accesses)
 	}
-	if l1.PrefetchUseful+l1.PrefetchUseless > res.Core[0].PrefetchIssued+l1.PrefetchFills {
-		t.Errorf("prefetch accounting out of balance: %+v issued %d",
-			l1, res.Core[0].PrefetchIssued)
+	// Every useful or useless prefetch was filled in this window or
+	// carried into it untouched across the warmup reset.
+	if l1.PrefetchUseful+l1.PrefetchUseless > l1.PrefetchFills+l1.PrefetchCarried {
+		t.Errorf("prefetch accounting out of balance: %+v", l1)
 	}
 }
 
@@ -152,12 +154,13 @@ func TestWarmupResetsCounters(t *testing.T) {
 	}
 }
 
-// TestLifecycleSamplesMatchResult reads the c%d.pf.* lifecycle collectors
-// out of a 2-core B-Fetch run with warmup. Each must equal the matching
-// field of Result.Lifecycle; the window must keep useful+useless <= issued;
-// and on at least one core the carry-in at the warmup boundary must show:
-// issued exceeds c%d.l1d.pf_fills, which counts only the window's own
-// fills.
+// TestLifecycleSamplesMatchResult reads the c%d.l1d.* collectors out of a
+// 2-core B-Fetch run with warmup. Result.Lifecycle must follow from them:
+// issued is pf_fills+pf_carried, timely pf_useful-pf_late, late pf_late,
+// useless pf_useless, polluting polluting, demand misses misses-pf_fills.
+// The window must keep useful+useless <= issued, and on at least one core
+// the carry-in at the warmup boundary must show: issued exceeds
+// c%d.l1d.pf_fills, which counts only the window's own fills.
 func TestLifecycleSamplesMatchResult(t *testing.T) {
 	cfg := Default(PFBFetch)
 	cfg.Cores = 2
@@ -169,25 +172,28 @@ func TestLifecycleSamplesMatchResult(t *testing.T) {
 	for i, lc := range res.Lifecycle {
 		get := func(name string) uint64 {
 			t.Helper()
-			v, ok := res.Metrics.Get(fmt.Sprintf("c%d.%s", i, name))
+			v, ok := res.Metrics.Get(fmt.Sprintf("c%d.l1d.%s", i, name))
 			if !ok {
-				t.Fatalf("core %d: no sample %s", i, name)
+				t.Fatalf("core %d: no sample l1d.%s", i, name)
 			}
 			return v
 		}
-		for name, want := range map[string]uint64{
-			"pf.issued": lc.Issued, "pf.useful_timely": lc.UsefulTimely,
-			"pf.useful_late": lc.UsefulLate, "pf.useless_evicted": lc.UselessEvicted,
-			"pf.polluting": lc.Polluting, "pf.demand_misses": lc.DemandMisses,
-		} {
-			if got := get(name); got != want {
-				t.Errorf("core %d: %s = %d, Result.Lifecycle has %d", i, name, got, want)
-			}
+		fills, useful, late := get("pf_fills"), get("pf_useful"), get("pf_late")
+		want := obs.LifecycleStats{
+			Issued:         fills + get("pf_carried"),
+			UsefulTimely:   useful - late,
+			UsefulLate:     late,
+			UselessEvicted: get("pf_useless"),
+			Polluting:      get("polluting"),
+			DemandMisses:   get("misses") - fills,
+		}
+		if lc != want {
+			t.Errorf("core %d: Result.Lifecycle = %+v, the l1d samples give %+v", i, lc, want)
 		}
 		if lc.Useful()+lc.UselessEvicted > lc.Issued {
 			t.Errorf("core %d: useful %d + useless %d > issued %d", i, lc.Useful(), lc.UselessEvicted, lc.Issued)
 		}
-		if lc.Issued > get("l1d.pf_fills") {
+		if lc.Issued > fills {
 			carried = true
 		}
 	}

@@ -100,9 +100,9 @@ echo "stream: $n lines valid ($status_lines status, $run_lines run)"
 echo "== single-run report via bfetch-sim"
 "$workdir/bfetch-sim" -workloads mcf -pf stride -warmup 20000 -measure 20000 \
     -obs "$workdir/run.json" >/dev/null 2>&1
-for name in c0.pf.issued c0.pf.useful_timely; do
+for name in c0.l1d.pf_late c0.l1d.polluting useful_timely; do
     grep -q "\"$name\"" "$workdir/run.json" \
-        || { echo "run report carries no $name lifecycle sample" >&2; exit 1; }
+        || { echo "run report carries no $name lifecycle count" >&2; exit 1; }
 done
 
 echo "== attributed run"
