@@ -59,16 +59,16 @@ race:
 
 # Hot-path microbenchmarks (BenchmarkCoreCycle must report 0 allocs/op;
 # MemReadWrite/MemFork/Checkpoint guard the fast-forward machinery;
-# EmuInterp/EmuCompiled guard the threaded-code speedup and RobScan/RobBitmap
-# the issue-stage selection kernel). End-to-end measurements come from
-# `bash benchmark/run.sh`, judged with `go run ./benchmark compare` (see
-# benchmark/README.md).
+# EmuInterp/EmuCompiled guard the threaded-code speedup, RobBitmap the
+# issue-stage selection kernel and SimScale the event loop at 16 and 64
+# cores). End-to-end measurements come from `bash benchmark/run.sh`, judged
+# with `go run ./benchmark compare` (see benchmark/README.md).
 bench:
-	$(GO) test -run xxx -bench 'CoreCycle|CacheAccess|BFetchTick|SimMemoryBound' \
+	$(GO) test -run xxx -bench 'CoreCycle|CacheAccess|BFetchTick|SimMemoryBound|SimScale' \
 		-benchmem ./internal/cpu ./internal/cache ./internal/core ./internal/sim
 	$(GO) test -run xxx -bench 'MemReadWrite|MemFork|Checkpoint' \
 		-benchmem ./internal/mem ./internal/ckpt
-	$(GO) test -run xxx -bench 'EmuInterp|EmuCompiled|RobScan|RobBitmap' \
+	$(GO) test -run xxx -bench 'EmuInterp|EmuCompiled|RobBitmap' \
 		-benchmem ./internal/emu ./internal/cpu
 
 # CI leg: every kernel microbenchmark, executed 10 iterations each — not a

@@ -37,6 +37,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -79,6 +80,13 @@ func run() error {
 
 	if err := checkMixes(*mixes); err != nil {
 		return err
+	}
+	var names []string
+	if *workloads != "" {
+		var err error
+		if names, err = checkWorkloads(*workloads); err != nil {
+			return err
+		}
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -130,9 +138,7 @@ func run() error {
 	params.Opts = sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure}
 	params.Mixes = *mixes
 	params.Runner = eng
-	if *workloads != "" {
-		params.Workloads = strings.Split(*workloads, ",")
-	}
+	params.Workloads = names
 	if *scaleCores != "" {
 		cores, err := parseCores(*scaleCores)
 		if err != nil {
@@ -294,6 +300,24 @@ func checkMixes(n int) error {
 		return fmt.Errorf("bad -mixes %d: want at least 1", n)
 	}
 	return nil
+}
+
+// checkWorkloads splits a -workloads list and rejects an empty, unknown or
+// repeated name: the list is a set of kernels, and a repeat would count one
+// kernel twice in every geomean.
+func checkWorkloads(list string) ([]string, error) {
+	names := strings.Split(list, ",")
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if _, err := workload.ByName(name); err != nil {
+			return nil, fmt.Errorf("bad -workloads entry %q: unknown kernel (see bfetch-sim -list)", name)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("bad -workloads entry %q: listed twice", name)
+		}
+		seen[name] = true
+	}
+	return names, nil
 }
 
 // peakRSS returns the process's peak resident set in KiB, the VmHWM line of

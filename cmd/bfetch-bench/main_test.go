@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,6 +52,36 @@ func TestCheckMixes(t *testing.T) {
 	for _, n := range []int{0, -1} {
 		if checkMixes(n) == nil {
 			t.Errorf("checkMixes(%d) accepted", n)
+		}
+	}
+}
+
+// TestCheckWorkloads pins the -workloads grammar: a comma-separated set of
+// known kernel names, so an empty, unknown or repeated entry fails before any
+// experiment starts, with a message naming it.
+func TestCheckWorkloads(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string // nil: must be rejected
+		bad  string   // the entry the error must name
+	}{
+		{in: "mcf", want: []string{"mcf"}},
+		{in: "mcf,lbm", want: []string{"mcf", "lbm"}},
+		{in: "mcf,mcf,lbm", bad: `"mcf"`},
+		{in: "mcf,", bad: `""`},
+		{in: ",mcf", bad: `""`},
+		{in: "mcf,nosuch", bad: `"nosuch"`},
+		{in: " mcf", bad: `" mcf"`},
+	} {
+		got, err := checkWorkloads(tc.in)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.bad) {
+				t.Errorf("checkWorkloads(%q) = %v, %v; want an error naming %s", tc.in, got, err, tc.bad)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("checkWorkloads(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
 }

@@ -24,72 +24,23 @@ func benchProgram() (*isa.Program, *mem.Memory) {
 	return prog, mem.New()
 }
 
-// The RobScan/RobBitmap pair isolates the ready-selection kernel the issue
-// stage runs every cycle: pick the Width oldest of the ready entries in a
-// 192-slot ROB and keep the rest. RobScan is the pre-bitmap implementation —
-// a ref list insertion-sorted by sequence number, selected from, and
-// rebuilt; RobBitmap is the shipping one — a TrailingZeros64 walk of the
-// ready bitmap in ring order from the ROB head, which is age order by
-// construction. Same synthetic state for both: 48 ready entries scattered
-// through a wrapped ROB window.
+// BenchmarkRobBitmap isolates the ready-selection kernel the issue stage
+// runs every cycle: pick the Width oldest of the ready entries in a 192-slot
+// ROB by a TrailingZeros64 walk of the ready bitmap in ring order from the
+// ROB head, which is age order by construction. The synthetic state is 48
+// ready entries (every fourth ring position) scattered through a wrapped ROB
+// window.
 
 const (
 	benchRobSlots = 192
 	benchRobHead  = 77
-	benchRobReady = 48
 	benchRobWidth = 4
 )
 
-// benchReadySlots returns the ready slots (every fourth ring position) and
-// their seqs, plus the same refs in a deterministic non-age order — the
-// arrival order a broadcast-driven ready list really sees.
-func benchReadySlots() (slots []int, seq [benchRobSlots]uint64, arrival []ref) {
-	for i := 0; i < benchRobSlots; i++ {
-		s := (benchRobHead + i) % benchRobSlots
-		seq[s] = uint64(1000 + i)
-		if i%4 == 0 {
-			slots = append(slots, s)
-		}
-	}
-	arrival = make([]ref, len(slots))
-	for i, s := range slots {
-		j := (i * 29) % len(slots) // deterministic shuffle: 29 ⊥ 48
-		arrival[j] = ref{slot: s, seq: seq[s]}
-	}
-	return slots, seq, arrival
-}
-
-func BenchmarkRobScan(b *testing.B) {
-	_, _, arrival := benchReadySlots()
-	scratch := make([]ref, len(arrival))
-	var picked [benchRobWidth]int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ready := scratch[:copy(scratch, arrival)]
-		for i := 1; i < len(ready); i++ {
-			for j := i; j > 0 && ready[j].seq < ready[j-1].seq; j-- {
-				ready[j], ready[j-1] = ready[j-1], ready[j]
-			}
-		}
-		n := 0
-		rest := ready[:0]
-		for _, r := range ready {
-			if n < benchRobWidth {
-				picked[n] = r.slot
-				n++
-				continue
-			}
-			rest = append(rest, r)
-		}
-	}
-	_ = picked
-}
-
 func BenchmarkRobBitmap(b *testing.B) {
-	slots, _, _ := benchReadySlots()
 	bm := make([]uint64, (benchRobSlots+63)/64)
-	for _, s := range slots {
-		bmSet(bm, s)
+	for i := 0; i < benchRobSlots; i += 4 {
+		bmSet(bm, (benchRobHead+i)%benchRobSlots)
 	}
 	var picked [benchRobWidth]int
 	b.ResetTimer()

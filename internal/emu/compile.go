@@ -76,14 +76,14 @@ const (
 	// executes its unfused record, so fusion is invisible to control flow.
 	// The set is chosen from measured dynamic pair frequencies over the
 	// workload suite (ld+ld and addi+addi alone are >25% of dynamic pairs).
-	kADDI_LD
+	// The pairs, then the triples, form contiguous ranges: run derives a
+	// record's advance from them, with kADDI_ST first.
 	kADDI_ST
 	kLD_ADDI
 	kADDI2
 	kLD_LD
 	kADD_ADD
 	kLD_ADD
-	kST_ADDI
 	kADD_LD
 	kADD_SUB
 	kLD_ANDI
@@ -91,7 +91,6 @@ const (
 	kADD_MUL
 	kANDI_ADD
 	kLD_MUL
-	kMUL_LD
 	kSLLI_ADD
 	kMUL_ADD
 	kLD_SLLI
@@ -107,12 +106,11 @@ const (
 	kST_ADDI_ADDI
 
 	// Fused terminators: a body op feeding a conditional branch (the
-	// decrement-and-branch loop back-edge, compare-and-branch, mask-and-
-	// branch idioms) executes as one record covering two instructions. They
-	// must stay the last kinds so isTerm can test them with one compare.
+	// decrement-and-branch loop back-edge and compare-and-branch idioms)
+	// executes as one record covering two instructions. They must stay the
+	// last kinds so isTerm can test them with one compare.
 	kADDI_BNEZ
 	kSUB_BLTZ
-	kANDI_BEQZ
 	kCMPLT_BNEZ
 )
 
@@ -204,7 +202,6 @@ var fuseBody = map[[2]uint8]uint8{
 	{kADDI, kADDI}: kADDI2,
 	{kADD, kADD}:   kADD_ADD,
 	{kLD, kADD}:    kLD_ADD,
-	{kST, kADDI}:   kST_ADDI,
 	{kADD, kLD}:    kADD_LD,
 	{kADD, kSUB}:   kADD_SUB,
 	{kLD, kANDI}:   kLD_ANDI,
@@ -212,11 +209,9 @@ var fuseBody = map[[2]uint8]uint8{
 	{kADD, kMUL}:   kADD_MUL,
 	{kANDI, kADD}:  kANDI_ADD,
 	{kLD, kMUL}:    kLD_MUL,
-	{kMUL, kLD}:    kMUL_LD,
 	{kSLLI, kADD}:  kSLLI_ADD,
 	{kMUL, kADD}:   kMUL_ADD,
 	{kLD, kSLLI}:   kLD_SLLI,
-	{kADDI, kLD}:   kADDI_LD,
 	{kADDI, kST}:   kADDI_ST,
 	{kLD, kADDI}:   kLD_ADDI,
 }
@@ -234,7 +229,6 @@ var fuseTriple = map[[3]uint8]uint8{
 var fuseTerm = map[[2]uint8]uint8{
 	{kADDI, kBNEZ}:  kADDI_BNEZ,
 	{kSUB, kBLTZ}:   kSUB_BLTZ,
-	{kANDI, kBEQZ}:  kANDI_BEQZ,
 	{kCMPLT, kBNEZ}: kCMPLT_BNEZ,
 }
 
@@ -452,14 +446,6 @@ func (k *Compiled) run(c *CPU, maxInsts uint64) (uint64, error) {
 				if !mm.Store64(ea, uint64(regs[o.rt&31])) {
 					mm.Write64(ea, uint64(regs[o.rt&31]))
 				}
-			case kADDI_LD:
-				regs[o.rd&31] = regs[o.rs&31] + o.imm
-				ea := uint64(regs[o.rs2&31] + o.imm2)
-				v, ok := mm.Load64(ea)
-				if !ok {
-					v = mm.Read64(ea)
-				}
-				regs[o.rd2&31] = int64(v)
 			case kADDI_ST:
 				regs[o.rd&31] = regs[o.rs&31] + o.imm
 				ea := uint64(regs[o.rs2&31] + o.imm2)
@@ -501,12 +487,6 @@ func (k *Compiled) run(c *CPU, maxInsts uint64) (uint64, error) {
 				}
 				regs[o.rd&31] = int64(v)
 				regs[o.rd2&31] = regs[o.rs2&31] + regs[o.rt2&31]
-			case kST_ADDI:
-				ea := uint64(regs[o.rs&31] + o.imm)
-				if !mm.Store64(ea, uint64(regs[o.rt&31])) {
-					mm.Write64(ea, uint64(regs[o.rt&31]))
-				}
-				regs[o.rd2&31] = regs[o.rs2&31] + o.imm2
 			case kADD_LD:
 				regs[o.rd&31] = regs[o.rs&31] + regs[o.rt&31]
 				ea := uint64(regs[o.rs2&31] + o.imm2)
@@ -543,14 +523,6 @@ func (k *Compiled) run(c *CPU, maxInsts uint64) (uint64, error) {
 				}
 				regs[o.rd&31] = int64(v)
 				regs[o.rd2&31] = regs[o.rs2&31] * regs[o.rt2&31]
-			case kMUL_LD:
-				regs[o.rd&31] = regs[o.rs&31] * regs[o.rt&31]
-				ea := uint64(regs[o.rs2&31] + o.imm2)
-				v, ok := mm.Load64(ea)
-				if !ok {
-					v = mm.Read64(ea)
-				}
-				regs[o.rd2&31] = int64(v)
 			case kSLLI_ADD:
 				regs[o.rd&31] = shiftL(regs[o.rs&31], o.imm)
 				regs[o.rd2&31] = regs[o.rs2&31] + regs[o.rt2&31]
@@ -612,7 +584,7 @@ func (k *Compiled) run(c *CPU, maxInsts uint64) (uint64, error) {
 			switch {
 			case o.kind >= kMUL_LD_ADD:
 				i += 3
-			case o.kind >= kADDI_LD:
+			case o.kind >= kADDI_ST:
 				i += 2
 			default:
 				i++
@@ -665,11 +637,6 @@ func (k *Compiled) run(c *CPU, maxInsts uint64) (uint64, error) {
 		case kSUB_BLTZ:
 			regs[o.rd&31] = regs[o.rs&31] - regs[o.rt&31]
 			if regs[o.rs2&31] < 0 {
-				next = o.target
-			}
-		case kANDI_BEQZ:
-			regs[o.rd&31] = regs[o.rs&31] & o.imm
-			if regs[o.rs2&31] == 0 {
 				next = o.target
 			}
 		case kCMPLT_BNEZ:

@@ -64,6 +64,25 @@ func TestCompiledMatchesInterpWorkloads(t *testing.T) {
 	}
 }
 
+// TestFusedKindsCompiled keeps the fusion tables to kinds the suite uses:
+// every fused micro-op they can emit must be compiled at one static site or
+// more across the workload kernels. A kind no kernel compiles to is a run
+// case that never dispatches; delete it rather than carry it.
+func TestFusedKindsCompiled(t *testing.T) {
+	sites := make(map[uint8]int)
+	for _, w := range workload.All() {
+		prog, _ := w.Build()
+		for k, n := range emu.CompiledKinds(prog) {
+			sites[k] += n
+		}
+	}
+	for _, k := range emu.FusedKinds() {
+		if sites[k] == 0 {
+			t.Errorf("fused kind %d is compiled at no site across the %d kernels", k, len(workload.All()))
+		}
+	}
+}
+
 // TestCompiledEngineAlternation runs one workload alternating engines on the
 // same CPU — interpreter and compiled code share one architectural state
 // machine, so switching mid-program (even mid-superblock) must be seamless.

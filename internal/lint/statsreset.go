@@ -2,7 +2,7 @@ package lint
 
 import "go/ast"
 
-// StatsReset structurally audits every Reset/ResetStats/Restart method:
+// StatsReset structurally audits every Reset/ResetStats method:
 // each field of the receiver struct must either be written by the method
 // (directly, via a sub-field/element assignment, via a method call on the
 // field, via a range that resets its elements, or by passing its address to
@@ -10,9 +10,7 @@ import "go/ast"
 // learned/configuration state the reset deliberately preserves. This is the
 // bug class PR 2's reset audit fixed by hand — a counter added to a struct
 // but forgotten in ResetStats silently bleeds warmup state into the
-// measurement window. Restart is audited alongside them: a window restart
-// that forgets a cursor replays warmup state into the measurement window,
-// the same bug class at one remove.
+// measurement window.
 //
 // Embedded (anonymous) fields are exempt: their own Reset methods are
 // audited separately.
@@ -25,7 +23,7 @@ func StatsReset(p *Package) []Diagnostic {
 			if !ok || fd.Body == nil || fd.Recv == nil {
 				continue
 			}
-			if fd.Name.Name != "Reset" && fd.Name.Name != "ResetStats" && fd.Name.Name != "Restart" {
+			if fd.Name.Name != "Reset" && fd.Name.Name != "ResetStats" {
 				continue
 			}
 			recvName, typeName := recvInfo(fd)

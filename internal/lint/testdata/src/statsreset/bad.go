@@ -35,21 +35,6 @@ func (t *table) Reset() { // want "field table.used is not reset"
 	}
 }
 
-// sampler has a window Restart that forgets its boundary cursor — the
-// interval time-series shape of the same bug: stale nextAt replays warmup
-// boundaries into the measurement window.
-type sampler struct {
-	ring   []uint64 //bfetch:noreset ring storage, emptied logically by rows=0
-	rows   int
-	step   uint64
-	nextAt uint64
-}
-
-func (s *sampler) Restart(now uint64) { // want "field sampler.nextAt is not reset"
-	s.rows = 0
-	s.step = 1
-}
-
 // wired annotates its link but forgets the counter declared after it: a
 // trailing marker belongs to its own field, not to the next one.
 type wired struct {

@@ -45,22 +45,6 @@ func (d *delegating) Reset() {
 	d.lo, d.hi = 0, 0
 }
 
-// windowed is the interval-sampler shape done right: every cursor is
-// rewritten at the window boundary, and the reused ring carries its
-// annotation.
-type windowed struct {
-	ring   []uint64 //bfetch:noreset ring storage, emptied logically by rows=0
-	rows   int
-	step   uint64
-	nextAt uint64
-}
-
-func (w *windowed) Restart(now uint64) {
-	w.rows = 0
-	w.step = 1
-	w.nextAt = now + w.step
-}
-
 // embedded: anonymous fields are exempt — their own Reset methods are
 // audited separately.
 type embedded struct {

@@ -8,7 +8,9 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/isb"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sms"
 	"repro/internal/stems"
@@ -69,26 +71,35 @@ func TestLoopEquivalence(t *testing.T) {
 // reach its instruction budget, both loops must fail with the same error —
 // naming the core that lags furthest — and identical partial counters, solo
 // and on a 4-core banked system whose cores contend for LLC banks and DRAM
-// channels.
+// channels. The run-off-end case pairs libquantum, which reaches its budget,
+// with a core that runs off its program's end without HALT: never halted,
+// its NextEvent answers cpu.NoEvent forever, so the event loop must keep it
+// scheduled (not finished) and report the bound as the naive loop's spin
+// does.
 func TestLoopEquivalenceOnError(t *testing.T) {
 	cases := []struct {
 		name   string
 		cfg    Config
-		apps   []string
+		apps   []workload.Workload
+		insts  uint64
 		cycles uint64
+		lagger string
 	}{
-		{"solo", Default(PFNone), []string{"libquantum"}, 50_000},
-		{"banked-4core", DefaultScale(PFNone, 4), []string{"libquantum", "mcf", "milc", "lbm"}, 30_000},
+		{"solo", Default(PFNone), mustWorkloads(t, "libquantum"), 1 << 40, 50_000, "core 0 lags furthest"},
+		{"banked-4core", DefaultScale(PFNone, 4), mustWorkloads(t, "libquantum", "mcf", "milc", "lbm"), 1 << 40, 30_000, "lags furthest"},
+		{"run-off-end", Default(PFNone), append(mustWorkloads(t, "libquantum"), runsOffEnd()), 5_000, 100_000, "core 1 lags furthest"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(naive bool) (Result, error) {
-				s, err := buildSystem(tc.cfg, tc.apps)
+				cfg := tc.cfg
+				cfg.Cores = len(tc.apps)
+				s, err := New(cfg, tc.apps)
 				if err != nil {
 					t.Fatal(err)
 				}
 				s.naive = naive
-				err = s.Run(1<<40, tc.cycles) // unreachable budget: must hit the bound
+				err = s.Run(tc.insts, tc.cycles) // out of reach for one core: must hit the bound
 				return s.Snapshot(), err
 			}
 
@@ -100,14 +111,41 @@ func TestLoopEquivalenceOnError(t *testing.T) {
 			if errN.Error() != errE.Error() {
 				t.Errorf("error text diverges:\nnaive: %v\nevent: %v", errN, errE)
 			}
-			if !strings.Contains(errE.Error(), "lags furthest") {
-				t.Errorf("bound error does not name the straggler: %v", errE)
+			if !strings.Contains(errE.Error(), tc.lagger) {
+				t.Errorf("bound error does not name the straggler (%q): %v", tc.lagger, errE)
 			}
 			if !reflect.DeepEqual(naive, event) {
 				t.Errorf("partial snapshots diverge\nnaive: %+v\nevent: %+v", naive, event)
 			}
 		})
 	}
+}
+
+// runsOffEnd is a short countdown loop with no HALT after it: the core
+// commits the loop, then fetches past the last instruction and stalls.
+func runsOffEnd() workload.Workload {
+	return workload.New("runs-off-end", "a countdown loop with no halt", "compute", false,
+		func() (*isa.Program, *mem.Memory) {
+			b := isa.NewBuilder()
+			b.Movi(isa.Reg(1), 100)
+			top := b.Here()
+			b.Addi(isa.Reg(1), isa.Reg(1), -1)
+			b.Bnez(isa.Reg(1), top)
+			return b.MustProgram(), mem.New()
+		})
+}
+
+func mustWorkloads(t *testing.T, names ...string) []workload.Workload {
+	t.Helper()
+	apps := make([]workload.Workload, len(names))
+	for i, name := range names {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps[i] = w
+	}
+	return apps
 }
 
 func buildSystem(cfg Config, appNames []string) (*System, error) {

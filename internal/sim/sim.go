@@ -155,7 +155,7 @@ type System struct {
 	statsBase uint64 // clock value at the last ResetStats
 
 	// Run-loop scratch state, reseeded at every Run call.
-	sched         evtHeap  //bfetch:noreset scheduler state, reseeded by Run
+	next          []uint64 //bfetch:noreset scheduler state, reseeded by Run
 	nextUncounted []uint64 //bfetch:noreset scheduler state, reseeded by Run
 	due           []int32  //bfetch:noreset scratch
 }
@@ -416,19 +416,29 @@ func (s *System) runNaive(target []uint64, limit, instsPerCore, maxCycles uint64
 // runEvent advances the clock directly to the earliest cycle at which any
 // core has scheduled work, crediting skipped cycles to each still-running
 // core's counter — exactly what the naive loop's empty ticks would have
-// done. Per-core next-event cycles are cached in an indexed min-heap
-// (evtHeap) and recomputed only for cores that actually ticked, so one
-// event costs O(ticked cores · log N) instead of the O(N) rescan the
-// pre-indexed loop paid. Idle crediting is lazy: each core records the
-// first cycle not yet reflected in its counter (nextUncounted) and absorbs
-// the gap the next time it ticks, or in one flush when the run ends early.
+// done. Each core's next-event cycle is cached in next and recomputed only
+// when the core itself ticks: its next event depends only on core-local
+// state (ROB completion times, fetch-queue timestamps, prefetch-engine
+// occupancy), since shared-level contention shifts the latencies that state
+// was built from at the access itself, never afterwards. One pass over next
+// per event finds the earliest cycle and collects the cores due then in
+// index order, which is the tick order tickCores needs. A finished or
+// halted core holds cpu.NoEvent; a scheduled one holds at most limit, so a
+// stuck core (NextEvent answers cpu.NoEvent without halting) still ends the
+// run at the bound, as the naive loop's spin would. Idle crediting is lazy:
+// each core records the first cycle not yet reflected in its counter
+// (nextUncounted) and absorbs the gap the next time it ticks, or in one
+// flush when the run ends early.
 func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64) error {
-	s.sched.reset(len(s.Cores))
-	if cap(s.nextUncounted) < len(s.Cores) {
-		s.nextUncounted = make([]uint64, len(s.Cores))
+	n := len(s.Cores)
+	if cap(s.next) < n {
+		s.next = make([]uint64, n)
+		s.nextUncounted = make([]uint64, n)
 	}
-	s.nextUncounted = s.nextUncounted[:len(s.Cores)]
+	s.next = s.next[:n]
+	s.nextUncounted = s.nextUncounted[:n]
 	for i, c := range s.Cores {
+		s.next[i] = cpu.NoEvent
 		if c.Halted() {
 			if err := c.Err(); err != nil {
 				return fmt.Errorf("sim: core %d: %w", i, err)
@@ -439,17 +449,27 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 			continue
 		}
 		s.nextUncounted[i] = s.clock
-		s.sched.push(int32(i), s.clock)
+		s.next[i] = s.clock
 	}
 	for {
-		t, ok := s.sched.min()
-		if !ok {
+		t := uint64(cpu.NoEvent)
+		due := s.due[:0]
+		for i, k := range s.next {
+			if k < t {
+				t = k
+				due = append(due[:0], int32(i))
+			} else if k == t {
+				due = append(due, int32(i))
+			}
+		}
+		s.due = due
+		if t == cpu.NoEvent {
 			// Every core finished or halted cleanly.
 			return nil
 		}
 		if t > s.clock {
-			// Idle gap (t == NoEvent: the remaining cores are deadlocked
-			// short of a halt — the naive loop would spin to the bound).
+			// Idle gap (t == limit: every remaining core is stuck or idle
+			// past the bound — the naive loop would spin to it).
 			if t >= limit {
 				s.flushIdle(limit, target)
 				s.clock = limit
@@ -458,15 +478,6 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 			s.clock = t
 		}
 		now := s.clock
-		due := s.due[:0]
-		for {
-			k, ok := s.sched.min()
-			if !ok || k != now {
-				break
-			}
-			due = append(due, s.sched.popMin())
-		}
-		s.due = due
 		for _, i := range due {
 			if nu := s.nextUncounted[i]; nu < now {
 				s.Cores[i].AddIdleCycles(nu, now-nu)
@@ -477,6 +488,7 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 		faulted := -1
 		for _, i := range due {
 			c := s.Cores[i]
+			s.next[i] = cpu.NoEvent
 			if c.Halted() {
 				if c.Err() != nil && faulted < 0 {
 					faulted = int(i)
@@ -486,11 +498,7 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 			if c.Stats.Committed >= target[i] {
 				continue
 			}
-			ne := c.NextEvent(now)
-			if ne <= now {
-				ne = now + 1
-			}
-			s.sched.push(i, ne)
+			s.next[i] = min(max(c.NextEvent(now), now+1), limit)
 		}
 		s.clock = now + 1
 		if s.clock >= limit {
